@@ -14,6 +14,7 @@ from .rootsys import (
     RootSystem,
     UsageError,
     Weight,
+    alternating_sum,
     build_root_system,
     cartan_isomorphic,
     cartan_matrix,

@@ -27,7 +27,7 @@ from .qseries import (
     series_one,
     series_zero,
 )
-from .rootsys import RootSystem, UsageError, Weight, weight
+from .rootsys import RootSystem, UsageError, Weight, alternating_sum, weight
 
 
 @dataclass(frozen=True)
@@ -249,8 +249,10 @@ def walgebra_module_char(ctx, lam_star: Weight, kappa_star: LevelValue, order) -
 
     Coefficients are weight-free (integers times e^0).  The alternating
     sum's exponents are minimized exactly at w = e, so the series has
-    lower bound h* - (lam*, rho); that can be negative for extreme
-    levels, which the series representation tolerates.
+    lower bound lead = h* - (lam*, rho); that can be negative for extreme
+    levels, which the series representation tolerates.  The numerator is
+    q^lead times the alternating sum over depths (l*+rho - w(l*+rho), rho)
+    <= order - lead, walked down from l*+rho without the rest of the orbit.
     """
     rs = ctx.rs
     kappa_star.require_noncritical()
@@ -259,22 +261,16 @@ def walgebra_module_char(ctx, lam_star: Weight, kappa_star: LevelValue, order) -
     if not rs.is_dominant(lam_star) or not rs.is_integral(lam_star):
         raise UsageError("walgebra_module_char requires a dominant integral weight")
     h = conformal_top_weight(rs, lam_star, kappa_star)
-    rho = rs.rho
-    rho_sq = rs.inner(rho, rho)
-    lam_rho = weight(frac(c) + 1 for c in lam_star)
-    base = h + rho_sq
-    alt: Dict[Fraction, object] = {}
-    for nu, par in rs.weyl_orbit_signed(lam_rho):
-        e = base - rs.inner(nu, rho)
-        if e <= order:
-            alt[e] = alt.get(e, 0) + par
-    alt = {e: c for e, c in alt.items() if c != 0}
-    lead = base - rs.inner(lam_rho, rho)
-    if lead in alt and alt[lead] != 1:
-        raise AssertionError("leading coefficient of the W-module numerator must be 1")
+    lead = h - rs.inner(lam_star, rs.rho)
     if lead > order:
         return series_zero(ctx, order)
-    numer = GradedCharacter(ctx, order, {e: ctx.scale(ctx.one(), c) for e, c in alt.items()})
+    lam_rho = weight(frac(c) + 1 for c in lam_star)
+    alt = alternating_sum(rs, lam_rho, order - lead)
+    if alt.get(0) != 1:
+        raise AssertionError("leading coefficient of the W-module numerator must be 1")
+    numer = GradedCharacter(
+        ctx, order, {lead + d: ctx.scale(ctx.one(), c) for d, c in alt.items()}
+    )
     need = order - lead
     euler = series_one(ctx, need)
     zero = (0,) * rs.rank

@@ -6,15 +6,21 @@ weight mu is the pairing <mu, alpha_i^vee>.  All bilinear data derives
 from the symmetrized Cartan matrix, normalized so the highest root theta
 has (theta, theta) = 2.
 
-Weyl-group operations never materialize W: orbits are enumerated by
-breadth-first closure under simple reflections, with parity tracking for
-regular orbits (the only place signs are consumed).
+Weyl-group operations never materialize W.  Orbits are enumerated by
+breadth-first closure under simple reflections.  Alternating sums over the
+orbit of a regular dominant weight, the numerators of the Weyl-Kac
+character formula, are built by a depth-bounded walk down from the
+dominant weight (``alternating_sum``), which visits only the orbit
+elements whose depth is within the truncation and never the whole orbit.
+The full signed orbit (``weyl_orbit_signed``) stays as its test oracle and
+for sums that need every term.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .linalg import frac, isqrt_rational_floor, mat_inverse
 
@@ -344,6 +350,44 @@ class RootSystem:
             frontier = nxt
         return sorted(parity.items())
 
+    def weyl_orbit_descending(self, mu: Weight, bound) -> Iterator[Tuple[Weight, object, int]]:
+        """Orbit elements w(mu) of depth (mu - w(mu), rho) <= bound, as
+        (w(mu), depth, eps(w)), for a regular dominant mu.
+
+        Walks breadth-first down from mu.  From nu = w(mu) it steps by s_i
+        only when c = <nu, alpha_i^vee> > 0, which lengthens w by one and
+        adds c (alpha_i, rho) = c d_i > 0 to the depth.  Depth thus grows
+        along every reduced word, so pruning a step past the bound loses no
+        element within it, and each element of depth <= bound is reached.
+        Depths are exact: ints for simply-laced types, else Fractions.
+        """
+        self._require_rank(mu)
+        mu = weight(mu)
+        if not self.is_dominant(mu):
+            raise UsageError("weyl_orbit_descending requires a dominant weight")
+        if any(c == 0 for c in mu):
+            raise UsageError("weyl_orbit_descending requires a regular weight")
+        # depths are kept scaled by the lacity, where every step is integral
+        lac = self.lacity
+        steps = [int(d * lac) for d in self.symmetrizer]
+        limit = frac(bound) * lac
+        if self.is_integral(mu):
+            limit = math.floor(limit)
+        roots = self.cartan_matrix  # row i: alpha_i in fundamental-weight coords
+        level = {mu: 0} if limit >= 0 else {}
+        sign = 1
+        while level:
+            nxt = {}
+            for nu, depth in level.items():
+                yield nu, depth if lac == 1 else Fraction(depth, lac), sign
+                for i, c in enumerate(nu):
+                    if c > 0:
+                        d = depth + c * steps[i]
+                        if d <= limit:
+                            nxt[tuple(x - c * a for x, a in zip(nu, roots[i]))] = d
+            level = nxt
+            sign = -sign
+
     def star(self, lam: Weight) -> Weight:
         """Highest weight of the dual representation: -w_0(lam)."""
         self._require_rank(lam)
@@ -375,7 +419,6 @@ class RootSystem:
                 return
             for c in range(caps[i] + 1):
                 coords[i] = c
-                # partial-norm prune: contributions are all >= 0 for dominant coords
                 rec(i + 1)
             coords[i] = 0
 
@@ -398,6 +441,21 @@ class RootSystem:
 
     def __repr__(self) -> str:
         return f"RootSystem({self.type_label})"
+
+
+def alternating_sum(rs: RootSystem, mu: Weight, bound) -> Dict[Fraction, int]:
+    """Depth histogram of the signed orbit of a regular dominant mu, truncated:
+    depth (mu - w(mu), rho) -> sum of eps(w), for every depth <= bound.
+
+    The truncated numerator of the Weyl-Kac character formula (Kac,
+    Infinite-dimensional Lie algebras, ch. 10), sum_w eps(w) q^{depth}.
+    Zero entries are dropped and keys come in increasing order.  Depth 0
+    is w = e alone, so it maps to 1 whenever bound >= 0.
+    """
+    hist: Dict[object, int] = {}
+    for _, depth, sign in rs.weyl_orbit_descending(mu, bound):
+        hist[depth] = hist.get(depth, 0) + sign
+    return {frac(d): c for d, c in sorted(hist.items()) if c}
 
 
 def build_root_system(type_label: str) -> RootSystem:

@@ -27,6 +27,7 @@ from liechar import (
     weight,
     weyl_module_char,
 )
+from liechar import characters
 
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
@@ -201,6 +202,13 @@ def test_walgebra_numerator_exponent_bound(lam):
     vals = sorted(((rs.inner(nu, rs.rho), p) for nu, p in pairs), reverse=True)
     assert vals[0][0] == top and vals[0][1] == 1
     assert all(v < top for v, _ in vals[1:])
+
+
+def test_walgebra_guards_the_leading_coefficient(monkeypatch):
+    # only w = e has depth 0; a numerator claiming otherwise must not pass
+    monkeypatch.setattr(characters, "alternating_sum", lambda rs, mu, bound: {F(0): 2})
+    with pytest.raises(AssertionError, match="leading coefficient"):
+        walgebra_module_char(CTX1, weight([0]), level(A1, F(1, 5)), 2)
 
 
 def test_walgebra_rejects_bad_weights():

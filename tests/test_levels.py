@@ -26,6 +26,7 @@ from liechar import (
     verify_kw,
     weight,
 )
+from liechar import levels
 
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
@@ -245,10 +246,36 @@ def test_kw_a1_by_hand():
     assert lhs.coeff(2).is_zero() and lhs.coeff(3).is_zero()
 
 
-@pytest.mark.parametrize("label,order,mode", [("A1", 6, "group_ring"), ("A2", 4, "group_ring"), ("D4", 2, "ray")])
+@pytest.mark.parametrize(
+    "label,order,mode",
+    [("A1", 6, "group_ring"), ("A2", 4, "group_ring"), ("D4", 2, "ray"),
+     ("E6", 1, "ray"), ("E8", 1, "ray")],
+)
 def test_kw_types(label, order, mode):
     rep = verify_kw(label, order, mode)
     assert rep.status == "pass"
+
+
+def test_verifiers_refuse_a_side_known_short_of_the_order(monkeypatch):
+    # series_equal alone would compare through q^1 only and pass
+    full = levels.kw_lhs_character
+
+    def short(rs, order, mode="group_ring", xi=None):
+        return full(rs, order, mode, xi).truncate(order - 1)
+
+    monkeypatch.setattr(levels, "kw_lhs_character", short)
+    with pytest.raises(AssertionError, match="below the requested order 2"):
+        verify_kw("A2", 2)
+    assert series_equal(short(A2, 2), lattice_theta(make_context(A2), 2)) is None
+
+    coset = levels.assemble_coset_character
+
+    def short_coset(rs, kappa, order, mode="group_ring", xi=None):
+        return coset(rs, kappa, order, mode, xi).truncate(order - 1)
+
+    monkeypatch.setattr(levels, "assemble_coset_character", short_coset)
+    with pytest.raises(AssertionError, match="below the requested order 2"):
+        verify_gko("A1", 2)
 
 
 def test_kw_usage_errors():
@@ -265,6 +292,7 @@ def test_gko_trivial_and_ray_modes():
     assert verify_gko("A1", 4, "trivial").status == "pass"
     assert verify_gko("A1", 3, "ray").status == "pass"
     assert verify_gko("A2", 2, "ray", xi=weight([1, 1])).status == "pass"
+    assert verify_gko("E6", 1, "ray").status == "pass"
 
 
 def test_specialized_sides_match_specialized_full():

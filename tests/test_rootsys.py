@@ -1,9 +1,12 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liechar import (
     UsageError,
+    alternating_sum,
     build_root_system,
     cartan_isomorphic,
     langlands_dual,
@@ -124,6 +127,57 @@ def test_orbit_sizes_divide_weyl_order(label):
     for lam in samples:
         assert rs.weyl_order % len(rs.weyl_orbit(lam)) == 0
     assert len(rs.weyl_orbit_signed(rs.rho)) == rs.weyl_order
+
+
+RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "F4", "G2"]
+
+
+@st.composite
+def _regular_dominant_and_bound(draw):
+    rs = build_root_system(draw(st.sampled_from(RANK_LE_4)))
+    lam = [draw(st.integers(0, 2)) for _ in range(rs.rank)]
+    mu = weight(c + 1 for c in lam)
+    top = 2 * rs.inner(mu, rs.rho)  # depth of w_0, the deepest element
+    bound = F(draw(st.integers(-2, 2 * int(top) + 2)), 2)
+    return rs, mu, bound
+
+
+@settings(max_examples=80, deadline=None)
+@given(_regular_dominant_and_bound())
+def test_alternating_sum_matches_full_signed_orbit(case):
+    # the full signed orbit, filtered by depth, is the oracle of the walk
+    rs, mu, bound = case
+    oracle = {}
+    full = {}
+    for nu, par in rs.weyl_orbit_signed(mu):
+        depth = rs.inner(weight(m - n for m, n in zip(mu, nu)), rs.rho)
+        full[nu] = (depth, par)
+        if depth <= bound:
+            oracle[depth] = oracle.get(depth, 0) + par
+    oracle = {d: c for d, c in oracle.items() if c}
+    got = alternating_sum(rs, mu, bound)
+    assert got == oracle
+    assert list(got) == sorted(got)
+    walk = list(rs.weyl_orbit_descending(mu, bound))
+    walked = {nu: (depth, par) for nu, depth, par in walk}
+    assert len(walked) == len(walk)  # each element once
+    assert walked == {nu: dp for nu, dp in full.items() if dp[0] <= bound}
+    deepest = max(depth for depth, _ in full.values())
+    assert deepest == 2 * rs.inner(mu, rs.rho)
+    everything = list(rs.weyl_orbit_descending(mu, deepest + 1))
+    assert len(everything) == rs.weyl_order
+
+
+def test_alternating_sum_rejects_non_regular_or_non_dominant():
+    b3 = build_root_system("B3")
+    assert alternating_sum(b3, b3.rho, 0) == {0: 1}
+    assert alternating_sum(b3, b3.rho, F(-1, 2)) == {}
+    with pytest.raises(UsageError):
+        alternating_sum(b3, weight([1, 0, 1]), 4)  # not regular
+    with pytest.raises(UsageError):
+        alternating_sum(b3, weight([1, -1, 1]), 4)  # not dominant
+    with pytest.raises(UsageError):
+        alternating_sum(b3, weight([1, 1]), 4)  # wrong rank
 
 
 def test_star():
