@@ -2,10 +2,12 @@
 principal W-algebra modules, the affine denominator, and the level-one
 lattice character of simply-laced types.
 
-Finite characters are computed by Freudenthal's multiplicity recursion
-(division-free); the Weyl dimension formula and the alternating-orbit-sum
-form of the Weyl character formula serve as independent cross-checks in
-the test suite.
+Finite characters come from Freudenthal's multiplicity recursion run on
+the dominant weights only, in integer coordinates: they are reached from
+the highest weight by positive-root steps that never leave the dominant
+chamber, and a weight on a root string is looked up by its dominant
+conjugate.  The Weyl dimension formula and the alternating-orbit-sum form
+of the Weyl character formula are independent cross-checks in the tests.
 """
 
 from __future__ import annotations
@@ -63,75 +65,70 @@ class FiniteCharacter:
         return int(self.multiplicities.dimension())
 
 
-def _is_weight_of(rs: RootSystem, lam: Weight, mu: Weight) -> bool:
-    """mu is a weight of L_lam iff its dominant conjugate is <= lam in Q+."""
-    dom = rs.dominant_representative(mu)
-    diff = tuple(frac(a) - frac(b) for a, b in zip(lam, dom))
-    if not rs.in_root_lattice(diff):
-        return False
-    coords = _root_basis_coords(rs, diff)
-    return all(c >= 0 for c in coords)
-
-
-def _root_basis_coords(rs: RootSystem, v: Weight) -> List[Fraction]:
-    return [
-        sum(rs._inv_cartan_t[i][j] * frac(v[j]) for j in range(rs.rank))
-        for i in range(rs.rank)
-    ]
-
-
 def _dominant_weights_below(rs: RootSystem, lam: Weight) -> List[Tuple[int, Weight]]:
-    """Dominant mu with lam - mu in Q+, tagged with the height of lam - mu."""
-    found: Dict[Weight, int] = {weight(lam): 0}
-    frontier = [weight(lam)]
-    while frontier:
-        nxt = []
-        for mu in frontier:
-            h = found[mu]
-            for alpha in rs.simple_roots:
-                nu = weight(a - b for a, b in zip(mu, alpha))
-                if nu not in found and _is_weight_of(rs, lam, nu):
-                    found[nu] = h + 1
-                    nxt.append(nu)
-        frontier = nxt
-    doms = [(h, mu) for mu, h in found.items() if rs.is_dominant(mu)]
-    doms.sort()
-    return doms
+    """Dominant mu with lam - mu in Q+, tagged with the height of lam - mu, sorted.
+
+    If lam covers mu among dominant weights, lam - mu is a positive root
+    (Stembridge, Adv. Math. 136, 1998), so a walk down by positive roots
+    through dominant weights only reaches them all.
+    """
+    found: Dict[Weight, int] = {lam: 0}
+    todo = [lam]
+    while todo:
+        mu = todo.pop()
+        for alpha in rs.positive_roots:
+            nu = tuple(m - a for m, a in zip(mu, alpha))
+            if min(nu) >= 0 and nu not in found:
+                found[nu] = found[mu] + rs.height(alpha)
+                todo.append(nu)
+    return sorted((h, mu) for mu, h in found.items())
+
+
+def _dominant_conjugate(rows, nu: Weight) -> Weight:
+    """Dominant conjugate of an integral weight; rows[i] is alpha_i."""
+    while True:
+        i = next((i for i, c in enumerate(nu) if c < 0), None)
+        if i is None:
+            return nu
+        nu = tuple(x - nu[i] * a for x, a in zip(nu, rows[i]))
 
 
 def finite_char(rs: RootSystem, lam: Weight) -> FiniteCharacter:
-    """Irreducible character of highest weight lam by Freudenthal recursion."""
+    """Irreducible character of highest weight lam by Freudenthal recursion.
+
+    mu + k alpha (k > 0) has a dominant conjugate of smaller height, so it is
+    a weight of L_lam iff that conjugate already has a multiplicity; strings
+    are unbroken, so the first miss ends the string.
+    """
     lam = weight(lam)
     if not rs.is_dominant(lam) or not rs.is_integral(lam):
         raise UsageError("finite_char requires a dominant integral weight")
-    rho = rs.rho
-    lam_rho = weight(frac(c) + 1 for c in lam)
+    lac = rs.lacity
+    # (alpha, lac (omega_i, alpha) = lac d_i c_i, lac (alpha, alpha)), all integers
+    strings = []
+    for alpha in rs.positive_roots:
+        pair = tuple(int(d * lac) * c for d, c in zip(rs.symmetrizer, rs.root_coords(alpha)))
+        strings.append((alpha, pair, sum(a * p for a, p in zip(alpha, pair))))
+    lam_rho = tuple(c + 1 for c in lam)
     c_top = rs.inner(lam_rho, lam_rho)
-    doms = _dominant_weights_below(rs, lam)
-    mult: Dict[Weight, Fraction] = {}
-    for h, mu in doms:
-        if h == 0:
-            mult[mu] = Fraction(1)
-            continue
-        total = Fraction(0)
-        for alpha in rs.positive_roots:
-            k = 1
+    mult: Dict[Weight, int] = {lam: 1}
+    for _, mu in _dominant_weights_below(rs, lam)[1:]:
+        total = 0
+        for alpha, pair, len2 in strings:
+            nu, ip = mu, sum(m * p for m, p in zip(mu, pair))
             while True:
-                nu = weight(frac(m) + k * a for m, a in zip(mu, alpha))
-                if not _is_weight_of(rs, lam, nu):
+                nu = tuple(x + a for x, a in zip(nu, alpha))
+                ip += len2
+                m = mult.get(_dominant_conjugate(rs.cartan_matrix, nu))
+                if m is None:
                     break
-                total += mult[rs.dominant_representative(nu)] * rs.inner(nu, alpha)
-                k += 1
-        mu_rho = weight(frac(c) + 1 for c in mu)
-        denom = c_top - rs.inner(mu_rho, mu_rho)
-        m = 2 * total / denom
+                total += m * ip
+        mu_rho = tuple(c + 1 for c in mu)
+        m = Fraction(2 * total, lac) / (c_top - rs.inner(mu_rho, mu_rho))
         if m.denominator != 1 or m <= 0:
             raise AssertionError("Freudenthal produced a non-positive-integer multiplicity")
-        mult[mu] = m
-    terms: Dict[Weight, int] = {}
-    for mu, m in mult.items():
-        for nu in rs.weyl_orbit(mu):
-            terms[nu] = int(m)
+        mult[mu] = int(m)
+    terms = {nu: m for mu, m in mult.items() for nu in rs.weyl_orbit(mu)}
     return FiniteCharacter(lam, GroupRingElt(terms))
 
 

@@ -221,7 +221,9 @@ def assemble_coset_character(
         h = conformal_top_weight(rs, lam, kappa)
         h_star = conformal_top_weight(rs, rs.star(lam), partner)
         lead_t = h_star - rs.inner(lam, rs.rho)
-        needs.append((lam, h, lead_t))
+        # the summand starts at q^(h + lead_t); past the order it adds nothing
+        if h + lead_t <= order:
+            needs.append((lam, h, lead_t))
     max_invd = max((order - min(lead_t, 0) - h for _, h, lead_t in needs), default=order)
     inv_d = denominator_inverse(ctx, max(max_invd, Fraction(0)))
     total = series_zero(ctx, order)

@@ -1,6 +1,9 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liechar import (
     GradedCharacter,
@@ -28,6 +31,7 @@ from liechar import (
     weyl_module_char,
 )
 from liechar import characters
+from liechar.linalg import mat_inverse
 
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
@@ -93,6 +97,62 @@ def test_weyl_character_formula_cross_check(label):
         ch = finite_char(rs, lam).multiplicities
         lam_rho = weight(c + 1 for c in lam)
         assert ch * a_rho == orbit_alternating_sum(rs, lam_rho)
+
+
+# highest-weight coordinates are capped per type to keep L_lam small
+FINITE_CHAR_CAPS = {"A1": (6, 6), "A2": (3, 4), "A3": (2, 3), "A4": (1, 2),
+                    "B2": (3, 4), "B3": (2, 2), "B4": (1, 2), "C2": (3, 4),
+                    "C3": (2, 2), "C4": (1, 2), "D4": (1, 2), "F4": (1, 1), "G2": (2, 3)}
+
+
+@st.composite
+def _small_dominant(draw):
+    label = draw(st.sampled_from(sorted(FINITE_CHAR_CAPS)))
+    rs = build_root_system(label)
+    top, total = FINITE_CHAR_CAPS[label]
+    lam = [draw(st.integers(0, top)) for _ in range(rs.rank)]
+    while sum(lam) > total:
+        lam[lam.index(max(lam))] -= 1
+    return rs, weight(lam)
+
+
+def _dominant_below_by_box_scan(rs, lam):
+    """Every dominant mu in a box with lam - mu a nonnegative integer
+    combination of simple roots, tagged with its height; the box holds
+    every candidate since (mu, mu) <= (lam, lam) and (omega_i, omega_j) > 0."""
+    n = rs.rank
+    to_roots = mat_inverse([[rs.cartan_matrix[j][i] for j in range(n)] for i in range(n)])
+    bound = rs.norm2(lam)
+    caps = []
+    for i in range(n):
+        c = 0
+        while (c + 1) ** 2 * rs.quadratic_form[i][i] <= bound:
+            c += 1
+        caps.append(c)
+    out = []
+    for mu in itertools.product(*(range(c + 1) for c in caps)):
+        diff = [a - b for a, b in zip(lam, mu)]
+        coords = [sum(to_roots[i][j] * diff[j] for j in range(n)) for i in range(n)]
+        if all(c.denominator == 1 and c >= 0 for c in coords):
+            out.append((int(sum(coords)), mu))
+    return sorted(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_dominant())
+def test_finite_char_against_weyl_formulas_and_box_scan(case):
+    # the Weyl character formula, the Weyl dimension formula and a
+    # brute-force scan of dominant weights are the oracles of Freudenthal
+    rs, lam = case
+    fc = finite_char(rs, lam)
+    lam_rho = weight(c + 1 for c in lam)
+    assert fc.multiplicities * orbit_alternating_sum(rs, rs.rho) == orbit_alternating_sum(
+        rs, lam_rho
+    )
+    assert fc.dimension() == rs.weyl_dimension(lam)
+    assert characters._dominant_weights_below(rs, lam) == _dominant_below_by_box_scan(rs, lam)
+    assert all(type(c) is int for w in fc.multiplicities.terms for c in w)
+    assert all(type(m) is int for m in fc.multiplicities.terms.values())
 
 
 def test_finite_char_rejects_bad_weights():

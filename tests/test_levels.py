@@ -209,6 +209,18 @@ def test_gko_survives_extreme_levels(label, kap_shift):
     assert series_equal(lhs, rhs) is None
 
 
+@pytest.mark.parametrize("label", ["B3", "C3", "G2"])
+@pytest.mark.parametrize("kap", [F(-2), F(-5, 2), F(-8, 3)])
+def test_coset_sum_skips_summands_past_the_order_on_non_simply_laced(label, kap):
+    # some lam in Q+ have a summand starting past q^2 (B3 lam = (2,0,0) has
+    # a Weyl-module top weight 7/3 at kappa = -2); it adds nothing there
+    rs = build_root_system(label)
+    lhs = assemble_coset_character(rs, kap, 2)
+    assert lhs.order == 2
+    deeper = assemble_coset_character(rs, kap, 3).truncate(2)
+    assert lhs.canonical_str() == deeper.canonical_str()
+
+
 def test_gko_usage_errors():
     with pytest.raises(UsageError):
         verify_gko("B2", 2)
@@ -249,7 +261,7 @@ def test_kw_a1_by_hand():
 @pytest.mark.parametrize(
     "label,order,mode",
     [("A1", 6, "group_ring"), ("A2", 4, "group_ring"), ("D4", 2, "ray"),
-     ("E6", 1, "ray"), ("E8", 1, "ray")],
+     ("E6", 1, "ray"), ("E7", 2, "ray"), ("E8", 1, "ray")],
 )
 def test_kw_types(label, order, mode):
     rep = verify_kw(label, order, mode)
@@ -293,6 +305,7 @@ def test_gko_trivial_and_ray_modes():
     assert verify_gko("A1", 3, "ray").status == "pass"
     assert verify_gko("A2", 2, "ray", xi=weight([1, 1])).status == "pass"
     assert verify_gko("E6", 1, "ray").status == "pass"
+    assert verify_gko("E6", 2, "ray").status == "pass"
 
 
 def test_specialized_sides_match_specialized_full():
