@@ -45,6 +45,7 @@ from .characters import (
     conformal_top_weight,
     denominator_inverse,
     denominator_series,
+    euler_product_inverse,
     finite_char,
     lattice_theta,
     level,

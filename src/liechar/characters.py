@@ -8,10 +8,15 @@ the highest weight by positive-root steps that never leave the dominant
 chamber, and a weight on a root string is looked up by its dominant
 conjugate.  The Weyl dimension formula and the alternating-orbit-sum form
 of the Weyl character formula are independent cross-checks in the tests.
+
+Inverse Pochhammer products, 1/D and (q;q)^{-rank}, come from one
+log-derivative recurrence (``euler_product_inverse``); the product forms
+in ``qseries`` are its test oracles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -25,7 +30,6 @@ from .qseries import (
     RayContext,
     TrivialContext,
     pochhammer_finite,
-    pochhammer_inverse,
     series_one,
     series_zero,
 )
@@ -182,20 +186,56 @@ def denominator_series(ctx, order) -> GradedCharacter:
 
 
 def denominator_inverse(ctx, order) -> GradedCharacter:
-    """1/D: the character of the vacuum Weyl module (any noncritical level)."""
+    """1/D: the character of the vacuum Weyl module (any noncritical level),
+    the Euler product of ch g = rank e^0 + sum_{alpha in Delta} e^alpha."""
     rs = ctx.rs
+    adjoint = {(0,) * rs.rank: rs.rank}
+    for alpha in rs.positive_roots:
+        adjoint[alpha] = 1
+        adjoint[tuple(-c for c in alpha)] = 1
+    return euler_product_inverse(ctx, GroupRingElt(adjoint), order)
+
+
+def euler_product_inverse(ctx, char: GroupRingElt, order) -> GradedCharacter:
+    """prod_{n>=1} prod_mu (1 - e^mu q^n)^{-c_mu} of char = sum_mu c_mu e^mu, truncated.
+
+    Solves the log-derivative (Euler transform) recurrence
+    n a_n = sum_{k=1..n} b_k a_{n-k},  b_k = sum_{d | k} d psi^{k/d}(char),
+    with the Adams operations psi^m mapped into ctx's coefficient ring
+    (Kac, Infinite-dimensional Lie algebras, 10.10): O(order^2) coefficient
+    products, however many weights char has.  The exponents are 0..floor(order).
+    """
     order = frac(order)
     if order < 0:
         raise UsageError("order must be nonnegative")
-    result = series_one(ctx, order)
-    zero = (0,) * rs.rank
-    for _ in range(rs.rank):
-        result = result.mul(pochhammer_inverse(ctx, zero, 1, order))
-    for alpha in rs.positive_roots:
-        neg = weight(-c for c in alpha)
-        result = result.mul(pochhammer_inverse(ctx, alpha, 1, order))
-        result = result.mul(pochhammer_inverse(ctx, neg, 1, order))
-    return result
+    top = math.floor(order)
+    psi = [None] + [coeff_in_context(ctx, char.frobenius(m)) for m in range(1, top + 1)]
+    b = [None]
+    for k in range(1, top + 1):
+        bk = ctx.czero()
+        for d in range(1, k + 1):
+            if k % d == 0:
+                bk = ctx.add(bk, ctx.scale(psi[k // d], d))
+        b.append(bk)
+    a = [ctx.one()]
+    for n in range(1, top + 1):
+        acc = ctx.czero()
+        for k in range(1, n + 1):
+            acc = ctx.add(acc, ctx.mul(b[k], a[n - k]))
+        a.append(_divide_exactly(acc, n))
+    return GradedCharacter(ctx, order, {Fraction(n): c for n, c in enumerate(a)})
+
+
+def _divide_exactly(c, n: int):
+    """c / n for an integer, GroupRingElt or LaurentZ c; n must divide every coefficient."""
+    if isinstance(c, (GroupRingElt, LaurentZ)):
+        res = type(c)()
+        res.terms = {k: _divide_exactly(v, n) for k, v in c.terms.items()}
+        return res
+    q, r = divmod(c, n)
+    if r:
+        raise AssertionError(f"Euler-transform coefficient {c} is not divisible by {n}")
+    return q
 
 
 def coeff_in_context(ctx, gre: GroupRingElt):
@@ -268,12 +308,8 @@ def walgebra_module_char(ctx, lam_star: Weight, kappa_star: LevelValue, order) -
     numer = GradedCharacter(
         ctx, order, {lead + d: ctx.scale(ctx.one(), c) for d, c in alt.items()}
     )
-    need = order - lead
-    euler = series_one(ctx, need)
-    zero = (0,) * rs.rank
-    for _ in range(rs.rank):
-        euler = euler.mul(pochhammer_inverse(ctx, zero, 1, need))
-    return numer.mul(euler)
+    cartan = GroupRingElt({(0,) * rs.rank: rs.rank})
+    return numer.mul(euler_product_inverse(ctx, cartan, order - lead))
 
 
 def lattice_theta(ctx, order) -> GradedCharacter:
@@ -301,11 +337,8 @@ def level_one_char(ctx, order) -> GradedCharacter:
     order = frac(order)
     if order < 0:
         raise UsageError("order must be nonnegative")
-    result = lattice_theta(ctx, order)
-    zero = (0,) * rs.rank
-    for _ in range(rs.rank):
-        result = result.mul(pochhammer_inverse(ctx, zero, 1, order))
-    return result
+    cartan = GroupRingElt({(0,) * rs.rank: rs.rank})
+    return lattice_theta(ctx, order).mul(euler_product_inverse(ctx, cartan, order))
 
 
 # ---------------------------------------------------------------------------

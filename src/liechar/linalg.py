@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals.
 
 Small dense/sparse routines used throughout the package: matrix inverse,
-linear solves, null spaces of sparse systems, and rational square roots.
+null spaces of sparse systems, and rational square roots.
 Everything is Fraction-based; no floating point.
 """
 
@@ -39,15 +39,6 @@ def mat_inverse(a: Sequence[Sequence]) -> List[List[Fraction]]:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
-
-
-def mat_vec(a: Sequence[Sequence[Fraction]], v: Sequence) -> List[Fraction]:
-    return [sum((frac(x) * frac(y) for x, y in zip(row, v)), Fraction(0)) for row in a]
-
-
-def solve(a: Sequence[Sequence], b: Sequence) -> List[Fraction]:
-    """Solve a x = b for square nonsingular a."""
-    return mat_vec(mat_inverse(a), b)
 
 
 class SparseNullspace:

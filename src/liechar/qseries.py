@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -37,12 +38,21 @@ def _coord_json(c):
     return c if isinstance(c, int) else rat_str(c)
 
 
-class GroupRingElt:
-    """Element of the group ring of the weight lattice: sum c_mu e^mu.
+def _lattice_point(w) -> Weight:
+    """w as an int tuple; raises UsageError off the integral weight lattice."""
+    key = tuple(map(int, w))
+    if key != tuple(w):
+        raise UsageError(f"group-ring weight {w!r} is not integral")
+    return key
 
-    Stored sparsely as {weight tuple -> coefficient}; zero coefficients
-    are never kept.  Coefficients are integers for honest characters,
-    but exact rationals are tolerated in intermediate arithmetic.
+
+class GroupRingElt:
+    """Element of the integral group ring of the weight lattice: sum c_mu e^mu.
+
+    Stored sparsely as {int tuple -> coefficient}, the tuple holding mu's
+    fundamental-weight coordinates; zero coefficients are never kept.
+    Coefficients are integers for honest characters, but exact rationals
+    are tolerated in intermediate arithmetic.
     """
 
     __slots__ = ("terms",)
@@ -53,11 +63,11 @@ class GroupRingElt:
             for w, c in terms.items():
                 c = _norm_scalar(c)
                 if c != 0:
-                    self.terms[weight(w)] = c
+                    self.terms[_lattice_point(w)] = c
 
     @classmethod
     def monomial(cls, w: Weight, coeff=1) -> "GroupRingElt":
-        return cls({weight(w): coeff})
+        return cls({tuple(w): coeff})
 
     @classmethod
     def one(cls, rank: int) -> "GroupRingElt":
@@ -67,7 +77,7 @@ class GroupRingElt:
         return not self.terms
 
     def coeff(self, w: Weight):
-        return self.terms.get(weight(w), 0)
+        return self.terms.get(tuple(w), 0)
 
     def __add__(self, other: "GroupRingElt") -> "GroupRingElt":
         out = dict(self.terms)
@@ -91,16 +101,13 @@ class GroupRingElt:
 
     def __mul__(self, other: "GroupRingElt") -> "GroupRingElt":
         out: Dict[Weight, object] = {}
+        get = out.get
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = tuple(a + b for a, b in zip(w1, w2))
-                nc = out.get(w, 0) + c1 * c2
-                if nc == 0:
-                    out.pop(w, None)
-                else:
-                    out[w] = nc
+                w = tuple(map(operator.add, w1, w2))
+                out[w] = get(w, 0) + c1 * c2
         res = GroupRingElt()
-        res.terms = {weight(w): c for w, c in out.items()}
+        res.terms = {w: c for w, c in out.items() if c != 0}
         return res
 
     def scale(self, c) -> "GroupRingElt":
@@ -111,19 +118,21 @@ class GroupRingElt:
         return res
 
     def frobenius(self, k: int) -> "GroupRingElt":
-        """Substitute e^mu -> e^{k mu}."""
-        return GroupRingElt({tuple(k * c for c in w): v for w, v in self.terms.items()})
+        """The Adams operation psi^k: e^mu -> e^{k mu}, for an integer k != 0."""
+        res = GroupRingElt()
+        res.terms = {tuple(k * c for c in w): v for w, v in self.terms.items()}
+        return res
 
     def dimension(self):
         """Sum of coefficients (the dimension, for a character)."""
         return sum(self.terms.values())
 
     def items_sorted(self) -> List[Tuple[Weight, object]]:
-        return sorted(self.terms.items(), key=lambda t: tuple(frac(c) for c in t[0]))
+        return sorted(self.terms.items())
 
     def to_json(self) -> list:
         return [
-            {"weight": [_coord_json(c) for c in w], "coeff": _coord_json(v)}
+            {"weight": list(w), "coeff": _coord_json(v)}
             for w, v in self.items_sorted()
         ]
 
@@ -493,11 +502,6 @@ def series_one(ctx, order) -> GradedCharacter:
 
 def series_zero(ctx, order) -> GradedCharacter:
     return GradedCharacter(ctx, order, {})
-
-
-def from_group_ring(ctx: GroupRingContext, gre: GroupRingElt, order, at=0) -> GradedCharacter:
-    """Embed a group-ring element as the coefficient of q^{at}."""
-    return GradedCharacter(ctx, order, {frac(at): gre})
 
 
 def pochhammer_inverse(ctx, mu: Weight, s, order) -> GradedCharacter:

@@ -306,21 +306,28 @@ class RootSystem:
             lam = self.reflect(i, lam)
 
     def weyl_orbit(self, lam: Weight) -> List[Weight]:
-        """Full W-orbit of a dominant weight, each element exactly once."""
+        """Full W-orbit of a dominant weight, each element exactly once.
+
+        An integral weight is reflected in int arithmetic by the rows of the
+        Cartan matrix; other weights are renormalized by ``weight()``.
+        """
         self._require_rank(lam)
         if not self.is_dominant(lam):
             raise UsageError("weyl_orbit requires a dominant weight")
         lam = weight(lam)
+        norm = tuple if self.is_integral(lam) else weight
+        roots = self.cartan_matrix  # row i: alpha_i in fundamental-weight coords
         seen = {lam}
         frontier = [lam]
         while frontier:
             nxt = []
             for mu in frontier:
-                for i in range(self.rank):
-                    nu = self.reflect(i, mu)
-                    if nu not in seen:
-                        seen.add(nu)
-                        nxt.append(nu)
+                for i, c in enumerate(mu):
+                    if c:
+                        nu = norm([x - c * a for x, a in zip(mu, roots[i])])
+                        if nu not in seen:
+                            seen.add(nu)
+                            nxt.append(nu)
             frontier = nxt
         return sorted(seen)
 

@@ -16,12 +16,14 @@ from liechar import (
     conformal_top_weight,
     denominator_inverse,
     denominator_series,
+    euler_product_inverse,
     finite_char,
     lattice_theta,
     level,
     level_one_char,
     make_context,
     orbit_alternating_sum,
+    pochhammer_inverse,
     series_equal,
     series_one,
     specialize,
@@ -187,6 +189,39 @@ def test_denominator_times_inverse_is_one():
     for ctx in (CTX1, CTX2):
         prod = denominator_series(ctx, 4).mul(denominator_inverse(ctx, 4))
         assert series_equal(prod, series_one(ctx, 4)) is None
+
+
+def _product_of_pochhammer_inverses(ctx, weights, order):
+    result = series_one(ctx, order)
+    for mu in weights:
+        result = result.mul(pochhammer_inverse(ctx, mu, 1, order))
+    return result
+
+
+@pytest.mark.parametrize("mode", ["group_ring", "trivial", "ray"])
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "C3", "G2", "D4"])
+def test_euler_inverse_matches_pochhammer_products(label, mode):
+    # the product forms are the oracle of the log-derivative recurrence
+    rs = build_root_system(label)
+    ctx = make_context(rs, mode)
+    zero = (0,) * rs.rank
+    roots = [w for a in rs.positive_roots for w in (a, tuple(-c for c in a))]
+    for order in [0, F(1, 2), 3, F(5, 2), 4]:
+        expect = _product_of_pochhammer_inverses(ctx, [zero] * rs.rank + roots, order)
+        assert denominator_inverse(ctx, order).canonical_str() == expect.canonical_str()
+        cartan = euler_product_inverse(ctx, GroupRingElt({zero: rs.rank}), order)
+        expect = _product_of_pochhammer_inverses(ctx, [zero] * rs.rank, order)
+        assert cartan.canonical_str() == expect.canonical_str()
+    with pytest.raises(UsageError):
+        denominator_inverse(ctx, -1)
+    with pytest.raises(UsageError):
+        euler_product_inverse(ctx, GroupRingElt({zero: 1}), F(-1, 2))
+
+
+def test_euler_inverse_division_must_be_exact():
+    # (1 - q)^{-1/2} has coefficient 1/2 at q^1: the recurrence must not carry it
+    with pytest.raises(AssertionError):
+        euler_product_inverse(CTX1, GroupRingElt({(0,): F(1, 2)}), 2)
 
 
 # -- Weyl modules -------------------------------------------------------------

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liechar import (
     GradedCharacter,
@@ -19,6 +21,7 @@ from liechar import (
 
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
+B2 = build_root_system("B2")
 CTX1 = GroupRingContext(A1)
 CTX2 = GroupRingContext(A2)
 
@@ -48,6 +51,21 @@ def random_series(rng, ctx, order=5, nterms=4):
     return GradedCharacter(ctx, order, terms)
 
 
+def group_ring_elts(rank):
+    weights = st.tuples(*[st.integers(-3, 3)] * rank)
+    return st.dictionaries(weights, st.integers(-4, 4), max_size=5).map(GroupRingElt)
+
+
+def dense_product(a, b):
+    """Dense oracle of a * b: every cross term accumulated independently."""
+    expect = {}
+    for w1, c1 in a.terms.items():
+        for w2, c2 in b.terms.items():
+            w = tuple(x + y for x, y in zip(w1, w2))
+            expect[w] = expect.get(w, 0) + c1 * c2
+    return {w: c for w, c in expect.items() if c != 0}
+
+
 # -- group ring ---------------------------------------------------------------
 
 
@@ -56,20 +74,37 @@ def test_group_ring_against_dense_oracle():
     for _ in range(30):
         a = random_group_ring(rng, A2)
         b = random_group_ring(rng, A2)
-        prod = a * b
-        # dense oracle: accumulate every cross term independently
-        expect = {}
-        for w1, c1 in a.terms.items():
-            for w2, c2 in b.terms.items():
-                w = tuple(x + y for x, y in zip(w1, w2))
-                expect[w] = expect.get(w, 0) + c1 * c2
-        expect = {w: c for w, c in expect.items() if c != 0}
-        assert prod.terms == {weight(w): c for w, c in expect.items()}
+        assert (a * b).terms == dense_product(a, b)
         assert (a + b).terms == {
             weight(w): c
             for w in set(a.terms) | set(b.terms)
             if (c := a.terms.get(w, 0) + b.terms.get(w, 0)) != 0
         }
+
+
+@settings(max_examples=80, deadline=None)
+@given(group_ring_elts(2), group_ring_elts(2), group_ring_elts(2))
+def test_group_ring_laws(a, b, c):
+    assert (a * b).terms == dense_product(a, b)
+    assert (b * c).terms == dense_product(b, c)
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) + c == a + (b + c)
+
+
+def test_group_ring_keys_are_int_tuples():
+    # the integral group ring of the weight lattice: a half-integral key is refused
+    with pytest.raises(UsageError):
+        GroupRingElt({(F(1, 2),): 1})
+    with pytest.raises(UsageError):
+        GroupRingElt.monomial((1, F(-3, 2)))
+    a = GroupRingElt({(F(2), 1): 3, (0, -1): 1})
+    b = GroupRingElt({(1, F(-3, 1)): 2, (0, 0): -1})
+    for elt in (a, b, a * b, a + b, a - b, a.frobenius(3), a.frobenius(-2)):
+        for w in elt.terms:
+            assert type(w) is tuple and all(type(c) is int for c in w)
+    assert a.coeff((2, 1)) == 3 and a.coeff((F(2), F(1))) == 3
 
 
 def test_group_ring_no_zero_coeffs():
@@ -211,18 +246,29 @@ def test_ray_specialization_value():
     assert ray2.coeff(1).terms == {F(2): 1}
 
 
+@st.composite
+def series_pairs(draw):
+    # B2's ray exponents (mu, rho_check) are half-integral
+    ctx = GroupRingContext(draw(st.sampled_from([A2, B2])))
+    exponents = st.integers(0, 10).map(lambda k: F(k, 2))
+    coeffs = group_ring_elts(ctx.rs.rank)
+    return [
+        GradedCharacter(ctx, 5, draw(st.dictionaries(exponents, coeffs, max_size=4)))
+        for _ in range(2)
+    ]
+
+
 @pytest.mark.parametrize("mode", ["trivial", "ray"])
-def test_specialization_is_ring_homomorphism(mode):
-    rng = random.Random(23)
-    for _ in range(8):
-        f = random_series(rng, CTX2, order=5)
-        g = random_series(rng, CTX2, order=5)
-        lhs = specialize(f.mul(g), mode)
-        rhs = specialize(f, mode).mul(specialize(g, mode))
-        assert series_equal(lhs, rhs) is None
-        lhs = specialize(f.add(g), mode)
-        rhs = specialize(f, mode).add(specialize(g, mode))
-        assert series_equal(lhs, rhs) is None
+@settings(max_examples=40, deadline=None)
+@given(pair=series_pairs())
+def test_specialization_is_ring_homomorphism(mode, pair):
+    f, g = pair
+    lhs = specialize(f.mul(g), mode)
+    rhs = specialize(f, mode).mul(specialize(g, mode))
+    assert series_equal(lhs, rhs) is None
+    lhs = specialize(f.add(g), mode)
+    rhs = specialize(f, mode).add(specialize(g, mode))
+    assert series_equal(lhs, rhs) is None
 
 
 def test_specialize_bad_mode():

@@ -132,6 +132,35 @@ def test_orbit_sizes_divide_weyl_order(label):
 RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "F4", "G2"]
 
 
+def _reflect_orbit(rs, lam):
+    """Breadth-first closure under rs.reflect, the oracle of weyl_orbit."""
+    lam = weight(lam)
+    seen, frontier = {lam}, [lam]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            for i in range(rs.rank):
+                nu = rs.reflect(i, mu)
+                if nu not in seen:
+                    seen.add(nu)
+                    nxt.append(nu)
+        frontier = nxt
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("label", RANK_LE_4)
+def test_weyl_orbit_matches_reflect_walk(label):
+    rs = build_root_system(label)
+    first = [1] + [0] * (rs.rank - 1)
+    samples = [rs.rho, rs.highest_root, weight([2 * c for c in first]), weight(first[::-1]),
+               weight([0] * rs.rank), weight([F(c, 2) for c in first])]
+    for lam in samples:
+        got, expect = rs.weyl_orbit(lam), _reflect_orbit(rs, lam)
+        assert got == expect
+        # the same element types too: int, and Fraction only off the integers
+        assert [[type(c) for c in w] for w in got] == [[type(c) for c in w] for w in expect]
+
+
 @st.composite
 def _regular_dominant_and_bound(draw):
     rs = build_root_system(draw(st.sampled_from(RANK_LE_4)))
