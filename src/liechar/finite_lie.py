@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import SparseNullspace, frac, sqrt_rational
+from .linalg import SparseNullspace, frac, int_or_frac, sqrt_rational
 from .rootsys import RootSystem, UsageError, Weight, build_root_system, weight
 from .qseries import rat_str
 
@@ -29,9 +29,16 @@ class LieStructure:
     """Explicit structure constants of a finite-dimensional Lie algebra.
 
     brackets[(i, j)] for i < j maps basis index k to the coefficient of
-    x_k in [x_i, x_j]; the i > j values follow by antisymmetry and are
-    not stored.  An optional grading labels each basis vector with a
-    nonnegative integer (used by the Takiff construction).
+    x_k in [x_i, x_j] (an int when integral, else a Fraction); the i > j
+    values follow by antisymmetry and are not stored.  An optional
+    grading labels each basis vector with a nonnegative integer (used by
+    the Takiff construction).
+
+    ``generators`` lists basis indices whose iterated brackets span the
+    algebra; it defaults to the whole basis.  The x that leave a bilinear
+    form invariant, or that commute with a linear map between two modules,
+    form a Lie subalgebra, so imposing those equations on the generators
+    alone gives the same solution space as imposing them on every x.
     """
 
     def __init__(
@@ -40,6 +47,7 @@ class LieStructure:
         brackets: Dict[Tuple[int, int], Vector],
         grading: Optional[Sequence[int]] = None,
         name: str = "",
+        generators: Optional[Sequence[int]] = None,
     ):
         self.dimension = len(labels)
         self.labels = list(labels)
@@ -50,10 +58,15 @@ class LieStructure:
                 raise UsageError("diagonal bracket entries must be omitted")
             if i > j:
                 raise UsageError("store brackets with i < j only")
-            clean = {k: frac(c) for k, c in vec.items() if c != 0}
+            clean = {k: int_or_frac(c) for k, c in vec.items() if c != 0}
             if clean:
                 self.brackets[(i, j)] = clean
         self.grading = list(grading) if grading is not None else [0] * self.dimension
+        if generators is None:
+            generators = range(self.dimension)
+        self.generators: Tuple[int, ...] = tuple(generators)
+        if any(not 0 <= g < self.dimension for g in self.generators):
+            raise UsageError("generator index outside the basis")
 
     def bracket_basis(self, i: int, j: int) -> Vector:
         if i == j:
@@ -76,15 +89,6 @@ class LieStructure:
                     else:
                         out[k] = nv
         return out
-
-    def ad_matrix(self, i: int) -> List[List[Fraction]]:
-        """Matrix of ad(x_i) in the basis: column j holds [x_i, x_j]."""
-        n = self.dimension
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for j in range(n):
-            for k, c in self.bracket_basis(i, j).items():
-                m[k][j] = c
-        return m
 
     def jacobi_defect(self, i: int, j: int, k: int) -> Vector:
         out: Dict[int, Fraction] = {}
@@ -194,7 +198,9 @@ def chevalley_structure(type_label: str) -> LieStructure:
     """Structure constants of the simple Lie algebra of the given type.
 
     Basis order: Cartan h_1..h_n (simple coroots), then x_alpha for the
-    positive roots by height, then x_{-alpha} in the same order.
+    positive roots by height, then x_{-alpha} in the same order.  The
+    generators are the h_i and the root vectors of the simple roots and
+    their negatives (Serre; Humphreys, Introduction to Lie Algebras, 18.3).
     Rank is capped at 4 (the identity checks never need more).
     """
     rs = build_root_system(type_label)
@@ -271,14 +277,20 @@ def chevalley_structure(type_label: str) -> LieStructure:
         j = idx_pos[v] if sv > 0 else idx_neg[v]
         put(i, j, {k: n_coeff(u, su, v, sv)})
 
-    ls = LieStructure(labels, brackets, name=f"g({rs.type_label})")
+    simple = [i for i, a in enumerate(pos) if rs.height(a) == 1]
+    generators = list(range(n)) + [n + i for i in simple] + [n + npos + i for i in simple]
+    ls = LieStructure(labels, brackets, name=f"g({rs.type_label})", generators=generators)
     ls.root_system = rs  # type: ignore[attr-defined]
-    ls.cartan_size = n  # type: ignore[attr-defined]
     return ls
 
 
 def takiff(ls: LieStructure) -> LieStructure:
-    """Square-zero extension g[t]/(t^2): doubled basis with [xt, yt] = 0."""
+    """Square-zero extension g[t]/(t^2): doubled basis with [xt, yt] = 0.
+
+    The generators of g and their copies s.t generate g[t]/(t^2): the
+    brackets [x, s.t] = [x, s].t with x in g span (I).t for the ideal I
+    of g generated by the s, and I = g.
+    """
     d = ls.dimension
     labels = list(ls.labels) + [f"{s}.t" for s in ls.labels]
     brackets: Dict[Tuple[int, int], Vector] = {}
@@ -287,7 +299,10 @@ def takiff(ls: LieStructure) -> LieStructure:
         brackets[(i, j + d)] = {k + d: c for k, c in vec.items()}
         brackets[(j, i + d)] = {k + d: -c for k, c in vec.items()}
     grading = [0] * d + [1] * d
-    return LieStructure(labels, brackets, grading=grading, name=f"takiff({ls.name})")
+    generators = ls.generators + tuple(g + d for g in ls.generators)
+    return LieStructure(
+        labels, brackets, grading=grading, name=f"takiff({ls.name})", generators=generators
+    )
 
 
 def abelian(dim: int) -> LieStructure:
@@ -320,8 +335,9 @@ class BilinearFormSpace:
 def invariant_forms(ls: LieStructure) -> BilinearFormSpace:
     """Exact basis of the invariant symmetric bilinear forms.
 
-    Solves B([x,y],z) + B(y,[x,z]) = 0 over all basis triples by sparse
-    null-space computation on the d(d+1)/2 symmetric unknowns.
+    Solves B([x,y],z) + B(y,[x,z]) = 0 for x among the generators and all
+    basis pairs y <= z by sparse null-space computation on the d(d+1)/2
+    symmetric unknowns.
     """
     d = ls.dimension
     pairs = {(i, j): idx for idx, (i, j) in enumerate(
@@ -331,17 +347,18 @@ def invariant_forms(ls: LieStructure) -> BilinearFormSpace:
         return pairs[(i, j)] if i <= j else pairs[(j, i)]
 
     ns = SparseNullspace(len(pairs))
-    for x in range(d):
+    for x in ls.generators:
+        ad_x = [ls.bracket_basis(x, y) for y in range(d)]
         for y in range(d):
-            by = ls.bracket_basis(x, y)
+            by = ad_x[y]
             for z in range(y, d):  # B symmetric: (y,z) and (z,y) give the same row
                 row: Dict[int, Fraction] = {}
                 for k, c in by.items():
                     col = pidx(k, z)
-                    row[col] = row.get(col, Fraction(0)) + c
-                for k, c in ls.bracket_basis(x, z).items():
+                    row[col] = row.get(col, 0) + c
+                for k, c in ad_x[z].items():
                     col = pidx(y, k)
-                    row[col] = row.get(col, Fraction(0)) + c
+                    row[col] = row.get(col, 0) + c
                 if row:
                     ns.add_row(row)
     basis = []
@@ -359,62 +376,72 @@ def invariant_forms(ls: LieStructure) -> BilinearFormSpace:
 
 
 def _rep_matrices(ls: LieStructure, which: str):
-    """Representation matrices of every basis element on the chosen module."""
+    """Sparse matrices of the generators on the chosen module.
+
+    A matrix is a list of columns; column j maps each row index to its
+    nonzero coefficient in x.v_j.
+    """
     d = ls.dimension
     if which == "adjoint":
-        return [ls.ad_matrix(i) for i in range(d)], d
+        return [[ls.bracket_basis(i, j) for j in range(d)] for i in ls.generators], d
     if which == "trivial":
-        return [[[Fraction(0)]] for _ in range(d)], 1
+        return [[{}] for _ in ls.generators], 1
     if which not in ("alt2_adjoint", "sym2_adjoint"):
         raise UsageError(f"unknown representation {which!r}")
     sym = which == "sym2_adjoint"
     basis_pairs = [(a, b) for a in range(d) for b in range(a if sym else a + 1, d)]
     index = {p: i for i, p in enumerate(basis_pairs)}
-    dim = len(basis_pairs)
     mats = []
-    for i in range(d):
-        m = [[Fraction(0)] * dim for _ in range(dim)]
-        for col, (a, b) in enumerate(basis_pairs):
+    for i in ls.generators:
+        ad_i = [ls.bracket_basis(i, a) for a in range(d)]
+        cols = []
+        for a, b in basis_pairs:
             # x.(a ^ b) = (x.a) ^ b + a ^ (x.b)
-            for k, c in ls.bracket_basis(i, a).items():
-                _add_pair(m, index, k, b, c, col, sym)
-            for k, c in ls.bracket_basis(i, b).items():
-                _add_pair(m, index, a, k, c, col, sym)
-        mats.append(m)
-    return mats, dim
+            col: Dict[int, Fraction] = {}
+            for k, c in ad_i[a].items():
+                _add_pair(col, index, k, b, c, sym)
+            for k, c in ad_i[b].items():
+                _add_pair(col, index, a, k, c, sym)
+            cols.append({r: v for r, v in col.items() if v})
+        mats.append(cols)
+    return mats, len(basis_pairs)
 
 
-def _add_pair(m, index, u, v, coeff, col, sym):
+def _add_pair(col, index, u, v, coeff, sym):
     if u == v:
         if not sym:
             return
-        m[index[(u, v)]][col] += 2 * coeff
-        return
-    if u > v:
+        coeff = 2 * coeff
+    elif u > v:
         u, v = v, u
         if not sym:
             coeff = -coeff
-    m[index[(u, v)]][col] += coeff
+    r = index[(u, v)]
+    col[r] = col.get(r, 0) + coeff
 
 
 def equivariant_hom_dim(rep_from: str, rep_to: str, ls: LieStructure) -> int:
-    """dim Hom_g(V, W) by exact null-space of the intertwiner equations."""
+    """dim Hom_g(V, W) by exact null-space of the intertwiner equations.
+
+    The unknown T has entry T[r][c] at column r * dim V + c; the equations
+    rho_W(x) T = T rho_V(x) are imposed for x among the generators, each
+    row built from the nonzero matrix entries only.
+    """
     mats_v, dim_v = _rep_matrices(ls, rep_from)
     mats_w, dim_w = _rep_matrices(ls, rep_to)
     ns = SparseNullspace(dim_w * dim_v)
     for mv, mw in zip(mats_v, mats_w):
-        # rho_W(x) T - T rho_V(x) = 0
-        for r in range(dim_w):
-            for c in range(dim_v):
-                row: Dict[int, Fraction] = {}
-                for k in range(dim_w):
-                    if mw[r][k]:
-                        col = k * dim_v + c
-                        row[col] = row.get(col, Fraction(0)) + mw[r][k]
-                for k in range(dim_v):
-                    if mv[k][c]:
-                        col = r * dim_v + k
-                        row[col] = row.get(col, Fraction(0)) - mv[k][c]
+        w_rows: List[Dict[int, Fraction]] = [{} for _ in range(dim_w)]
+        for k, col in enumerate(mw):
+            for r, val in col.items():
+                w_rows[r][k] = val
+        # (rho_W(x) T - T rho_V(x))[r][c] = 0
+        for r, w_row in enumerate(w_rows):
+            for c, v_col in enumerate(mv):
+                row: Dict[int, Fraction] = {k * dim_v + c: w for k, w in w_row.items()}
+                for k, v in v_col.items():
+                    col = r * dim_v + k
+                    row[col] = row[col] - v if col in row else -v
                 if row:
                     ns.add_row(row)
     return dim_w * dim_v - ns.rank

@@ -20,13 +20,8 @@ import operator
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .linalg import frac
+from .linalg import frac, int_or_frac
 from .rootsys import RootSystem, UsageError, Weight, weight
-
-
-def _norm_scalar(x):
-    x = frac(x)
-    return int(x) if x.denominator == 1 else x
 
 
 def rat_str(x) -> str:
@@ -61,7 +56,7 @@ class GroupRingElt:
         self.terms: Dict[Weight, object] = {}
         if terms:
             for w, c in terms.items():
-                c = _norm_scalar(c)
+                c = int_or_frac(c)
                 if c != 0:
                     self.terms[_lattice_point(w)] = c
 
@@ -111,10 +106,10 @@ class GroupRingElt:
         return res
 
     def scale(self, c) -> "GroupRingElt":
-        c = _norm_scalar(c)
+        c = int_or_frac(c)
         res = GroupRingElt()
         if c != 0:
-            res.terms = {w: _norm_scalar(v * c) for w, v in self.terms.items()}
+            res.terms = {w: int_or_frac(v * c) for w, v in self.terms.items()}
         return res
 
     def frobenius(self, k: int) -> "GroupRingElt":
@@ -158,7 +153,7 @@ class LaurentZ:
         self.terms: Dict[Fraction, object] = {}
         if terms:
             for e, c in terms.items():
-                c = _norm_scalar(c)
+                c = int_or_frac(c)
                 if c != 0:
                     self.terms[frac(e)] = c
 
@@ -197,10 +192,10 @@ class LaurentZ:
         return res
 
     def scale(self, c) -> "LaurentZ":
-        c = _norm_scalar(c)
+        c = int_or_frac(c)
         res = LaurentZ()
         if c != 0:
-            res.terms = {e: _norm_scalar(v * c) for e, v in self.terms.items()}
+            res.terms = {e: int_or_frac(v * c) for e, v in self.terms.items()}
         return res
 
     def to_json(self) -> list:
@@ -280,7 +275,7 @@ class TrivialContext:
         return a * b
 
     def scale(self, a, c):
-        return _norm_scalar(a * c)
+        return int_or_frac(a * c)
 
     def coeff_json(self, c):
         return _coord_json(c)
@@ -582,7 +577,7 @@ def specialize(f: GradedCharacter, mode: str, xi: Optional[Weight] = None) -> Gr
         for e, c in f.terms.items():
             val = sum(c.terms.values())
             if val != 0:
-                out[e] = _norm_scalar(val)
+                out[e] = int_or_frac(val)
         return GradedCharacter(new_ctx, f.order, out)
     if xi is None:
         xi = rs.rho_check

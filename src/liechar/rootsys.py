@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .linalg import frac, isqrt_rational_floor, mat_inverse
+from .linalg import frac, int_or_frac, isqrt_rational_floor, mat_inverse
 
 Weight = Tuple  # coordinates in the fundamental-weight basis (int | Fraction entries)
 
@@ -35,14 +35,9 @@ class UsageError(ValueError):
     """Bad input at an API boundary (unknown type, wrong lattice, ...)."""
 
 
-def _norm_entry(x) -> object:
-    x = frac(x)
-    return int(x) if x.denominator == 1 else x
-
-
 def weight(coords: Iterable) -> Weight:
     """Canonicalize a coordinate iterable into a weight tuple."""
-    return tuple(_norm_entry(c) for c in coords)
+    return tuple(int_or_frac(c) for c in coords)
 
 
 def parse_type_label(label: str) -> Tuple[str, int]:

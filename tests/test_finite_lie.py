@@ -16,7 +16,8 @@ from liechar import (
     singular_constraints,
     takiff,
 )
-from liechar.linalg import sqrt_rational
+from liechar.finite_lie import LieStructure
+from liechar.linalg import SparseNullspace, sqrt_rational
 
 SL2 = chevalley_structure("A1")
 SL3 = chevalley_structure("A2")
@@ -99,6 +100,89 @@ def test_bracket_antisymmetry_random_vectors():
         assert xy == {k: -c for k, c in yx.items()}
 
 
+# -- generators ------------------------------------------------------------------
+
+RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4"]
+RANK_LE_3 = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2"]
+
+
+def _generated_dimension(ls, gens):
+    """Dimension of the span of the iterated brackets of the given basis vectors."""
+    span = SparseNullspace(ls.dimension)
+    frontier = [{g: F(1)} for g in gens]
+    while frontier:
+        kept = []
+        for vec in frontier:
+            before = span.rank
+            span.add_row(vec)
+            if span.rank > before:
+                kept.append(vec)
+        frontier = [ls.bracket({g: F(1)}, vec) for vec in kept for g in gens]
+    return span.rank
+
+
+def test_chevalley_generators_are_cartan_and_simple_root_vectors():
+    for label in RANK_LE_4:
+        ls = chevalley_structure(label)
+        rs = ls.root_system
+        n, npos = rs.rank, len(rs.positive_roots)
+        assert ls.generators == (
+            tuple(range(n)) + tuple(range(n, 2 * n)) + tuple(range(n + npos, n + npos + n))
+        )
+        assert all(rs.height(rs.positive_roots[i]) == 1 for i in range(n))
+
+
+@pytest.mark.parametrize("label", RANK_LE_4)
+def test_chevalley_generators_span_the_algebra(label):
+    ls = chevalley_structure(label)
+    assert _generated_dimension(ls, ls.generators) == ls.dimension
+
+
+@pytest.mark.parametrize("label", RANK_LE_3)
+def test_takiff_generators_span_the_algebra(label):
+    ls = chevalley_structure(label)
+    t = takiff(ls)
+    assert t.generators == ls.generators + tuple(g + ls.dimension for g in ls.generators)
+    assert _generated_dimension(t, t.generators) == t.dimension
+
+
+def test_generators_without_lowering_vectors_do_not_span():
+    for label in ("A2", "B3", "G2"):
+        ls = chevalley_structure(label)
+        n = ls.root_system.rank
+        borel = ls.generators[: 2 * n]  # h_i and e_i only: the Borel subalgebra
+        dim = _generated_dimension(ls, borel)
+        assert dim == n + len(ls.root_system.positive_roots) < ls.dimension
+
+
+def test_default_generators_are_the_whole_basis():
+    assert SL3.generators != tuple(range(SL3.dimension))
+    full = LieStructure(SL3.labels, SL3.brackets, SL3.grading)
+    assert full.generators == tuple(range(SL3.dimension))
+    with pytest.raises(UsageError):
+        LieStructure(SL3.labels, SL3.brackets, generators=[SL3.dimension])
+
+
+def _whole_basis(ls):
+    return LieStructure(ls.labels, ls.brackets, ls.grading, name=ls.name)
+
+
+REPS = ["adjoint", "trivial", "alt2_adjoint", "sym2_adjoint"]
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "G2"])
+def test_generator_equations_match_whole_basis_equations(label):
+    ls = chevalley_structure(label)
+    full = _whole_basis(ls)
+    for rep_from in REPS:
+        for rep_to in REPS:
+            assert equivariant_hom_dim(rep_from, rep_to, ls) == equivariant_hom_dim(
+                rep_from, rep_to, full
+            ), (rep_from, rep_to)
+    for alg in (ls, takiff(ls)):
+        assert invariant_forms(alg).to_json() == invariant_forms(_whole_basis(alg)).to_json()
+
+
 # -- takiff ----------------------------------------------------------------------
 
 
@@ -174,7 +258,9 @@ def test_abelian_forms_unconstrained():
 # -- intertwiner spaces ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("ls", [SL2, SL3, SO5], ids=["sl2", "sl3", "so5"])
+@pytest.mark.parametrize(
+    "ls", [SL2, SL3, SO5, chevalley_structure("D4")], ids=["sl2", "sl3", "so5", "so8"]
+)
 def test_alt2_to_adjoint_is_one_dimensional(ls):
     assert equivariant_hom_dim("alt2_adjoint", "adjoint", ls) == 1
 
