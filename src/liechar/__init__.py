@@ -25,9 +25,9 @@ from .qseries import (
     GradedCharacter,
     GroupRingContext,
     GroupRingElt,
-    LaurentZ,
     RayContext,
     TrivialContext,
+    make_context,
     pochhammer_finite,
     pochhammer_inverse,
     rat_str,
@@ -41,7 +41,6 @@ from .characters import (
     LevelValue,
     alt2_decompose,
     casimir,
-    coeff_in_context,
     conformal_top_weight,
     denominator_inverse,
     denominator_series,
@@ -50,7 +49,6 @@ from .characters import (
     lattice_theta,
     level,
     level_one_char,
-    make_context,
     orbit_alternating_sum,
     sym2_decompose,
     walgebra_module_char,

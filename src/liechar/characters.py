@@ -9,7 +9,7 @@ chamber, and a weight on a root string is looked up by its dominant
 conjugate.  The Weyl dimension formula and the alternating-orbit-sum form
 of the Weyl character formula are independent cross-checks in the tests.
 
-Inverse Pochhammer products, 1/D and (q;q)^{-rank}, come from one
+Pochhammer products, D, 1/D and (q;q)^{-rank}, come from one
 log-derivative recurrence (``euler_product_inverse``); the product forms
 in ``qseries`` are its test oracles.
 """
@@ -22,17 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .linalg import frac
-from .qseries import (
-    GradedCharacter,
-    GroupRingContext,
-    GroupRingElt,
-    LaurentZ,
-    RayContext,
-    TrivialContext,
-    pochhammer_finite,
-    series_one,
-    series_zero,
-)
+from .qseries import GradedCharacter, GroupRingElt, series_zero
 from .rootsys import RootSystem, UsageError, Weight, alternating_sum, weight
 
 
@@ -158,42 +148,25 @@ def conformal_top_weight(rs: RootSystem, lam: Weight, kappa: LevelValue) -> Frac
 # graded characters
 
 
-def make_context(rs: RootSystem, mode: str = "group_ring", xi: Optional[Weight] = None):
-    if mode == "group_ring":
-        return GroupRingContext(rs)
-    if mode == "trivial":
-        return TrivialContext(rs)
-    if mode == "ray":
-        return RayContext(rs, weight(xi) if xi is not None else rs.rho_check)
-    raise UsageError(f"unknown coefficient mode {mode!r}")
-
-
-def denominator_series(ctx, order) -> GradedCharacter:
-    """D = (q;q)^rank prod_{alpha>0} (e^alpha q, e^-alpha q; q), truncated."""
-    rs = ctx.rs
-    order = frac(order)
-    if order < 0:
-        raise UsageError("order must be nonnegative")
-    result = series_one(ctx, order)
-    zero = (0,) * rs.rank
-    for _ in range(rs.rank):
-        result = result.mul(pochhammer_finite(ctx, zero, 1, order))
-    for alpha in rs.positive_roots:
-        neg = weight(-c for c in alpha)
-        result = result.mul(pochhammer_finite(ctx, alpha, 1, order))
-        result = result.mul(pochhammer_finite(ctx, neg, 1, order))
-    return result
-
-
-def denominator_inverse(ctx, order) -> GradedCharacter:
-    """1/D: the character of the vacuum Weyl module (any noncritical level),
-    the Euler product of ch g = rank e^0 + sum_{alpha in Delta} e^alpha."""
-    rs = ctx.rs
+def _adjoint_char(rs: RootSystem) -> GroupRingElt:
+    """ch g = rank e^0 + sum_{alpha in Delta} e^alpha."""
     adjoint = {(0,) * rs.rank: rs.rank}
     for alpha in rs.positive_roots:
         adjoint[alpha] = 1
         adjoint[tuple(-c for c in alpha)] = 1
-    return euler_product_inverse(ctx, GroupRingElt(adjoint), order)
+    return GroupRingElt(adjoint)
+
+
+def denominator_series(ctx, order) -> GradedCharacter:
+    """D = (q;q)^rank prod_{alpha>0} (e^alpha q, e^-alpha q; q), truncated:
+    the Euler product of -ch g."""
+    return euler_product_inverse(ctx, -_adjoint_char(ctx.rs), order)
+
+
+def denominator_inverse(ctx, order) -> GradedCharacter:
+    """1/D: the character of the vacuum Weyl module (any noncritical level),
+    the Euler product of ch g."""
+    return euler_product_inverse(ctx, _adjoint_char(ctx.rs), order)
 
 
 def euler_product_inverse(ctx, char: GroupRingElt, order) -> GradedCharacter:
@@ -209,7 +182,7 @@ def euler_product_inverse(ctx, char: GroupRingElt, order) -> GradedCharacter:
     if order < 0:
         raise UsageError("order must be nonnegative")
     top = math.floor(order)
-    psi = [None] + [coeff_in_context(ctx, char.frobenius(m)) for m in range(1, top + 1)]
+    psi = [None] + [ctx.project(char.frobenius(m)) for m in range(1, top + 1)]
     b = [None]
     for k in range(1, top + 1):
         bk = ctx.czero()
@@ -227,32 +200,15 @@ def euler_product_inverse(ctx, char: GroupRingElt, order) -> GradedCharacter:
 
 
 def _divide_exactly(c, n: int):
-    """c / n for an integer, GroupRingElt or LaurentZ c; n must divide every coefficient."""
-    if isinstance(c, (GroupRingElt, LaurentZ)):
-        res = type(c)()
+    """c / n for an integer or GroupRingElt c; n must divide every coefficient."""
+    if isinstance(c, GroupRingElt):
+        res = GroupRingElt()
         res.terms = {k: _divide_exactly(v, n) for k, v in c.terms.items()}
         return res
     q, r = divmod(c, n)
     if r:
         raise AssertionError(f"Euler-transform coefficient {c} is not divisible by {n}")
     return q
-
-
-def coeff_in_context(ctx, gre: GroupRingElt):
-    """Map a group-ring coefficient into the target coefficient ring."""
-    if isinstance(ctx, GroupRingContext):
-        return gre
-    if isinstance(ctx, TrivialContext):
-        return sum(gre.terms.values())
-    lz: Dict[Fraction, object] = {}
-    for w, v in gre.terms.items():
-        ze = ctx.rs.inner(w, ctx.xi)
-        nv = lz.get(ze, 0) + v
-        if nv == 0:
-            lz.pop(ze, None)
-        else:
-            lz[ze] = nv
-    return LaurentZ(lz)
 
 
 def weyl_module_char(
@@ -268,7 +224,7 @@ def weyl_module_char(
     kappa.require_noncritical()
     order = frac(order)
     h = conformal_top_weight(rs, lam, kappa)
-    top = coeff_in_context(ctx, finite_char(rs, lam).multiplicities)
+    top = ctx.project(finite_char(rs, lam).multiplicities)
     need = order - h
     if need < 0:
         return series_zero(ctx, order)
@@ -322,10 +278,7 @@ def lattice_theta(ctx, order) -> GradedCharacter:
         gre = terms.setdefault(e, GroupRingElt())
         for nu in rs.weyl_orbit(lam):
             gre.terms[nu] = gre.terms.get(nu, 0) + 1
-    out: Dict[Fraction, object] = {}
-    for e, gre in terms.items():
-        out[e] = coeff_in_context(ctx, gre)
-    return GradedCharacter(ctx, order, out)
+    return GradedCharacter(ctx, order, {e: ctx.project(gre) for e, gre in terms.items()})
 
 
 def level_one_char(ctx, order) -> GradedCharacter:

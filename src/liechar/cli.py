@@ -18,14 +18,12 @@ from typing import List, Optional
 
 from . import __version__
 from .characters import (
-    coeff_in_context,
     denominator_inverse,
     denominator_series,
     finite_char,
     lattice_theta,
     level,
     level_one_char,
-    make_context,
     walgebra_module_char,
     weyl_module_char,
 )
@@ -49,7 +47,7 @@ from .levels import (
     verify_gko,
     verify_kw,
 )
-from .qseries import GradedCharacter, rat_str
+from .qseries import GradedCharacter, make_context, rat_str
 from .rootsys import UsageError, build_root_system, weight
 
 SCHEMA_VERSION = 1
@@ -71,17 +69,6 @@ def parse_coords(text: str) -> tuple:
         return weight(Fraction(part) for part in text.split(","))
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"cannot parse weight coordinates {text!r}") from None
-
-
-def thread_count() -> int:
-    raw = os.environ.get("LIECHAR_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"LIECHAR_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise UsageError("LIECHAR_THREADS must be >= 1")
-    return n
 
 
 def _spec_mode(name: str) -> str:
@@ -140,7 +127,6 @@ def cmd_verify_gko(args, t0: float) -> int:
         "order": args.order,
         "spec": args.spec,
         "kappas": [rat_str(k) for k in (kappas or default_kappa_samples(rs, 2))],
-        "seed": args.seed,
     }
     return _finish("verify-gko", config, [_identity_json(rep, args.timing)],
                    rep.status, args.out, t0, args.timing)
@@ -149,7 +135,7 @@ def cmd_verify_gko(args, t0: float) -> int:
 def cmd_verify_kw(args, t0: float) -> int:
     rep = verify_kw(args.type, parse_rational(args.order), _spec_mode(args.spec),
                     xi=parse_coords(args.xi) if args.xi else None)
-    config = {"type": args.type, "order": args.order, "spec": args.spec, "seed": args.seed}
+    config = {"type": args.type, "order": args.order, "spec": args.spec}
     return _finish("verify-kw", config, [_identity_json(rep, args.timing)],
                    rep.status, args.out, t0, args.timing)
 
@@ -174,7 +160,7 @@ def cmd_weights(args, t0: float) -> int:
                 "h_two_term": rat_str(h_two),
             }
         )
-    config = {"type": args.type, "n": n, "max_norm": args.max_norm, "seed": args.seed}
+    config = {"type": args.type, "n": n, "max_norm": args.max_norm}
     status = "pass" if all_positive else "fail"
     return _finish("weights", config, rows, status, args.out, t0, args.timing)
 
@@ -200,7 +186,7 @@ def cmd_levels(args, t0: float) -> int:
         status = "pass" if rel1.holds() and rel2.holds() else "fail"
     else:
         raise UsageError(f"unknown level operation {args.op!r}")
-    config = {"type": args.type, "kappa": args.kappa, "op": args.op, "n": args.n, "seed": args.seed}
+    config = {"type": args.type, "kappa": args.kappa, "op": args.op, "n": args.n}
     return _finish("levels", config, rows, status, args.out, t0, args.timing)
 
 
@@ -223,7 +209,7 @@ def cmd_takiff_forms(args, t0: float) -> int:
         },
     ]
     status = "pass" if (base_forms.dimension == 1 and tak_forms.dimension == 2 and block_zero) else "fail"
-    config = {"type": args.type, "seed": args.seed}
+    config = {"type": args.type}
     return _finish("takiff-forms", config, rows, status, args.out, t0, args.timing)
 
 
@@ -231,14 +217,14 @@ def cmd_hom_dim(args, t0: float) -> int:
     ls = chevalley_structure(args.type)
     dim = equivariant_hom_dim(args.rep_from, args.rep_to, ls)
     rows = [{"from": args.rep_from, "to": args.rep_to, "dim": dim}]
-    config = {"type": args.type, "from": args.rep_from, "to": args.rep_to, "seed": args.seed}
+    config = {"type": args.type, "from": args.rep_from, "to": args.rep_to}
     return _finish("hom-dim", config, rows, "pass", args.out, t0, args.timing)
 
 
 def cmd_classify_ext(args, t0: float) -> int:
     base = chevalley_structure(args.base)
     result = classify_extension(parse_rational(args.alpha), parse_rational(args.beta), base)
-    config = {"alpha": args.alpha, "beta": args.beta, "base": args.base, "seed": args.seed}
+    config = {"alpha": args.alpha, "beta": args.beta, "base": args.base}
     return _finish("classify-ext", config, [result.to_json()], "pass", args.out, t0, args.timing)
 
 
@@ -256,7 +242,6 @@ def cmd_singular(args, t0: float) -> int:
     config = {
         "scale_e": [args.scale_ea, args.scale_eb],
         "scale_f": [args.scale_fa, args.scale_fb],
-        "seed": args.seed,
     }
     return _finish("singular", config, rows, status, args.out, t0, args.timing)
 
@@ -288,7 +273,7 @@ def cmd_char(args, t0: float) -> int:
         series = walgebra_module_char(ctx, lam, kappa, order)
     elif which == "finite":
         gre = finite_char(rs, lam).multiplicities
-        series = GradedCharacter(ctx, order, {Fraction(0): coeff_in_context(ctx, gre)})
+        series = GradedCharacter(ctx, order, {Fraction(0): ctx.project(gre)})
     else:
         raise UsageError(f"unknown character constructor {which!r}")
     config = {
@@ -298,7 +283,6 @@ def cmd_char(args, t0: float) -> int:
         "spec": args.spec,
         "lambda": args.lam,
         "kappa": args.kappa,
-        "seed": args.seed,
     }
     return _finish("char", config, [series.to_json()], "pass", args.out, t0, args.timing)
 
@@ -319,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
         if with_type:
             p.add_argument("--type", required=True, help="type label, e.g. A2, d4")
         p.add_argument("--out", help="write the JSON report to this path")
-        p.add_argument("--seed", type=int, default=0, help="seed echoed into the report")
         p.add_argument("--timing", action="store_true", help="include wall-clock timings")
 
     p = sub.add_parser("verify-gko", help="coset character identity")
@@ -398,7 +381,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        thread_count()
         return args.func(args, t0)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

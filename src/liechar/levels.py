@@ -17,19 +17,17 @@ from typing import List, Optional, Tuple
 
 from .characters import (
     LevelValue,
-    coeff_in_context,
     conformal_top_weight,
     denominator_inverse,
     finite_char,
     lattice_theta,
     level,
     level_one_char,
-    make_context,
     walgebra_module_char,
     weyl_module_char,
 )
 from .linalg import frac
-from .qseries import GradedCharacter, rat_str, series_equal, series_zero
+from .qseries import GradedCharacter, make_context, rat_str, series_equal, series_zero
 from .rootsys import (
     RootSystem,
     UsageError,
@@ -301,7 +299,7 @@ def kw_lhs_character(rs: RootSystem, order, mode: str = "group_ring", xi=None) -
         altseries = GradedCharacter(
             ctx, order, {base + d: ctx.scale(ctx.one(), c) for d, c in alt.items()}
         )
-        ch = coeff_in_context(ctx, finite_char(rs, lam).multiplicities)
+        ch = ctx.project(finite_char(rs, lam).multiplicities)
         chseries = GradedCharacter(ctx, order, {Fraction(0): ch})
         total = total.add(chseries.mul(altseries).truncate(order))
     return total

@@ -2,9 +2,13 @@
 
 A GradedCharacter is a finite map {rational exponent -> coefficient}
 together with a truncation order N: the stored data determines the
-series exactly for every exponent <= N.  Coefficients live in the
-integral group ring of the weight lattice (GroupRingElt), or - after
-specialization - in Z or in Laurent polynomials in a single variable z.
+series exactly for every exponent <= N.  There is one sparse coefficient
+type, GroupRingElt, keyed by int tuples.  A coefficient context fixes the
+ring a series lives in: the group ring of the weight lattice itself, Z
+(e^mu -> 1, plain ints), or Laurent polynomials in one variable z
+(e^mu -> z^{(mu, xi)}), held as GroupRingElts keyed by 1-tuples of
+z-exponents scaled by the common denominator of the functional mu -> (mu, xi).
+Each context maps group-ring elements into its ring with ``project``.
 
 Exponents are exact Fractions; conformal weights at rational level are
 rational, so nothing here ever touches floating point.  Exponents may be
@@ -46,6 +50,7 @@ class GroupRingElt:
 
     Stored sparsely as {int tuple -> coefficient}, the tuple holding mu's
     fundamental-weight coordinates; zero coefficients are never kept.
+    RayContext's Laurent polynomials are GroupRingElts keyed by 1-tuples.
     Coefficients are integers for honest characters, but exact rationals
     are tolerated in intermediate arithmetic.
     """
@@ -144,84 +149,39 @@ class GroupRingElt:
         return " + ".join(bits)
 
 
-class LaurentZ:
-    """Integer-coefficient Laurent polynomial in one variable z^(rational)."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Optional[Dict[Fraction, object]] = None):
-        self.terms: Dict[Fraction, object] = {}
-        if terms:
-            for e, c in terms.items():
-                c = int_or_frac(c)
-                if c != 0:
-                    self.terms[frac(e)] = c
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "LaurentZ") -> "LaurentZ":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            nc = out.get(e, 0) + c
-            if nc == 0:
-                out.pop(e, None)
-            else:
-                out[e] = nc
-        res = LaurentZ()
-        res.terms = out
-        return res
-
-    def __neg__(self) -> "LaurentZ":
-        res = LaurentZ()
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
-
-    def __mul__(self, other: "LaurentZ") -> "LaurentZ":
-        out: Dict[Fraction, object] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                nc = out.get(e, 0) + c1 * c2
-                if nc == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = nc
-        res = LaurentZ()
-        res.terms = out
-        return res
-
-    def scale(self, c) -> "LaurentZ":
-        c = int_or_frac(c)
-        res = LaurentZ()
-        if c != 0:
-            res.terms = {e: int_or_frac(v * c) for e, v in self.terms.items()}
-        return res
-
-    def to_json(self) -> list:
-        return [
-            {"zexp": rat_str(e), "coeff": _coord_json(c)}
-            for e, c in sorted(self.terms.items())
-        ]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentZ) and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        return " + ".join(f"{c}*z^{e}" for e, c in sorted(self.terms.items())) or "0"
-
-
 # ---------------------------------------------------------------------------
 # coefficient contexts
 
 
-class GroupRingContext:
-    """Coefficients are GroupRingElt over a fixed root system's weight lattice."""
+class _Context:
+    """What the three coefficient rings share; each mode class adds the rest.
 
-    kind = "group_ring"
+    Every mode is the image of the group ring under a ring homomorphism,
+    ``project``: the identity, e^mu -> 1, or e^mu -> z^{(mu, xi)}.  The mode
+    classes derive from this base only, never from one another:
+    perfbench/tracer.py wraps ``mul`` on each mode class, and a class that
+    inherited another's wrapped ``mul`` would count each product twice.
+    """
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
+
+    def add(self, a, b):
+        return a + b
+
+    def mul(self, a, b):
+        return a * b
+
+    def matches(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.rs.same_as(other.rs)
+            and self.describe() == other.describe()
+        )
+
+
+class GroupRingContext(_Context):
+    """Coefficients are GroupRingElt over a fixed root system's weight lattice."""
 
     def one(self):
         return GroupRingElt.one(self.rs.rank)
@@ -232,32 +192,21 @@ class GroupRingContext:
     def is_zero(self, c) -> bool:
         return c.is_zero()
 
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
     def scale(self, a, c):
         return a.scale(c)
 
     def coeff_json(self, c):
         return c.to_json()
 
-    def matches(self, other) -> bool:
-        return isinstance(other, GroupRingContext) and self.rs.same_as(other.rs)
+    def project(self, gre: GroupRingElt):
+        return gre
 
     def describe(self) -> dict:
         return {"coefficients": "group_ring", "type": self.rs.type_label}
 
 
-class TrivialContext:
+class TrivialContext(_Context):
     """Coefficients are plain integers: e^mu -> 1."""
-
-    kind = "trivial"
-
-    def __init__(self, rs: RootSystem):
-        self.rs = rs
 
     def one(self):
         return 1
@@ -268,61 +217,64 @@ class TrivialContext:
     def is_zero(self, c) -> bool:
         return c == 0
 
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
     def scale(self, a, c):
         return int_or_frac(a * c)
 
     def coeff_json(self, c):
         return _coord_json(c)
 
-    def matches(self, other) -> bool:
-        return isinstance(other, TrivialContext) and self.rs.same_as(other.rs)
+    def project(self, gre: GroupRingElt):
+        return int_or_frac(sum(gre.terms.values()))
 
     def describe(self) -> dict:
         return {"coefficients": "trivial", "type": self.rs.type_label}
 
 
-class RayContext:
-    """Coefficients are Laurent polynomials: e^mu -> z^{(mu, xi)} for a coweight xi."""
+class RayContext(_Context):
+    """Coefficients are Laurent polynomials: e^mu -> z^{(mu, xi)} for a coweight xi.
 
-    kind = "ray"
+    A Laurent polynomial is a GroupRingElt keyed by 1-tuples (den (mu, xi),):
+    coords[i] = den (omega_i, xi) is an integer functional, den the least
+    common denominator of the (omega_i, xi), so projecting a weight is one
+    integer dot product and z-exponents are written as k / den only in JSON.
+    """
 
     def __init__(self, rs: RootSystem, xi: Weight):
-        self.rs = rs
+        super().__init__(rs)
         self.xi = weight(xi)
+        pairings = [rs.inner(tuple(int(i == j) for j in range(rs.rank)), self.xi)
+                    for i in range(rs.rank)]
+        self.den = math.lcm(*(p.denominator for p in pairings))
+        self.coords = tuple(int(p * self.den) for p in pairings)
 
     def one(self):
-        return LaurentZ({Fraction(0): 1})
+        return GroupRingElt.one(1)
 
     def czero(self):
-        return LaurentZ()
+        return GroupRingElt()
 
     def is_zero(self, c) -> bool:
         return c.is_zero()
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
 
     def scale(self, a, c):
         return a.scale(c)
 
     def coeff_json(self, c):
-        return c.to_json()
+        return [
+            {"zexp": rat_str(Fraction(k, self.den)), "coeff": _coord_json(v)}
+            for (k,), v in c.items_sorted()
+        ]
 
-    def matches(self, other) -> bool:
-        return (
-            isinstance(other, RayContext)
-            and self.rs.same_as(other.rs)
-            and self.xi == other.xi
-        )
+    def project(self, gre: GroupRingElt):
+        coords = self.coords
+        out: Dict[Weight, object] = {}
+        get = out.get
+        for w, v in gre.terms.items():
+            k = (sum(map(operator.mul, coords, w)),)
+            out[k] = get(k, 0) + v
+        res = GroupRingElt()
+        res.terms = {k: v for k, v in out.items() if v != 0}
+        return res
 
     def describe(self) -> dict:
         return {
@@ -330,6 +282,16 @@ class RayContext:
             "type": self.rs.type_label,
             "xi": [_coord_json(c) for c in self.xi],
         }
+
+
+def make_context(rs: RootSystem, mode: str = "group_ring", xi: Optional[Weight] = None):
+    if mode == "group_ring":
+        return GroupRingContext(rs)
+    if mode == "trivial":
+        return TrivialContext(rs)
+    if mode == "ray":
+        return RayContext(rs, rs.rho_check if xi is None else xi)
+    raise UsageError(f"unknown coefficient mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -391,15 +353,6 @@ class GradedCharacter:
                 out[e] = nc
         return GradedCharacter(ctx, order, out)
 
-    def neg(self) -> "GradedCharacter":
-        ctx = self.context
-        return GradedCharacter(
-            ctx, self.order, {e: ctx.scale(c, -1) for e, c in self.terms.items()}
-        )
-
-    def sub(self, other: "GradedCharacter") -> "GradedCharacter":
-        return self.add(other.neg())
-
     def mul(self, other: "GradedCharacter") -> "GradedCharacter":
         # completeness: coefficient at d needs f below d - N_g and g below
         # d - N_f to be known zero, so the product is exact up to
@@ -425,20 +378,6 @@ class GradedCharacter:
                 elif not ctx.is_zero(p):
                     out[e] = p
         return GradedCharacter(ctx, order, out)
-
-    def scale(self, c) -> "GradedCharacter":
-        """Scale by a rational or by a coefficient-ring element."""
-        ctx = self.context
-        if isinstance(c, (GroupRingElt, LaurentZ)):
-            out = {}
-            for e, v in self.terms.items():
-                nv = ctx.mul(v, c)
-                if not ctx.is_zero(nv):
-                    out[e] = nv
-            return GradedCharacter(ctx, self.order, out)
-        return GradedCharacter(
-            ctx, self.order, {e: ctx.scale(v, c) for e, v in self.terms.items()}
-        )
 
     def shift(self, e0) -> "GradedCharacter":
         """Multiply by q^{e0} (exact; order shifts along)."""
@@ -511,12 +450,7 @@ def pochhammer_inverse(ctx, mu: Weight, s, order) -> GradedCharacter:
         raise UsageError("pochhammer_inverse requires shift s > 0")
     if order < 0:
         raise UsageError("order must be nonnegative")
-    if isinstance(ctx, GroupRingContext):
-        unit = GroupRingElt.monomial(mu)
-    elif isinstance(ctx, TrivialContext):
-        unit = 1
-    else:
-        unit = LaurentZ({ctx.rs.inner(weight(mu), ctx.xi): 1})
+    unit = ctx.project(GroupRingElt.monomial(mu))
     result = series_one(ctx, order)
     step = s
     while step <= order:
@@ -539,12 +473,7 @@ def pochhammer_finite(ctx, mu: Weight, s, order) -> GradedCharacter:
     order = frac(order)
     if s <= 0:
         raise UsageError("pochhammer requires shift s > 0")
-    if isinstance(ctx, GroupRingContext):
-        unit = GroupRingElt.monomial(mu)
-    elif isinstance(ctx, TrivialContext):
-        unit = 1
-    else:
-        unit = LaurentZ({ctx.rs.inner(weight(mu), ctx.xi): 1})
+    unit = ctx.project(GroupRingElt.monomial(mu))
     result = series_one(ctx, order)
     step = s
     while step <= order:
@@ -564,38 +493,12 @@ def specialize(f: GradedCharacter, mode: str, xi: Optional[Weight] = None) -> Gr
     ctx = f.context
     if mode not in ("trivial", "ray"):
         raise UsageError(f"unknown specialization mode {mode!r}")
-    if isinstance(ctx, TrivialContext):
-        if mode == "trivial":
-            return f
-        raise UsageError("cannot ray-specialize an already trivial series")
-    if isinstance(ctx, RayContext):
-        raise UsageError("cannot re-specialize a ray series")
-    rs = ctx.rs
-    if mode == "trivial":
-        new_ctx = TrivialContext(rs)
-        out: Dict[Fraction, object] = {}
-        for e, c in f.terms.items():
-            val = sum(c.terms.values())
-            if val != 0:
-                out[e] = int_or_frac(val)
-        return GradedCharacter(new_ctx, f.order, out)
-    if xi is None:
-        xi = rs.rho_check
-    new_ctx = RayContext(rs, xi)
-    out = {}
-    for e, c in f.terms.items():
-        lz: Dict[Fraction, object] = {}
-        for w, v in c.terms.items():
-            ze = rs.inner(w, new_ctx.xi)
-            nv = lz.get(ze, 0) + v
-            if nv == 0:
-                lz.pop(ze, None)
-            else:
-                lz[ze] = nv
-        val = LaurentZ(lz)
-        if not val.is_zero():
-            out[e] = val
-    return GradedCharacter(new_ctx, f.order, out)
+    if isinstance(ctx, TrivialContext) and mode == "trivial":
+        return f
+    if not isinstance(ctx, GroupRingContext):
+        raise UsageError(f"cannot {mode}-specialize an already specialized series")
+    new_ctx = make_context(ctx.rs, mode, xi)
+    return GradedCharacter(new_ctx, f.order, {e: new_ctx.project(c) for e, c in f.terms.items()})
 
 
 def series_equal(f: GradedCharacter, g: GradedCharacter):

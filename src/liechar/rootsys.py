@@ -209,9 +209,6 @@ class RootSystem:
             ordered.extend(sorted(level))
         self.positive_roots: Tuple[Weight, ...] = tuple(ordered)
         self._root_coords = root_coords  # positive roots -> simple-root coords
-        self._root_set = frozenset(root_coords) | frozenset(
-            weight(-c for c in r) for r in root_coords
-        )
         self._heights = [len(level) for level in by_height if level]
 
     def _weyl_order_from_heights(self) -> int:
@@ -257,9 +254,6 @@ class RootSystem:
     def root_coords(self, root: Weight) -> Tuple[int, ...]:
         """Coordinates of a positive root in the simple-root basis."""
         return self._root_coords[root]
-
-    def is_root(self, v: Weight) -> bool:
-        return v in self._root_set
 
     def is_integral(self, lam: Weight) -> bool:
         self._require_rank(lam)

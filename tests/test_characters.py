@@ -23,6 +23,7 @@ from liechar import (
     level_one_char,
     make_context,
     orbit_alternating_sum,
+    pochhammer_finite,
     pochhammer_inverse,
     series_equal,
     series_one,
@@ -189,6 +190,23 @@ def test_denominator_times_inverse_is_one():
     for ctx in (CTX1, CTX2):
         prod = denominator_series(ctx, 4).mul(denominator_inverse(ctx, 4))
         assert series_equal(prod, series_one(ctx, 4)) is None
+
+
+@pytest.mark.parametrize("mode", ["group_ring", "trivial", "ray"])
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2"])
+def test_denominator_series_matches_pochhammer_finite_products(label, mode):
+    # the finite product form is the oracle of D as the Euler product of -ch g
+    rs = build_root_system(label)
+    ctx = make_context(rs, mode)
+    zero = (0,) * rs.rank
+    roots = [w for a in rs.positive_roots for w in (a, tuple(-c for c in a))]
+    for order in [0, F(1, 2), 1, 3, F(7, 2), 5]:
+        expect = series_one(ctx, order)
+        for mu in [zero] * rs.rank + roots:
+            expect = expect.mul(pochhammer_finite(ctx, mu, 1, order))
+        assert denominator_series(ctx, order).canonical_str() == expect.canonical_str()
+    with pytest.raises(UsageError):
+        denominator_series(ctx, -1)
 
 
 def _product_of_pochhammer_inverses(ctx, weights, order):

@@ -46,8 +46,8 @@ def test_bad_subcommand_exit_two():
 
 
 def test_reports_byte_identical():
-    a = run_cli("verify-gko", "--type", "A1", "--order", "3", "--seed", "5")
-    b = run_cli("verify-gko", "--type", "A1", "--order", "3", "--seed", "5")
+    a = run_cli("verify-gko", "--type", "A1", "--order", "3")
+    b = run_cli("verify-gko", "--type", "A1", "--order", "3")
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
 
@@ -136,11 +136,27 @@ def test_char_requires_known_builder():
     assert res.returncode == 2
 
 
-def test_thread_env_var_validated():
-    res = run_cli("singular", env_extra={"LIECHAR_THREADS": "zero"})
-    assert res.returncode == 2
-    res = run_cli("singular", env_extra={"LIECHAR_THREADS": "2"})
+def test_char_ray_at_rational_xi():
+    res = run_cli("char", "--which", "finite", "--type", "A2", "--order", "0",
+                  "--spec", "ray", "--xi", "1/2,1/3", "--lambda", "1,1")
     assert res.returncode == 0
+    payload = json.loads(res.stdout)
+    assert "seed" not in payload["config"]
+    series = payload["reports"][0]
+    assert series["context"] == {"coefficients": "ray", "type": "A2", "xi": ["1/2", "1/3"]}
+    # the adjoint of A2 along xi = (1/2, 1/3): z-exponents (alpha, xi) of the six roots
+    assert series["series"] == [{"exponent": "0", "terms": [
+        {"coeff": 1, "zexp": "-5/6"}, {"coeff": 1, "zexp": "-1/2"},
+        {"coeff": 1, "zexp": "-1/3"}, {"coeff": 2, "zexp": "0"},
+        {"coeff": 1, "zexp": "1/3"}, {"coeff": 1, "zexp": "1/2"},
+        {"coeff": 1, "zexp": "5/6"},
+    ]}]
+
+
+def test_xi_of_wrong_rank_exit_two():
+    res = run_cli("verify-kw", "--type", "D4", "--order", "2", "--spec", "ray", "--xi", "1,1")
+    assert res.returncode == 2
+    assert "wrong rank" in res.stderr
 
 
 def test_fail_status_maps_to_exit_one():

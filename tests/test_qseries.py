@@ -9,6 +9,7 @@ from liechar import (
     GradedCharacter,
     GroupRingContext,
     GroupRingElt,
+    RayContext,
     UsageError,
     build_root_system,
     pochhammer_finite,
@@ -22,6 +23,8 @@ from liechar import (
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
 B2 = build_root_system("B2")
+G2 = build_root_system("G2")
+C3 = build_root_system("C3")
 CTX1 = GroupRingContext(A1)
 CTX2 = GroupRingContext(A2)
 
@@ -240,10 +243,38 @@ def test_ray_specialization_value():
     assert A1.inner(alpha, A1.rho_check) == 1
     f = GradedCharacter(CTX1, 3, {1: GroupRingElt.monomial(alpha)})
     ray = specialize(f, "ray")
-    assert ray.coeff(1).terms == {F(1): 1}
+    assert ray.context.coeff_json(ray.coeff(1)) == [{"zexp": "1", "coeff": 1}]
     # a custom coweight moves the exponent
     ray2 = specialize(f, "ray", xi=weight([2]))
-    assert ray2.coeff(1).terms == {F(2): 1}
+    assert ray2.context.coeff_json(ray2.coeff(1)) == [{"zexp": "2", "coeff": 1}]
+
+
+@st.composite
+def ray_projections(draw):
+    rs = draw(st.sampled_from([A2, B2, G2, C3]))
+    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    xi = draw(st.one_of(st.just(rs.rho_check), st.tuples(*[rationals] * rs.rank)))
+    return rs, xi, draw(group_ring_elts(rs.rank))
+
+
+@settings(max_examples=80, deadline=None)
+@given(ray_projections())
+def test_ray_projection_matches_inner_product_oracle(case):
+    # e^w -> z^{(w, xi)}, accumulated over Fractions with the bilinear form
+    rs, xi, gre = case
+    ctx = RayContext(rs, xi)
+    expect = {}
+    for w, c in gre.terms.items():
+        e = rs.inner(w, weight(xi))
+        expect[e] = expect.get(e, 0) + c
+    expect = {e: c for e, c in expect.items() if c != 0}
+    got = ctx.project(gre)
+    assert all(type(k) is tuple and len(k) == 1 and type(k[0]) is int for k in got.terms)
+    assert {F(k, ctx.den): c for (k,), c in got.terms.items()} == expect
+    assert ctx.coeff_json(got) == [
+        {"zexp": str(e), "coeff": c}
+        for e, c in sorted(expect.items())
+    ]
 
 
 @st.composite
