@@ -78,15 +78,6 @@ def _dominant_weights_below(rs: RootSystem, lam: Weight) -> List[Tuple[int, Weig
     return sorted((h, mu) for mu, h in found.items())
 
 
-def _dominant_conjugate(rows, nu: Weight) -> Weight:
-    """Dominant conjugate of an integral weight; rows[i] is alpha_i."""
-    while True:
-        i = next((i for i, c in enumerate(nu) if c < 0), None)
-        if i is None:
-            return nu
-        nu = tuple(x - nu[i] * a for x, a in zip(nu, rows[i]))
-
-
 def finite_char(rs: RootSystem, lam: Weight) -> FiniteCharacter:
     """Irreducible character of highest weight lam by Freudenthal recursion.
 
@@ -95,7 +86,7 @@ def finite_char(rs: RootSystem, lam: Weight) -> FiniteCharacter:
     are unbroken, so the first miss ends the string.
     """
     lam = weight(lam)
-    if not rs.is_dominant(lam) or not rs.is_integral(lam):
+    if not rs.is_dominant(lam):
         raise UsageError("finite_char requires a dominant integral weight")
     lac = rs.lacity
     # (alpha, lac (omega_i, alpha) = lac d_i c_i, lac (alpha, alpha)), all integers
@@ -106,6 +97,7 @@ def finite_char(rs: RootSystem, lam: Weight) -> FiniteCharacter:
     lam_rho = tuple(c + 1 for c in lam)
     c_top = rs.inner(lam_rho, lam_rho)
     mult: Dict[Weight, int] = {lam: 1}
+    to_dominant = rs._reflect_to_dominant
     for _, mu in _dominant_weights_below(rs, lam)[1:]:
         total = 0
         for alpha, pair, len2 in strings:
@@ -113,7 +105,7 @@ def finite_char(rs: RootSystem, lam: Weight) -> FiniteCharacter:
             while True:
                 nu = tuple(x + a for x, a in zip(nu, alpha))
                 ip += len2
-                m = mult.get(_dominant_conjugate(rs.cartan_matrix, nu))
+                m = mult.get(to_dominant(nu))
                 if m is None:
                     break
                 total += m * ip
@@ -122,8 +114,10 @@ def finite_char(rs: RootSystem, lam: Weight) -> FiniteCharacter:
         if m.denominator != 1 or m <= 0:
             raise AssertionError("Freudenthal produced a non-positive-integer multiplicity")
         mult[mu] = int(m)
-    terms = {nu: m for mu, m in mult.items() for nu in rs.weyl_orbit(mu)}
-    return FiniteCharacter(lam, GroupRingElt(terms))
+    # int keys and int multiplicities already: skip GroupRingElt's checks
+    char = GroupRingElt()
+    char.terms = {nu: m for mu, m in mult.items() for nu in rs.weyl_orbit(mu)}
+    return FiniteCharacter(lam, char)
 
 
 def orbit_alternating_sum(rs: RootSystem, mu: Weight) -> GroupRingElt:
@@ -134,8 +128,7 @@ def orbit_alternating_sum(rs: RootSystem, mu: Weight) -> GroupRingElt:
 def casimir(rs: RootSystem, lam: Weight) -> Fraction:
     """Casimir eigenvalue (lam, lam + 2 rho)."""
     lam = weight(lam)
-    two_rho = weight(2 for _ in range(rs.rank))
-    return rs.inner(lam, weight(frac(a) + b for a, b in zip(lam, two_rho)))
+    return rs.inner(lam, tuple(c + 2 for c in lam))
 
 
 def conformal_top_weight(rs: RootSystem, lam: Weight, kappa: LevelValue) -> Fraction:
@@ -224,10 +217,10 @@ def weyl_module_char(
     kappa.require_noncritical()
     order = frac(order)
     h = conformal_top_weight(rs, lam, kappa)
-    top = ctx.project(finite_char(rs, lam).multiplicities)
     need = order - h
     if need < 0:
         return series_zero(ctx, order)
+    top = ctx.project(finite_char(rs, lam).multiplicities)
     if inv_d is None or inv_d.order < need:
         inv_d = denominator_inverse(ctx, need)
     shifted = GradedCharacter(ctx, need, {Fraction(0): top}).shift(h)
@@ -251,13 +244,13 @@ def walgebra_module_char(ctx, lam_star: Weight, kappa_star: LevelValue, order) -
     kappa_star.require_noncritical()
     order = frac(order)
     lam_star = weight(lam_star)
-    if not rs.is_dominant(lam_star) or not rs.is_integral(lam_star):
+    if not rs.is_dominant(lam_star):
         raise UsageError("walgebra_module_char requires a dominant integral weight")
     h = conformal_top_weight(rs, lam_star, kappa_star)
     lead = h - rs.inner(lam_star, rs.rho)
     if lead > order:
         return series_zero(ctx, order)
-    lam_rho = weight(frac(c) + 1 for c in lam_star)
+    lam_rho = tuple(c + 1 for c in lam_star)
     alt = alternating_sum(rs, lam_rho, order - lead)
     if alt.get(0) != 1:
         raise AssertionError("leading coefficient of the W-module numerator must be 1")

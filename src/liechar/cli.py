@@ -48,7 +48,7 @@ from .levels import (
     verify_kw,
 )
 from .qseries import GradedCharacter, make_context, rat_str
-from .rootsys import UsageError, build_root_system, weight
+from .rootsys import UsageError, build_root_system
 
 SCHEMA_VERSION = 1
 
@@ -66,7 +66,7 @@ def parse_rational(text: str) -> Fraction:
 
 def parse_coords(text: str) -> tuple:
     try:
-        return weight(Fraction(part) for part in text.split(","))
+        return tuple(Fraction(part) for part in text.split(","))
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"cannot parse weight coordinates {text!r}") from None
 
@@ -254,7 +254,7 @@ def cmd_char(args, t0: float) -> int:
     order = parse_rational(args.order)
     mode = _spec_mode(args.spec)
     ctx = make_context(rs, mode, parse_coords(args.xi) if args.xi else None)
-    lam = parse_coords(args.lam) if args.lam else weight([0] * rs.rank)
+    lam = parse_coords(args.lam) if args.lam else (0,) * rs.rank
     kappa = level(rs, parse_rational(args.kappa)) if args.kappa else level(
         rs, default_kappa_samples(rs, 1)[0]
     )

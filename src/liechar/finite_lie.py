@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import SparseNullspace, frac, int_or_frac, sqrt_rational
-from .rootsys import RootSystem, UsageError, Weight, build_root_system, weight
+from .rootsys import RootSystem, UsageError, Weight, build_root_system
 from .qseries import rat_str
 
 Vector = Dict[int, Fraction]  # sparse coefficient vector over the basis
@@ -76,14 +76,15 @@ class LieStructure:
         return {k: -c for k, c in self.brackets.get((j, i), {}).items()}
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
-        out: Dict[int, Fraction] = {}
+        """[x, y] of sparse vectors; scalars may be rationals or QuadExts."""
+        out: Dict[int, object] = {}
         for i, xi in x.items():
             for j, yj in y.items():
                 if i == j:
                     continue
                 f = xi * yj
                 for k, c in self.bracket_basis(i, j).items():
-                    nv = out.get(k, Fraction(0)) + f * c
+                    nv = out.get(k, 0) + f * c
                     if nv == 0:
                         out.pop(k, None)
                     else:
@@ -133,7 +134,7 @@ def _structure_sign_table(rs: RootSystem):
     def string_down(b: Weight, a: Weight) -> int:
         p = 0
         cur = tuple(x - y for x, y in zip(b, a))
-        while cur in posset or weight(-c for c in cur) in posset:
+        while cur in posset or tuple(-c for c in cur) in posset:
             p += 1
             cur = tuple(x - y for x, y in zip(cur, a))
         return p
@@ -147,11 +148,11 @@ def _structure_sign_table(rs: RootSystem):
 
     def mixed_n(mu: Weight, nu_neg: Weight) -> Fraction:
         """N(mu, -nu) for positive mu, nu with mu - nu a root."""
-        diff = weight(x - y for x, y in zip(mu, nu_neg))
+        diff = tuple(x - y for x, y in zip(mu, nu_neg))
         if diff in posset:
             # mu = nu + diff
             return -(len2[diff] / len2[mu]) * pos_n(nu_neg, diff)
-        neg = weight(-c for c in diff)
+        neg = tuple(-c for c in diff)
         # nu = mu + neg
         return (len2[neg] / len2[nu_neg]) * pos_n(neg, mu)
 
@@ -160,21 +161,21 @@ def _structure_sign_table(rs: RootSystem):
             continue
         special = []
         for a in pos:
-            b = weight(g - x for g, x in zip(gamma, a))
+            b = tuple(g - x for g, x in zip(gamma, a))
             if b in posset and order_key[a] < order_key[b]:
                 special.append(a)
         special.sort(key=lambda a: order_key[a])
         eps = special[0]
-        delta = weight(g - x for g, x in zip(gamma, eps))
+        delta = tuple(g - x for g, x in zip(gamma, eps))
         table[(eps, delta)] = Fraction(string_down(delta, eps) + 1)
         for a in special[1:]:
-            b = weight(g - x for g, x in zip(gamma, a))
+            b = tuple(g - x for g, x in zip(gamma, a))
             acc = Fraction(0)
-            d_minus_a = weight(x - y for x, y in zip(delta, a))
+            d_minus_a = tuple(x - y for x, y in zip(delta, a))
             if d_minus_a in posset:
                 acc += mixed_n(delta, a) * pos_n(d_minus_a, eps)
-            e_minus_a = weight(x - y for x, y in zip(eps, a))
-            neg_e_minus_a = weight(-c for c in e_minus_a)
+            e_minus_a = tuple(x - y for x, y in zip(eps, a))
+            neg_e_minus_a = tuple(-c for c in e_minus_a)
             if e_minus_a in posset or neg_e_minus_a in posset:
                 # N(-a, eps) * N(eps - a, delta)
                 n1 = -mixed_n(eps, a)
@@ -218,7 +219,7 @@ def chevalley_structure(type_label: str) -> LieStructure:
     def root_index(v: Weight) -> Optional[int]:
         if v in posset:
             return idx_pos[v]
-        nv = weight(-c for c in v)
+        nv = tuple(-c for c in v)
         if nv in posset:
             return idx_neg[nv]
         return None
@@ -251,7 +252,7 @@ def chevalley_structure(type_label: str) -> LieStructure:
     # [h_i, x_{+-alpha}] = +-<alpha, alpha_i^vee> x_{+-alpha}
     for i in range(n):
         for a in pos:
-            c = frac(a[i])
+            c = a[i]
             if c:
                 put(i, idx_pos[a], {idx_pos[a]: c})
                 put(i, idx_neg[a], {idx_neg[a]: -c})
@@ -269,7 +270,7 @@ def chevalley_structure(type_label: str) -> LieStructure:
     for (u, su), (v, sv) in itertools.combinations(signed, 2):
         if u == v and su != sv:
             continue  # handled above
-        s = weight(su * x + sv * y for x, y in zip(u, v))
+        s = tuple(su * x + sv * y for x, y in zip(u, v))
         k = root_index(s)
         if k is None:
             continue
@@ -507,18 +508,16 @@ class QuadExt:
         return self.a == 0 and self.b == 0
 
     def __eq__(self, other):
-        o = self._lift(other)
-        return self.a == o.a and self.b == o.b
+        if isinstance(other, QuadExt):
+            o = self._lift(other)
+            return self.a == o.a and self.b == o.b
+        return self.b == 0 and self.a == other
 
     def to_json(self) -> dict:
         return {"rational": rat_str(self.a), "radical": rat_str(self.b), "radicand": rat_str(self.d)}
 
     def __repr__(self):
         return f"({self.a} + {self.b}*sqrt({self.d}))"
-
-
-def _scalar_zero(x) -> bool:
-    return x.is_zero() if isinstance(x, QuadExt) else frac(x) == 0
 
 
 def _scalar_json(x):
@@ -565,41 +564,24 @@ class _DoubledAlgebra:
             out = dict(u)
             for k, c in v.items():
                 nv = out.get(k, 0) + c
-                if _scalar_zero(nv):
+                if nv == 0:
                     out.pop(k, None)
                 else:
                     out[k] = nv
             return out
 
         def smul(u: Vector, s) -> Vector:
-            if _scalar_zero(s):
+            if s == 0:
                 return {}
             return {k: s * c for k, c in u.items()}
 
-        lift = lambda u, v: _bracket_lifted(self.base, u, v)  # noqa: E731
-        c11 = lift(x1, y1)
-        c12 = add(lift(x1, y2), lift(x2, y1))
-        c22 = lift(x2, y2)
+        bracket = self.base.bracket
+        c11 = bracket(x1, y1)
+        c12 = add(bracket(x1, y2), bracket(x2, y1))
+        c22 = bracket(x2, y2)
         comp1 = add(c11, smul(c22, self.alpha))
         comp2 = add(c12, smul(c22, self.beta))
         return (comp1, comp2)
-
-
-def _bracket_lifted(base: LieStructure, x: Vector, y: Vector) -> Vector:
-    """Base-algebra bracket on vectors with scalars possibly in Q(sqrt d)."""
-    out: Dict[int, object] = {}
-    for i, xi in x.items():
-        for j, yj in y.items():
-            if i == j:
-                continue
-            f = xi * yj
-            for k, c in base.bracket_basis(i, j).items():
-                nv = out.get(k, 0) + f * c
-                if _scalar_zero(nv):
-                    out.pop(k, None)
-                else:
-                    out[k] = nv
-    return out
 
 
 def classify_extension(
@@ -620,7 +602,7 @@ def classify_extension(
     d = base.dimension
 
     def phi_vec(c1, c2, i: int) -> Tuple:
-        return ({i: c1} if not _scalar_zero(c1) else {}, {i: c2} if not _scalar_zero(c2) else {})
+        return ({i: c1} if c1 != 0 else {}, {i: c2} if c2 != 0 else {})
 
     def check_hom(c1, c2) -> None:
         for i in range(d):
@@ -653,7 +635,7 @@ def classify_extension(
     witnesses = []
     for p in (p_plus, p_minus):
         denom = 2 * p + beta
-        if _scalar_zero(denom):
+        if denom == 0:
             raise UsageError(f"degenerate denominator 2p + beta = 0 at p = {p}")
         c1 = p / denom
         c2 = (1 if not isinstance(p, QuadExt) else QuadExt(1, 0, disc)) / denom
@@ -688,7 +670,7 @@ def classify_extension(
                 raise AssertionError("images of the two witnesses do not commute")
     # spanning: the 2x2 coefficient matrix must be invertible
     det = a1 * b2 - a2 * b1
-    if _scalar_zero(det):
+    if det == 0:
         raise AssertionError("witness images do not span")
     return ExtensionClassification(
         "direct_sum_iso", alpha, beta, disc, tuple(witnesses), (p_plus, p_minus)
@@ -696,16 +678,7 @@ def classify_extension(
 
 
 def _vec_eq(u: Vector, v: Vector) -> bool:
-    keys = set(u) | set(v)
-    for k in keys:
-        du = u.get(k, 0)
-        dv = v.get(k, 0)
-        diff = du - dv if not isinstance(du, QuadExt) and not isinstance(dv, QuadExt) else (
-            (du if isinstance(du, QuadExt) else QuadExt(du, 0, dv.d)) - dv
-        )
-        if not _scalar_zero(diff):
-            return False
-    return True
+    return all(u.get(k, 0) == v.get(k, 0) for k in set(u) | set(v))
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,7 @@ def conformal_weight(rs: RootSystem, lam: Weight, kappa, n: int) -> Fraction:
         raise UsageError("conformal_weight requires lam in Q+")
     kv = kappa if isinstance(kappa, LevelValue) else level(rs, kappa)
     partner = kernel_partner_level(kv, n)
-    cas = rs.inner(lam, weight(frac(c) + 2 for c in lam))
+    cas = rs.inner(lam, tuple(c + 2 for c in lam))
     return cas / (2 * kv.shifted) + cas / (2 * partner.shifted) - rs.inner(lam, rs.rho_check)
 
 
@@ -132,9 +132,7 @@ def conformal_weight_closed(rs: RootSystem, lam: Weight, n: int) -> Fraction:
     if not rs.in_root_lattice(lam) or not rs.is_dominant(lam):
         raise UsageError("conformal_weight requires lam in Q+")
     rv = rs.lacity
-    shift = weight(
-        n * rv * frac(r) - frac(rc) for r, rc in zip(rs.rho, rs.rho_check)
-    )
+    shift = tuple(n * rv * r - rc for r, rc in zip(rs.rho, rs.rho_check))  # a coweight
     return rs.norm2(lam) * rv * n / 2 + rs.inner(lam, shift)
 
 
@@ -294,7 +292,7 @@ def kw_lhs_character(rs: RootSystem, order, mode: str = "group_ring", xi=None) -
     total = series_zero(ctx, order)
     for lam in rs.dominant_weights_in_root_lattice(order):
         base = rs.norm2(lam) / 2
-        lam_rho = weight(frac(c) + 1 for c in lam)
+        lam_rho = tuple(c + 1 for c in lam)
         alt = alternating_sum(rs, lam_rho, order - base)
         altseries = GradedCharacter(
             ctx, order, {base + d: ctx.scale(ctx.one(), c) for d, c in alt.items()}

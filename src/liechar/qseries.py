@@ -37,14 +37,6 @@ def _coord_json(c):
     return c if isinstance(c, int) else rat_str(c)
 
 
-def _lattice_point(w) -> Weight:
-    """w as an int tuple; raises UsageError off the integral weight lattice."""
-    key = tuple(map(int, w))
-    if key != tuple(w):
-        raise UsageError(f"group-ring weight {w!r} is not integral")
-    return key
-
-
 class GroupRingElt:
     """Element of the integral group ring of the weight lattice: sum c_mu e^mu.
 
@@ -63,7 +55,7 @@ class GroupRingElt:
             for w, c in terms.items():
                 c = int_or_frac(c)
                 if c != 0:
-                    self.terms[_lattice_point(w)] = c
+                    self.terms[weight(w)] = c
 
     @classmethod
     def monomial(cls, w: Weight, coeff=1) -> "GroupRingElt":
@@ -241,7 +233,7 @@ class RayContext(_Context):
 
     def __init__(self, rs: RootSystem, xi: Weight):
         super().__init__(rs)
-        self.xi = weight(xi)
+        self.xi = tuple(int_or_frac(c) for c in xi)
         pairings = [rs.inner(tuple(int(i == j) for j in range(rs.rank)), self.xi)
                     for i in range(rs.rank)]
         self.den = math.lcm(*(p.denominator for p in pairings))

@@ -1,10 +1,14 @@
 """Exact root-system and weight-lattice data for the finite simple types.
 
-A weight is a plain tuple of rationals (ints where possible) holding its
-coordinates in the fundamental-weight basis, so the i-th coordinate of a
-weight mu is the pairing <mu, alpha_i^vee>.  All bilinear data derives
-from the symmetrized Cartan matrix, normalized so the highest root theta
-has (theta, theta) = 2.
+A weight is a tuple of ints holding its coordinates in the
+fundamental-weight basis, so the i-th coordinate of a weight mu is the
+pairing <mu, alpha_i^vee>.  Every weight the package builds, reflects or
+keys a group ring with is integral (the tops L_lambda have lambda in Q+,
+the theta sum runs over Q), and ``weight()`` is the one place that checks
+it.  Coweights, the dual Weyl vector rho_check and a ray's xi, keep
+rational coordinates and only ever enter ``inner``.  All bilinear data
+derives from the symmetrized Cartan matrix, normalized so the highest
+root theta has (theta, theta) = 2.
 
 Weyl-group operations never materialize W.  Orbits are enumerated by
 breadth-first closure under simple reflections.  Alternating sums over the
@@ -24,7 +28,7 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .linalg import frac, int_or_frac, isqrt_rational_floor, mat_inverse
 
-Weight = Tuple  # coordinates in the fundamental-weight basis (int | Fraction entries)
+Weight = Tuple[int, ...]  # coordinates in the fundamental-weight basis
 
 _SERIES = {"A", "B", "C", "D", "E", "F", "G"}
 
@@ -36,8 +40,12 @@ class UsageError(ValueError):
 
 
 def weight(coords: Iterable) -> Weight:
-    """Canonicalize a coordinate iterable into a weight tuple."""
-    return tuple(int_or_frac(c) for c in coords)
+    """coords as an int tuple; raises UsageError off the integral weight lattice."""
+    coords = tuple(coords)
+    key = tuple(map(int, coords))
+    if key != coords:
+        raise UsageError(f"weight ({', '.join(map(str, coords))}) is not integral")
+    return key
 
 
 def parse_type_label(label: str) -> Tuple[str, int]:
@@ -157,13 +165,12 @@ class RootSystem:
             tuple(ainv[i][j] * self.symmetrizer[j] for j in range(n)) for i in range(n)
         )
         # simple root alpha_i has fundamental-weight coords = i-th row of A
-        self.simple_roots: Tuple[Weight, ...] = tuple(
-            weight(self.cartan_matrix[i]) for i in range(n)
-        )
+        self.simple_roots: Tuple[Weight, ...] = self.cartan_matrix
         self._inv_cartan_t = mat_inverse([[cartan[j][i] for j in range(n)] for i in range(n)])
         self._build_positive_roots()
-        self.rho: Weight = weight([1] * n)
-        self.rho_check: Weight = weight([Fraction(1) / d for d in self.symmetrizer])
+        self.rho: Weight = (1,) * n
+        # a coweight, so rational: (rho_check, alpha_i) = 1 for every i
+        self.rho_check = tuple(int_or_frac(1 / d) for d in self.symmetrizer)
         self.highest_root: Weight = self.positive_roots[-1]
         theta_len2 = self.inner(self.highest_root, self.highest_root)
         if theta_len2 != 2:
@@ -196,7 +203,7 @@ class RootSystem:
                         p += 1
                         down = tuple(b - a for b, a in zip(down, alpha))
                     if p - beta[i] >= 1:
-                        up = weight(b + a for b, a in zip(beta, alpha))
+                        up = tuple(b + a for b, a in zip(beta, alpha))
                         if up not in root_coords:
                             root_coords[up] = tuple(
                                 c + int(i == j) for j, c in enumerate(rc)
@@ -255,22 +262,18 @@ class RootSystem:
         """Coordinates of a positive root in the simple-root basis."""
         return self._root_coords[root]
 
-    def is_integral(self, lam: Weight) -> bool:
-        self._require_rank(lam)
-        return all(frac(c).denominator == 1 for c in lam)
-
     def in_root_lattice(self, lam: Weight) -> bool:
         """Exact membership test lam in Q (solves against the simple-root basis)."""
         self._require_rank(lam)
         m = [
-            sum(self._inv_cartan_t[i][j] * frac(lam[j]) for j in range(self.rank))
+            sum(self._inv_cartan_t[i][j] * lam[j] for j in range(self.rank))
             for i in range(self.rank)
         ]
         return all(x.denominator == 1 for x in m)
 
     def is_dominant(self, lam: Weight) -> bool:
         self._require_rank(lam)
-        return all(frac(c) >= 0 for c in lam)
+        return all(c >= 0 for c in lam)
 
     def dimension(self) -> int:
         return self.rank + 2 * len(self.positive_roots)
@@ -283,29 +286,30 @@ class RootSystem:
         if c == 0:
             return lam
         alpha = self.simple_roots[i]
-        return weight(x - c * a for x, a in zip(lam, alpha))
+        return tuple([x - c * a for x, a in zip(lam, alpha)])
 
     def dominant_representative(self, lam: Weight) -> Weight:
+        """The dominant weight in the W-orbit of lam."""
         self._require_rank(lam)
-        lam = weight(lam)
+        return self._reflect_to_dominant(weight(lam))
+
+    def _reflect_to_dominant(self, lam: Weight) -> Weight:
+        """dominant_representative, unchecked: lam must be an int tuple of rank n."""
+        roots = self.simple_roots
         while True:
-            i = next((k for k, c in enumerate(lam) if frac(c) < 0), None)
+            i = next((i for i, c in enumerate(lam) if c < 0), None)
             if i is None:
                 return lam
-            lam = self.reflect(i, lam)
+            c = lam[i]
+            lam = tuple([x - c * a for x, a in zip(lam, roots[i])])
 
     def weyl_orbit(self, lam: Weight) -> List[Weight]:
-        """Full W-orbit of a dominant weight, each element exactly once.
-
-        An integral weight is reflected in int arithmetic by the rows of the
-        Cartan matrix; other weights are renormalized by ``weight()``.
-        """
+        """Full W-orbit of a dominant weight, each element exactly once."""
         self._require_rank(lam)
+        lam = weight(lam)
         if not self.is_dominant(lam):
             raise UsageError("weyl_orbit requires a dominant weight")
-        lam = weight(lam)
-        norm = tuple if self.is_integral(lam) else weight
-        roots = self.cartan_matrix  # row i: alpha_i in fundamental-weight coords
+        roots = self.simple_roots
         seen = {lam}
         frontier = [lam]
         while frontier:
@@ -313,7 +317,7 @@ class RootSystem:
             for mu in frontier:
                 for i, c in enumerate(mu):
                     if c:
-                        nu = norm([x - c * a for x, a in zip(mu, roots[i])])
+                        nu = tuple([x - c * a for x, a in zip(mu, roots[i])])
                         if nu not in seen:
                             seen.add(nu)
                             nxt.append(nu)
@@ -327,11 +331,11 @@ class RootSystem:
         stabilizer is trivial, i.e. lam is regular; this is enforced.
         """
         self._require_rank(lam)
+        lam = weight(lam)
         if not self.is_dominant(lam):
             raise UsageError("weyl_orbit_signed requires a dominant weight")
-        if any(frac(c) == 0 for c in lam):
+        if any(c == 0 for c in lam):
             raise UsageError("weyl_orbit_signed requires a regular weight")
-        lam = weight(lam)
         parity = {lam: 1}
         frontier = [lam]
         while frontier:
@@ -366,10 +370,8 @@ class RootSystem:
         # depths are kept scaled by the lacity, where every step is integral
         lac = self.lacity
         steps = [int(d * lac) for d in self.symmetrizer]
-        limit = frac(bound) * lac
-        if self.is_integral(mu):
-            limit = math.floor(limit)
-        roots = self.cartan_matrix  # row i: alpha_i in fundamental-weight coords
+        limit = math.floor(frac(bound) * lac)
+        roots = self.simple_roots
         level = {mu: 0} if limit >= 0 else {}
         sign = 1
         while level:
@@ -387,9 +389,10 @@ class RootSystem:
     def star(self, lam: Weight) -> Weight:
         """Highest weight of the dual representation: -w_0(lam)."""
         self._require_rank(lam)
+        lam = weight(lam)
         if not self.is_dominant(lam):
             raise UsageError("star requires a dominant weight")
-        return self.dominant_representative(weight(-frac(c) for c in lam))
+        return self._reflect_to_dominant(tuple(-c for c in lam))
 
     def dominant_weights_in_root_lattice(self, norm_bound) -> List[Weight]:
         """All lam in Q^+ with (lam,lam)/2 <= norm_bound.
@@ -408,7 +411,7 @@ class RootSystem:
 
         def rec(i: int):
             if i == n:
-                lam = weight(coords)
+                lam = tuple(coords)
                 nn = self.norm2(lam)
                 if nn <= 2 * bound and self.in_root_lattice(lam):
                     found.append((nn, lam))
@@ -425,10 +428,11 @@ class RootSystem:
     def weyl_dimension(self, lam: Weight) -> int:
         """Weyl dimension formula, exact."""
         self._require_rank(lam)
+        lam = weight(lam)
         if not self.is_dominant(lam):
             raise UsageError("weyl_dimension requires a dominant weight")
         num = Fraction(1)
-        lam_rho = weight(frac(c) + 1 for c in lam)
+        lam_rho = tuple(c + 1 for c in lam)
         for alpha in self.positive_roots:
             num *= self.inner(lam_rho, alpha) / self.inner(self.rho, alpha)
         if num.denominator != 1:

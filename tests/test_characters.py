@@ -274,6 +274,16 @@ def test_weyl_module_times_denominator(label, lam):
     assert series_equal(prod, expect) is None
 
 
+def test_weyl_module_above_the_order_builds_no_finite_character(monkeypatch):
+    def unused(rs, lam):
+        raise AssertionError("finite_char built for a top above the order")
+
+    monkeypatch.setattr(characters, "finite_char", unused)
+    kap = level(A1, 0)  # shifted level 2: the top of L_theta sits at q^1
+    wm = weyl_module_char(CTX1, A1.highest_root, kap, F(1, 2))
+    assert wm.terms == {} and wm.order == F(1, 2)
+
+
 def test_weyl_module_critical_level_rejected():
     with pytest.raises(UsageError):
         weyl_module_char(CTX1, weight([0]), level(A1, -2), 2)

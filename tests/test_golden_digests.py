@@ -1,0 +1,157 @@
+"""Canonical-JSON regression digests of the character constructors.
+
+SHA-256 of ``canonical_str()`` for five constructors on A3, B2, C3 and G2,
+in every coefficient ring: the group ring, ``trivial``, ``ray`` along the
+dual Weyl vector and ``ray`` along a coweight with fractional coordinates.
+A change that moves any byte of these series fails here.  To re-record
+after an intended change of output, run this file as a script and paste
+what it prints into GOLDEN.
+"""
+
+import hashlib
+from fractions import Fraction as F
+
+import pytest
+
+from liechar import (
+    GradedCharacter,
+    build_root_system,
+    default_kappa_samples,
+    denominator_inverse,
+    finite_char,
+    lattice_theta,
+    level,
+    make_context,
+    walgebra_module_char,
+    weyl_module_char,
+)
+
+TYPES = ["A3", "B2", "C3", "G2"]
+MODES = ["group_ring", "trivial", "ray_rho_check", "ray_rational"]
+BUILDERS = ["denominator_inverse", "lattice_theta", "weyl_module_char",
+            "walgebra_module_char", "finite_char"]
+
+
+def _context(rs, mode):
+    if mode == "ray_rational":
+        return make_context(rs, "ray", tuple(F(1, k + 2) for k in range(rs.rank)))
+    if mode == "ray_rho_check":
+        return make_context(rs, "ray")
+    return make_context(rs, mode)
+
+
+def _series(builder, label, mode):
+    rs = build_root_system(label)
+    ctx = _context(rs, mode)
+    kappa = level(rs, default_kappa_samples(rs, 1)[0])
+    lam = tuple([1] + [0] * (rs.rank - 2) + [1])  # omega_1 + omega_rank
+    if builder == "denominator_inverse":
+        return denominator_inverse(ctx, 3)
+    if builder == "lattice_theta":
+        return lattice_theta(ctx, 3)
+    if builder == "weyl_module_char":
+        return weyl_module_char(ctx, rs.highest_root, kappa, F(7, 2))
+    if builder == "walgebra_module_char":
+        return walgebra_module_char(ctx, lam, kappa, 3)
+    return GradedCharacter(ctx, 0, {0: ctx.project(finite_char(rs, lam).multiplicities)})
+
+
+def _digest(builder, label, mode):
+    return hashlib.sha256(_series(builder, label, mode).canonical_str().encode()).hexdigest()
+
+
+GOLDEN = {
+    ('denominator_inverse', 'A3', 'group_ring'): '0b6dbd6448c68942bb70bb64d0267100724f0c69e2161c0410f5b16e501c688f',
+    ('denominator_inverse', 'A3', 'trivial'): 'bab9b269d260c420a90ef254a7da188a40c05f8642308adbe22e887c2b819581',
+    ('denominator_inverse', 'A3', 'ray_rho_check'): 'd8cbcc20793c31b8cbbd21cf7829badc11d8d24e05120f4f2b7420f8be9e2d59',
+    ('denominator_inverse', 'A3', 'ray_rational'): '467e19a4061fe0e4075fe2610e2c63746126337aeb52db7c5838dcf36cc3d520',
+    ('denominator_inverse', 'B2', 'group_ring'): '30395e85e96a07a0ae9402cbd13d49ae347e628ae83dd0bd05dd291ccf508cf9',
+    ('denominator_inverse', 'B2', 'trivial'): '22b89b414a06bba9504754d99ddbd2b8285eb31e4a50cfff4eebddeb46f2b8ac',
+    ('denominator_inverse', 'B2', 'ray_rho_check'): '26fef7d530e16fd6510048b5b1aa29709f18a7f425b63a920338c48cf373d1be',
+    ('denominator_inverse', 'B2', 'ray_rational'): '36dc48e55592e5ae66b252fa35aca5db97e1f17cdccf34ae8816002309e9b752',
+    ('denominator_inverse', 'C3', 'group_ring'): 'b3107acf6462bc51415ca6299e89da87b2befa35018a953c8dafdea83a64fdaf',
+    ('denominator_inverse', 'C3', 'trivial'): '93fe08280e1393a4153b159964ba76db3d30a139bad164be93507bb135fefa81',
+    ('denominator_inverse', 'C3', 'ray_rho_check'): '1d7de253bfbe1a4023227466da9ed237d68d0470d76cf8696964adba11de0d13',
+    ('denominator_inverse', 'C3', 'ray_rational'): '44f960fc70492a916146d745795606471fe80749e0cc2e6064ca84b55d16ae11',
+    ('denominator_inverse', 'G2', 'group_ring'): '92f51cf8ceebf05d90ab325a5254ff43afe8b0a363deeaad82d58da95f67d184',
+    ('denominator_inverse', 'G2', 'trivial'): 'ee8cc560b2536a84d5731463bdb898338b11daf9540032a062591e835df4a01f',
+    ('denominator_inverse', 'G2', 'ray_rho_check'): 'ddc1eb8e86cad869f994bb5049a269f8c2c7d94a68bd38ebe568974a4a8b6eab',
+    ('denominator_inverse', 'G2', 'ray_rational'): 'b8ae80ab8fed27b39f7f3c8334b26e075a57ddf55a95a0b59be45391e628017c',
+    ('lattice_theta', 'A3', 'group_ring'): 'c9465fa08e8b35438d33cb0ff252dd20af2d350c897969cda3dd845033eddc0f',
+    ('lattice_theta', 'A3', 'trivial'): '23c65a5c9c8efb67223bb9562425c8d4e4b01ac59662b6140a064633ef40da73',
+    ('lattice_theta', 'A3', 'ray_rho_check'): '1408ccbb30b31f29242ecf29e42cbb38b91eb1ebcdda28150d99411e149a8671',
+    ('lattice_theta', 'A3', 'ray_rational'): '40c2ad9b170077e21be886d229c452f59451f21346142b05ab17ed10dee5a519',
+    ('lattice_theta', 'B2', 'group_ring'): 'a0d341531d9ab5717fc89daadb80a37b3694ee125f8c2b0ace94ae9667dd542f',
+    ('lattice_theta', 'B2', 'trivial'): '5525b7114681b0956b3234fa8f400465aa0933b87863e249afb37d6b255c50d4',
+    ('lattice_theta', 'B2', 'ray_rho_check'): '4e941a58136b8a7ed5af4e7ca35b1dbd119b279eaf3137e0804079bf51d4f5e7',
+    ('lattice_theta', 'B2', 'ray_rational'): '2998b404d1a6b636f1944a468e2880d2d7c48eae8433d493b51e629539e15d9d',
+    ('lattice_theta', 'C3', 'group_ring'): 'de01567baa8fa5792c8561ac2e4e4edbab97b9c3d07a3996a0735069d044a78c',
+    ('lattice_theta', 'C3', 'trivial'): 'dd17e8f3cea9238baf162038cc4059bd9df6f2960bf7330c4bb0a690a973a4d5',
+    ('lattice_theta', 'C3', 'ray_rho_check'): '34457e81ee6e6a5be3af21b73fd88f4c3323b01ca806404d47b4ead1f28ff10f',
+    ('lattice_theta', 'C3', 'ray_rational'): '66c8d2a5ae6e361f71c0c3192a1b46271a9c6a3bbf36dcb0ba510eef54c19312',
+    ('lattice_theta', 'G2', 'group_ring'): '2fb516e8a8012a3e7759640720af31398e396cc9f5946a003e0afd618019dce7',
+    ('lattice_theta', 'G2', 'trivial'): 'a87f42cf5b51f9331c0976904581cb831076036ccb5125e5ad80dbad354847de',
+    ('lattice_theta', 'G2', 'ray_rho_check'): '79292400ff2a9df8ae6d00ab180fea6b479844a4fa2f9a7bfddd9931ee8d274b',
+    ('lattice_theta', 'G2', 'ray_rational'): '489987bcb846f2e213dbb36e8223552a3af50a3037474d7ecc05df7ebbe49575',
+    ('weyl_module_char', 'A3', 'group_ring'): '0b512210b9d78042f0f37f472b4ebbaf70f732d7e2f525cbd8c847dbb8c5643f',
+    ('weyl_module_char', 'A3', 'trivial'): '87b6301988b32a62e9323033849a8cb17aa05e998e292e7232afa1ff1db4de1c',
+    ('weyl_module_char', 'A3', 'ray_rho_check'): 'f2f2cdca60d15d6c31e25da26708600e51389e0a7ce9bd19c4c45900174ab0fc',
+    ('weyl_module_char', 'A3', 'ray_rational'): '088083fa0dd0122ceef758cf54419f781d17b976a2d1052709b0158ffb8e02b6',
+    ('weyl_module_char', 'B2', 'group_ring'): '4410bc09317cb0ad493d396934b59b2938b6be1ab02eaa8959300a5ff83d4be5',
+    ('weyl_module_char', 'B2', 'trivial'): 'ebbb6711e355d3b761870224868a3ba8697698830ec752667ac76fade4b40ade',
+    ('weyl_module_char', 'B2', 'ray_rho_check'): 'afeed5797686f0f7fa72f4ca96707031fbf9798388f98b21fed1bdc2c5356415',
+    ('weyl_module_char', 'B2', 'ray_rational'): '4c3f5b6081fb302e4ec7760a2b788a9e60afe3deb37892b0f6439b64e6be8027',
+    ('weyl_module_char', 'C3', 'group_ring'): '2704784eb4f8493b8c282c4eab3da211010b6946381ddf4351cf1a797a1623a2',
+    ('weyl_module_char', 'C3', 'trivial'): 'b9e3a529c98219c3dc80b0d3caaf6df512659ce9b677e56c38cd8df943da514e',
+    ('weyl_module_char', 'C3', 'ray_rho_check'): 'cc799ca21fbf6e4326289f8734af463d022b91b0426bd3472e13f170531a6ebc',
+    ('weyl_module_char', 'C3', 'ray_rational'): 'a835ece4f68609acc970ee8bb311010ca58f105c132d633e8983e338a7c49b3c',
+    ('weyl_module_char', 'G2', 'group_ring'): '0cc23381a2caee4dec466f1c212c967077d1cd7e0e20ab30361f7dc1d90ead99',
+    ('weyl_module_char', 'G2', 'trivial'): '7b3411de417bc54b90fb81bc5c64be1fe2d16126159f52e947c85913fb2d9399',
+    ('weyl_module_char', 'G2', 'ray_rho_check'): '95ddc0750de398ada80509c1171dc122610c2b6368f48272190fa620e65cff4f',
+    ('weyl_module_char', 'G2', 'ray_rational'): 'c645a731ba5aa7f5635494a348274a94a18d2fcead9f269f98b548155bcd91b1',
+    ('walgebra_module_char', 'A3', 'group_ring'): 'ae6a41ac9c1b4f9f2cf75be5e6d5935088952498b6c3e9f0fd7e1cb16f67c36d',
+    ('walgebra_module_char', 'A3', 'trivial'): '16be0aef9a716bbb7b629d7eb6ab355b138a7c17063b9fcf175a518941d9b966',
+    ('walgebra_module_char', 'A3', 'ray_rho_check'): '13385f7c060df2318e08621d9b42dd824dfbc2caddc873a07878cbd2ead7f03f',
+    ('walgebra_module_char', 'A3', 'ray_rational'): 'b0425b8ed467bcb4ce43cbb2e26384c9b247cd2e52d2b14b2e072839e819e29b',
+    ('walgebra_module_char', 'B2', 'group_ring'): '7dad7e6d80f0a35a3f8eaa95b5cacda49b70b267cecd90d2a4fc1517785c5c8a',
+    ('walgebra_module_char', 'B2', 'trivial'): '62795eb25cf17a03ab4b308374b42ddfee9f3d086c1b1bf212f513f99404d1c8',
+    ('walgebra_module_char', 'B2', 'ray_rho_check'): 'c069cea9c9e179fa6291c8a66cd73e6ae448faa56bc9c6523a16371005b8719e',
+    ('walgebra_module_char', 'B2', 'ray_rational'): 'e668aa3e3177726ff2de9e8fd8dea7454a1b079f545e4332db752529ae5bea7a',
+    ('walgebra_module_char', 'C3', 'group_ring'): 'a19d05ac9f7e27e7a8873a240528f0fc1194d1ebca2414d4e5e207f1106f5f4a',
+    ('walgebra_module_char', 'C3', 'trivial'): '8604ef077e94d739a3ac05c074aa6dd8052bf83598a5d2dd88f22c492e079409',
+    ('walgebra_module_char', 'C3', 'ray_rho_check'): '1440f454ac1e2b65bf88e6d4a87699b3255967ef7c5955fc70d8851ad218bf45',
+    ('walgebra_module_char', 'C3', 'ray_rational'): '7c99a54ebef674686f280fc62722b6871f890d78913cce1d678bb81c798c24f6',
+    ('walgebra_module_char', 'G2', 'group_ring'): '09f908c39421ab4c5578648c28e7bab10b45fccd55a4cac758eb7382a076a3ea',
+    ('walgebra_module_char', 'G2', 'trivial'): '82f4038190c6d78aa4c1d719a83844d99cf270183d601ceecde980814e4f6765',
+    ('walgebra_module_char', 'G2', 'ray_rho_check'): '9497f50990f652e4dcbbe684dc6afe520f63c526ad6b8b2991b8915a18d960e7',
+    ('walgebra_module_char', 'G2', 'ray_rational'): '277596156b7602523fe694981c5b3b895c9e7d4576014cf63b718ac7bfe6e28e',
+    ('finite_char', 'A3', 'group_ring'): '8eb7a5674bcf901f37fa30f7fc51ec46a648d7ddd4b5746de405376bd32f7e90',
+    ('finite_char', 'A3', 'trivial'): '4619ed11b53c090f4454e04b0d1e895d644775f71aaeaa7cdb4c5c0228beb902',
+    ('finite_char', 'A3', 'ray_rho_check'): '82364b98a34718a0eed45ce5977556081b57dbe2dd542a3c5a1f339d0e17e7f8',
+    ('finite_char', 'A3', 'ray_rational'): '1cbb70dbf81962dad30fd234b24753bb41c1743cd7e99e7a10a6620caba4762c',
+    ('finite_char', 'B2', 'group_ring'): '91f3380aa20ca6b91ef4784fd4116562027f1d232c2e19ac73f117592b6832c8',
+    ('finite_char', 'B2', 'trivial'): 'be66195ac17f56803e9b26bd54e5cfeae7030a9c6bbcd548f2b5c0822c1604f6',
+    ('finite_char', 'B2', 'ray_rho_check'): 'cb2dcaa52fb12407e438259fed8e9d4ee1f05f645a0093644dfbfe806f7ed0b3',
+    ('finite_char', 'B2', 'ray_rational'): 'd2ee3ccf1db071662adc42052b0de6a1d7fea5256034f5bea75a29abae3e645c',
+    ('finite_char', 'C3', 'group_ring'): '1de3b4ec7a46c274bca3731762944da4a11881b2b35782f389cc399dca7371c8',
+    ('finite_char', 'C3', 'trivial'): 'f3facb97164b5725154286542c950443474fb8749471a91407df5f3045993d65',
+    ('finite_char', 'C3', 'ray_rho_check'): '03b983c75007840e2a2ee4693f98a66d750481a79a961bb5de768290af2660a1',
+    ('finite_char', 'C3', 'ray_rational'): '8e496e8fe9da057dfe795697c9534572c27db3a0e42988cbf9e3052729290846',
+    ('finite_char', 'G2', 'group_ring'): 'b1aa80fe50f387f1b1c35d4ff7a07636a9e857695063318c61770b5c1a39b507',
+    ('finite_char', 'G2', 'trivial'): 'dddb9f2b7456b1877b33025223d9a0fee602ea5cf646438f40a6f086b1e82f86',
+    ('finite_char', 'G2', 'ray_rho_check'): '57d631fed504b32cffeeda58a3f0ab24fff9be7bc4dadb85354acce77ee602f6',
+    ('finite_char', 'G2', 'ray_rational'): '7a5ef942d084c81167fc039f25ea7fca833e01976e4b82a6baad8c44f5b21e07',
+}
+
+
+@pytest.mark.parametrize("label", TYPES)
+def test_canonical_json_digests(label):
+    got = {(b, m): _digest(b, label, m) for b in BUILDERS for m in MODES}
+    assert got == {(b, m): GOLDEN[b, label, m] for b in BUILDERS for m in MODES}
+
+
+if __name__ == "__main__":
+    for b in BUILDERS:
+        for label in TYPES:
+            for m in MODES:
+                print(f"    ({b!r}, {label!r}, {m!r}): {_digest(b, label, m)!r},")

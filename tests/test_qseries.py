@@ -265,7 +265,7 @@ def test_ray_projection_matches_inner_product_oracle(case):
     ctx = RayContext(rs, xi)
     expect = {}
     for w, c in gre.terms.items():
-        e = rs.inner(w, weight(xi))
+        e = rs.inner(w, xi)
         expect[e] = expect.get(e, 0) + c
     expect = {e: c for e, c in expect.items() if c != 0}
     got = ctx.project(gre)

@@ -153,12 +153,43 @@ def test_weyl_orbit_matches_reflect_walk(label):
     rs = build_root_system(label)
     first = [1] + [0] * (rs.rank - 1)
     samples = [rs.rho, rs.highest_root, weight([2 * c for c in first]), weight(first[::-1]),
-               weight([0] * rs.rank), weight([F(c, 2) for c in first])]
+               weight([0] * rs.rank)]
     for lam in samples:
         got, expect = rs.weyl_orbit(lam), _reflect_orbit(rs, lam)
         assert got == expect
-        # the same element types too: int, and Fraction only off the integers
-        assert [[type(c) for c in w] for w in got] == [[type(c) for c in w] for w in expect]
+        assert all(type(c) is int for w in got for c in w)
+
+
+def test_weight_is_an_int_tuple():
+    w = weight([F(2), F(-4, 2), 0])
+    assert w == (2, -2, 0) and all(type(c) is int for c in w)
+    assert weight(c for c in (1, 2)) == (1, 2)
+    with pytest.raises(UsageError, match="not integral"):
+        weight([F(1, 2), 0])
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_weyl_operations_reject_half_integral_weights(label):
+    rs = build_root_system(label)
+    half = (F(1, 2),) + (1,) * (rs.rank - 1)  # dominant and regular, but not integral
+    for op in (rs.weyl_orbit, rs.weyl_orbit_signed, rs.weyl_dimension, rs.star,
+               rs.dominant_representative):
+        with pytest.raises(UsageError, match="not integral"):
+            op(half)
+
+
+@st.composite
+def _dominant_weights(draw):
+    rs = build_root_system(draw(st.sampled_from(RANK_LE_4)))
+    return rs, tuple(draw(st.integers(0, 2)) for _ in range(rs.rank))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_dominant_weights())
+def test_dominant_representative_inverts_weyl_orbit(case):
+    rs, lam = case
+    for nu in rs.weyl_orbit(lam):
+        assert rs.dominant_representative(nu) == lam
 
 
 @st.composite
@@ -247,8 +278,9 @@ def test_lattice_membership():
     a2 = build_root_system("A2")
     assert a2.in_root_lattice(a2.highest_root)
     assert not a2.in_root_lattice(weight([1, 0]))  # omega_1 generates P/Q = Z/3
-    assert a2.is_integral(weight([1, 0]))
-    assert not a2.is_integral(weight([F(1, 2), 0]))
+    assert weight([1, 0]) == (1, 0)
+    with pytest.raises(UsageError):
+        weight([F(1, 2), 0])  # off the weight lattice P altogether
 
 
 @pytest.mark.parametrize("label", ALL_TYPES)
