@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .linalg import frac
 from .qseries import GradedCharacter, GroupRingElt, series_zero
@@ -204,27 +204,27 @@ def _divide_exactly(c, n: int):
     return q
 
 
-def weyl_module_char(
-    ctx, lam: Weight, kappa: LevelValue, order, inv_d: Optional[GradedCharacter] = None
-) -> GradedCharacter:
-    """Character of the level-kappa Weyl module with top space L_lam.
-
+def weyl_module_char(ctx, lam: Weight, kappa: LevelValue, order) -> GradedCharacter:
+    """Character of the level-kappa Weyl module with top space L_lam:
     q^{h_kappa(lam)} ch[L_lam] / D, truncated at the requested order.
-    A precomputed 1/D (built to at least order - h) can be passed in when
-    assembling many of these.
-    """
+    (The coset sum applies its common 1/D once to the whole lam-sum instead.)"""
     rs = ctx.rs
     kappa.require_noncritical()
     order = frac(order)
     h = conformal_top_weight(rs, lam, kappa)
-    need = order - h
-    if need < 0:
+    if order < h:
         return series_zero(ctx, order)
     top = ctx.project(finite_char(rs, lam).multiplicities)
-    if inv_d is None or inv_d.order < need:
-        inv_d = denominator_inverse(ctx, need)
-    shifted = GradedCharacter(ctx, need, {Fraction(0): top}).shift(h)
-    return shifted.mul(inv_d.truncate(need))
+    return denominator_inverse(ctx, order - h).times(top).shift(h)
+
+
+def _alternating_series(ctx, lam: Weight, lead, order) -> GradedCharacter:
+    """q^lead sum_w eps(w) q^{(lam+rho - w(lam+rho), rho)} for dominant lam, truncated:
+    walked down from lam+rho through the depths <= order - lead only."""
+    alt = alternating_sum(ctx.rs, tuple(c + 1 for c in lam), order - lead)
+    if alt.get(0) != 1:
+        raise AssertionError("leading coefficient of an alternating numerator must be 1")
+    return GradedCharacter(ctx, order, {lead + d: ctx.scale(ctx.one(), c) for d, c in alt.items()})
 
 
 def walgebra_module_char(ctx, lam_star: Weight, kappa_star: LevelValue, order) -> GradedCharacter:
@@ -236,9 +236,8 @@ def walgebra_module_char(ctx, lam_star: Weight, kappa_star: LevelValue, order) -
     Coefficients are weight-free (integers times e^0).  The alternating
     sum's exponents are minimized exactly at w = e, so the series has
     lower bound lead = h* - (lam*, rho); that can be negative for extreme
-    levels, which the series representation tolerates.  The numerator is
-    q^lead times the alternating sum over depths (l*+rho - w(l*+rho), rho)
-    <= order - lead, walked down from l*+rho without the rest of the orbit.
+    levels, which the series representation tolerates.  The numerator,
+    ``_alternating_series``, is shared with the lattice-theta LHS.
     """
     rs = ctx.rs
     kappa_star.require_noncritical()
@@ -250,15 +249,9 @@ def walgebra_module_char(ctx, lam_star: Weight, kappa_star: LevelValue, order) -
     lead = h - rs.inner(lam_star, rs.rho)
     if lead > order:
         return series_zero(ctx, order)
-    lam_rho = tuple(c + 1 for c in lam_star)
-    alt = alternating_sum(rs, lam_rho, order - lead)
-    if alt.get(0) != 1:
-        raise AssertionError("leading coefficient of the W-module numerator must be 1")
-    numer = GradedCharacter(
-        ctx, order, {lead + d: ctx.scale(ctx.one(), c) for d, c in alt.items()}
-    )
     cartan = GroupRingElt({(0,) * rs.rank: rs.rank})
-    return numer.mul(euler_product_inverse(ctx, cartan, order - lead))
+    return _alternating_series(ctx, lam_star, lead, order).mul(
+        euler_product_inverse(ctx, cartan, order - lead))
 
 
 def lattice_theta(ctx, order) -> GradedCharacter:

@@ -48,7 +48,7 @@ from .levels import (
     verify_kw,
 )
 from .qseries import GradedCharacter, make_context, rat_str
-from .rootsys import UsageError, build_root_system
+from .rootsys import UsageError, build_root_system, weight
 
 SCHEMA_VERSION = 1
 
@@ -254,7 +254,8 @@ def cmd_char(args, t0: float) -> int:
     order = parse_rational(args.order)
     mode = _spec_mode(args.spec)
     ctx = make_context(rs, mode, parse_coords(args.xi) if args.xi else None)
-    lam = parse_coords(args.lam) if args.lam else (0,) * rs.rank
+    lam = weight(parse_coords(args.lam)) if args.lam else (0,) * rs.rank
+    rs._require_rank(lam)  # for every builder, also those that take no weight
     kappa = level(rs, parse_rational(args.kappa)) if args.kappa else level(
         rs, default_kappa_samples(rs, 1)[0]
     )

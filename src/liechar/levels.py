@@ -17,6 +17,7 @@ from typing import List, Optional, Tuple
 
 from .characters import (
     LevelValue,
+    _alternating_series,
     conformal_top_weight,
     denominator_inverse,
     finite_char,
@@ -24,7 +25,6 @@ from .characters import (
     level,
     level_one_char,
     walgebra_module_char,
-    weyl_module_char,
 )
 from .linalg import frac
 from .qseries import GradedCharacter, make_context, rat_str, series_equal, series_zero
@@ -32,7 +32,6 @@ from .rootsys import (
     RootSystem,
     UsageError,
     Weight,
-    alternating_sum,
     build_root_system,
     langlands_dual,
     weight,
@@ -200,36 +199,36 @@ def default_kappa_samples(rs: RootSystem, count: int = 2) -> List[Fraction]:
     return [Fraction(2 * k + 3, k + 1) - rs.dual_coxeter for k in range(count)]
 
 
+def _lambda_sum(rs: RootSystem, ctx, order: Fraction, factor) -> GradedCharacter:
+    """sum_{lam in Q+} factor(lam) ch[L_lam] through order, for series factor(lam)
+    with weight-free coefficients; ch[L_lam] is built only where one is nonzero."""
+    total = series_zero(ctx, order)
+    for lam in rs.dominant_weights_in_root_lattice(order):
+        f = factor(lam)
+        if f.terms:
+            total = total.add(f.times(ctx.project(finite_char(rs, lam).multiplicities)))
+    return total
+
+
 def assemble_coset_character(
     rs: RootSystem, kappa_value, order, mode: str = "group_ring", xi=None
 ) -> GradedCharacter:
     """LHS of the coset identity: sum over lam in Q+ of
-    ch[Weyl module at kappa] * ch[W-algebra module at the partner level]."""
+    ch[Weyl module at kappa] * ch[W-algebra module at the partner level],
+    computed as S_kappa * 1/D with S_kappa = sum_lam q^{h_lam} ch[L_lam] ch[W_{lam*}]."""
     order = frac(order)
     ctx = make_context(rs, mode, xi)
     kappa = level(rs, kappa_value)
     kappa.require_noncritical()
     partner = kernel_partner_level(kappa, 1)
-    lams = rs.dominant_weights_in_root_lattice(order)
-    # precompute 1/D once, deep enough for every shifted factor
-    needs = []
-    for lam in lams:
+
+    def factor(lam):
         h = conformal_top_weight(rs, lam, kappa)
-        h_star = conformal_top_weight(rs, rs.star(lam), partner)
-        lead_t = h_star - rs.inner(lam, rs.rho)
-        # the summand starts at q^(h + lead_t); past the order it adds nothing
-        if h + lead_t <= order:
-            needs.append((lam, h, lead_t))
-    max_invd = max((order - min(lead_t, 0) - h for _, h, lead_t in needs), default=order)
-    inv_d = denominator_inverse(ctx, max(max_invd, Fraction(0)))
-    total = series_zero(ctx, order)
-    for lam, h, lead_t in needs:
-        n_w = order - min(lead_t, 0)
-        n_t = order - h
-        wfac = weyl_module_char(ctx, lam, kappa, n_w, inv_d=inv_d)
-        tfac = walgebra_module_char(ctx, rs.star(lam), partner, n_t)
-        total = total.add(wfac.mul(tfac).truncate(order))
-    return total
+        return walgebra_module_char(ctx, rs.star(lam), partner, order - h).shift(h)
+
+    # 1/(kappa+h_vee) + 1/(kappa*+h_vee) = r_vee starts each summand at
+    # q^{r_vee |lam|^2/2 + (r_vee-1)(lam,rho)} >= q^0, so S * 1/D is exact through order.
+    return _lambda_sum(rs, ctx, order, factor).mul(denominator_inverse(ctx, order))
 
 
 def coset_rhs_character(rs: RootSystem, kappa_value, order, mode: str = "group_ring", xi=None) -> GradedCharacter:
@@ -289,18 +288,9 @@ def kw_lhs_character(rs: RootSystem, order, mode: str = "group_ring", xi=None) -
     """
     order = frac(order)
     ctx = make_context(rs, mode, xi)
-    total = series_zero(ctx, order)
-    for lam in rs.dominant_weights_in_root_lattice(order):
-        base = rs.norm2(lam) / 2
-        lam_rho = tuple(c + 1 for c in lam)
-        alt = alternating_sum(rs, lam_rho, order - base)
-        altseries = GradedCharacter(
-            ctx, order, {base + d: ctx.scale(ctx.one(), c) for d, c in alt.items()}
-        )
-        ch = ctx.project(finite_char(rs, lam).multiplicities)
-        chseries = GradedCharacter(ctx, order, {Fraction(0): ch})
-        total = total.add(chseries.mul(altseries).truncate(order))
-    return total
+    return _lambda_sum(
+        rs, ctx, order, lambda lam: _alternating_series(ctx, lam, rs.norm2(lam) / 2, order)
+    )
 
 
 def verify_kw(type_label: str, order, mode: str = "group_ring", xi=None) -> IdentityReport:

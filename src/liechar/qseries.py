@@ -371,6 +371,12 @@ class GradedCharacter:
                     out[e] = p
         return GradedCharacter(ctx, order, out)
 
+    def times(self, c) -> "GradedCharacter":
+        """c times each coefficient, for a coefficient c of the series' ring
+        (order and lower bound unchanged)."""
+        ctx = self.context
+        return GradedCharacter(ctx, self.order, {e: ctx.mul(c, v) for e, v in self.terms.items()})
+
     def shift(self, e0) -> "GradedCharacter":
         """Multiply by q^{e0} (exact; order shifts along)."""
         e0 = frac(e0)

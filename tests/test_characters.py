@@ -18,6 +18,7 @@ from liechar import (
     denominator_series,
     euler_product_inverse,
     finite_char,
+    kw_lhs_character,
     lattice_theta,
     level,
     level_one_char,
@@ -332,6 +333,13 @@ def test_walgebra_guards_the_leading_coefficient(monkeypatch):
     monkeypatch.setattr(characters, "alternating_sum", lambda rs, mu, bound: {F(0): 2})
     with pytest.raises(AssertionError, match="leading coefficient"):
         walgebra_module_char(CTX1, weight([0]), level(A1, F(1, 5)), 2)
+
+
+def test_kw_lhs_guards_the_leading_coefficient(monkeypatch):
+    # the lattice-theta LHS shares the W-module's alternating numerator
+    monkeypatch.setattr(characters, "alternating_sum", lambda rs, mu, bound: {F(0): 2})
+    with pytest.raises(AssertionError, match="leading coefficient"):
+        kw_lhs_character(A1, 2)
 
 
 def test_walgebra_rejects_bad_weights():

@@ -153,6 +153,17 @@ def test_char_ray_at_rational_xi():
     ]}]
 
 
+@pytest.mark.parametrize("which,lam,why", [
+    ("theta", "1/2,0", "not integral"),
+    ("denominator", "1,1,1", "wrong rank"),
+])
+def test_char_checks_lambda_for_every_builder(which, lam, why):
+    # these builders take no weight, but a bad --lambda is still a usage error
+    res = run_cli("char", "--which", which, "--type", "A2", "--order", "3", "--lambda", lam)
+    assert res.returncode == 2
+    assert why in res.stderr
+
+
 def test_xi_of_wrong_rank_exit_two():
     res = run_cli("verify-kw", "--type", "D4", "--order", "2", "--spec", "ray", "--xi", "1,1")
     assert res.returncode == 2

@@ -3,9 +3,11 @@
 SHA-256 of ``canonical_str()`` for five constructors on A3, B2, C3 and G2,
 in every coefficient ring: the group ring, ``trivial``, ``ray`` along the
 dual Weyl vector and ``ray`` along a coweight with fractional coordinates.
+The verifier sides (the coset sum on the same four types, the coset RHS
+and the lattice-theta LHS on A3) are digested the same way, in SIDE_GOLDEN.
 A change that moves any byte of these series fails here.  To re-record
 after an intended change of output, run this file as a script and paste
-what it prints into GOLDEN.
+what it prints into GOLDEN and SIDE_GOLDEN.
 """
 
 import hashlib
@@ -15,10 +17,13 @@ import pytest
 
 from liechar import (
     GradedCharacter,
+    assemble_coset_character,
     build_root_system,
+    coset_rhs_character,
     default_kappa_samples,
     denominator_inverse,
     finite_char,
+    kw_lhs_character,
     lattice_theta,
     level,
     make_context,
@@ -30,14 +35,18 @@ TYPES = ["A3", "B2", "C3", "G2"]
 MODES = ["group_ring", "trivial", "ray_rho_check", "ray_rational"]
 BUILDERS = ["denominator_inverse", "lattice_theta", "weyl_module_char",
             "walgebra_module_char", "finite_char"]
+SIDES = [("assemble_coset_character", t) for t in TYPES] + [
+    ("coset_rhs_character", "A3"), ("kw_lhs_character", "A3")]
+
+
+def _mode_and_xi(rs, mode):
+    if mode == "ray_rational":
+        return "ray", tuple(F(1, k + 2) for k in range(rs.rank))
+    return ("ray" if mode == "ray_rho_check" else mode), None
 
 
 def _context(rs, mode):
-    if mode == "ray_rational":
-        return make_context(rs, "ray", tuple(F(1, k + 2) for k in range(rs.rank)))
-    if mode == "ray_rho_check":
-        return make_context(rs, "ray")
-    return make_context(rs, mode)
+    return make_context(rs, *_mode_and_xi(rs, mode))
 
 
 def _series(builder, label, mode):
@@ -56,8 +65,27 @@ def _series(builder, label, mode):
     return GradedCharacter(ctx, 0, {0: ctx.project(finite_char(rs, lam).multiplicities)})
 
 
+def _side(builder, label, mode):
+    rs = build_root_system(label)
+    args = _mode_and_xi(rs, mode)
+    kappa = default_kappa_samples(rs, 1)[0]
+    if builder == "assemble_coset_character":
+        return assemble_coset_character(rs, kappa, 3, *args)
+    if builder == "coset_rhs_character":
+        return coset_rhs_character(rs, kappa, 3, *args)
+    return kw_lhs_character(rs, 3, *args)
+
+
+def _sha(series):
+    return hashlib.sha256(series.canonical_str().encode()).hexdigest()
+
+
 def _digest(builder, label, mode):
-    return hashlib.sha256(_series(builder, label, mode).canonical_str().encode()).hexdigest()
+    return _sha(_series(builder, label, mode))
+
+
+def _side_digest(builder, label, mode):
+    return _sha(_side(builder, label, mode))
 
 
 GOLDEN = {
@@ -144,10 +172,47 @@ GOLDEN = {
 }
 
 
+# Recorded before the coset sum was factored as S_kappa * 1/D.  The A3 coset
+# sum equals its RHS and the lattice-theta LHS equals lattice_theta above:
+# equal digests are the two identities holding.
+SIDE_GOLDEN = {
+    ('assemble_coset_character', 'A3', 'group_ring'): '35ecd810a1f62ea681482267c6cd5e832b4dc5c26cc81f7de2a7d46e96f51616',
+    ('assemble_coset_character', 'A3', 'trivial'): '96ce9dbec15aebfdb6c8725ac36daaaa9a03799fc1d516cbc83652046c0c875e',
+    ('assemble_coset_character', 'A3', 'ray_rho_check'): '08ff740a6ad2568c33dddcc3173028de332e8857c2074bbc70f5cb4665c8a965',
+    ('assemble_coset_character', 'A3', 'ray_rational'): 'f60e465d05912e30cfaf711f315e6dc238e967d34237d3fc4afd5ada3c4bbe5d',
+    ('assemble_coset_character', 'B2', 'group_ring'): 'afd9ae57d32397d9f044f228ed92cea4acbaa698b987f448205b3da9ec8e61ed',
+    ('assemble_coset_character', 'B2', 'trivial'): '5e03d8c865ed136cd09a2bf39b5f55664ca3570ae818cfdfe5fb371236d6bb6c',
+    ('assemble_coset_character', 'B2', 'ray_rho_check'): 'd1780f2526efd2079c2f0905cbf4af6901a027f35f28dc68af1d1b5c828ee7d6',
+    ('assemble_coset_character', 'B2', 'ray_rational'): '1e8b27e056985c4fea20962069b20c397071a6f89ac11761ecd7ecac1d202842',
+    ('assemble_coset_character', 'C3', 'group_ring'): '98e63f06f88e82fe76ae2d5934cdafb5895c59437c303050162c927aa9c40d25',
+    ('assemble_coset_character', 'C3', 'trivial'): '7e51ca7e69bd6745502d8a3ea653f741f1278bfd74e708718ebd3f626b55a889',
+    ('assemble_coset_character', 'C3', 'ray_rho_check'): '8165956fabdaa9277011c0a715cc9bbaab01fa7c16eb61e29badbfc144232ccb',
+    ('assemble_coset_character', 'C3', 'ray_rational'): '904b82caf68fa83757d3ae64d266e616d4d098f779092737f235d81147118e01',
+    ('assemble_coset_character', 'G2', 'group_ring'): '24764e01e2d37c3d572d43c02284626bce6a7add7137696505f30a92b515d4b2',
+    ('assemble_coset_character', 'G2', 'trivial'): '20784cb7c3a025b6d7428ea160994d9df5f9997bed377ed839257e30c38ecea6',
+    ('assemble_coset_character', 'G2', 'ray_rho_check'): 'caa4b1accaf0809d19f3b2c9903689e3df2dba840cdf4840e29cd4f22ed854bb',
+    ('assemble_coset_character', 'G2', 'ray_rational'): 'fb6c8deb6efdf844cba38fb36eed2eecd1d46b99b79a1482c767f274c9ae894c',
+    ('coset_rhs_character', 'A3', 'group_ring'): '35ecd810a1f62ea681482267c6cd5e832b4dc5c26cc81f7de2a7d46e96f51616',
+    ('coset_rhs_character', 'A3', 'trivial'): '96ce9dbec15aebfdb6c8725ac36daaaa9a03799fc1d516cbc83652046c0c875e',
+    ('coset_rhs_character', 'A3', 'ray_rho_check'): '08ff740a6ad2568c33dddcc3173028de332e8857c2074bbc70f5cb4665c8a965',
+    ('coset_rhs_character', 'A3', 'ray_rational'): 'f60e465d05912e30cfaf711f315e6dc238e967d34237d3fc4afd5ada3c4bbe5d',
+    ('kw_lhs_character', 'A3', 'group_ring'): 'c9465fa08e8b35438d33cb0ff252dd20af2d350c897969cda3dd845033eddc0f',
+    ('kw_lhs_character', 'A3', 'trivial'): '23c65a5c9c8efb67223bb9562425c8d4e4b01ac59662b6140a064633ef40da73',
+    ('kw_lhs_character', 'A3', 'ray_rho_check'): '1408ccbb30b31f29242ecf29e42cbb38b91eb1ebcdda28150d99411e149a8671',
+    ('kw_lhs_character', 'A3', 'ray_rational'): '40c2ad9b170077e21be886d229c452f59451f21346142b05ab17ed10dee5a519',
+}
+
+
 @pytest.mark.parametrize("label", TYPES)
 def test_canonical_json_digests(label):
     got = {(b, m): _digest(b, label, m) for b in BUILDERS for m in MODES}
     assert got == {(b, m): GOLDEN[b, label, m] for b in BUILDERS for m in MODES}
+
+
+@pytest.mark.parametrize("builder,label", SIDES)
+def test_verifier_side_digests(builder, label):
+    got = {m: _side_digest(builder, label, m) for m in MODES}
+    assert got == {m: SIDE_GOLDEN[builder, label, m] for m in MODES}
 
 
 if __name__ == "__main__":
@@ -155,3 +220,7 @@ if __name__ == "__main__":
         for label in TYPES:
             for m in MODES:
                 print(f"    ({b!r}, {label!r}, {m!r}): {_digest(b, label, m)!r},")
+    print()
+    for b, label in SIDES:
+        for m in MODES:
+            print(f"    ({b!r}, {label!r}, {m!r}): {_side_digest(b, label, m)!r},")

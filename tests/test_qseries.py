@@ -190,6 +190,33 @@ def test_negative_exponents_round_trip():
     assert prod.order == min(f.order + g.lower_bound(), g.order + f.lower_bound())
 
 
+@st.composite
+def deep_and_truncated(draw):
+    """A series known through q^5 and its truncation to a lower order; the
+    exponents are halves in [-3, 5], so lower bounds may be negative."""
+    exps = st.integers(-6, 10).map(lambda k: F(k, 2))
+    deep = GradedCharacter(CTX1, 5, draw(st.dictionaries(exps, group_ring_elts(1), max_size=5)))
+    return deep, deep.truncate(draw(exps))
+
+
+@settings(max_examples=100, deadline=None)
+@given(deep_and_truncated(), deep_and_truncated(),
+       st.integers(-6, 6).map(lambda k: F(k, 2)), group_ring_elts(1))
+def test_series_operations_claim_no_order_beyond_their_data(fs, gs, e0, c):
+    # what mul, shift and times claim to know of truncated inputs must agree
+    # with the same operation on the deeper inputs
+    (big_f, f), (big_g, g) = fs, gs
+    prod, deep = f.mul(g), big_f.mul(big_g)
+    assert deep.order >= prod.order
+    assert deep.truncate(prod.order) == prod
+    assert big_f.shift(e0).truncate(f.order + e0) == f.shift(e0)
+    scaled = f.times(c)
+    assert scaled.order == f.order
+    assert big_f.times(c).truncate(f.order) == scaled
+    if not c.is_zero():
+        assert scaled.lower_bound() == f.lower_bound()
+
+
 # -- pochhammer ---------------------------------------------------------------
 
 

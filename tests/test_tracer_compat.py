@@ -1,4 +1,5 @@
-"""perfbench's tracer wraps each coefficient context's ``mul`` on its own class.
+"""perfbench's tracer wraps each coefficient context's ``mul`` on its own class,
+and finds the verifiers' lambda-summands and 1/D builds inside the spans it reads.
 
 Run in a subprocess: ``Tracer.install()`` rebinds names inside ``liechar``.
 """
@@ -31,12 +32,49 @@ print(json.dumps(counts))
 """
 
 
-def test_tracer_counts_one_coefficient_product_per_context_mul():
+SUMMANDS_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import liechar
+from tracer import Tracer
+
+def seen(tracer):
+    inv_d = sum(1 for rec in tracer.spans if rec[1] == "characters.inv_d")
+    return tracer.counts["levels.summands"], inv_d
+
+tracer = Tracer("summands", 2)
+tracer.install()
+out = {"n_lams": len(liechar.build_root_system("A2").dominant_weights_in_root_lattice(2))}
+for name, verify in [("gko", liechar.verify_gko), ("kw", liechar.verify_kw)]:
+    before = seen(tracer)
+    verify("A2", 2)
+    after = seen(tracer)
+    out[name] = {"summands": after[0] - before[0], "inv_d_calls": after[1] - before[1]}
+print(json.dumps(out))
+"""
+
+
+def _run_traced(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     res = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench")],
+        [sys.executable, "-c", script, str(ROOT / "perfbench")],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout) == [1, 2, 3]
+    return json.loads(res.stdout)
+
+
+def test_tracer_counts_one_coefficient_product_per_context_mul():
+    assert _run_traced(SCRIPT) == [1, 2, 3]
+
+
+def test_tracer_counts_the_verifiers_lambda_summands():
+    # one lambda-sum per kappa sample in verify_gko and one in verify_kw, each
+    # enumerating Q+ inside the span the tracer reads; 1/D once per kappa
+    # sample and once for the RHS
+    got = _run_traced(SUMMANDS_SCRIPT)
+    n = got["n_lams"]
+    assert n > 1
+    assert got["gko"] == {"summands": 2 * n, "inv_d_calls": 3}
+    assert got["kw"] == {"summands": n, "inv_d_calls": 0}
