@@ -44,7 +44,7 @@ from .characters import (
     conformal_top_weight,
     denominator_inverse,
     denominator_series,
-    euler_product_inverse,
+    euler_product,
     finite_char,
     lattice_theta,
     level,

@@ -9,9 +9,9 @@ chamber, and a weight on a root string is looked up by its dominant
 conjugate.  The Weyl dimension formula and the alternating-orbit-sum form
 of the Weyl character formula are independent cross-checks in the tests.
 
-Pochhammer products, D, 1/D and (q;q)^{-rank}, come from one
-log-derivative recurrence (``euler_product_inverse``); the product forms
-in ``qseries`` are its test oracles.
+Pochhammer products, D, 1/D and (q;q)^{-rank}, are applied to a series
+one Euler factor at a time (``euler_product``); the product forms in
+``qseries`` are its test oracles.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .linalg import frac
-from .qseries import GradedCharacter, GroupRingElt, series_zero
+from .qseries import GradedCharacter, GroupRingElt, series_one, series_zero
 from .rootsys import RootSystem, UsageError, Weight, alternating_sum, weight
 
 
@@ -153,61 +153,59 @@ def _adjoint_char(rs: RootSystem) -> GroupRingElt:
 def denominator_series(ctx, order) -> GradedCharacter:
     """D = (q;q)^rank prod_{alpha>0} (e^alpha q, e^-alpha q; q), truncated:
     the Euler product of -ch g."""
-    return euler_product_inverse(ctx, -_adjoint_char(ctx.rs), order)
+    return euler_product(series_one(ctx, order), -_adjoint_char(ctx.rs))
 
 
 def denominator_inverse(ctx, order) -> GradedCharacter:
     """1/D: the character of the vacuum Weyl module (any noncritical level),
     the Euler product of ch g."""
-    return euler_product_inverse(ctx, _adjoint_char(ctx.rs), order)
+    return euler_product(series_one(ctx, order), _adjoint_char(ctx.rs))
 
 
-def euler_product_inverse(ctx, char: GroupRingElt, order) -> GradedCharacter:
-    """prod_{n>=1} prod_mu (1 - e^mu q^n)^{-c_mu} of char = sum_mu c_mu e^mu, truncated.
+def euler_product(f: GradedCharacter, char: GroupRingElt) -> GradedCharacter:
+    """f prod_{n>=1} prod_mu (1 - e^mu q^n)^{-c_mu} for char = sum_mu c_mu e^mu
+    with integer c_mu, exact through f.order.
 
-    Solves the log-derivative (Euler transform) recurrence
-    n a_n = sum_{k=1..n} b_k a_{n-k},  b_k = sum_{d | k} d psi^{k/d}(char),
-    with the Adams operations psi^m mapped into ctx's coefficient ring
-    (Kac, Infinite-dimensional Lie algebras, 10.10): O(order^2) coefficient
-    products, however many weights char has.  The exponents are 0..floor(order).
+    Each factor is 1 + O(q) (Kac, Infinite-dimensional Lie algebras, 10.10),
+    so applying one costs one pass over the series and no series product:
+    dividing by 1 - u q^n is g_e += u g_{e-n} for ascending e, multiplying
+    by it is g_e -= u g_{e-n} for descending e, with u = e^mu in f's
+    coefficient ring (no product at all for mu = 0).  The exponents of each
+    class mod 1 are held in one list, so the passes do no Fraction arithmetic.
     """
-    order = frac(order)
-    if order < 0:
-        raise UsageError("order must be nonnegative")
-    top = math.floor(order)
-    psi = [None] + [ctx.project(char.frobenius(m)) for m in range(1, top + 1)]
-    b = [None]
-    for k in range(1, top + 1):
-        bk = ctx.czero()
-        for d in range(1, k + 1):
-            if k % d == 0:
-                bk = ctx.add(bk, ctx.scale(psi[k // d], d))
-        b.append(bk)
-    a = [ctx.one()]
-    for n in range(1, top + 1):
-        acc = ctx.czero()
-        for k in range(1, n + 1):
-            acc = ctx.add(acc, ctx.mul(b[k], a[n - k]))
-        a.append(_divide_exactly(acc, n))
-    return GradedCharacter(ctx, order, {Fraction(n): c for n, c in enumerate(a)})
-
-
-def _divide_exactly(c, n: int):
-    """c / n for an integer or GroupRingElt c; n must divide every coefficient."""
-    if isinstance(c, GroupRingElt):
-        res = GroupRingElt()
-        res.terms = {k: _divide_exactly(v, n) for k, v in c.terms.items()}
-        return res
-    q, r = divmod(c, n)
-    if r:
-        raise AssertionError(f"Euler-transform coefficient {c} is not divisible by {n}")
-    return q
+    ctx = f.context
+    if any(frac(c).denominator != 1 for c in char.terms.values()):
+        raise UsageError("Euler-product multiplicities must be integers")
+    factors = [(None if not any(mu) else ctx.project(GroupRingElt.monomial(mu)), c)
+               for mu, c in char.items_sorted()]
+    classes: Dict[Fraction, Fraction] = {}  # exponent class mod 1 -> lowest exponent
+    for e in f.terms:
+        r = e - math.floor(e)
+        if r not in classes or e < classes[r]:
+            classes[r] = e
+    add, mul, zero = ctx.add, ctx.mul, ctx.is_zero
+    out: Dict[Fraction, object] = {}
+    for low in classes.values():
+        g = [f.terms.get(low + k, ctx.czero()) for k in range(math.floor(f.order - low) + 1)]
+        for u, c in factors:
+            for n in range(1, len(g)):
+                steps = range(n, len(g)) if c > 0 else range(len(g) - 1, n - 1, -1)
+                for _ in range(abs(c)):
+                    for i in steps:
+                        src = g[i - n]
+                        if zero(src):
+                            continue
+                        if u is not None:
+                            src = mul(u, src)
+                        g[i] = add(g[i], src if c > 0 else ctx.scale(src, -1))
+        out.update((low + k, v) for k, v in enumerate(g))
+    return GradedCharacter(ctx, f.order, out)
 
 
 def weyl_module_char(ctx, lam: Weight, kappa: LevelValue, order) -> GradedCharacter:
     """Character of the level-kappa Weyl module with top space L_lam:
     q^{h_kappa(lam)} ch[L_lam] / D, truncated at the requested order.
-    (The coset sum applies its common 1/D once to the whole lam-sum instead.)"""
+    (The coset sum divides its whole lam-sum by the common D instead.)"""
     rs = ctx.rs
     kappa.require_noncritical()
     order = frac(order)
@@ -250,8 +248,7 @@ def walgebra_module_char(ctx, lam_star: Weight, kappa_star: LevelValue, order) -
     if lead > order:
         return series_zero(ctx, order)
     cartan = GroupRingElt({(0,) * rs.rank: rs.rank})
-    return _alternating_series(ctx, lam_star, lead, order).mul(
-        euler_product_inverse(ctx, cartan, order - lead))
+    return euler_product(_alternating_series(ctx, lam_star, lead, order), cartan)
 
 
 def lattice_theta(ctx, order) -> GradedCharacter:
@@ -277,7 +274,7 @@ def level_one_char(ctx, order) -> GradedCharacter:
     if order < 0:
         raise UsageError("order must be nonnegative")
     cartan = GroupRingElt({(0,) * rs.rank: rs.rank})
-    return lattice_theta(ctx, order).mul(euler_product_inverse(ctx, cartan, order))
+    return euler_product(lattice_theta(ctx, order), cartan)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,11 @@ from typing import List, Optional, Tuple
 
 from .characters import (
     LevelValue,
+    _adjoint_char,
     _alternating_series,
     conformal_top_weight,
     denominator_inverse,
+    euler_product,
     finite_char,
     lattice_theta,
     level,
@@ -215,7 +217,8 @@ def assemble_coset_character(
 ) -> GradedCharacter:
     """LHS of the coset identity: sum over lam in Q+ of
     ch[Weyl module at kappa] * ch[W-algebra module at the partner level],
-    computed as S_kappa * 1/D with S_kappa = sum_lam q^{h_lam} ch[L_lam] ch[W_{lam*}]."""
+    computed as S_kappa = sum_lam q^{h_lam} ch[L_lam] ch[W_{lam*}] divided by D
+    one Euler factor at a time."""
     order = frac(order)
     ctx = make_context(rs, mode, xi)
     kappa = level(rs, kappa_value)
@@ -226,9 +229,8 @@ def assemble_coset_character(
         h = conformal_top_weight(rs, lam, kappa)
         return walgebra_module_char(ctx, rs.star(lam), partner, order - h).shift(h)
 
-    # 1/(kappa+h_vee) + 1/(kappa*+h_vee) = r_vee starts each summand at
-    # q^{r_vee |lam|^2/2 + (r_vee-1)(lam,rho)} >= q^0, so S * 1/D is exact through order.
-    return _lambda_sum(rs, ctx, order, factor).mul(denominator_inverse(ctx, order))
+    # every factor of D is 1 + O(q), so S / D is exact through order
+    return euler_product(_lambda_sum(rs, ctx, order, factor), _adjoint_char(rs))
 
 
 def coset_rhs_character(rs: RootSystem, kappa_value, order, mode: str = "group_ring", xi=None) -> GradedCharacter:

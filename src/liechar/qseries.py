@@ -503,7 +503,9 @@ def series_equal(f: GradedCharacter, g: GradedCharacter):
     """Compare two series up to the smaller truncation order.
 
     Returns None when equal, else the smallest mismatching exponent
-    together with both coefficients' canonical JSON.
+    together with both coefficients' canonical JSON.  Coefficients are
+    compared with ``!=``: no series or GroupRingElt stores a zero, and an
+    int equals a Fraction exactly when they are the same number.
     """
     f._require_context(g)
     bound = min(f.order, g.order)
@@ -514,6 +516,6 @@ def series_equal(f: GradedCharacter, g: GradedCharacter):
     for e in exps:
         cf = f.terms.get(e, ctx.czero())
         cg = g.terms.get(e, ctx.czero())
-        if not ctx.is_zero(ctx.add(cf, ctx.scale(cg, -1))):
+        if cf != cg:
             return e, ctx.coeff_json(cf), ctx.coeff_json(cg)
     return None

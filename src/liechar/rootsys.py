@@ -10,8 +10,9 @@ rational coordinates and only ever enter ``inner``.  All bilinear data
 derives from the symmetrized Cartan matrix, normalized so the highest
 root theta has (theta, theta) = 2.
 
-Weyl-group operations never materialize W.  Orbits are enumerated by
-breadth-first closure under simple reflections.  Alternating sums over the
+Weyl-group operations never materialize W.  An orbit is enumerated as a
+tree under simple reflections, each element built once from the parent
+that reflects away its first negative coordinate.  Alternating sums over the
 orbit of a regular dominant weight, the numerators of the Weyl-Kac
 character formula, are built by a depth-bounded walk down from the
 dominant weight (``alternating_sum``), which visits only the orbit
@@ -23,6 +24,7 @@ for sums that need every term.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
@@ -138,6 +140,12 @@ def _symmetrizer(a: Sequence[Sequence[int]]) -> List[Fraction]:
     return [x / top for x in d]
 
 
+def _scaled_to_ints(matrix: Sequence[Sequence[Fraction]]) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+    """(den, den * matrix) with den the least common denominator of the entries."""
+    den = math.lcm(*(x.denominator for row in matrix for x in row))
+    return den, tuple(tuple(int(x * den) for x in row) for row in matrix)
+
+
 class RootSystem:
     """Complete integral/rational data of one simple root system.
 
@@ -164,9 +172,13 @@ class RootSystem:
         self.quadratic_form: Tuple[Tuple[Fraction, ...], ...] = tuple(
             tuple(ainv[i][j] * self.symmetrizer[j] for j in range(n)) for i in range(n)
         )
+        # the same form and A^{-T} as ints over one common denominator each,
+        # so inner and in_root_lattice sum in ints and divide (or reduce) once
+        self._form_den, self._form_scaled = _scaled_to_ints(self.quadratic_form)
         # simple root alpha_i has fundamental-weight coords = i-th row of A
         self.simple_roots: Tuple[Weight, ...] = self.cartan_matrix
-        self._inv_cartan_t = mat_inverse([[cartan[j][i] for j in range(n)] for i in range(n)])
+        self._lattice_den, self._inv_cartan_t_scaled = _scaled_to_ints(
+            mat_inverse([[cartan[j][i] for j in range(n)] for i in range(n)]))
         self._build_positive_roots()
         self.rho: Weight = (1,) * n
         # a coweight, so rational: (rho_check, alpha_i) = 1 for every i
@@ -244,13 +256,13 @@ class RootSystem:
         """Exact symmetric bilinear form, normalized with (theta,theta)=2."""
         self._require_rank(lam)
         self._require_rank(mu)
-        f = self.quadratic_form
-        total = Fraction(0)
+        f = self._form_scaled
+        total = 0
         for i, li in enumerate(lam):
             if li:
                 row = f[i]
                 total += li * sum(row[j] * mj for j, mj in enumerate(mu) if mj)
-        return frac(total)
+        return Fraction(total, self._form_den)
 
     def norm2(self, lam: Weight) -> Fraction:
         return self.inner(lam, lam)
@@ -263,13 +275,11 @@ class RootSystem:
         return self._root_coords[root]
 
     def in_root_lattice(self, lam: Weight) -> bool:
-        """Exact membership test lam in Q (solves against the simple-root basis)."""
+        """Exact membership test lam in Q: lam's simple-root coordinates
+        A^{-T} lam are integers."""
         self._require_rank(lam)
-        m = [
-            sum(self._inv_cartan_t[i][j] * lam[j] for j in range(self.rank))
-            for i in range(self.rank)
-        ]
-        return all(x.denominator == 1 for x in m)
+        den = self._lattice_den
+        return all(sum(map(operator.mul, row, lam)) % den == 0 for row in self._inv_cartan_t_scaled)
 
     def is_dominant(self, lam: Weight) -> bool:
         self._require_rank(lam)
@@ -304,25 +314,31 @@ class RootSystem:
             lam = tuple([x - c * a for x, a in zip(lam, roots[i])])
 
     def weyl_orbit(self, lam: Weight) -> List[Weight]:
-        """Full W-orbit of a dominant weight, each element exactly once."""
+        """Full W-orbit of a dominant weight, each element exactly once, sorted.
+
+        Walks the tree in which the parent of a non-dominant nu is s_j nu, j
+        the first index with nu_j < 0: from mu it steps by s_i only when
+        mu_i > 0 and s_i mu has no negative coordinate before index i.  Each
+        element thus has exactly one parent and is built once, with no set
+        of seen elements.
+        """
         self._require_rank(lam)
         lam = weight(lam)
         if not self.is_dominant(lam):
             raise UsageError("weyl_orbit requires a dominant weight")
         roots = self.simple_roots
-        seen = {lam}
-        frontier = [lam]
-        while frontier:
-            nxt = []
-            for mu in frontier:
-                for i, c in enumerate(mu):
-                    if c:
-                        nu = tuple([x - c * a for x, a in zip(mu, roots[i])])
-                        if nu not in seen:
-                            seen.add(nu)
-                            nxt.append(nu)
-            frontier = nxt
-        return sorted(seen)
+        orbit = [lam]
+        todo = [lam]
+        while todo:
+            mu = todo.pop()
+            for i, c in enumerate(mu):
+                if c > 0:
+                    nu = tuple([x - c * a for x, a in zip(mu, roots[i])])
+                    if i == 0 or min(nu[:i]) >= 0:
+                        orbit.append(nu)
+                        todo.append(nu)
+        orbit.sort()
+        return orbit
 
     def weyl_orbit_signed(self, lam: Weight) -> List[Tuple[Weight, int]]:
         """Orbit of a regular dominant weight with det-parities epsilon(w).

@@ -16,7 +16,7 @@ from liechar import (
     conformal_top_weight,
     denominator_inverse,
     denominator_series,
-    euler_product_inverse,
+    euler_product,
     finite_char,
     kw_lhs_character,
     lattice_theta,
@@ -217,30 +217,59 @@ def _product_of_pochhammer_inverses(ctx, weights, order):
     return result
 
 
+def _mixed_series(ctx, rs, order):
+    """A series with three exponent classes mod 1, lower bound -3/2 and
+    coefficients that are not Weyl-invariant."""
+    zero = (0,) * rs.rank
+    alpha, theta = rs.simple_roots[0], rs.highest_root
+    terms = {
+        F(-3, 2): {alpha: 1},
+        F(-1, 3): {zero: 2, theta: -1},
+        F(0): {zero: 1},
+        F(2, 3): {tuple(-c for c in alpha): 3},
+        F(1, 2): {alpha: -2, theta: 1},
+        F(2): {zero: -1},
+    }
+    return GradedCharacter(ctx, order, {e: ctx.project(GroupRingElt(c)) for e, c in terms.items()})
+
+
 @pytest.mark.parametrize("mode", ["group_ring", "trivial", "ray"])
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "C3", "G2", "D4"])
 def test_euler_inverse_matches_pochhammer_products(label, mode):
-    # the product forms are the oracle of the log-derivative recurrence
+    # the product forms are the oracle of the factor-by-factor Euler product
     rs = build_root_system(label)
     ctx = make_context(rs, mode)
     zero = (0,) * rs.rank
     roots = [w for a in rs.positive_roots for w in (a, tuple(-c for c in a))]
+    cartan = GroupRingElt({zero: rs.rank})
     for order in [0, F(1, 2), 3, F(5, 2), 4]:
         expect = _product_of_pochhammer_inverses(ctx, [zero] * rs.rank + roots, order)
         assert denominator_inverse(ctx, order).canonical_str() == expect.canonical_str()
-        cartan = euler_product_inverse(ctx, GroupRingElt({zero: rs.rank}), order)
         expect = _product_of_pochhammer_inverses(ctx, [zero] * rs.rank, order)
-        assert cartan.canonical_str() == expect.canonical_str()
+        assert euler_product(series_one(ctx, order), cartan).canonical_str() == expect.canonical_str()
+    # a series with several exponent classes and a negative lower bound: the
+    # oracle factor is built 3/2 deeper so that the product is exact through order
+    adjoint = characters._adjoint_char(rs)
+    for order in [F(1, 2), F(7, 2)]:
+        f = _mixed_series(ctx, rs, order)
+        deeper = order + F(3, 2)
+        expect = f.mul(_product_of_pochhammer_inverses(ctx, [zero] * rs.rank + roots, deeper))
+        assert expect.order == order
+        assert euler_product(f, adjoint).canonical_str() == expect.canonical_str()
+        finite = series_one(ctx, deeper)
+        for mu in [zero] * rs.rank + roots:
+            finite = finite.mul(pochhammer_finite(ctx, mu, 1, deeper))
+        expect = f.mul(finite)
+        assert euler_product(f, -adjoint).canonical_str() == expect.canonical_str()
     with pytest.raises(UsageError):
         denominator_inverse(ctx, -1)
-    with pytest.raises(UsageError):
-        euler_product_inverse(ctx, GroupRingElt({zero: 1}), F(-1, 2))
 
 
 def test_euler_inverse_division_must_be_exact():
-    # (1 - q)^{-1/2} has coefficient 1/2 at q^1: the recurrence must not carry it
-    with pytest.raises(AssertionError):
-        euler_product_inverse(CTX1, GroupRingElt({(0,): F(1, 2)}), 2)
+    # (1 - q)^{-1/2} has coefficient 1/2 at q^1: a non-integer multiplicity
+    # is refused before any pass
+    with pytest.raises(UsageError):
+        euler_product(series_one(CTX1, 2), GroupRingElt({(0,): F(1, 2)}))
 
 
 # -- Weyl modules -------------------------------------------------------------

@@ -1,9 +1,12 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from liechar import (
+    GradedCharacter,
     GroupRingElt,
     UsageError,
     assemble_coset_character,
@@ -288,6 +291,34 @@ def test_verifiers_refuse_a_side_known_short_of_the_order(monkeypatch):
     monkeypatch.setattr(levels, "assemble_coset_character", short_coset)
     with pytest.raises(AssertionError, match="below the requested order 2"):
         verify_gko("A1", 2)
+
+
+# canonical JSON of first_mismatch for A2 q^2 with the RHS bumped by e^{alpha_1} q
+BUMPED_RHS_MISMATCH = {
+    "group_ring": "d39e95f46756a6128046b87122f50abf8613e91d62533d5cb505d42820f064c5",
+    "trivial": "63854f77c19a2f19822454f70617802eb074e2832f970ccc7394e5492945ad76",
+    "ray": "44160719f815fb8a6541d5f62ae25f9cbddedeed68ff2523941f33db3ad07141",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(BUMPED_RHS_MISMATCH))
+def test_negative_control_reports_the_same_first_mismatch(monkeypatch, mode):
+    # series_equal compares coefficients with !=; the report of a perturbed
+    # RHS must still name the same exponent and the same two coefficients
+    rhs = levels.coset_rhs_character
+
+    def bumped(rs, kappa, order, mode="group_ring", xi=None):
+        f = rhs(rs, kappa, order, mode, xi)
+        ctx = f.context
+        return f.add(GradedCharacter(ctx, order, {1: ctx.project(GroupRingElt({rs.simple_roots[0]: 1}))}))
+
+    monkeypatch.setattr(levels, "coset_rhs_character", bumped)
+    rep = verify_gko("A2", 2, mode)
+    assert rep.status == "fail"
+    assert rep.first_mismatch["exponent"] == "1"
+    assert rep.first_mismatch["comparison"] == "lhs[kappa=0] vs rhs"
+    text = json.dumps(rep.first_mismatch, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == BUMPED_RHS_MISMATCH[mode]
 
 
 def test_kw_usage_errors():

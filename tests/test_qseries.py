@@ -10,6 +10,7 @@ from liechar import (
     GroupRingContext,
     GroupRingElt,
     RayContext,
+    TrivialContext,
     UsageError,
     build_root_system,
     pochhammer_finite,
@@ -115,6 +116,29 @@ def test_group_ring_no_zero_coeffs():
     assert (0,) not in e.terms
     diff = e - e
     assert diff.is_zero() and diff.terms == {}
+
+
+def _stored_zeros(c) -> bool:
+    """A zero kept among a GroupRingElt's terms (a scalar stores nothing)."""
+    return isinstance(c, GroupRingElt) and any(v == 0 for v in c.terms.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(group_ring_elts(2), group_ring_elts(2),
+       st.fractions(min_value=-2, max_value=2, max_denominator=3),
+       st.tuples(*[st.integers(-2, 2)] * 2))
+def test_no_operation_stores_a_zero_coefficient(a, b, c, xi):
+    # series_equal compares coefficients with != and relies on this; a small
+    # integral xi makes ray projections of distinct weights collide and cancel
+    for elt in (a + b, a - b, a + (-a), a * b, a * (b - b), a.scale(c), a.scale(0)):
+        assert not _stored_zeros(elt)
+    for ctx in (CTX2, TrivialContext(A2), RayContext(A2, xi)):
+        pa, pb = ctx.project(a), ctx.project(b)
+        assert not _stored_zeros(pa) and not _stored_zeros(pb)
+        f = GradedCharacter(ctx, 2, {0: pa, F(1, 2): pb, 1: ctx.scale(pa, -1)})
+        g = GradedCharacter(ctx, 2, {0: pb, F(1, 2): ctx.scale(pa, c), 1: pa})
+        for s in (f.add(g), f.mul(g), f.times(pb), f.shift(F(1, 2)), f.add(f.times(ctx.scale(ctx.one(), -1)))):
+            assert all(not ctx.is_zero(v) and not _stored_zeros(v) for v in s.terms.values())
 
 
 # -- ring laws ----------------------------------------------------------------

@@ -12,6 +12,7 @@ from liechar import (
     langlands_dual,
     weight,
 )
+from liechar.linalg import mat_inverse
 
 ALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
              "D4", "D5", "E6", "E7", "E8", "F4", "G2"]
@@ -133,7 +134,8 @@ RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "
 
 
 def _reflect_orbit(rs, lam):
-    """Breadth-first closure under rs.reflect, the oracle of weyl_orbit."""
+    """Breadth-first closure under rs.reflect with a set of seen elements,
+    the oracle of weyl_orbit's parent-tree walk."""
     lam = weight(lam)
     seen, frontier = {lam}, [lam]
     while frontier:
@@ -148,7 +150,7 @@ def _reflect_orbit(rs, lam):
     return sorted(seen)
 
 
-@pytest.mark.parametrize("label", RANK_LE_4)
+@pytest.mark.parametrize("label", RANK_LE_4 + ["E6"])
 def test_weyl_orbit_matches_reflect_walk(label):
     rs = build_root_system(label)
     first = [1] + [0] * (rs.rank - 1)
@@ -272,6 +274,33 @@ def test_dominant_weights_in_root_lattice():
     assert len(set(ws)) == len(ws)
     norms = [a2.norm2(w) for w in ws]
     assert norms == sorted(norms)
+
+
+SYSTEMS = {label: build_root_system(label) for label in ALL_TYPES}
+
+
+@st.composite
+def _form_arguments(draw):
+    rs = SYSTEMS[draw(st.sampled_from(ALL_TYPES))]
+    ints = st.tuples(*[st.integers(-4, 4)] * rs.rank)
+    rationals = st.tuples(*[st.fractions(min_value=-3, max_value=3, max_denominator=6)] * rs.rank)
+    return rs, draw(ints), draw(st.one_of(ints, st.just(rs.rho_check), rationals))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_form_arguments())
+def test_integer_form_matches_fraction_form(case):
+    # inner sums den * (omega_i, omega_j) in ints and in_root_lattice reduces
+    # den' * A^{-T} lam mod den'; the oracles solve over Fractions directly
+    rs, lam, xi = case
+    n = rs.rank
+    expect = sum((li * rs.quadratic_form[i][j] * xj for i, li in enumerate(lam)
+                  for j, xj in enumerate(xi)), F(0))
+    for got in (rs.inner(lam, xi), rs.inner(xi, lam)):
+        assert type(got) is F and got == expect
+    ainv_t = mat_inverse([[rs.cartan_matrix[j][i] for j in range(n)] for i in range(n)])
+    coords = [sum(ainv_t[i][j] * lam[j] for j in range(n)) for i in range(n)]
+    assert rs.in_root_lattice(lam) == all(F(c).denominator == 1 for c in coords)
 
 
 def test_lattice_membership():

@@ -71,10 +71,10 @@ def test_tracer_counts_one_coefficient_product_per_context_mul():
 
 def test_tracer_counts_the_verifiers_lambda_summands():
     # one lambda-sum per kappa sample in verify_gko and one in verify_kw, each
-    # enumerating Q+ inside the span the tracer reads; 1/D once per kappa
-    # sample and once for the RHS
+    # enumerating Q+ inside the span the tracer reads; the kappa samples divide
+    # by D factor by factor, so 1/D is built once, for the RHS
     got = _run_traced(SUMMANDS_SCRIPT)
     n = got["n_lams"]
     assert n > 1
-    assert got["gko"] == {"summands": 2 * n, "inv_d_calls": 3}
+    assert got["gko"] == {"summands": 2 * n, "inv_d_calls": 1}
     assert got["kw"] == {"summands": n, "inv_d_calls": 0}
