@@ -8,6 +8,9 @@ the highest weight by positive-root steps that never leave the dominant
 chamber, and a weight on a root string is looked up by its dominant
 conjugate.  The Weyl dimension formula and the alternating-orbit-sum form
 of the Weyl character formula are independent cross-checks in the tests.
+Callers take ch L_lam from their coefficient context (``irreducible``),
+which uses a closed form in ``trivial`` and in ``ray`` along rho_check and
+this recursion everywhere else.
 
 Pochhammer products, D, 1/D and (q;q)^{-rank}, are applied to a series
 one Euler factor at a time (``euler_product``); the product forms in
@@ -212,7 +215,7 @@ def weyl_module_char(ctx, lam: Weight, kappa: LevelValue, order) -> GradedCharac
     h = conformal_top_weight(rs, lam, kappa)
     if order < h:
         return series_zero(ctx, order)
-    top = ctx.project(finite_char(rs, lam).multiplicities)
+    top = ctx.irreducible(lam)
     return denominator_inverse(ctx, order - h).times(top).shift(h)
 
 

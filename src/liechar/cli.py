@@ -20,7 +20,6 @@ from . import __version__
 from .characters import (
     denominator_inverse,
     denominator_series,
-    finite_char,
     lattice_theta,
     level,
     level_one_char,
@@ -273,8 +272,7 @@ def cmd_char(args, t0: float) -> int:
     elif which == "wmod":
         series = walgebra_module_char(ctx, lam, kappa, order)
     elif which == "finite":
-        gre = finite_char(rs, lam).multiplicities
-        series = GradedCharacter(ctx, order, {Fraction(0): ctx.project(gre)})
+        series = GradedCharacter(ctx, order, {Fraction(0): ctx.irreducible(lam)})
     else:
         raise UsageError(f"unknown character constructor {which!r}")
     config = {

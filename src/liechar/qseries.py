@@ -8,7 +8,8 @@ ring a series lives in: the group ring of the weight lattice itself, Z
 (e^mu -> 1, plain ints), or Laurent polynomials in one variable z
 (e^mu -> z^{(mu, xi)}), held as GroupRingElts keyed by 1-tuples of
 z-exponents scaled by the common denominator of the functional mu -> (mu, xi).
-Each context maps group-ring elements into its ring with ``project``.
+Each context maps group-ring elements into its ring with ``project`` and
+gives the irreducible characters ch L_lam in it with ``irreducible``.
 
 Exponents are exact Fractions; conformal weights at rational level are
 rational, so nothing here ever touches floating point.  Exponents may be
@@ -164,6 +165,13 @@ class _Context:
     def mul(self, a, b):
         return a * b
 
+    def irreducible(self, lam: Weight):
+        """ch L_lam in this ring: Freudenthal's full character, projected.
+        TrivialContext and RayContext at rho_check override it with closed forms."""
+        from .characters import finite_char  # characters imports this module
+
+        return self.project(finite_char(self.rs, lam).multiplicities)
+
     def matches(self, other) -> bool:
         return (
             type(other) is type(self)
@@ -218,6 +226,10 @@ class TrivialContext(_Context):
     def project(self, gre: GroupRingElt):
         return int_or_frac(sum(gre.terms.values()))
 
+    def irreducible(self, lam: Weight):
+        """dim L_lam, by the Weyl dimension formula."""
+        return self.rs.weyl_dimension(lam)
+
     def describe(self) -> dict:
         return {"coefficients": "trivial", "type": self.rs.type_label}
 
@@ -238,6 +250,7 @@ class RayContext(_Context):
                     for i in range(rs.rank)]
         self.den = math.lcm(*(p.denominator for p in pairings))
         self.coords = tuple(int(p * self.den) for p in pairings)
+        self._principal = self.xi == rs.rho_check
 
     def one(self):
         return GroupRingElt.one(1)
@@ -266,6 +279,18 @@ class RayContext(_Context):
             out[k] = get(k, 0) + v
         res = GroupRingElt()
         res.terms = {k: v for k, v in out.items() if v != 0}
+        return res
+
+    def irreducible(self, lam: Weight):
+        """ch L_lam at e^mu -> z^{(mu, xi)}: along xi = rho_check the q-dimension
+        z^{-(lam, rho_check)} times ``RootSystem.principal_specialization``,
+        along any other xi Freudenthal's character, projected."""
+        if not self._principal:
+            return super().irreducible(lam)
+        poly = self.rs.principal_specialization(lam)
+        low, den = -sum(map(operator.mul, self.coords, weight(lam))), self.den
+        res = GroupRingElt()
+        res.terms = {(low + den * k,): c for k, c in enumerate(poly) if c}
         return res
 
     def describe(self) -> dict:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
@@ -189,6 +190,11 @@ class RootSystem:
             raise AssertionError("normalization broke: (theta,theta) != 2")
         self.dual_coxeter: int = int(1 + self.inner(self.rho, self.highest_root))
         self.lacity: int = int(Fraction(1) / min(self.symmetrizer))
+        # <omega_j, alpha^vee> for each positive root alpha: the coroot
+        # alpha^vee = 2 alpha / (alpha, alpha) in simple-coroot coordinates
+        steps = [int(d * self.lacity) for d in self.symmetrizer]
+        self._coroot_coords: Tuple[Tuple[int, ...], ...] = tuple(
+            self._coroot(alpha, steps) for alpha in self.positive_roots)
         self.weyl_order: int = self._weyl_order_from_heights()
 
     # -- construction helpers -------------------------------------------------
@@ -229,6 +235,16 @@ class RootSystem:
         self.positive_roots: Tuple[Weight, ...] = tuple(ordered)
         self._root_coords = root_coords  # positive roots -> simple-root coords
         self._heights = [len(level) for level in by_height if level]
+
+    def _coroot(self, alpha: Weight, steps: Sequence[int]) -> Tuple[int, ...]:
+        """alpha^vee in simple-coroot coordinates, c_j d_j / d_alpha, in ints:
+        steps[j] = lac d_j, and lac (alpha, alpha) = sum_i lac d_i c_i <alpha, alpha_i^vee>."""
+        scaled = [c * s for c, s in zip(self._root_coords[alpha], steps)]
+        len2 = sum(map(operator.mul, scaled, alpha))
+        out = [divmod(2 * x, len2) for x in scaled]
+        if any(r for _, r in out):
+            raise AssertionError("a coroot came out non-integral")
+        return tuple(k for k, _ in out)
 
     def _weyl_order_from_heights(self) -> int:
         # exponents are the conjugate partition of the height histogram
@@ -285,6 +301,14 @@ class RootSystem:
         self._require_rank(lam)
         return all(c >= 0 for c in lam)
 
+    def _dominant(self, lam: Weight, what: str) -> Weight:
+        """lam as an int tuple; UsageError off the dominant integral weights."""
+        self._require_rank(lam)
+        lam = weight(lam)
+        if not self.is_dominant(lam):
+            raise UsageError(f"{what} requires a dominant weight")
+        return lam
+
     def dimension(self) -> int:
         return self.rank + 2 * len(self.positive_roots)
 
@@ -322,10 +346,7 @@ class RootSystem:
         element thus has exactly one parent and is built once, with no set
         of seen elements.
         """
-        self._require_rank(lam)
-        lam = weight(lam)
-        if not self.is_dominant(lam):
-            raise UsageError("weyl_orbit requires a dominant weight")
+        lam = self._dominant(lam, "weyl_orbit")
         roots = self.simple_roots
         orbit = [lam]
         todo = [lam]
@@ -346,10 +367,7 @@ class RootSystem:
         The parity of an orbit element is well defined exactly when the
         stabilizer is trivial, i.e. lam is regular; this is enforced.
         """
-        self._require_rank(lam)
-        lam = weight(lam)
-        if not self.is_dominant(lam):
-            raise UsageError("weyl_orbit_signed requires a dominant weight")
+        lam = self._dominant(lam, "weyl_orbit_signed")
         if any(c == 0 for c in lam):
             raise UsageError("weyl_orbit_signed requires a regular weight")
         parity = {lam: 1}
@@ -377,10 +395,7 @@ class RootSystem:
         element within it, and each element of depth <= bound is reached.
         Depths are exact: ints for simply-laced types, else Fractions.
         """
-        self._require_rank(mu)
-        mu = weight(mu)
-        if not self.is_dominant(mu):
-            raise UsageError("weyl_orbit_descending requires a dominant weight")
+        mu = self._dominant(mu, "weyl_orbit_descending")
         if any(c == 0 for c in mu):
             raise UsageError("weyl_orbit_descending requires a regular weight")
         # depths are kept scaled by the lacity, where every step is integral
@@ -404,10 +419,7 @@ class RootSystem:
 
     def star(self, lam: Weight) -> Weight:
         """Highest weight of the dual representation: -w_0(lam)."""
-        self._require_rank(lam)
-        lam = weight(lam)
-        if not self.is_dominant(lam):
-            raise UsageError("star requires a dominant weight")
+        lam = self._dominant(lam, "star")
         return self._reflect_to_dominant(tuple(-c for c in lam))
 
     def dominant_weights_in_root_lattice(self, norm_bound) -> List[Weight]:
@@ -441,19 +453,48 @@ class RootSystem:
         found.sort()
         return [lam for _, lam in found]
 
+    def _coroot_pairings(self, lam: Weight) -> Tuple[List[int], List[int]]:
+        """(lam+rho, alpha^vee) and (rho, alpha^vee) for every positive root."""
+        lam_rho = [c + 1 for c in lam]
+        cor = self._coroot_coords
+        return [sum(map(operator.mul, lam_rho, k)) for k in cor], [sum(k) for k in cor]
+
     def weyl_dimension(self, lam: Weight) -> int:
-        """Weyl dimension formula, exact."""
-        self._require_rank(lam)
-        lam = weight(lam)
-        if not self.is_dominant(lam):
-            raise UsageError("weyl_dimension requires a dominant weight")
-        num = Fraction(1)
-        lam_rho = tuple(c + 1 for c in lam)
-        for alpha in self.positive_roots:
-            num *= self.inner(lam_rho, alpha) / self.inner(self.rho, alpha)
-        if num.denominator != 1:
+        """Weyl dimension formula prod_{alpha>0} (lam+rho, alpha^vee) / (rho, alpha^vee), exact."""
+        num, den = self._coroot_pairings(self._dominant(lam, "weyl_dimension"))
+        num, den = math.prod(num), math.prod(den)
+        if num % den:
             raise AssertionError("Weyl dimension came out non-integral")
-        return int(num)
+        return num // den
+
+    def principal_specialization(self, lam: Weight) -> List[int]:
+        """Coefficients c_0, ..., c_N of the polynomial
+        prod_{alpha>0} (1 - z^{(lam+rho, alpha^vee)}) / (1 - z^{(rho, alpha^vee)}).
+
+        ch L_lam at e^mu -> z^{(mu, rho_check)} is z^{-(lam, rho_check)} times
+        it, the q-dimension (Kac, Infinite-dimensional Lie algebras, 10.10).
+        Exponents common to numerator and denominator cancel as a multiset
+        first; the other numerator factors are multiplied out, and each
+        denominator factor 1 - z^b is divided out by g_k += g_{k-b}.  The
+        quotient is a polynomial exactly when the top b coefficients then
+        vanish, which is checked.
+        """
+        num, den = self._coroot_pairings(self._dominant(lam, "principal_specialization"))
+        num, den = Counter(num), Counter(den)
+        common = num & den
+        num, den = num - common, den - common
+        g = [1]
+        for a in sorted(num.elements()):
+            g.extend([0] * a)
+            for k in range(len(g) - 1, a - 1, -1):
+                g[k] -= g[k - a]
+        for b in sorted(den.elements(), reverse=True):
+            for k in range(b, len(g)):
+                g[k] += g[k - b]
+            if any(g[-b:]):
+                raise AssertionError("principal specialization is not a polynomial")
+            del g[-b:]
+        return g
 
     def __repr__(self) -> str:
         return f"RootSystem({self.type_label})"

@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liechar import (
@@ -110,10 +110,10 @@ FINITE_CHAR_CAPS = {"A1": (6, 6), "A2": (3, 4), "A3": (2, 3), "A4": (1, 2),
 
 
 @st.composite
-def _small_dominant(draw):
-    label = draw(st.sampled_from(sorted(FINITE_CHAR_CAPS)))
+def _small_dominant(draw, caps=FINITE_CHAR_CAPS):
+    label = draw(st.sampled_from(sorted(caps)))
     rs = build_root_system(label)
-    top, total = FINITE_CHAR_CAPS[label]
+    top, total = caps[label]
     lam = [draw(st.integers(0, top)) for _ in range(rs.rank)]
     while sum(lam) > total:
         lam[lam.index(max(lam))] -= 1
@@ -164,6 +164,64 @@ def test_finite_char_rejects_bad_weights():
         finite_char(A2, weight([-1, 0]))
     with pytest.raises(UsageError):
         finite_char(A2, weight([F(1, 2), 0]))
+
+
+# -- ch L_lam in the specialized rings -------------------------------------------
+
+CLOSED_FORM_CAPS = {"A1": (4, 4), "A2": (3, 4), "A3": (2, 3), "A4": (1, 2), "B2": (3, 4),
+                    "B3": (2, 2), "C3": (2, 2), "D4": (1, 2), "G2": (2, 3), "F4": (1, 1),
+                    "E6": (1, 1)}
+
+
+def _contexts(rs):
+    """Every coefficient ring: the group ring, trivial, ray along rho_check
+    and ray along the rational coweight (1/2, 1/3, ...)."""
+    return [make_context(rs, "group_ring"), make_context(rs, "trivial"), make_context(rs, "ray"),
+            make_context(rs, "ray", tuple(F(1, k + 2) for k in range(rs.rank)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_dominant(CLOSED_FORM_CAPS))
+@example((build_root_system("A2"), (1, 0)))
+@example((build_root_system("E6"), (1, 0, 0, 0, 0, 0)))
+@example((build_root_system("G2"), (0, 1)))
+def test_irreducible_matches_projected_freudenthal(case):
+    # the Weyl dimension (trivial) and the principal specialization (ray at
+    # rho_check) against Freudenthal plus project, for lam in and outside Q
+    rs, lam = case
+    full = finite_char(rs, lam).multiplicities
+    for ctx in _contexts(rs):
+        assert ctx.irreducible(lam) == ctx.project(full)
+
+
+@pytest.mark.parametrize("label", ["A2", "B3", "G2", "E6"])
+def test_irreducible_rejects_bad_weights(label):
+    rs = build_root_system(label)
+    below = (-1,) + (1,) * (rs.rank - 1)
+    half = (F(1, 2),) + (0,) * (rs.rank - 1)
+    for ctx in _contexts(rs):
+        for lam in (below, half, (1,) * (rs.rank + 1)):
+            with pytest.raises(UsageError):
+                ctx.irreducible(lam)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2", "F4", "E6"])
+def test_principal_specialization_at_one_is_the_dimension(label):
+    rs = build_root_system(label)
+    for lam in [(0,) * rs.rank, rs.highest_root, (1,) + (0,) * (rs.rank - 1), (1,) * rs.rank]:
+        poly = rs.principal_specialization(lam)
+        assert sum(poly) == rs.weyl_dimension(lam)
+        assert poly == poly[::-1] and min(poly) > 0  # palindromic, no gaps
+
+
+def test_principal_specialization_guards_exact_division(monkeypatch):
+    # dropping the numerator factor of alpha_2 from omega_1 of A2 leaves
+    # (1 - z^3) / (1 - z)^2, which is no polynomial
+    pairings = A2._coroot_pairings(weight([1, 0]))
+    monkeypatch.setattr(type(A2), "_coroot_pairings",
+                        lambda self, lam: (pairings[0][1:], pairings[1]))
+    with pytest.raises(AssertionError, match="not a polynomial"):
+        A2.principal_specialization(weight([1, 0]))
 
 
 # -- denominator --------------------------------------------------------------

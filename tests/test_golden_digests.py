@@ -5,12 +5,17 @@ in every coefficient ring: the group ring, ``trivial``, ``ray`` along the
 dual Weyl vector and ``ray`` along a coweight with fractional coordinates.
 The verifier sides (the coset sum on the same four types, the coset RHS
 and the lattice-theta LHS on A3) are digested the same way, in SIDE_GOLDEN.
+The whole stdout of ``liechar char --which finite|weyl`` in the
+specialized rings, on D5, B3 and E6 with weights in and outside the root
+lattice, is digested in CLI_GOLDEN.
 A change that moves any byte of these series fails here.  To re-record
 after an intended change of output, run this file as a script and paste
-what it prints into GOLDEN and SIDE_GOLDEN.
+what it prints into GOLDEN, SIDE_GOLDEN and CLI_GOLDEN.
 """
 
+import contextlib
 import hashlib
+import io
 from fractions import Fraction as F
 
 import pytest
@@ -30,6 +35,7 @@ from liechar import (
     walgebra_module_char,
     weyl_module_char,
 )
+from liechar.cli import main
 
 TYPES = ["A3", "B2", "C3", "G2"]
 MODES = ["group_ring", "trivial", "ray_rho_check", "ray_rational"]
@@ -203,6 +209,52 @@ SIDE_GOLDEN = {
 }
 
 
+# ``liechar char`` in trivial, ray along rho_check and ray along a rational
+# coweight, recorded while ch L_lam still came from Freudenthal plus project
+# in every ring.
+CLI_XI = {"D5": "1/2,1/3,1/4,1/5,1/6", "B3": "1/2,1/3,1/4"}
+CLI_FINITE_LAMBDA = {"D5": "1,0,0,0,1", "B3": "1,0,1", "E6": "1,0,0,0,0,0"}
+CLI_WEYL = {"D5": ("0,1,0,0,0", "4"), "B3": ("0,1,0", "3")}
+CLI_CASES = [(w, t, s) for w in ("finite", "weyl") for t in ("D5", "B3")
+             for s in ("trivial", "ray_rho_check", "ray_rational")] + [("finite", "E6", "ray_rho_check")]
+
+
+def _cli_argv(which, label, spec):
+    if which == "finite":
+        argv = ["char", "--which", "finite", "--type", label, "--order", "0",
+                "--lambda", CLI_FINITE_LAMBDA[label]]
+    else:
+        lam, order = CLI_WEYL[label]
+        argv = ["char", "--which", "weyl", "--type", label, "--order", order, "--lambda", lam]
+    if spec == "ray_rational":
+        return argv + ["--spec", "ray", "--xi", CLI_XI[label]]
+    return argv + ["--spec", "ray" if spec == "ray_rho_check" else spec]
+
+
+def _cli_digest(which, label, spec):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(_cli_argv(which, label, spec)) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+CLI_GOLDEN = {
+    ('finite', 'D5', 'trivial'): 'e9ea93733fef01327ea8b6a6e174d6ca676f5502ba2b6e179efd96f21cd90a6e',
+    ('finite', 'D5', 'ray_rho_check'): '4243e46dcd9ff36e1b224a781eca2b24d6fa4bc8d95248b393eef90884e3ef9e',
+    ('finite', 'D5', 'ray_rational'): '1c8b2055c371f9bcef887eaaed6b780a5443dcc700528ab4c828c71fd224b42e',
+    ('finite', 'B3', 'trivial'): 'b61385ad6cc7f0e720812693f11d651aefa322aa8ac1e4a3ce30df8450ff5628',
+    ('finite', 'B3', 'ray_rho_check'): '70f561dfa7f994b7a94a70b040ac5c9097ac044ca94a7f64887383a433db655d',
+    ('finite', 'B3', 'ray_rational'): 'f78b2624477936c1bb0e5a71e13a7fcb78383fa21eb8fd03961e83b28578f04e',
+    ('weyl', 'D5', 'trivial'): '77713ce98d5682b8ce48dbca8812755c10161b1b88f0b5ee600f875986236478',
+    ('weyl', 'D5', 'ray_rho_check'): '42d9cbf208b6ecdb867d653a0fced5a0959f91cfc00b325d38a5c3d72a8a5254',
+    ('weyl', 'D5', 'ray_rational'): '89f36dacc5a67a365386a34ccede3ef691151deb7df9dafe39085d171db0cb71',
+    ('weyl', 'B3', 'trivial'): 'ce12dfdee5db4af08a7ce80206111ee002d45f5bb89f593da34e4fef80acc1c9',
+    ('weyl', 'B3', 'ray_rho_check'): 'a3d54ba0fa3732de0ae161cbb1ca99ef14cc2827a6e6cb9c96d20374c13b36c8',
+    ('weyl', 'B3', 'ray_rational'): '9824b85985f04385d7abd6add542f0ebb119ef32a5215de25b89633271ada0ab',
+    ('finite', 'E6', 'ray_rho_check'): '6a038f8a9a59dd42fedfe683ae293e897b6b06fde874c71a1369d23713498878',
+}
+
+
 @pytest.mark.parametrize("label", TYPES)
 def test_canonical_json_digests(label):
     got = {(b, m): _digest(b, label, m) for b in BUILDERS for m in MODES}
@@ -215,6 +267,11 @@ def test_verifier_side_digests(builder, label):
     assert got == {m: SIDE_GOLDEN[builder, label, m] for m in MODES}
 
 
+@pytest.mark.parametrize("which,label,spec", CLI_CASES)
+def test_char_cli_digests(which, label, spec):
+    assert _cli_digest(which, label, spec) == CLI_GOLDEN[which, label, spec]
+
+
 if __name__ == "__main__":
     for b in BUILDERS:
         for label in TYPES:
@@ -224,3 +281,6 @@ if __name__ == "__main__":
     for b, label in SIDES:
         for m in MODES:
             print(f"    ({b!r}, {label!r}, {m!r}): {_side_digest(b, label, m)!r},")
+    print()
+    for case in CLI_CASES:
+        print(f"    {case!r}: {_cli_digest(*case)!r},")

@@ -321,6 +321,25 @@ def test_negative_control_reports_the_same_first_mismatch(monkeypatch, mode):
     assert hashlib.sha256(text.encode()).hexdigest() == BUMPED_RHS_MISMATCH[mode]
 
 
+def test_kappa_independence_reports_the_first_mismatch(monkeypatch):
+    # both sides known one power of q beyond the RHS and different there: each
+    # matches the RHS, and the kappa check names the exponent where they part
+    coset = levels.assemble_coset_character
+    second = default_kappa_samples(A1, 2)[1]
+
+    def deeper(rs, kappa, order, mode="group_ring", xi=None):
+        f = coset(rs, kappa, order + 1, mode, xi)
+        if kappa == second:
+            f = f.add(GradedCharacter(f.context, f.order, {order + 1: f.context.one()}))
+        return f
+
+    monkeypatch.setattr(levels, "assemble_coset_character", deeper)
+    rep = verify_gko("A1", 2)
+    assert rep.status == "fail"
+    assert rep.first_mismatch["comparison"] == "kappa-independence 1 vs 1/2"
+    assert rep.first_mismatch["exponent"] == "3"
+
+
 def test_kw_usage_errors():
     with pytest.raises(UsageError):
         verify_kw("G2", 2)

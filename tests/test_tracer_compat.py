@@ -54,6 +54,30 @@ print(json.dumps(out))
 """
 
 
+FINITE_CHAR_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import liechar
+from tracer import Tracer
+
+def seen(tracer):
+    finite = sum(1 for rec in tracer.spans if rec[1] == "characters.finite_char")
+    inv_d = sum(1 for rec in tracer.spans if rec[1] == "characters.inv_d")
+    return finite, tracer.counts["levels.summands"], inv_d
+
+tracer = Tracer("finite_char", 2)
+tracer.install()
+out = {"n_lams": len(liechar.build_root_system("A2").dominant_weights_in_root_lattice(2))}
+for mode in ["group_ring", "trivial", "ray"]:
+    before = seen(tracer)
+    assert liechar.verify_gko("A2", 2, mode).status == "pass"
+    after = seen(tracer)
+    out[mode] = dict(zip(["finite_char", "summands", "inv_d_calls"],
+                         [b - a for a, b in zip(before, after)]))
+print(json.dumps(out))
+"""
+
+
 def _run_traced(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -78,3 +102,14 @@ def test_tracer_counts_the_verifiers_lambda_summands():
     assert n > 1
     assert got["gko"] == {"summands": 2 * n, "inv_d_calls": 1}
     assert got["kw"] == {"summands": n, "inv_d_calls": 0}
+
+
+def test_specialized_verifiers_build_no_freudenthal_character():
+    # trivial takes ch L_lam from the Weyl dimension and ray at rho_check from
+    # the principal specialization; group_ring still runs Freudenthal once per
+    # lambda and kappa sample
+    got = _run_traced(FINITE_CHAR_SCRIPT)
+    n = got["n_lams"]
+    assert got["group_ring"] == {"finite_char": 2 * n, "summands": 2 * n, "inv_d_calls": 1}
+    assert got["trivial"] == {"finite_char": 0, "summands": 2 * n, "inv_d_calls": 1}
+    assert got["ray"] == {"finite_char": 0, "summands": 2 * n, "inv_d_calls": 1}
