@@ -25,8 +25,10 @@ from .qseries import (
     GradedCharacter,
     GroupRingContext,
     GroupRingElt,
+    InvariantContext,
     RayContext,
     TrivialContext,
+    invariant_context,
     make_context,
     pochhammer_finite,
     pochhammer_inverse,

@@ -9,12 +9,15 @@ chamber, and a weight on a root string is looked up by its dominant
 conjugate.  The Weyl dimension formula and the alternating-orbit-sum form
 of the Weyl character formula are independent cross-checks in the tests.
 Callers take ch L_lam from their coefficient context (``irreducible``),
-which uses a closed form in ``trivial`` and in ``ray`` along rho_check and
-this recursion everywhere else.
+which uses a closed form in ``trivial`` and in ``ray`` along rho_check,
+the dominant multiplicities themselves in the W-invariant ring, and this
+recursion spread over orbits everywhere else.
 
 Pochhammer products, D, 1/D and (q;q)^{-rank}, are applied to a series
 one Euler factor at a time (``euler_product``); the product forms in
-``qseries`` are its test oracles.
+``qseries`` are its test oracles.  In the W-invariant ring the factors
+(1 - e^mu q^n) with mu != 0 are applied together, as one series built by
+the log-derivative recurrence and cached per root system.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .linalg import frac
-from .qseries import GradedCharacter, GroupRingElt, series_one, series_zero
+from .qseries import GradedCharacter, GroupRingElt, InvariantContext, series_one, series_zero
 from .rootsys import RootSystem, UsageError, Weight, alternating_sum, weight
 
 
@@ -82,7 +85,17 @@ def _dominant_weights_below(rs: RootSystem, lam: Weight) -> List[Tuple[int, Weig
 
 
 def finite_char(rs: RootSystem, lam: Weight) -> FiniteCharacter:
-    """Irreducible character of highest weight lam by Freudenthal recursion.
+    """Irreducible character of highest weight lam: Freudenthal's dominant
+    multiplicities spread over their Weyl orbits."""
+    mult = dominant_multiplicities(rs, lam)
+    # int keys and int multiplicities already: skip GroupRingElt's checks
+    char = GroupRingElt()
+    char.terms = {nu: m for mu, m in mult.items() for nu in rs.weyl_orbit(mu)}
+    return FiniteCharacter(weight(lam), char)
+
+
+def dominant_multiplicities(rs: RootSystem, lam: Weight) -> Dict[Weight, int]:
+    """Dominant weight -> multiplicity in L_lam, by Freudenthal's recursion.
 
     mu + k alpha (k > 0) has a dominant conjugate of smaller height, so it is
     a weight of L_lam iff that conjugate already has a multiplicity; strings
@@ -117,10 +130,7 @@ def finite_char(rs: RootSystem, lam: Weight) -> FiniteCharacter:
         if m.denominator != 1 or m <= 0:
             raise AssertionError("Freudenthal produced a non-positive-integer multiplicity")
         mult[mu] = int(m)
-    # int keys and int multiplicities already: skip GroupRingElt's checks
-    char = GroupRingElt()
-    char.terms = {nu: m for mu, m in mult.items() for nu in rs.weyl_orbit(mu)}
-    return FiniteCharacter(lam, char)
+    return mult
 
 
 def orbit_alternating_sum(rs: RootSystem, mu: Weight) -> GroupRingElt:
@@ -175,10 +185,21 @@ def euler_product(f: GradedCharacter, char: GroupRingElt) -> GradedCharacter:
     by it is g_e -= u g_{e-n} for descending e, with u = e^mu in f's
     coefficient ring (no product at all for mu = 0).  The exponents of each
     class mod 1 are held in one list, so the passes do no Fraction arithmetic.
+
+    In the W-invariant ring a single e^mu, mu != 0, is no coefficient, so
+    there the passes apply the mu = 0 factors only, and f is multiplied once
+    by the series E of all the others, which the context builds from the
+    log-derivative recurrence and caches (``InvariantContext.euler_series``).
+    Both sides of ``verify_gko`` thus divide by the same E.
     """
     ctx = f.context
     if any(frac(c).denominator != 1 for c in char.terms.values()):
         raise UsageError("Euler-product multiplicities must be integers")
+    moving = None
+    if isinstance(ctx, InvariantContext):
+        # the mu != 0 factors come as one cached series, applied after the passes
+        moving = GroupRingElt({mu: c for mu, c in char.terms.items() if any(mu)})
+        char = GroupRingElt({mu: c for mu, c in char.terms.items() if not any(mu)})
     factors = [(None if not any(mu) else ctx.project(GroupRingElt.monomial(mu)), c)
                for mu, c in char.items_sorted()]
     classes: Dict[Fraction, Fraction] = {}  # exponent class mod 1 -> lowest exponent
@@ -202,7 +223,14 @@ def euler_product(f: GradedCharacter, char: GroupRingElt) -> GradedCharacter:
                             src = mul(u, src)
                         g[i] = add(g[i], src if c > 0 else ctx.scale(src, -1))
         out.update((low + k, v) for k, v in enumerate(g))
-    return GradedCharacter(ctx, f.order, out)
+    res = GradedCharacter(ctx, f.order, out)
+    if moving is None or moving.is_zero():
+        return res
+    # the series lacks no term below its lower bound L, so E through
+    # order - L makes the product exact through the order
+    low = min(res.lower_bound(), res.order)
+    coeffs = ctx.euler_series(moving, math.floor(res.order - low))
+    return res.mul(GradedCharacter(ctx, res.order - low, dict(enumerate(coeffs))))
 
 
 def weyl_module_char(ctx, lam: Weight, kappa: LevelValue, order) -> GradedCharacter:
@@ -255,16 +283,14 @@ def walgebra_module_char(ctx, lam_star: Weight, kappa_star: LevelValue, order) -
 
 
 def lattice_theta(ctx, order) -> GradedCharacter:
-    """Theta_Q = sum_{lam in Q} q^{(lam,lam)/2} e^lam, truncated."""
+    """Theta_Q = sum_{lam in Q} q^{(lam,lam)/2} e^lam, truncated: the orbit
+    sums m_lam of the dominant lam in Q, in ctx's ring (``orbit_sum``)."""
     rs = ctx.rs
     order = frac(order)
-    terms: Dict[Fraction, GroupRingElt] = {}
+    shells: Dict[Fraction, List[Weight]] = {}
     for lam in rs.dominant_weights_in_root_lattice(order):
-        e = rs.norm2(lam) / 2
-        gre = terms.setdefault(e, GroupRingElt())
-        for nu in rs.weyl_orbit(lam):
-            gre.terms[nu] = gre.terms.get(nu, 0) + 1
-    return GradedCharacter(ctx, order, {e: ctx.project(gre) for e, gre in terms.items()})
+        shells.setdefault(rs.norm2(lam) / 2, []).append(lam)
+    return GradedCharacter(ctx, order, {e: ctx.orbit_sum(lams) for e, lams in shells.items()})
 
 
 def level_one_char(ctx, order) -> GradedCharacter:

@@ -4,12 +4,16 @@ A GradedCharacter is a finite map {rational exponent -> coefficient}
 together with a truncation order N: the stored data determines the
 series exactly for every exponent <= N.  There is one sparse coefficient
 type, GroupRingElt, keyed by int tuples.  A coefficient context fixes the
-ring a series lives in: the group ring of the weight lattice itself, Z
-(e^mu -> 1, plain ints), or Laurent polynomials in one variable z
-(e^mu -> z^{(mu, xi)}), held as GroupRingElts keyed by 1-tuples of
-z-exponents scaled by the common denominator of the functional mu -> (mu, xi).
-Each context maps group-ring elements into its ring with ``project`` and
-gives the irreducible characters ch L_lam in it with ``irreducible``.
+ring a series lives in: the group ring of the weight lattice itself, its
+W-invariant part in the orbit-sum basis (a GroupRingElt keyed by dominant
+weights, c_mu standing for c_mu m_mu), Z (e^mu -> 1, plain ints), or
+Laurent polynomials in one variable z (e^mu -> z^{(mu, xi)}), held as
+GroupRingElts keyed by 1-tuples of z-exponents scaled by the common
+denominator of the functional mu -> (mu, xi).  Each context maps
+group-ring elements into its ring with ``project``, gives the irreducible
+characters ch L_lam in it with ``irreducible`` and the orbit sums m_lam
+with ``orbit_sum``.  The invariant ring writes its coefficients out
+expanded to monomials, so its JSON is the group ring's, byte for byte.
 
 Exponents are exact Fractions; conformal weights at rational level are
 rational, so nothing here ever touches floating point.  Exponents may be
@@ -147,13 +151,17 @@ class GroupRingElt:
 
 
 class _Context:
-    """What the three coefficient rings share; each mode class adds the rest.
+    """What the four coefficient rings share; each context class adds the rest.
 
-    Every mode is the image of the group ring under a ring homomorphism,
-    ``project``: the identity, e^mu -> 1, or e^mu -> z^{(mu, xi)}.  The mode
-    classes derive from this base only, never from one another:
-    perfbench/tracer.py wraps ``mul`` on each mode class, and a class that
-    inherited another's wrapped ``mul`` would count each product twice.
+    Every context is the image of the group ring, or of its W-invariant
+    part, under a ring homomorphism, ``project``: the identity, the
+    restriction of an invariant element to its dominant coefficients,
+    e^mu -> 1, or e^mu -> z^{(mu, xi)}.  The context classes derive from
+    this base only, never from one another: perfbench/tracer.py wraps
+    ``mul`` on the three mode classes, and a class that inherited another's
+    wrapped ``mul`` would count each product twice.  (InvariantContext's
+    products reach that wrapper through the GroupRingContext they expand
+    into.)
     """
 
     def __init__(self, rs: RootSystem):
@@ -167,10 +175,19 @@ class _Context:
 
     def irreducible(self, lam: Weight):
         """ch L_lam in this ring: Freudenthal's full character, projected.
-        TrivialContext and RayContext at rho_check override it with closed forms."""
+        TrivialContext and RayContext at rho_check override it with closed
+        forms, InvariantContext with the dominant multiplicities alone."""
         from .characters import finite_char  # characters imports this module
 
         return self.project(finite_char(self.rs, lam).multiplicities)
+
+    def orbit_sum(self, lams):
+        """The image of sum_{lam in lams} m_lam for distinct dominant lams,
+        m_lam = sum_{beta in W lam} e^beta: the orbits walked and projected
+        once.  TrivialContext and InvariantContext override it without walks."""
+        gre = GroupRingElt()
+        gre.terms = {nu: 1 for lam in lams for nu in self.rs.weyl_orbit(lam)}
+        return self.project(gre)
 
     def matches(self, other) -> bool:
         return (
@@ -205,6 +222,187 @@ class GroupRingContext(_Context):
         return {"coefficients": "group_ring", "type": self.rs.type_label}
 
 
+class InvariantContext(_Context):
+    """The W-invariant part of the group ring, in the orbit-sum basis.
+
+    A coefficient is a GroupRingElt keyed by dominant weights only and
+    stands for sum_mu c_mu m_mu, m_mu = sum_{beta in W mu} e^beta the orbit
+    sum, the way LiE stores characters (van Leeuwen, Cohen, Lisser, LiE,
+    1992).  Addition, scaling and equality are GroupRingElt's and m_0 is
+    GroupRingElt.one; ``mul`` is the orbit product, and ``coeff_json``
+    expands to monomials, so JSON and mismatch reports are the group
+    ring's byte for byte.  Every coefficient of the coset identity (ch
+    L_lam, 1/D, Theta_Q, S_kappa, both sides) is W-invariant and so lives
+    here, one integer per dominant weight instead of one per weight.
+
+    Each RootSystem holds one instance, ``invariant_context(rs)``, whose
+    caches every series built on rs shares: orbit lists, |W_x| per zero
+    pattern, dominant conjugates, ch L_lam per lam and the Euler series.
+    """
+
+    def __init__(self, rs: RootSystem):
+        super().__init__(rs)
+        self._zero: Weight = (0,) * rs.rank
+        self._monomials = GroupRingContext(rs)
+        self._orbits: Dict[Weight, List[Weight]] = {}
+        self._stabilizers: Dict[Tuple[bool, ...], int] = {}
+        self._conjugates: Dict[Weight, Tuple[Weight, int]] = {}
+        self._irreducibles: Dict[Weight, GroupRingElt] = {}
+        self._euler: Dict[frozenset, Tuple[List[GroupRingElt], List[GroupRingElt]]] = {}
+
+    def one(self):
+        return GroupRingElt.one(self.rs.rank)
+
+    def czero(self):
+        return GroupRingElt()
+
+    def is_zero(self, c) -> bool:
+        return c.is_zero()
+
+    def scale(self, a, c):
+        return a.scale(c)
+
+    def _orbit(self, mu: Weight) -> List[Weight]:
+        orbit = self._orbits.get(mu)
+        if orbit is None:
+            orbit = self._orbits[mu] = self.rs.weyl_orbit(mu)
+        return orbit
+
+    def _stabilizer(self, mu: Weight) -> int:
+        """|W_mu| for a dominant mu; it depends only on mu's zero pattern."""
+        key = tuple(map(operator.not_, mu))  # the zero pattern
+        k = self._stabilizers.get(key)
+        if k is None:
+            k = self._stabilizers[key] = self.rs.stabilizer_order(mu)
+        return k
+
+    def _conjugate(self, x: Weight) -> Tuple[Weight, int]:
+        """(dom x, |W_x|) for any weight x, memoized; |W_x| = |W_{dom x}|."""
+        d = self.rs._reflect_to_dominant(x)
+        self._conjugates[x] = hit = (d, self._stabilizer(d))
+        return hit
+
+    def _orbit_size(self, c: GroupRingElt) -> int:
+        order = self.rs.weyl_order
+        return sum(order // self._stabilizer(mu) for mu in c.terms)
+
+    def mul(self, a, b):
+        """The orbit product m_mu m_nu = (1/|W_nu|) sum_{beta in W mu} |W_{beta+nu}| m_{dom(beta+nu)},
+        from sum_{w in W} e^{w x} = |W_x| m_{dom x}.
+
+        Only the orbits of the factor with the smaller total orbit size are
+        expanded; the group ring multiplies that expansion by the other
+        factor's terms of one stabilizer class |W_nu| at a time, and each
+        product is folded onto dominant conjugates and divided by |W_nu|
+        exactly: a nonzero remainder raises.
+        """
+        zero = self._zero
+        if len(a.terms) == 1 and zero in a.terms:
+            return b.scale(a.terms[zero])
+        if len(b.terms) == 1 and zero in b.terms:
+            return a.scale(b.terms[zero])
+        if self._orbit_size(a) > self._orbit_size(b):
+            a, b = b, a
+        classes: Dict[int, GroupRingElt] = {}
+        for nu, c in b.terms.items():
+            classes.setdefault(self._stabilizer(nu), GroupRingElt()).terms[nu] = c
+        expanded = self.expand(a)
+        seen, conjugate = self._conjugates, self._conjugate
+        out: Dict[Weight, object] = {}
+        for k, part in classes.items():
+            acc: Dict[Weight, object] = {}
+            get = acc.get
+            for x, c in self._monomials.mul(expanded, part).terms.items():
+                d, s = seen.get(x) or conjugate(x)
+                acc[d] = get(d, 0) + c * s
+            for d, c in acc.items():
+                out[d] = out.get(d, 0) + _divide_exactly(c, k)
+        res = GroupRingElt()
+        res.terms = {d: c for d, c in out.items() if c != 0}
+        return res
+
+    def expand(self, c: GroupRingElt) -> GroupRingElt:
+        """c over monomials: sum_mu c_mu sum_{beta in W mu} e^beta."""
+        res = GroupRingElt()
+        res.terms = {beta: v for mu, v in c.terms.items() for beta in self._orbit(mu)}
+        return res
+
+    def project(self, gre: GroupRingElt):
+        """The dominant coefficients of a W-invariant gre; UsageError otherwise."""
+        dom = {w: c for w, c in gre.terms.items() if min(w) >= 0}
+        res = GroupRingElt()
+        res.terms = dom
+        to_dominant = self.rs._reflect_to_dominant
+        if self._orbit_size(res) != len(gre.terms) or any(
+                dom.get(to_dominant(w)) != c for w, c in gre.terms.items()):
+            raise UsageError("a W-invariant coefficient ring got a non-invariant element")
+        return res
+
+    def coeff_json(self, c):
+        return self.expand(c).to_json()
+
+    def irreducible(self, lam: Weight):
+        """ch L_lam: Freudenthal's dominant multiplicities, built once per lam."""
+        lam = weight(lam)
+        ch = self._irreducibles.get(lam)
+        if ch is None:
+            from .characters import dominant_multiplicities  # characters imports this module
+
+            ch = self._irreducibles[lam] = GroupRingElt()
+            ch.terms = dominant_multiplicities(self.rs, lam)
+        return ch
+
+    def orbit_sum(self, lams):
+        """sum_{lam in lams} m_lam is the element keyed by the lams."""
+        return GroupRingElt(dict.fromkeys(lams, 1))
+
+    def euler_series(self, char: GroupRingElt, depth: int) -> List[GroupRingElt]:
+        """Coefficients a_0, ..., a_depth of prod_{n>=1} prod_mu (1 - e^mu q^n)^{-c_mu}
+        for a W-invariant char = sum_mu c_mu e^mu with integer c_mu.
+
+        Solves the log-derivative recurrence n a_n = sum_{k=1..n} b_k a_{n-k},
+        b_k = sum_{d | k} d psi^{k/d}(char), where the Adams operation psi^m
+        sends m_mu to m_{m mu} (Kac, Infinite-dimensional Lie algebras,
+        10.10).  The coefficients are cached per char and extended on
+        demand, so one series serves every depth and every side built on
+        this root system.
+        """
+        inv = self.project(char)
+        b, a = self._euler.setdefault(frozenset(inv.terms.items()), ([self.czero()], [self.one()]))
+        for n in range(len(a), depth + 1):
+            bn = GroupRingElt()
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    bn = bn + inv.frobenius(n // d).scale(d)
+            b.append(bn)
+            acc = GroupRingElt()
+            for k in range(1, n + 1):
+                acc = acc + self.mul(b[k], a[n - k])
+            an = GroupRingElt()
+            an.terms = {w: _divide_exactly(c, n) for w, c in acc.terms.items()}
+            a.append(an)
+        return a[: depth + 1]
+
+    def describe(self) -> dict:
+        return {"coefficients": "group_ring", "type": self.rs.type_label}
+
+
+def invariant_context(rs: RootSystem) -> InvariantContext:
+    """rs's one InvariantContext, made on first use and held by rs, so the
+    series built on rs share its caches and they are freed with rs."""
+    if rs._invariant_context is None:
+        rs._invariant_context = InvariantContext(rs)
+    return rs._invariant_context
+
+
+def _divide_exactly(c: int, k: int) -> int:
+    """c / k for integers, which must divide."""
+    q, r = divmod(c, k)
+    if r:
+        raise AssertionError(f"orbit-basis coefficient {c} is not divisible by {k}")
+    return q
+
+
 class TrivialContext(_Context):
     """Coefficients are plain integers: e^mu -> 1."""
 
@@ -229,6 +427,11 @@ class TrivialContext(_Context):
     def irreducible(self, lam: Weight):
         """dim L_lam, by the Weyl dimension formula."""
         return self.rs.weyl_dimension(lam)
+
+    def orbit_sum(self, lams):
+        """sum of the orbit sizes |W| / |W_lam|."""
+        rs = self.rs
+        return sum(rs.weyl_order // rs.stabilizer_order(lam) for lam in lams)
 
     def describe(self) -> dict:
         return {"coefficients": "trivial", "type": self.rs.type_label}
@@ -510,6 +713,7 @@ def specialize(f: GradedCharacter, mode: str, xi: Optional[Weight] = None) -> Gr
     """Ring homomorphism to a single-variable series.
 
     mode "trivial" sends e^mu -> 1; mode "ray" sends e^mu -> z^{(mu, xi)}.
+    A series of the W-invariant ring is expanded to monomials first.
     Specializing an already-specialized series is the identity (trivial on
     trivial) or an error for incompatible requests.
     """
@@ -518,10 +722,11 @@ def specialize(f: GradedCharacter, mode: str, xi: Optional[Weight] = None) -> Gr
         raise UsageError(f"unknown specialization mode {mode!r}")
     if isinstance(ctx, TrivialContext) and mode == "trivial":
         return f
-    if not isinstance(ctx, GroupRingContext):
+    if not isinstance(ctx, (GroupRingContext, InvariantContext)):
         raise UsageError(f"cannot {mode}-specialize an already specialized series")
     new_ctx = make_context(ctx.rs, mode, xi)
-    return GradedCharacter(new_ctx, f.order, {e: new_ctx.project(c) for e, c in f.terms.items()})
+    expand = ctx.expand if isinstance(ctx, InvariantContext) else lambda c: c
+    return GradedCharacter(new_ctx, f.order, {e: new_ctx.project(expand(c)) for e, c in f.terms.items()})
 
 
 def series_equal(f: GradedCharacter, g: GradedCharacter):

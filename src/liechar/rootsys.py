@@ -152,8 +152,9 @@ class RootSystem:
 
     Built from a finite-type Cartan matrix; all derived quantities
     (positive roots, Weyl vectors, dual Coxeter number, lacity, Weyl
-    group order) are computed, not table lookups.  Instances are
-    immutable after construction and safe to share.
+    group order) are computed, not table lookups.  The root data is
+    immutable after construction and safe to share; the one mutable part
+    is the cache of the W-invariant coefficient ring, which only grows.
     """
 
     def __init__(self, cartan: Sequence[Sequence[int]], type_label: str):
@@ -195,7 +196,10 @@ class RootSystem:
         steps = [int(d * self.lacity) for d in self.symmetrizer]
         self._coroot_coords: Tuple[Tuple[int, ...], ...] = tuple(
             self._coroot(alpha, steps) for alpha in self.positive_roots)
-        self.weyl_order: int = self._weyl_order_from_heights()
+        self.weyl_order: int = _weyl_order_from_heights(self._heights)
+        # the W-invariant coefficient ring and its caches, made on first use
+        # by qseries.invariant_context and freed with this root system
+        self._invariant_context = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -245,15 +249,6 @@ class RootSystem:
         if any(r for _, r in out):
             raise AssertionError("a coroot came out non-integral")
         return tuple(k for k, _ in out)
-
-    def _weyl_order_from_heights(self) -> int:
-        # exponents are the conjugate partition of the height histogram
-        counts = self._heights
-        exponents = [sum(1 for c in counts if c >= i) for i in range(1, counts[0] + 1)]
-        order = 1
-        for m in exponents:
-            order *= m + 1
-        return order
 
     # -- basic queries ---------------------------------------------------------
 
@@ -417,6 +412,19 @@ class RootSystem:
             level = nxt
             sign = -sign
 
+    def stabilizer_order(self, lam: Weight) -> int:
+        """|W_lam| for a dominant lam, without walking its orbit.
+
+        W_lam is the parabolic subgroup generated by the simple reflections
+        of lam's zero coordinates, so its order is the Weyl order of the
+        positive roots supported on those coordinates, read off their height
+        histogram like ``weyl_order``.
+        """
+        zero = [c == 0 for c in self._dominant(lam, "stabilizer_order")]
+        heights = Counter(sum(rc) for rc in self._root_coords.values()
+                          if all(zero[i] for i, c in enumerate(rc) if c))
+        return _weyl_order_from_heights([heights[h] for h in range(1, len(heights) + 1)])
+
     def star(self, lam: Weight) -> Weight:
         """Highest weight of the dual representation: -w_0(lam)."""
         lam = self._dominant(lam, "star")
@@ -498,6 +506,17 @@ class RootSystem:
 
     def __repr__(self) -> str:
         return f"RootSystem({self.type_label})"
+
+
+def _weyl_order_from_heights(counts: Sequence[int]) -> int:
+    """Order of the Weyl group whose positive roots number counts[h - 1] at
+    height h: the exponents are the conjugate partition of that histogram
+    (Shapiro, Steinberg, Kostant), also for a reducible root system, and
+    |W| = prod (m_i + 1)."""
+    order = 1
+    for i in range(1, (counts[0] if counts else 0) + 1):
+        order *= 1 + sum(1 for c in counts if c >= i)
+    return order
 
 
 def alternating_sum(rs: RootSystem, mu: Weight, bound) -> Dict[Fraction, int]:

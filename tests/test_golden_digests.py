@@ -4,13 +4,16 @@ SHA-256 of ``canonical_str()`` for five constructors on A3, B2, C3 and G2,
 in every coefficient ring: the group ring, ``trivial``, ``ray`` along the
 dual Weyl vector and ``ray`` along a coweight with fractional coordinates.
 The verifier sides (the coset sum on the same four types, the coset RHS
-and the lattice-theta LHS on A3) are digested the same way, in SIDE_GOLDEN.
+and the lattice-theta LHS on A3) are digested the same way, in SIDE_GOLDEN,
+and the group_ring coset sides on A1-D4 at integer and fractional orders in
+GROUP_RING_SIDE_GOLDEN.
 The whole stdout of ``liechar char --which finite|weyl`` in the
 specialized rings, on D5, B3 and E6 with weights in and outside the root
 lattice, is digested in CLI_GOLDEN.
 A change that moves any byte of these series fails here.  To re-record
 after an intended change of output, run this file as a script and paste
-what it prints into GOLDEN, SIDE_GOLDEN and CLI_GOLDEN.
+what it prints into GOLDEN, SIDE_GOLDEN, GROUP_RING_SIDE_GOLDEN and
+CLI_GOLDEN.
 """
 
 import contextlib
@@ -209,6 +212,33 @@ SIDE_GOLDEN = {
 }
 
 
+# group_ring verifier sides on larger types and at fractional orders,
+# recorded while both sides were still built over monomials: the coset RHS
+# at q^3, and the coset sum at q^(1/2) and q^(7/2).
+GROUP_RING_SIDES = [("coset_rhs_character", t, 3) for t in ["A1", "A2", "A4", "D4"]] + [
+    ("assemble_coset_character", t, order) for t in ["A2", "A4", "D4"] for order in ["1/2", "7/2"]]
+
+GROUP_RING_SIDE_GOLDEN = {
+    ('coset_rhs_character', 'A1', 3): '49d28c39d53b424de68ca6d6524c292b0ebe34ff75251ea81a24f561eda5de51',
+    ('coset_rhs_character', 'A2', 3): '9042f9b0afb2bd11808e58504af77af3d37a4b70ee786e989438132cb4bd7756',
+    ('coset_rhs_character', 'A4', 3): '1b20811c6c2184c9fe5d19eb9098521831bfb6f541ff156c9a2b70806144ed97',
+    ('coset_rhs_character', 'D4', 3): '746711ec77c11ea51045d953d956f3f0db8fd882ca31a96b20fcbeaee3ae2174',
+    ('assemble_coset_character', 'A2', '1/2'): '111303b2947c2935ed8c1ae6b56cfd9523bc78e2395bb3ba0d4eecf76ca5cf08',
+    ('assemble_coset_character', 'A2', '7/2'): 'fa31b7a8968fcf83788bcac7459d2da6347b92e9a7fb2a66398dbb80826a0069',
+    ('assemble_coset_character', 'A4', '1/2'): '0eb6a34397bbd91cc502735d3c6d689d0bc97e571ad9e293e0e0226ca2444290',
+    ('assemble_coset_character', 'A4', '7/2'): '4493c95739cb2f94b38d3287ccbdb5ca54c018b39d4211e2d172d8f33ab7372b',
+    ('assemble_coset_character', 'D4', '1/2'): '1e7ab23745d60cb99b3b376c5158489e2c4be6e35490224ea5c36e0f0a353c7a',
+    ('assemble_coset_character', 'D4', '7/2'): 'd311e0f98e022aa40d9539e771e5da9a31a6afcd04711954c2d57a287f4c9f29',
+}
+
+
+def _group_ring_side_digest(builder, label, order):
+    rs = build_root_system(label)
+    kappa = default_kappa_samples(rs, 1)[0]
+    side = assemble_coset_character if builder == "assemble_coset_character" else coset_rhs_character
+    return _sha(side(rs, kappa, F(order)))
+
+
 # ``liechar char`` in trivial, ray along rho_check and ray along a rational
 # coweight, recorded while ch L_lam still came from Freudenthal plus project
 # in every ring.
@@ -267,6 +297,11 @@ def test_verifier_side_digests(builder, label):
     assert got == {m: SIDE_GOLDEN[builder, label, m] for m in MODES}
 
 
+@pytest.mark.parametrize("builder,label,order", GROUP_RING_SIDES)
+def test_group_ring_side_digests(builder, label, order):
+    assert _group_ring_side_digest(builder, label, order) == GROUP_RING_SIDE_GOLDEN[builder, label, order]
+
+
 @pytest.mark.parametrize("which,label,spec", CLI_CASES)
 def test_char_cli_digests(which, label, spec):
     assert _cli_digest(which, label, spec) == CLI_GOLDEN[which, label, spec]
@@ -281,6 +316,9 @@ if __name__ == "__main__":
     for b, label in SIDES:
         for m in MODES:
             print(f"    ({b!r}, {label!r}, {m!r}): {_side_digest(b, label, m)!r},")
+    print()
+    for case in GROUP_RING_SIDES:
+        print(f"    {case!r}: {_group_ring_side_digest(*case)!r},")
     print()
     for case in CLI_CASES:
         print(f"    {case!r}: {_cli_digest(*case)!r},")

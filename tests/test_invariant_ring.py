@@ -1,0 +1,186 @@
+"""The W-invariant coefficient ring against the monomial group ring it replaces.
+
+``InvariantContext`` keeps one coefficient per dominant weight (the
+orbit-sum basis); ``GroupRingContext`` keeps one per weight and stays as
+the oracle.  After expansion to monomials, products, Euler products and
+the coset RHS must agree exactly, and the parabolic stabilizer orders that
+replace orbit walks must agree with the walks.
+"""
+
+import itertools
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from liechar import (
+    GradedCharacter,
+    GroupRingContext,
+    GroupRingElt,
+    InvariantContext,
+    TrivialContext,
+    UsageError,
+    assemble_coset_character,
+    build_root_system,
+    coset_rhs_character,
+    default_kappa_samples,
+    denominator_inverse,
+    euler_product,
+    invariant_context,
+    lattice_theta,
+    level_one_char,
+    specialize,
+)
+from liechar import characters
+from liechar.characters import _adjoint_char
+
+SMALL_LABELS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "F4", "G2"]
+ORACLE_TYPES = [build_root_system(t) for t in ["A1", "A2", "A3", "B2", "B3", "C3", "G2"]]
+
+
+def _monomial_series(ctx, f):
+    """An invariant-ring series over the monomial group ring."""
+    mono = GroupRingContext(ctx.rs)
+    return GradedCharacter(mono, f.order, {e: ctx.expand(c) for e, c in f.terms.items()})
+
+
+# -- stabilizers and theta without orbit walks -----------------------------------
+
+
+@pytest.mark.parametrize("label", SMALL_LABELS)
+def test_stabilizer_order_matches_the_orbit_walk(label):
+    rs = build_root_system(label)
+    for pattern in itertools.product([0, 1, 2], repeat=rs.rank):
+        assert rs.stabilizer_order(pattern) * len(rs.weyl_orbit(pattern)) == rs.weyl_order
+
+
+@pytest.mark.parametrize("label", SMALL_LABELS)
+def test_theta_without_walks_matches_the_walked_theta(label):
+    rs = build_root_system(label)
+    walked = lattice_theta(GroupRingContext(rs), 2)
+    assert lattice_theta(TrivialContext(rs), 2) == specialize(walked, "trivial")
+    assert lattice_theta(invariant_context(rs), 2).canonical_str() == walked.canonical_str()
+
+
+def test_e8_theta_counts_240_sigma_3():
+    # Theta_{E8} = E_4 = 1 + 240 sum_n sigma_3(n) q^n (Serre, A Course in
+    # Arithmetic, ch. VII)
+    theta = lattice_theta(TrivialContext(build_root_system("E8")), 3)
+    assert [theta.coeff(n) for n in range(4)] == [1, 240, 2160, 6720]
+
+
+def test_d5_theta_counts_roots_and_norm_four_vectors():
+    # 40 roots; 10 vectors +-2 e_i and 80 of the form (+-1)^4 0
+    theta = lattice_theta(TrivialContext(build_root_system("D5")), 2)
+    assert [theta.coeff(n) for n in range(3)] == [1, 40, 90]
+
+
+# -- the orbit product ------------------------------------------------------------
+
+
+@st.composite
+def invariant_elements(draw, rs, max_terms=4):
+    """A W-invariant element as dominant weight -> coefficient."""
+    weights = st.tuples(*[st.integers(0, 2)] * rs.rank)
+    terms = draw(st.dictionaries(weights, st.integers(-3, 3), max_size=max_terms))
+    return GroupRingElt(terms)
+
+
+@st.composite
+def product_inputs(draw):
+    rs = draw(st.sampled_from(ORACLE_TYPES))
+    return rs, draw(invariant_elements(rs)), draw(invariant_elements(rs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(product_inputs())
+def test_orbit_product_matches_the_group_ring_product(case):
+    rs, a, b = case
+    ctx = invariant_context(rs)
+    assert ctx.expand(ctx.mul(a, b)) == ctx.expand(a) * ctx.expand(b)
+    assert ctx.project(ctx.expand(a) * ctx.expand(b)) == ctx.mul(a, b)
+
+
+def test_projecting_a_non_invariant_element_raises():
+    rs = build_root_system("A2")
+    ctx = invariant_context(rs)
+    with pytest.raises(UsageError, match="non-invariant"):
+        ctx.project(GroupRingElt({rs.simple_roots[0]: 1}))
+    theta_orbit = GroupRingElt(dict.fromkeys(rs.weyl_orbit(rs.highest_root), 1))
+    with pytest.raises(UsageError, match="non-invariant"):
+        ctx.project(theta_orbit + GroupRingElt({rs.highest_root: 1}))
+    assert ctx.project(theta_orbit) == GroupRingElt({rs.highest_root: 1})
+
+
+# -- Euler products ----------------------------------------------------------------
+
+
+@st.composite
+def euler_inputs(draw):
+    rs = draw(st.sampled_from(ORACLE_TYPES))
+    # exponents in several classes mod 1, some below q^0
+    exponents = st.sampled_from([F(-1), F(-1, 2), F(0), F(1, 3), F(1, 2), F(1), F(4, 3), F(2)])
+    terms = draw(st.dictionaries(exponents, invariant_elements(rs, 2), min_size=1, max_size=3))
+    order = draw(st.sampled_from([F(1), F(3, 2), F(2), F(7, 3)]))
+    sign = draw(st.sampled_from([1, -1]))
+    return rs, terms, order, sign
+
+
+@settings(max_examples=40, deadline=None)
+@given(euler_inputs())
+def test_invariant_euler_product_matches_the_monomial_passes(case):
+    rs, terms, order, sign = case
+    ctx = invariant_context(rs)
+    f = GradedCharacter(ctx, order, terms)
+    char = _adjoint_char(rs).scale(sign)
+    got = euler_product(f, char)
+    assert got.order == order
+    assert got.canonical_str() == euler_product(_monomial_series(ctx, f), char).canonical_str()
+
+
+def test_euler_series_extends_its_cache_exactly():
+    rs = build_root_system("B2")
+    shared = invariant_context(rs)
+    char = _adjoint_char(rs)
+    shallow = shared.euler_series(char, 2)
+    deep = shared.euler_series(char, 5)
+    assert deep[:3] == shallow and deep[0] == shared.one()
+    assert InvariantContext(rs).euler_series(char, 5) == deep
+
+
+# -- the coset sides ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3"])
+@pytest.mark.parametrize("order", [F(0), F(1, 2), F(2), F(5, 2)])
+def test_coset_rhs_matches_the_monomial_rhs(label, order):
+    rs = build_root_system(label)
+    mono = GroupRingContext(rs)
+    want = denominator_inverse(mono, order).mul(level_one_char(mono, order))
+    got = coset_rhs_character(rs, default_kappa_samples(rs, 1)[0], order)
+    assert got.canonical_str() == want.canonical_str()
+
+
+def test_group_ring_sides_build_each_irreducible_once(monkeypatch):
+    built = []
+    real = characters.dominant_multiplicities
+
+    def counting(rs, lam):
+        built.append(lam)
+        return real(rs, lam)
+
+    monkeypatch.setattr(characters, "dominant_multiplicities", counting)
+    rs = build_root_system("A2")
+    for kappa in default_kappa_samples(rs, 2):
+        assemble_coset_character(rs, kappa, 3)
+    coset_rhs_character(rs, 0, 3)
+    assert sorted(built) == sorted(rs.dominant_weights_in_root_lattice(3))
+
+
+def test_specializing_an_invariant_series_expands_it_first():
+    rs = build_root_system("A2")
+    side = coset_rhs_character(rs, 0, 2)
+    mono = _monomial_series(side.context, side)
+    for mode in ["trivial", "ray"]:
+        assert specialize(side, mode) == specialize(mono, mode)

@@ -293,24 +293,40 @@ def test_verifiers_refuse_a_side_known_short_of_the_order(monkeypatch):
         verify_gko("A1", 2)
 
 
-# canonical JSON of first_mismatch for A2 q^2 with the RHS bumped by e^{alpha_1} q
+# canonical JSON of first_mismatch for A2 q^2 with the RHS bumped at q^1: by
+# e^{alpha_1} in trivial and ray, and in group_ring, whose sides live in the
+# W-invariant ring, by the orbit sum of alpha_1 (digest recorded with the
+# monomial group ring, before the sides moved to the invariant ring)
 BUMPED_RHS_MISMATCH = {
-    "group_ring": "d39e95f46756a6128046b87122f50abf8613e91d62533d5cb505d42820f064c5",
+    "group_ring": "bd9c5a213b9323d67c81f31b8afdf9cfbb433d1ab60c947c10f0e25ac23fe52d",
     "trivial": "63854f77c19a2f19822454f70617802eb074e2832f970ccc7394e5492945ad76",
     "ray": "44160719f815fb8a6541d5f62ae25f9cbddedeed68ff2523941f33db3ad07141",
 }
+
+
+def _bump(rs, mode):
+    alpha = rs.simple_roots[0]
+    if mode != "group_ring":
+        return GroupRingElt({alpha: 1})
+    return GroupRingElt(dict.fromkeys(rs.weyl_orbit(rs.dominant_representative(alpha)), 1))
+
+
+def _bumped_rhs(bump):
+    rhs = levels.coset_rhs_character
+
+    def bumped(rs, kappa, order, mode="group_ring", xi=None):
+        f = rhs(rs, kappa, order, mode, xi)
+        ctx = f.context
+        return f.add(GradedCharacter(ctx, order, {1: ctx.project(bump(rs, mode))}))
+
+    return bumped
 
 
 @pytest.mark.parametrize("mode", sorted(BUMPED_RHS_MISMATCH))
 def test_negative_control_reports_the_same_first_mismatch(monkeypatch, mode):
     # series_equal compares coefficients with !=; the report of a perturbed
     # RHS must still name the same exponent and the same two coefficients
-    rhs = levels.coset_rhs_character
-
-    def bumped(rs, kappa, order, mode="group_ring", xi=None):
-        f = rhs(rs, kappa, order, mode, xi)
-        ctx = f.context
-        return f.add(GradedCharacter(ctx, order, {1: ctx.project(GroupRingElt({rs.simple_roots[0]: 1}))}))
+    bumped = _bumped_rhs(_bump)
 
     monkeypatch.setattr(levels, "coset_rhs_character", bumped)
     rep = verify_gko("A2", 2, mode)
@@ -319,6 +335,14 @@ def test_negative_control_reports_the_same_first_mismatch(monkeypatch, mode):
     assert rep.first_mismatch["comparison"] == "lhs[kappa=0] vs rhs"
     text = json.dumps(rep.first_mismatch, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == BUMPED_RHS_MISMATCH[mode]
+
+
+def test_group_ring_sides_refuse_a_non_invariant_bump(monkeypatch):
+    # e^{alpha_1} alone is not W-invariant, so the invariant ring rejects it
+    monkeypatch.setattr(levels, "coset_rhs_character",
+                        _bumped_rhs(lambda rs, mode: GroupRingElt({rs.simple_roots[0]: 1})))
+    with pytest.raises(UsageError, match="non-invariant"):
+        verify_gko("A2", 2)
 
 
 def test_kappa_independence_reports_the_first_mismatch(monkeypatch):

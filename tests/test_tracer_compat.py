@@ -106,10 +106,11 @@ def test_tracer_counts_the_verifiers_lambda_summands():
 
 def test_specialized_verifiers_build_no_freudenthal_character():
     # trivial takes ch L_lam from the Weyl dimension and ray at rho_check from
-    # the principal specialization; group_ring still runs Freudenthal once per
-    # lambda and kappa sample
+    # the principal specialization; group_ring runs Freudenthal's recursion
+    # once per lambda, on dominant weights only and cached for both kappa
+    # samples, with no finite_char orbit spread
     got = _run_traced(FINITE_CHAR_SCRIPT)
     n = got["n_lams"]
-    assert got["group_ring"] == {"finite_char": 2 * n, "summands": 2 * n, "inv_d_calls": 1}
+    assert got["group_ring"] == {"finite_char": 0, "summands": 2 * n, "inv_d_calls": 1}
     assert got["trivial"] == {"finite_char": 0, "summands": 2 * n, "inv_d_calls": 1}
     assert got["ray"] == {"finite_char": 0, "summands": 2 * n, "inv_d_calls": 1}
