@@ -28,7 +28,6 @@ from .qseries import (
     InvariantContext,
     RayContext,
     TrivialContext,
-    invariant_context,
     make_context,
     pochhammer_finite,
     pochhammer_inverse,
@@ -51,7 +50,6 @@ from .characters import (
     lattice_theta,
     level,
     level_one_char,
-    orbit_alternating_sum,
     sym2_decompose,
     walgebra_module_char,
     weyl_module_char,

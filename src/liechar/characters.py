@@ -10,8 +10,9 @@ conjugate.  The Weyl dimension formula and the alternating-orbit-sum form
 of the Weyl character formula are independent cross-checks in the tests.
 Callers take ch L_lam from their coefficient context (``irreducible``),
 which uses a closed form in ``trivial`` and in ``ray`` along rho_check,
-the dominant multiplicities themselves in the W-invariant ring, and this
-recursion spread over orbits everywhere else.
+the dominant multiplicities themselves in the W-invariant ring
+(``group_ring``), and this recursion spread over orbits along any other xi
+and in the monomial oracle ring.
 
 Pochhammer products, D, 1/D and (q;q)^{-rank}, are applied to a series
 one Euler factor at a time (``euler_product``); the product forms in
@@ -131,11 +132,6 @@ def dominant_multiplicities(rs: RootSystem, lam: Weight) -> Dict[Weight, int]:
             raise AssertionError("Freudenthal produced a non-positive-integer multiplicity")
         mult[mu] = int(m)
     return mult
-
-
-def orbit_alternating_sum(rs: RootSystem, mu: Weight) -> GroupRingElt:
-    """A_mu = sum_w eps(w) e^{w(mu)} for regular dominant mu."""
-    return GroupRingElt({nu: par for nu, par in rs.weyl_orbit_signed(mu)})
 
 
 def casimir(rs: RootSystem, lam: Weight) -> Fraction:

@@ -7,7 +7,7 @@ pair behind both.  The verifiers assemble both sides of the coset
 character identity and of the lattice theta identity from independent
 constituents and compare coefficients exactly.  In ``group_ring`` the two
 coset sides share one cached series for the factors of 1/D, which cannot
-hide a mismatch (``_coset_context``).
+hide a mismatch (``make_context``).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .characters import (
 from .linalg import frac
 from .qseries import (
     GradedCharacter,
-    invariant_context,
     make_context,
     rat_str,
     series_equal,
@@ -220,20 +219,6 @@ def _lambda_sum(rs: RootSystem, ctx, order: Fraction, factor) -> GradedCharacter
     return total
 
 
-def _coset_context(rs: RootSystem, mode: str, xi):
-    """The coefficient ring of both coset sides.
-
-    In ``group_ring`` every coefficient of the identity is W-invariant, so
-    both sides are built in rs's W-invariant ring and share its caches: ch
-    L_lam, and one series E for the mu != 0 factors of 1/D, by which both
-    the kappa samples and the RHS are multiplied.  That sharing cannot turn
-    a failure into a pass: E = 1 + O(q) is invertible, so S E = T E holds
-    exactly when S = T, and a wrong E could only misreport the mismatching
-    coefficients, not hide a mismatch.
-    """
-    return invariant_context(rs) if mode == "group_ring" else make_context(rs, mode, xi)
-
-
 def assemble_coset_character(
     rs: RootSystem, kappa_value, order, mode: str = "group_ring", xi=None
 ) -> GradedCharacter:
@@ -242,7 +227,7 @@ def assemble_coset_character(
     computed as S_kappa = sum_lam q^{h_lam} ch[L_lam] ch[W_{lam*}] divided by D
     one Euler factor at a time (in ``group_ring``, the mu != 0 factors at once)."""
     order = frac(order)
-    ctx = _coset_context(rs, mode, xi)
+    ctx = make_context(rs, mode, xi)
     kappa = level(rs, kappa_value)
     kappa.require_noncritical()
     partner = kernel_partner_level(kappa, 1)
@@ -258,7 +243,7 @@ def assemble_coset_character(
 def coset_rhs_character(rs: RootSystem, kappa_value, order, mode: str = "group_ring", xi=None) -> GradedCharacter:
     """RHS: ch[vacuum affine module at kappa - 1] * ch[level-one lattice algebra]."""
     order = frac(order)
-    ctx = _coset_context(rs, mode, xi)
+    ctx = make_context(rs, mode, xi)
     level(rs, frac(kappa_value) - 1).require_noncritical()
     return denominator_inverse(ctx, order).mul(level_one_char(ctx, order))
 

@@ -4,16 +4,19 @@ A GradedCharacter is a finite map {rational exponent -> coefficient}
 together with a truncation order N: the stored data determines the
 series exactly for every exponent <= N.  There is one sparse coefficient
 type, GroupRingElt, keyed by int tuples.  A coefficient context fixes the
-ring a series lives in: the group ring of the weight lattice itself, its
-W-invariant part in the orbit-sum basis (a GroupRingElt keyed by dominant
-weights, c_mu standing for c_mu m_mu), Z (e^mu -> 1, plain ints), or
+ring a series lives in, and ``make_context`` decides which ring each mode
+means: ``group_ring`` is the W-invariant part of the group ring in the
+orbit-sum basis (a GroupRingElt keyed by dominant weights, c_mu standing
+for c_mu m_mu), ``trivial`` is Z (e^mu -> 1, plain ints), and ``ray`` is
 Laurent polynomials in one variable z (e^mu -> z^{(mu, xi)}), held as
 GroupRingElts keyed by 1-tuples of z-exponents scaled by the common
-denominator of the functional mu -> (mu, xi).  Each context maps
-group-ring elements into its ring with ``project``, gives the irreducible
-characters ch L_lam in it with ``irreducible`` and the orbit sums m_lam
-with ``orbit_sum``.  The invariant ring writes its coefficients out
-expanded to monomials, so its JSON is the group ring's, byte for byte.
+denominator of the functional mu -> (mu, xi).  The group ring over
+monomials, GroupRingContext, is the invariant ring's multiplier and the
+tests' oracle.  Each context maps group-ring elements into its ring with
+``project``, gives the irreducible characters ch L_lam in it with
+``irreducible`` and the orbit sums m_lam with ``orbit_sum``.  The
+invariant ring writes its coefficients out expanded to monomials, so its
+JSON is the group ring's, byte for byte.
 
 Exponents are exact Fractions; conformal weights at rational level are
 rational, so nothing here ever touches floating point.  Exponents may be
@@ -156,16 +159,30 @@ class _Context:
     Every context is the image of the group ring, or of its W-invariant
     part, under a ring homomorphism, ``project``: the identity, the
     restriction of an invariant element to its dominant coefficients,
-    e^mu -> 1, or e^mu -> z^{(mu, xi)}.  The context classes derive from
-    this base only, never from one another: perfbench/tracer.py wraps
-    ``mul`` on the three mode classes, and a class that inherited another's
-    wrapped ``mul`` would count each product twice.  (InvariantContext's
-    products reach that wrapper through the GroupRingContext they expand
-    into.)
+    e^mu -> 1, or e^mu -> z^{(mu, xi)}.  The base holds the ring operations
+    of GroupRingElt coefficients, of rank rs.rank; RayContext's unit has
+    rank 1, and TrivialContext's coefficients are plain numbers.  The
+    context classes derive from this base only, never from one another:
+    perfbench/tracer.py wraps ``mul`` on the three mode classes, and a class
+    that inherited another's wrapped ``mul`` would count each product twice.
+    (InvariantContext's products reach that wrapper through the
+    GroupRingContext they expand into.)
     """
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
+
+    def one(self):
+        return GroupRingElt.one(self.rs.rank)
+
+    def czero(self):
+        return GroupRingElt()
+
+    def is_zero(self, c) -> bool:
+        return c.is_zero()
+
+    def scale(self, a, c):
+        return a.scale(c)
 
     def add(self, a, b):
         return a + b
@@ -198,19 +215,11 @@ class _Context:
 
 
 class GroupRingContext(_Context):
-    """Coefficients are GroupRingElt over a fixed root system's weight lattice."""
+    """Coefficients are GroupRingElt over a fixed root system's weight lattice.
 
-    def one(self):
-        return GroupRingElt.one(self.rs.rank)
-
-    def czero(self):
-        return GroupRingElt()
-
-    def is_zero(self, c) -> bool:
-        return c.is_zero()
-
-    def scale(self, a, c):
-        return a.scale(c)
+    InvariantContext multiplies through it, and the tests build their
+    monomial oracles in it; ``make_context`` never returns it.
+    """
 
     def coeff_json(self, c):
         return c.to_json()
@@ -235,9 +244,9 @@ class InvariantContext(_Context):
     L_lam, 1/D, Theta_Q, S_kappa, both sides) is W-invariant and so lives
     here, one integer per dominant weight instead of one per weight.
 
-    Each RootSystem holds one instance, ``invariant_context(rs)``, whose
-    caches every series built on rs shares: orbit lists, |W_x| per zero
-    pattern, dominant conjugates, ch L_lam per lam and the Euler series.
+    Each RootSystem holds one instance, ``make_context(rs, "group_ring")``,
+    whose caches every series built on rs shares: orbit lists, |W_x| per
+    zero pattern, dominant conjugates, ch L_lam per lam and the Euler series.
     """
 
     def __init__(self, rs: RootSystem):
@@ -249,18 +258,6 @@ class InvariantContext(_Context):
         self._conjugates: Dict[Weight, Tuple[Weight, int]] = {}
         self._irreducibles: Dict[Weight, GroupRingElt] = {}
         self._euler: Dict[frozenset, Tuple[List[GroupRingElt], List[GroupRingElt]]] = {}
-
-    def one(self):
-        return GroupRingElt.one(self.rs.rank)
-
-    def czero(self):
-        return GroupRingElt()
-
-    def is_zero(self, c) -> bool:
-        return c.is_zero()
-
-    def scale(self, a, c):
-        return a.scale(c)
 
     def _orbit(self, mu: Weight) -> List[Weight]:
         orbit = self._orbits.get(mu)
@@ -387,14 +384,6 @@ class InvariantContext(_Context):
         return {"coefficients": "group_ring", "type": self.rs.type_label}
 
 
-def invariant_context(rs: RootSystem) -> InvariantContext:
-    """rs's one InvariantContext, made on first use and held by rs, so the
-    series built on rs share its caches and they are freed with rs."""
-    if rs._invariant_context is None:
-        rs._invariant_context = InvariantContext(rs)
-    return rs._invariant_context
-
-
 def _divide_exactly(c: int, k: int) -> int:
     """c / k for integers, which must divide."""
     q, r = divmod(c, k)
@@ -458,15 +447,6 @@ class RayContext(_Context):
     def one(self):
         return GroupRingElt.one(1)
 
-    def czero(self):
-        return GroupRingElt()
-
-    def is_zero(self, c) -> bool:
-        return c.is_zero()
-
-    def scale(self, a, c):
-        return a.scale(c)
-
     def coeff_json(self, c):
         return [
             {"zexp": rat_str(Fraction(k, self.den)), "coeff": _coord_json(v)}
@@ -505,8 +485,22 @@ class RayContext(_Context):
 
 
 def make_context(rs: RootSystem, mode: str = "group_ring", xi: Optional[Weight] = None):
+    """The coefficient ring of ``mode`` on rs; a coweight xi applies to ``ray`` only.
+
+    ``group_ring`` is rs's one InvariantContext, made on first use and held
+    by rs, so every series built on rs shares its caches (among them ch L_lam
+    and one series E for the mu != 0 factors of 1/D) and they are freed
+    with rs.  The identities compare W-invariant coefficients only, and a
+    shared E cannot turn a failure into a pass: E = 1 + O(q) is invertible,
+    so S E = T E holds exactly when S = T, and a wrong E could only
+    misreport the mismatching coefficients, not hide a mismatch.
+    """
+    if xi is not None and mode != "ray":
+        raise UsageError(f"a coweight xi applies to mode 'ray' only, not {mode!r}")
     if mode == "group_ring":
-        return GroupRingContext(rs)
+        if rs._invariant_context is None:
+            rs._invariant_context = InvariantContext(rs)
+        return rs._invariant_context
     if mode == "trivial":
         return TrivialContext(rs)
     if mode == "ray":
@@ -544,15 +538,6 @@ class GradedCharacter:
     def lower_bound(self) -> Fraction:
         """Largest L such that the series is known to vanish below L."""
         return min(self.terms) if self.terms else self.order
-
-    def exponent_denominator(self) -> int:
-        den = 1
-        for e in self.terms:
-            den = den * e.denominator // math.gcd(den, e.denominator)
-        return den
-
-    def exponents(self) -> List[Fraction]:
-        return sorted(self.terms)
 
     # -- ring operations -------------------------------------------------------
 
@@ -713,9 +698,11 @@ def specialize(f: GradedCharacter, mode: str, xi: Optional[Weight] = None) -> Gr
     """Ring homomorphism to a single-variable series.
 
     mode "trivial" sends e^mu -> 1; mode "ray" sends e^mu -> z^{(mu, xi)}.
-    A series of the W-invariant ring is expanded to monomials first.
-    Specializing an already-specialized series is the identity (trivial on
-    trivial) or an error for incompatible requests.
+    Two group rings are accepted: make_context's W-invariant ring, whose
+    series are expanded to monomials first, and the monomial
+    GroupRingContext of the tests' oracles.  Specializing an
+    already-specialized series is the identity (trivial on trivial) or an
+    error for incompatible requests.
     """
     ctx = f.context
     if mode not in ("trivial", "ray"):

@@ -198,7 +198,7 @@ class RootSystem:
             self._coroot(alpha, steps) for alpha in self.positive_roots)
         self.weyl_order: int = _weyl_order_from_heights(self._heights)
         # the W-invariant coefficient ring and its caches, made on first use
-        # by qseries.invariant_context and freed with this root system
+        # by qseries.make_context and freed with this root system
         self._invariant_context = None
 
     # -- construction helpers -------------------------------------------------
@@ -317,13 +317,8 @@ class RootSystem:
         alpha = self.simple_roots[i]
         return tuple([x - c * a for x, a in zip(lam, alpha)])
 
-    def dominant_representative(self, lam: Weight) -> Weight:
-        """The dominant weight in the W-orbit of lam."""
-        self._require_rank(lam)
-        return self._reflect_to_dominant(weight(lam))
-
     def _reflect_to_dominant(self, lam: Weight) -> Weight:
-        """dominant_representative, unchecked: lam must be an int tuple of rank n."""
+        """The dominant weight in the W-orbit of lam, an int tuple of rank n (unchecked)."""
         roots = self.simple_roots
         while True:
             i = next((i for i, c in enumerate(lam) if c < 0), None)

@@ -30,7 +30,6 @@ from liechar import (
     kernel_partner_level,
     langlands_dual,
     level,
-    orbit_alternating_sum,
     pochhammer_inverse,
     series_equal,
     singular_constraints,
@@ -41,6 +40,7 @@ from liechar import (
     weight,
 )
 from liechar.linalg import isqrt_rational_floor, sqrt_rational
+from oracles import orbit_alternating_sum
 
 
 def report(num, name, ok):

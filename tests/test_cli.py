@@ -170,6 +170,20 @@ def test_xi_of_wrong_rank_exit_two():
     assert "wrong rank" in res.stderr
 
 
+@pytest.mark.parametrize("spec", ["full", "trivial"])
+@pytest.mark.parametrize("command", [
+    ("verify-gko", "--order", "2"),
+    ("verify-kw", "--order", "2"),
+    ("char", "--which", "theta", "--order", "2"),
+])
+def test_xi_outside_ray_exit_two(command, spec):
+    # a coweight means something only in ray; anywhere else it is refused, not dropped
+    res = run_cli(*command, "--type", "A2", "--spec", spec, "--xi", "1,1")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "xi applies to mode 'ray' only" in res.stderr
+
+
 def test_fail_status_maps_to_exit_one():
     import time
 

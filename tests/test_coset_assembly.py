@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from liechar import (
     GradedCharacter,
+    GroupRingContext,
     assemble_coset_character,
     build_root_system,
     conformal_top_weight,
@@ -49,9 +50,10 @@ def per_lambda_coset(rs, kappa_value, order, mode):
 
     A W-module factor may start at q^{lead_t} < q^0, so its Weyl-module
     partner is needed through order - lead_t, and 1/D deep enough for all.
+    In ``group_ring`` it is built over monomials.
     """
     order = frac(order)
-    ctx = make_context(rs, mode)
+    ctx = GroupRingContext(rs) if mode == "group_ring" else make_context(rs, mode)
     kappa = level(rs, kappa_value)
     partner = kernel_partner_level(kappa, 1)
     needs = []

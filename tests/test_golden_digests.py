@@ -9,11 +9,13 @@ and the group_ring coset sides on A1-D4 at integer and fractional orders in
 GROUP_RING_SIDE_GOLDEN.
 The whole stdout of ``liechar char --which finite|weyl`` in the
 specialized rings, on D5, B3 and E6 with weights in and outside the root
-lattice, is digested in CLI_GOLDEN.
+lattice, is digested in CLI_GOLDEN, and that of ``liechar char --spec full``
+(every builder on A2 and D4) and ``liechar verify-kw --spec full`` in
+FULL_CLI_GOLDEN and FULL_KW_GOLDEN.
 A change that moves any byte of these series fails here.  To re-record
 after an intended change of output, run this file as a script and paste
-what it prints into GOLDEN, SIDE_GOLDEN, GROUP_RING_SIDE_GOLDEN and
-CLI_GOLDEN.
+what it prints into GOLDEN, SIDE_GOLDEN, GROUP_RING_SIDE_GOLDEN,
+CLI_GOLDEN, FULL_CLI_GOLDEN and FULL_KW_GOLDEN.
 """
 
 import contextlib
@@ -261,11 +263,15 @@ def _cli_argv(which, label, spec):
     return argv + ["--spec", "ray" if spec == "ray_rho_check" else spec]
 
 
-def _cli_digest(which, label, spec):
+def _stdout_digest(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main(_cli_argv(which, label, spec)) == 0
+        assert main(argv) == 0
     return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def _cli_digest(which, label, spec):
+    return _stdout_digest(_cli_argv(which, label, spec))
 
 
 CLI_GOLDEN = {
@@ -282,6 +288,65 @@ CLI_GOLDEN = {
     ('weyl', 'B3', 'ray_rho_check'): 'a3d54ba0fa3732de0ae161cbb1ca99ef14cc2827a6e6cb9c96d20374c13b36c8',
     ('weyl', 'B3', 'ray_rational'): '9824b85985f04385d7abd6add542f0ebb119ef32a5215de25b89633271ada0ab',
     ('finite', 'E6', 'ray_rho_check'): '6a038f8a9a59dd42fedfe683ae293e897b6b06fde874c71a1369d23713498878',
+}
+
+
+# ``liechar char --spec full`` for every builder, without --lambda (lambda =
+# 0) and with it, and ``liechar verify-kw --spec full``, recorded while
+# make_context's group_ring was still the monomial group ring.
+FULL_CLI_BUILDERS = ["level-one", "weyl", "wmod", "denominator", "denominator-inverse", "finite", "theta"]
+FULL_CLI_LAMBDA = {"A2": "1,1", "D4": "0,1,0,0"}
+FULL_CLI_ORDER = {"A2": "3", "D4": "2"}
+FULL_CLI_CASES = [(w, t, lam) for t in FULL_CLI_LAMBDA for w in FULL_CLI_BUILDERS for lam in (False, True)]
+FULL_KW_ORDER = {"A1": "4", "A2": "3", "A3": "2", "A4": "2", "D4": "2"}
+
+
+def _full_char_argv(which, label, with_lambda):
+    argv = ["char", "--which", which, "--type", label, "--order", FULL_CLI_ORDER[label], "--spec", "full"]
+    return argv + ["--lambda", FULL_CLI_LAMBDA[label]] if with_lambda else argv
+
+
+def _full_kw_argv(label):
+    return ["verify-kw", "--type", label, "--order", FULL_KW_ORDER[label], "--spec", "full"]
+
+
+FULL_CLI_GOLDEN = {
+    ('level-one', 'A2', False): '58138257375fb559a7425decb1afe3b06cc2ecb839883a1d1aea9bcc0abf01f8',
+    ('level-one', 'A2', True): 'be3da39f2d025827260843de55e2d9ae4d8db87092632a6ec96da775b27feaf5',
+    ('weyl', 'A2', False): '13fdd94f06f306ca399a520ac247f5cbd1044dad21daee352d2dc59dae879696',
+    ('weyl', 'A2', True): '76591a49427a3578650cc7c11833d08bd525c962eef225fc72ddcee5e9ff92f3',
+    ('wmod', 'A2', False): '869c5ea534b8fd5165d2f9734be106a2e52ed8b92a01a46da74bcc4bd4ff266e',
+    ('wmod', 'A2', True): '35a801c19329f2aae04e917a6ffdcf28899808d551af4e59848f8ea5504d5059',
+    ('denominator', 'A2', False): 'b838963f4ac16cc973f5bf786166ec9d8f77f95de3455bf47980cb3c83bb674c',
+    ('denominator', 'A2', True): '4ba04f4da294c62d0b9bbef3e0012cefd9c651f5e37c09c0e93c678e1f27b4a4',
+    ('denominator-inverse', 'A2', False): 'bd95d2bf7314d2030bc2bcfc3f4092666395104cc69caacb6841431187693436',
+    ('denominator-inverse', 'A2', True): 'a10dc5c8aa46a26f3fc91ea7a845b63375d816e6d3dee0f551af830ee01bd6cb',
+    ('finite', 'A2', False): '49e32985e846bc94cacbb429e39ce40b9fd795821c5dd8b7028bac8f9914350d',
+    ('finite', 'A2', True): 'bc1d14526009e0baf07f9f6362ab691a30681a42b15718c1ca1792fa6190f424',
+    ('theta', 'A2', False): '9397107df1d82e56a4aa2cd301ad366028cf9394c48a71cc15ddb2376b1b3da1',
+    ('theta', 'A2', True): '1cbd09dc15716e441769ff3b57d60c02c8b2f9e518fbb2bc37c18d8569c9974e',
+    ('level-one', 'D4', False): '243e71b860651071250e0d91b1ce3a14109d31e6459b1b126505602ae5e217ce',
+    ('level-one', 'D4', True): '069ac8500b2b6694ae027650977a2de374c67d14c79355240f8170e435d83bbb',
+    ('weyl', 'D4', False): '3927e78bb2360a2a1f8fda291a054dd20b7a1d840a37f57137d079cc5aa6d5a0',
+    ('weyl', 'D4', True): '86dfdd87c003097950cae7ea5ea035a24b8e518fadaff40781b3d258384db37d',
+    ('wmod', 'D4', False): 'bf3b6928e8193e76c54d2182aece1f60cc3c8f69623b93b07af10241822e01ec',
+    ('wmod', 'D4', True): '0ed4cc06917985bc5912b13961ec70ca272b0f8a4993e01720e423c2b7195a39',
+    ('denominator', 'D4', False): 'd5f1821ccf9811630bb7d850f5aa0820ea36fd0fac8101a5986d03b08d05fcc9',
+    ('denominator', 'D4', True): 'ee24ae9908f4db724c64c711d327708c6fc2bd45db461607a7fba974c6bf7c2c',
+    ('denominator-inverse', 'D4', False): 'e8a2522329721b8379181ed5906b6589945a6d50e496b85293d194137465958d',
+    ('denominator-inverse', 'D4', True): '033944790f35b109b101fa5bf280b7261fa1dd62c7e7d32ab9e3b3c0fa2f07bd',
+    ('finite', 'D4', False): '0b87307b4ed92d8b0bf55bb3afcce33aaed6d58af24c45659eb5ef0f7ebc0b78',
+    ('finite', 'D4', True): '7c80e8e7683a1b10624da25c55cc8a5444cea95271275d64b11e4a143382a317',
+    ('theta', 'D4', False): '17ff45741c4078706043357d877038e3b7c73d9b0cd470d789676f9b0bad236e',
+    ('theta', 'D4', True): '775792cc9cd85eef3b5a5d70217b53f46fc53dc5649fa0aef9df467b168f87c7',
+}
+
+FULL_KW_GOLDEN = {
+    'A1': 'bf25f2f4503940d45199af199ba74c9932c223391065fdc97391df4b42386569',
+    'A2': '22720e8ae696d88638b17d51f06694e98507d2b1518170be8e60184d9c462b6f',
+    'A3': '7fd848675ed5ee54165a3902ab80199c769a3b3947e016187edcd96fff817c3f',
+    'A4': '7c628561ee07aa9460755f35c9d804bc54dbed7620535fa08c9e6d8cd2f78ab4',
+    'D4': '6dcaa6a5c8004ccb0f39ad94dcead33b1fe20ce90f88bed687404fcce8251b80',
 }
 
 
@@ -307,6 +372,17 @@ def test_char_cli_digests(which, label, spec):
     assert _cli_digest(which, label, spec) == CLI_GOLDEN[which, label, spec]
 
 
+@pytest.mark.parametrize("which,label,with_lambda", FULL_CLI_CASES)
+def test_full_char_cli_digests(which, label, with_lambda):
+    got = _stdout_digest(_full_char_argv(which, label, with_lambda))
+    assert got == FULL_CLI_GOLDEN[which, label, with_lambda]
+
+
+@pytest.mark.parametrize("label", sorted(FULL_KW_ORDER))
+def test_full_verify_kw_cli_digests(label):
+    assert _stdout_digest(_full_kw_argv(label)) == FULL_KW_GOLDEN[label]
+
+
 if __name__ == "__main__":
     for b in BUILDERS:
         for label in TYPES:
@@ -322,3 +398,9 @@ if __name__ == "__main__":
     print()
     for case in CLI_CASES:
         print(f"    {case!r}: {_cli_digest(*case)!r},")
+    print()
+    for case in FULL_CLI_CASES:
+        print(f"    {case!r}: {_stdout_digest(_full_char_argv(*case))!r},")
+    print()
+    for label in FULL_KW_ORDER:
+        print(f"    {label!r}: {_stdout_digest(_full_kw_argv(label))!r},")

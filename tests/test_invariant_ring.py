@@ -27,9 +27,9 @@ from liechar import (
     default_kappa_samples,
     denominator_inverse,
     euler_product,
-    invariant_context,
     lattice_theta,
     level_one_char,
+    make_context,
     specialize,
 )
 from liechar import characters
@@ -60,7 +60,7 @@ def test_theta_without_walks_matches_the_walked_theta(label):
     rs = build_root_system(label)
     walked = lattice_theta(GroupRingContext(rs), 2)
     assert lattice_theta(TrivialContext(rs), 2) == specialize(walked, "trivial")
-    assert lattice_theta(invariant_context(rs), 2).canonical_str() == walked.canonical_str()
+    assert lattice_theta(make_context(rs, "group_ring"), 2).canonical_str() == walked.canonical_str()
 
 
 def test_e8_theta_counts_240_sigma_3():
@@ -97,14 +97,14 @@ def product_inputs(draw):
 @given(product_inputs())
 def test_orbit_product_matches_the_group_ring_product(case):
     rs, a, b = case
-    ctx = invariant_context(rs)
+    ctx = make_context(rs, "group_ring")
     assert ctx.expand(ctx.mul(a, b)) == ctx.expand(a) * ctx.expand(b)
     assert ctx.project(ctx.expand(a) * ctx.expand(b)) == ctx.mul(a, b)
 
 
 def test_projecting_a_non_invariant_element_raises():
     rs = build_root_system("A2")
-    ctx = invariant_context(rs)
+    ctx = make_context(rs, "group_ring")
     with pytest.raises(UsageError, match="non-invariant"):
         ctx.project(GroupRingElt({rs.simple_roots[0]: 1}))
     theta_orbit = GroupRingElt(dict.fromkeys(rs.weyl_orbit(rs.highest_root), 1))
@@ -131,7 +131,7 @@ def euler_inputs(draw):
 @given(euler_inputs())
 def test_invariant_euler_product_matches_the_monomial_passes(case):
     rs, terms, order, sign = case
-    ctx = invariant_context(rs)
+    ctx = make_context(rs, "group_ring")
     f = GradedCharacter(ctx, order, terms)
     char = _adjoint_char(rs).scale(sign)
     got = euler_product(f, char)
@@ -139,9 +139,17 @@ def test_invariant_euler_product_matches_the_monomial_passes(case):
     assert got.canonical_str() == euler_product(_monomial_series(ctx, f), char).canonical_str()
 
 
+def test_make_context_hands_out_one_invariant_ring_per_root_system():
+    rs = build_root_system("A2")
+    ctx = make_context(rs, "group_ring")
+    assert isinstance(ctx, InvariantContext)
+    assert make_context(rs) is ctx
+    assert make_context(build_root_system("A2"), "group_ring") is not ctx
+
+
 def test_euler_series_extends_its_cache_exactly():
     rs = build_root_system("B2")
-    shared = invariant_context(rs)
+    shared = make_context(rs, "group_ring")
     char = _adjoint_char(rs)
     shallow = shared.euler_series(char, 2)
     deep = shared.euler_series(char, 5)

@@ -30,6 +30,7 @@ from liechar import (
     weight,
 )
 from liechar import levels
+from oracles import dominant_representative
 
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
@@ -254,10 +255,11 @@ def test_kw_order_zero():
 def test_kw_a1_by_hand():
     # both sides equal 1 + q(e^a + e^-a) + q^4(e^2a + e^-2a) through order 4
     lhs = kw_lhs_character(A1, 4)
-    theta = lattice_theta(make_context(A1), 4)
+    ctx = make_context(A1)
+    theta = lattice_theta(ctx, 4)
     assert series_equal(lhs, theta) is None
     alpha = A1.simple_roots[0]
-    assert lhs.coeff(1) == GroupRingElt({alpha: 1, weight([-2]): 1})
+    assert ctx.expand(lhs.coeff(1)) == GroupRingElt({alpha: 1, weight([-2]): 1})
     assert lhs.coeff(2).is_zero() and lhs.coeff(3).is_zero()
 
 
@@ -308,7 +310,7 @@ def _bump(rs, mode):
     alpha = rs.simple_roots[0]
     if mode != "group_ring":
         return GroupRingElt({alpha: 1})
-    return GroupRingElt(dict.fromkeys(rs.weyl_orbit(rs.dominant_representative(alpha)), 1))
+    return GroupRingElt(dict.fromkeys(rs.weyl_orbit(dominant_representative(rs, alpha)), 1))
 
 
 def _bumped_rhs(bump):
@@ -335,6 +337,28 @@ def test_negative_control_reports_the_same_first_mismatch(monkeypatch, mode):
     assert rep.first_mismatch["comparison"] == "lhs[kappa=0] vs rhs"
     text = json.dumps(rep.first_mismatch, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == BUMPED_RHS_MISMATCH[mode]
+
+
+# canonical JSON of first_mismatch for verify_kw A2 q^2 in group_ring with
+# Theta_Q bumped at q^1 by the orbit sum of alpha_1 (recorded while
+# make_context's group_ring was still the monomial group ring)
+BUMPED_THETA_MISMATCH = "a9be251fd3bc4dd3c9ade67b420e14ed5908e278d2fc453efaea54214e1ac220"
+
+
+def test_kw_negative_control_in_group_ring(monkeypatch):
+    theta = levels.lattice_theta
+
+    def bumped(ctx, order):
+        f = theta(ctx, order)
+        return f.add(GradedCharacter(ctx, order, {1: ctx.project(_bump(ctx.rs, "group_ring"))}))
+
+    monkeypatch.setattr(levels, "lattice_theta", bumped)
+    rep = verify_kw("A2", 2)
+    assert rep.status == "fail"
+    assert rep.first_mismatch["exponent"] == "1"
+    assert rep.first_mismatch["comparison"] == "alternating sum vs theta"
+    text = json.dumps(rep.first_mismatch, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == BUMPED_THETA_MISMATCH
 
 
 def test_group_ring_sides_refuse_a_non_invariant_bump(monkeypatch):

@@ -1,5 +1,6 @@
 """perfbench's tracer wraps each coefficient context's ``mul`` on its own class,
-and finds the verifiers' lambda-summands and 1/D builds inside the spans it reads.
+and finds the verifiers' lambda-summands, 1/D builds and orbit walks inside the
+spans it reads.
 
 Run in a subprocess: ``Tracer.install()`` rebinds names inside ``liechar``.
 """
@@ -78,6 +79,20 @@ print(json.dumps(out))
 """
 
 
+KW_ORBIT_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import liechar
+from tracer import Tracer
+
+tracer = Tracer("kw_orbits", 3)
+tracer.install()
+assert liechar.verify_kw("A3", 3).status == "pass"
+names = [rec[1] for rec in tracer.spans]
+print(json.dumps({n: names.count(n) for n in ["levels.kw_lhs", "characters.finite_char", "rootsys.orbit"]}))
+"""
+
+
 def _run_traced(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -114,3 +129,11 @@ def test_specialized_verifiers_build_no_freudenthal_character():
     assert got["group_ring"] == {"finite_char": 0, "summands": 2 * n, "inv_d_calls": 1}
     assert got["trivial"] == {"finite_char": 0, "summands": 2 * n, "inv_d_calls": 1}
     assert got["ray"] == {"finite_char": 0, "summands": 2 * n, "inv_d_calls": 1}
+
+
+def test_group_ring_kw_walks_no_orbit():
+    # make_context's group_ring is the W-invariant ring: ch L_lam is its
+    # dominant multiplicities and Theta_Q one orbit sum per lambda, so a
+    # passing verify_kw spreads no character and walks no orbit
+    got = _run_traced(KW_ORBIT_SCRIPT)
+    assert got == {"levels.kw_lhs": 1, "characters.finite_char": 0, "rootsys.orbit": 0}
