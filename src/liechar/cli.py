@@ -106,6 +106,11 @@ def _identity_json(rep: IdentityReport, timing: bool) -> dict:
     return out
 
 
+def _xi_config(xi) -> dict:
+    """The report's record of the ray coweight, when one was given."""
+    return {} if xi is None else {"xi": [rat_str(c) for c in xi]}
+
+
 # ---------------------------------------------------------------------------
 # subcommand implementations
 
@@ -119,22 +124,24 @@ def cmd_verify_gko(args, t0: float) -> int:
             kv.require_noncritical()
             if rs.lacity * kv.shifted == 1:
                 raise UsageError(f"kappa {rat_str(k)} sits on the kernel-partner pole")
+    xi = parse_coords(args.xi) if args.xi else None
     rep = verify_gko(args.type, parse_rational(args.order), _spec_mode(args.spec),
-                     xi=parse_coords(args.xi) if args.xi else None, kappas=kappas)
+                     xi=xi, kappas=kappas)
     config = {
         "type": args.type,
         "order": args.order,
         "spec": args.spec,
         "kappas": [rat_str(k) for k in (kappas or default_kappa_samples(rs, 2))],
+        **_xi_config(xi),
     }
     return _finish("verify-gko", config, [_identity_json(rep, args.timing)],
                    rep.status, args.out, t0, args.timing)
 
 
 def cmd_verify_kw(args, t0: float) -> int:
-    rep = verify_kw(args.type, parse_rational(args.order), _spec_mode(args.spec),
-                    xi=parse_coords(args.xi) if args.xi else None)
-    config = {"type": args.type, "order": args.order, "spec": args.spec}
+    xi = parse_coords(args.xi) if args.xi else None
+    rep = verify_kw(args.type, parse_rational(args.order), _spec_mode(args.spec), xi=xi)
+    config = {"type": args.type, "order": args.order, "spec": args.spec, **_xi_config(xi)}
     return _finish("verify-kw", config, [_identity_json(rep, args.timing)],
                    rep.status, args.out, t0, args.timing)
 

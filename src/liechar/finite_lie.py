@@ -337,39 +337,76 @@ def invariant_forms(ls: LieStructure) -> BilinearFormSpace:
     """Exact basis of the invariant symmetric bilinear forms.
 
     Solves B([x,y],z) + B(y,[x,z]) = 0 for x among the generators and all
-    basis pairs y <= z by sparse null-space computation on the d(d+1)/2
-    symmetric unknowns.
+    basis pairs y <= z on the d(d+1)/2 symmetric unknowns B(y,z).  A
+    generator acting diagonally, x.y = lam_y y (the h_i of a Chevalley
+    basis), gives the one-term equations (lam_y + lam_z) B(y,z) = 0: an
+    invariant form pairs weight mu only with weight -mu.  Those unknowns
+    are pinned to 0 without building a row; the other generators'
+    equations are built only where they touch a free unknown, restricted
+    to the free unknowns, and the sparse null-space over the free
+    unknowns, padded with 0, is the whole system's.
     """
     d = ls.dimension
-    pairs = {(i, j): idx for idx, (i, j) in enumerate(
-        (i, j) for i in range(d) for j in range(i, d))}
+    ads = [[ls.bracket_basis(x, y) for y in range(d)] for x in ls.generators]
+    diagonals = [_diagonal(ad_x) for ad_x in ads]
+    weight = [tuple(w[y] for w in diagonals if w is not None) for y in range(d)]
+    by_weight: Dict[tuple, List[int]] = {}
+    for y, wt in enumerate(weight):
+        by_weight.setdefault(wt, []).append(y)
+    free = [
+        (y, z) for y in range(d) for z in by_weight.get(tuple(-c for c in weight[y]), ()) if z >= y
+    ]
+    index = {p: n for n, p in enumerate(free)}
 
-    def pidx(i: int, j: int) -> int:
-        return pairs[(i, j)] if i <= j else pairs[(j, i)]
-
-    ns = SparseNullspace(len(pairs))
-    for x in ls.generators:
-        ad_x = [ls.bracket_basis(x, y) for y in range(d)]
-        for y in range(d):
-            by = ad_x[y]
-            for z in range(y, d):  # B symmetric: (y,z) and (z,y) give the same row
-                row: Dict[int, Fraction] = {}
-                for k, c in by.items():
-                    col = pidx(k, z)
+    ns = SparseNullspace(len(free))
+    for ad_x, diag in zip(ads, diagonals):
+        if diag is not None:
+            continue
+        pre = _preimages(ad_x)
+        rows = set()
+        for a, b in free:
+            rows.update((y, b) if y <= b else (b, y) for y in pre[a])
+            rows.update((y, a) if y <= a else (a, y) for y in pre[b])
+        for y, z in sorted(rows):
+            row: Dict[int, Fraction] = {}
+            for k, c in ad_x[y].items():
+                col = index.get((k, z) if k <= z else (z, k))
+                if col is not None:
                     row[col] = row.get(col, 0) + c
-                for k, c in ad_x[z].items():
-                    col = pidx(y, k)
+            for k, c in ad_x[z].items():
+                col = index.get((y, k) if y <= k else (k, y))
+                if col is not None:
                     row[col] = row.get(col, 0) + c
-                if row:
-                    ns.add_row(row)
+            if row:
+                ns.add_row(row)
+    zero = Fraction(0)
     basis = []
     for vec in ns.nullspace():
-        form = [[Fraction(0)] * d for _ in range(d)]
-        for (i, j), idx in pairs.items():
-            form[i][j] = vec[idx]
-            form[j][i] = vec[idx]
+        form = [[zero] * d for _ in range(d)]
+        for (y, z), v in zip(free, vec):
+            form[y][z] = form[z][y] = v
         basis.append(tuple(tuple(row) for row in form))
     return BilinearFormSpace(ls, tuple(basis))
+
+
+def _diagonal(mat) -> Optional[List]:
+    """The diagonal entries of a sparse matrix (a list of columns), or None
+    when the matrix is not diagonal."""
+    diag = []
+    for j, col in enumerate(mat):
+        if len(col) > 1 or (col and j not in col):
+            return None
+        diag.append(col.get(j, 0))
+    return diag
+
+
+def _preimages(mat) -> List[List[int]]:
+    """pre[k] lists the columns j whose image under mat has a nonzero entry at k."""
+    pre: List[List[int]] = [[] for _ in mat]
+    for j, col in enumerate(mat):
+        for k in col:
+            pre[k].append(j)
+    return pre
 
 
 # ---------------------------------------------------------------------------
@@ -425,27 +462,61 @@ def equivariant_hom_dim(rep_from: str, rep_to: str, ls: LieStructure) -> int:
     """dim Hom_g(V, W) by exact null-space of the intertwiner equations.
 
     The unknown T has entry T[r][c] at column r * dim V + c; the equations
-    rho_W(x) T = T rho_V(x) are imposed for x among the generators, each
-    row built from the nonzero matrix entries only.
+    rho_W(x) T = T rho_V(x) are imposed for x among the generators.  A
+    generator diagonal on both modules (the h_i of a Chevalley basis)
+    gives the one-term equations (lam_W(r) - lam_V(c)) T[r][c] = 0, so
+    Hom_g(V, W) lies in the sum of the Hom(V_mu, W_mu) over the common
+    weights mu.  The other entries are pinned to 0 without building a row;
+    the other generators' equations are built, from the nonzero matrix
+    entries only, where they touch a free entry, restricted to the free
+    entries.
     """
     mats_v, dim_v = _rep_matrices(ls, rep_from)
     mats_w, dim_w = _rep_matrices(ls, rep_to)
-    ns = SparseNullspace(dim_w * dim_v)
+    diagonal, rest = [], []
     for mv, mw in zip(mats_v, mats_w):
+        dv, dw = _diagonal(mv), _diagonal(mw)
+        if dv is not None and dw is not None:
+            diagonal.append((dv, dw))
+        else:
+            rest.append((mv, mw))
+    by_weight: Dict[tuple, List[int]] = {}
+    for c in range(dim_v):
+        by_weight.setdefault(tuple(dv[c] for dv, _ in diagonal), []).append(c)
+    free = [
+        r * dim_v + c
+        for r in range(dim_w)
+        for c in by_weight.get(tuple(dw[r] for _, dw in diagonal), ())
+    ]
+    index = {t: n for n, t in enumerate(free)}
+
+    ns = SparseNullspace(len(free))
+    for mv, mw in rest:
         w_rows: List[Dict[int, Fraction]] = [{} for _ in range(dim_w)]
         for k, col in enumerate(mw):
             for r, val in col.items():
                 w_rows[r][k] = val
-        # (rho_W(x) T - T rho_V(x))[r][c] = 0
-        for r, w_row in enumerate(w_rows):
-            for c, v_col in enumerate(mv):
-                row: Dict[int, Fraction] = {k * dim_v + c: w for k, w in w_row.items()}
-                for k, v in v_col.items():
-                    col = r * dim_v + k
+        pre_v = _preimages(mv)
+        # (rho_W(x) T - T rho_V(x))[r][c] holds T[a][b] when W[r][a] or V[b][c] is nonzero
+        eqs = set()
+        for t in free:
+            a, b = divmod(t, dim_v)
+            eqs.update(r * dim_v + b for r in mw[a])
+            eqs.update(a * dim_v + c for c in pre_v[b])
+        for e in sorted(eqs):
+            r, c = divmod(e, dim_v)
+            row: Dict[int, Fraction] = {}
+            for k, w in w_rows[r].items():
+                col = index.get(k * dim_v + c)
+                if col is not None:
+                    row[col] = w
+            for k, v in mv[c].items():
+                col = index.get(r * dim_v + k)
+                if col is not None:
                     row[col] = row[col] - v if col in row else -v
-                if row:
-                    ns.add_row(row)
-    return dim_w * dim_v - ns.rank
+            if row:
+                ns.add_row(row)
+    return len(free) - ns.rank
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +524,12 @@ def equivariant_hom_dim(rep_from: str, rep_to: str, ls: LieStructure) -> int:
 
 
 class QuadExt:
-    """a + b sqrt(d) with exact rational a, b and fixed nonsquare d > 0."""
+    """a + b sqrt(d) with exact rational a, b and fixed nonsquare d > 0.
+
+    An int or Fraction operand shifts or scales (a, b) directly, and
+    results are built from the Fraction parts without normalizing them
+    again.  Operands over different radicands raise UsageError.
+    """
 
     __slots__ = ("a", "b", "d")
 
@@ -461,6 +537,11 @@ class QuadExt:
         self.a = frac(a)
         self.b = frac(b)
         self.d = frac(d)
+
+    def _same_field(self, a: Fraction, b: Fraction) -> "QuadExt":
+        out = object.__new__(QuadExt)
+        out.a, out.b, out.d = a, b, self.d
+        return out
 
     def _lift(self, other) -> "QuadExt":
         if isinstance(other, QuadExt):
@@ -470,39 +551,48 @@ class QuadExt:
         return QuadExt(other, 0, self.d)
 
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._same_field(self.a + other, self.b) if other else self
         o = self._lift(other)
-        return QuadExt(self.a + o.a, self.b + o.b, self.d)
+        return self._same_field(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        return self._same_field(-self.a, -self.b)
 
     def __sub__(self, other):
-        return self + (-self._lift(other))
+        if isinstance(other, (int, Fraction)):
+            return self._same_field(self.a - other, self.b)
+        o = self._lift(other)
+        return self._same_field(self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other):
         return self._lift(other) - self
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self if other == 1 else self._same_field(self.a * other, self.b * other)
         o = self._lift(other)
-        return QuadExt(
-            self.a * o.a + self.d * self.b * o.b, self.a * o.b + self.b * o.a, self.d
-        )
+        a, b = self.a, self.b
+        return self._same_field(a * o.a + self.d * b * o.b, a * o.b + b * o.a)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadExt":
-        nrm = self.a * self.a - self.d * self.b * self.b
+        a, b = self.a, self.b
+        nrm = a * a - self.d * b * b
         if nrm == 0:
             raise ZeroDivisionError("zero element of the quadratic extension")
-        return QuadExt(self.a / nrm, -self.b / nrm, self.d)
+        return self._same_field(a / nrm, -b / nrm)
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._same_field(self.a / other, self.b / other)
         return self * self._lift(other).inverse()
 
     def __rtruediv__(self, other):
-        return self._lift(other) / self
+        return self.inverse() * other
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -570,17 +660,12 @@ class _DoubledAlgebra:
                     out[k] = nv
             return out
 
-        def smul(u: Vector, s) -> Vector:
-            if s == 0:
-                return {}
-            return {k: s * c for k, c in u.items()}
-
         bracket = self.base.bracket
         c11 = bracket(x1, y1)
         c12 = add(bracket(x1, y2), bracket(x2, y1))
         c22 = bracket(x2, y2)
-        comp1 = add(c11, smul(c22, self.alpha))
-        comp2 = add(c12, smul(c22, self.beta))
+        comp1 = add(c11, _scaled(c22, self.alpha) if self.alpha else {})
+        comp2 = add(c12, _scaled(c22, self.beta) if self.beta else {})
         return (comp1, comp2)
 
 
@@ -604,14 +689,18 @@ def classify_extension(
     def phi_vec(c1, c2, i: int) -> Tuple:
         return ({i: c1} if c1 != 0 else {}, {i: c2} if c2 != 0 else {})
 
+    brackets = {
+        (i, j): base.bracket_basis(i, j) for i in range(d) for j in range(d) if i != j
+    }
+
     def check_hom(c1, c2) -> None:
         for i in range(d):
             for j in range(i + 1, d):
                 img = alg.bracket(phi_vec(c1, c2, i), phi_vec(c1, c2, j))
-                expect = base.bracket({i: 1}, {j: 1})
-                exp1 = {k: c1 * v for k, v in expect.items()}
-                exp2 = {k: c2 * v for k, v in expect.items()}
-                if not _vec_eq(img[0], exp1) or not _vec_eq(img[1], exp2):
+                expect = brackets[(i, j)]
+                if not _vec_eq(img[0], _scaled(expect, c1)) or not _vec_eq(
+                    img[1], _scaled(expect, c2)
+                ):
                     raise AssertionError("witness map is not a Lie homomorphism")
 
     if disc == 0:
@@ -643,22 +732,19 @@ def classify_extension(
         witnesses.append((c1, c2))
     # ideals: [x_1, phi(y)] = phi([x,y]) and [x_2, phi(y)] = (p + beta) phi([x,y])
     for (c1, c2), p in zip(witnesses, (p_plus, p_minus)):
-        for i in range(d):
-            for j in range(d):
-                if i == j:
-                    continue
-                expect = base.bracket({i: 1}, {j: 1})
-                img1 = alg.bracket(({i: 1}, {}), phi_vec(c1, c2, j))
-                if not _vec_eq(img1[0], {k: c1 * v for k, v in expect.items()}) or not _vec_eq(
-                    img1[1], {k: c2 * v for k, v in expect.items()}
-                ):
-                    raise AssertionError("first-copy ideal relation fails")
-                img2 = alg.bracket(({}, {i: 1}), phi_vec(c1, c2, j))
-                s = p + beta
-                if not _vec_eq(img2[0], {k: s * c1 * v for k, v in expect.items()}) or not _vec_eq(
-                    img2[1], {k: s * c2 * v for k, v in expect.items()}
-                ):
-                    raise AssertionError("second-copy ideal relation fails")
+        s = p + beta
+        sc1, sc2 = s * c1, s * c2
+        for (i, j), expect in brackets.items():
+            img1 = alg.bracket(({i: 1}, {}), phi_vec(c1, c2, j))
+            if not _vec_eq(img1[0], _scaled(expect, c1)) or not _vec_eq(
+                img1[1], _scaled(expect, c2)
+            ):
+                raise AssertionError("first-copy ideal relation fails")
+            img2 = alg.bracket(({}, {i: 1}), phi_vec(c1, c2, j))
+            if not _vec_eq(img2[0], _scaled(expect, sc1)) or not _vec_eq(
+                img2[1], _scaled(expect, sc2)
+            ):
+                raise AssertionError("second-copy ideal relation fails")
     # commuting images
     (a1, a2), (b1, b2) = witnesses
     for i in range(d):
@@ -675,6 +761,10 @@ def classify_extension(
     return ExtensionClassification(
         "direct_sum_iso", alpha, beta, disc, tuple(witnesses), (p_plus, p_minus)
     )
+
+
+def _scaled(u: Vector, s) -> Vector:
+    return {k: s * c for k, c in u.items()}
 
 
 def _vec_eq(u: Vector, v: Vector) -> bool:

@@ -184,6 +184,20 @@ def test_xi_outside_ray_exit_two(command, spec):
     assert "xi applies to mode 'ray' only" in res.stderr
 
 
+@pytest.mark.parametrize("command", ["verify-gko", "verify-kw"])
+def test_verify_config_records_xi(command):
+    # two ray runs along different coweights must not print the same report
+    reports = {}
+    for xi in ("1,2", "1,1"):
+        res = run_cli(command, "--type", "A2", "--order", "2", "--spec", "ray", "--xi", xi)
+        assert res.returncode == 0
+        reports[xi] = res.stdout
+        assert json.loads(res.stdout)["config"]["xi"] == xi.split(",")
+    assert reports["1,2"] != reports["1,1"]
+    res = run_cli(command, "--type", "A2", "--order", "2", "--spec", "ray")
+    assert "xi" not in json.loads(res.stdout)["config"]
+
+
 def test_fail_status_maps_to_exit_one():
     import time
 

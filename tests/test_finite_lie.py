@@ -1,7 +1,11 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liechar import (
     Poly2,
@@ -18,6 +22,7 @@ from liechar import (
 )
 from liechar.finite_lie import LieStructure
 from liechar.linalg import SparseNullspace, sqrt_rational
+from oracles import hom_dim_all_equations, invariant_forms_all_equations
 
 SL2 = chevalley_structure("A1")
 SL3 = chevalley_structure("A2")
@@ -183,6 +188,73 @@ def test_generator_equations_match_whole_basis_equations(label):
         assert invariant_forms(alg).to_json() == invariant_forms(_whole_basis(alg)).to_json()
 
 
+def _json(space):
+    return json.dumps(space.to_json(), sort_keys=True)
+
+
+def _raising_and_lowering(ls):
+    """ls with the e_i and f_i as its only generators: none acts diagonally."""
+    n = ls.root_system.rank
+    npos = len(ls.root_system.positive_roots)
+    gens = list(range(n, 2 * n)) + list(range(n + npos, n + npos + n))
+    return LieStructure(ls.labels, ls.brackets, ls.grading, name=ls.name, generators=gens)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "C3", "G2"])
+def test_invariant_forms_match_all_equations_oracle(label):
+    ls = chevalley_structure(label)
+    for alg in (ls, takiff(ls)):
+        assert _json(invariant_forms(alg)) == _json(invariant_forms_all_equations(alg))
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2"])
+def test_hom_dim_matches_all_equations_oracle(label):
+    ls = chevalley_structure(label)
+    for rep_from in REPS:
+        for rep_to in REPS:
+            assert equivariant_hom_dim(rep_from, rep_to, ls) == hom_dim_all_equations(
+                rep_from, rep_to, ls
+            ), (rep_from, rep_to)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_no_diagonal_generator_builds_every_equation(label, monkeypatch):
+    # with nothing to pin, the builders add exactly the oracle's rows
+    rows = []
+    add_row = SparseNullspace.add_row
+
+    def counted(ns, row):
+        rows.append(len(row))
+        add_row(ns, row)
+
+    monkeypatch.setattr(SparseNullspace, "add_row", counted)
+
+    def run(fn, *args):
+        del rows[:]
+        out = fn(*args)
+        return out, sorted(rows)
+
+    ls = _raising_and_lowering(chevalley_structure(label))
+    for alg in (ls, takiff(ls)):
+        got, got_rows = run(invariant_forms, alg)
+        want, want_rows = run(invariant_forms_all_equations, alg)
+        assert _json(got) == _json(want)
+        assert got_rows == want_rows
+    assert invariant_forms(ls).dimension == 1
+    for rep_from, rep_to in [("alt2_adjoint", "adjoint"), ("adjoint", "adjoint"),
+                             ("sym2_adjoint", "trivial")]:
+        got, got_rows = run(equivariant_hom_dim, rep_from, rep_to, ls)
+        want, want_rows = run(hom_dim_all_equations, rep_from, rep_to, ls)
+        assert got == want == 1
+        assert got_rows == want_rows
+
+
+def test_abelian_forms_match_all_equations_oracle():
+    space = invariant_forms(abelian(3))
+    assert space.dimension == 6
+    assert _json(space) == _json(invariant_forms_all_equations(abelian(3)))
+
+
 # -- takiff ----------------------------------------------------------------------
 
 
@@ -333,6 +405,110 @@ def test_classify_random_split_branch(base):
         prod = p_plus * p_minus + alpha
         assert prod == 0 if not isinstance(prod, QuadExt) else prod.is_zero()
     assert found_irrational > 0
+
+
+def _classify_cases():
+    """The doubled brackets (alpha, beta) of the classification tests above."""
+    cases = [(F(-1, 4), F(1)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1)), (F(2), F(1, 3))]
+    rng = random.Random(223)
+    for _ in range(20):
+        beta = F(rng.randint(-8, 8), rng.randint(1, 5))
+        cases.append((-beta * beta / 4, beta))
+    rng = random.Random(227)
+    for _ in range(20):
+        alpha = F(rng.randint(-8, 8), rng.randint(1, 5))
+        beta = F(rng.randint(-8, 8), rng.randint(1, 5))
+        if 4 * alpha + beta * beta != 0:
+            cases.append((alpha, beta))
+    return cases
+
+
+# SHA-256 of the classifications' canonical JSON, one line per case.  The
+# JSON does not name the base algebra, so every base gives the same digest;
+# each base still runs every hom/ideal/commuting check on its own brackets.
+CLASSIFY_DIGEST = "e354a7288520432b92736b77ba47a448e7895afa8c1a70afdbdf160658a6831a"
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "G2"])
+def test_classify_extension_json_is_pinned(label):
+    base = chevalley_structure(label)
+    text = "\n".join(
+        json.dumps(classify_extension(a, b, base).to_json(), sort_keys=True)
+        for a, b in _classify_cases()
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == CLASSIFY_DIGEST
+
+
+# -- quadratic-extension scalars -------------------------------------------------------
+
+RATIONALS = st.one_of(
+    st.integers(-9, 9), st.fractions(min_value=-20, max_value=20, max_denominator=12)
+)
+OPERANDS = st.one_of(
+    st.tuples(st.just("rational"), RATIONALS),
+    st.tuples(st.just("quad"), st.tuples(RATIONALS, RATIONALS)),
+)
+
+
+def _pair_mul(x, y, d):
+    return (x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _pair_inverse(x, d):
+    nrm = x[0] * x[0] - d * x[1] * x[1]
+    return (x[0] / nrm, -x[1] / nrm)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([F(2), F(3), F(5), F(7, 4)]), OPERANDS, OPERANDS)
+def test_quadext_arithmetic_matches_pair_oracle(d, x, y):
+    # (a, b) pairs of Fractions stand for a + b sqrt(d); a rational r is (r, 0)
+    if x[0] == y[0] == "rational":
+        x = ("quad", (x[1], 0))
+
+    def value(op):
+        return QuadExt(op[1][0], op[1][1], d) if op[0] == "quad" else op[1]
+
+    def pair(op):
+        return (F(op[1][0]), F(op[1][1])) if op[0] == "quad" else (F(op[1]), F(0))
+
+    def as_pair(q):
+        assert isinstance(q, QuadExt) and q.d == d
+        assert isinstance(q.a, F) and isinstance(q.b, F)
+        return (q.a, q.b)
+
+    u, v, pu, pv = value(x), value(y), pair(x), pair(y)
+    assert as_pair(u + v) == (pu[0] + pv[0], pu[1] + pv[1])
+    assert as_pair(u - v) == (pu[0] - pv[0], pu[1] - pv[1])
+    assert as_pair(-(u - v)) == (pv[0] - pu[0], pv[1] - pu[1])
+    assert as_pair(u * v) == _pair_mul(pu, pv, d)
+    assert (u == v) == (pu == pv)
+    assert (v == u) == (pu == pv)
+    for q, p in ((u, pu), (v, pv)):
+        if isinstance(q, QuadExt):
+            assert q.is_zero() == (p == (0, 0))
+            if p == (0, 0):
+                with pytest.raises(ZeroDivisionError):
+                    q.inverse()
+            else:
+                assert as_pair(q.inverse()) == _pair_inverse(p, d)
+    if pv == (0, 0):
+        with pytest.raises(ZeroDivisionError):
+            u / v
+    else:
+        assert as_pair(u / v) == _pair_mul(pu, _pair_inverse(pv, d), d)
+
+
+def test_quadext_refuses_mixed_radicands_and_zero_inverse():
+    u, v = QuadExt(1, 1, 2), QuadExt(1, 1, 3)
+    for op in (lambda: u + v, lambda: u - v, lambda: u * v, lambda: u / v, lambda: u == v):
+        with pytest.raises(UsageError):
+            op()
+    zero = QuadExt(0, 0, 5)
+    for op in (zero.inverse, lambda: 1 / zero, lambda: QuadExt(1, 1, 5) / zero,
+               lambda: QuadExt(1, 1, 5) / 0):
+        with pytest.raises(ZeroDivisionError):
+            op()
 
 
 # -- singular-vector constraints -------------------------------------------------------
