@@ -8,8 +8,13 @@ from fractions import Fraction
 from typing import Dict
 
 from liechar import GroupRingElt, weight
-from liechar.finite_lie import BilinearFormSpace, _rep_matrices
-from liechar.linalg import SparseNullspace
+from liechar.finite_lie import (
+    BilinearFormSpace,
+    ExtensionClassification,
+    QuadExt,
+    _rep_matrices,
+)
+from liechar.linalg import SparseNullspace, frac, sqrt_rational
 
 
 def dominant_representative(rs, lam):
@@ -77,3 +82,127 @@ def hom_dim_all_equations(rep_from, rep_to, ls):
                 if row:
                     ns.add_row(row)
     return dim_w * dim_v - ns.rank
+
+
+class _DoubledAlgebra:
+    """g + g with [x1,y1]=[x,y]1, [x1,y2]=[x,y]2, [x2,y2]=a[x,y]1+b[x,y]2."""
+
+    def __init__(self, base, alpha, beta):
+        self.base = base
+        self.alpha = alpha
+        self.beta = beta
+
+    def bracket(self, x, y):
+        x1, x2 = x
+        y1, y2 = y
+
+        def add(u, v):
+            out = dict(u)
+            for k, c in v.items():
+                nv = out.get(k, 0) + c
+                if nv == 0:
+                    out.pop(k, None)
+                else:
+                    out[k] = nv
+            return out
+
+        bracket = self.base.bracket
+        c11 = bracket(x1, y1)
+        c12 = add(bracket(x1, y2), bracket(x2, y1))
+        c22 = bracket(x2, y2)
+        comp1 = add(c11, _scaled(c22, self.alpha) if self.alpha else {})
+        comp2 = add(c12, _scaled(c22, self.beta) if self.beta else {})
+        return (comp1, comp2)
+
+
+def _scaled(u, s):
+    return {k: s * c for k, c in u.items()}
+
+
+def _vec_eq(u, v):
+    return all(u.get(k, 0) == v.get(k, 0) for k in set(u) | set(v))
+
+
+def check_witnesses_all_pairs(alpha, beta, base, witnesses, eigenvalues):
+    """The witness checks of ``classify_extension``, run in the doubled
+    algebra on every basis pair of ``base``; raises AssertionError."""
+    alg = _DoubledAlgebra(base, alpha, beta)
+    d = base.dimension
+
+    def phi_vec(c1, c2, i):
+        return ({i: c1} if c1 != 0 else {}, {i: c2} if c2 != 0 else {})
+
+    brackets = {
+        (i, j): base.bracket_basis(i, j) for i in range(d) for j in range(d) if i != j
+    }
+    if not eigenvalues:
+        ((c1, c2),) = witnesses
+        # abelian image: [phi x, phi y] = 0
+        for i in range(d):
+            for j in range(i + 1, d):
+                img = alg.bracket(phi_vec(c1, c2, i), phi_vec(c1, c2, j))
+                if img[0] or img[1]:
+                    raise AssertionError("takiff witness image is not abelian")
+        return
+    for c1, c2 in witnesses:
+        for i in range(d):
+            for j in range(i + 1, d):
+                img = alg.bracket(phi_vec(c1, c2, i), phi_vec(c1, c2, j))
+                expect = brackets[(i, j)]
+                if not _vec_eq(img[0], _scaled(expect, c1)) or not _vec_eq(
+                    img[1], _scaled(expect, c2)
+                ):
+                    raise AssertionError("witness map is not a Lie homomorphism")
+    # ideals: [x_1, phi(y)] = phi([x,y]) and [x_2, phi(y)] = (p + beta) phi([x,y])
+    for (c1, c2), p in zip(witnesses, eigenvalues):
+        s = p + beta
+        sc1, sc2 = s * c1, s * c2
+        for (i, j), expect in brackets.items():
+            img1 = alg.bracket(({i: 1}, {}), phi_vec(c1, c2, j))
+            if not _vec_eq(img1[0], _scaled(expect, c1)) or not _vec_eq(
+                img1[1], _scaled(expect, c2)
+            ):
+                raise AssertionError("first-copy ideal relation fails")
+            img2 = alg.bracket(({}, {i: 1}), phi_vec(c1, c2, j))
+            if not _vec_eq(img2[0], _scaled(expect, sc1)) or not _vec_eq(
+                img2[1], _scaled(expect, sc2)
+            ):
+                raise AssertionError("second-copy ideal relation fails")
+    # commuting images
+    (a1, a2), (b1, b2) = witnesses
+    for i in range(d):
+        for j in range(d):
+            if i == j:
+                continue
+            img = alg.bracket(phi_vec(a1, a2, i), phi_vec(b1, b2, j))
+            if img[0] or img[1]:
+                raise AssertionError("images of the two witnesses do not commute")
+    # spanning: the 2x2 coefficient matrix must be invertible
+    if a1 * b2 - a2 * b1 == 0:
+        raise AssertionError("witness images do not span")
+
+
+def classify_extension_all_pairs(alpha, beta, base):
+    """``classify_extension`` with every witness relation checked bracket by
+    bracket in the doubled algebra g + g instead of once in Q[t]/(t^2 - beta t - alpha)."""
+    alpha, beta = frac(alpha), frac(beta)
+    disc = 4 * alpha + beta * beta
+    if disc == 0:
+        witnesses = ((-beta / 2, Fraction(1)),)
+        check_witnesses_all_pairs(alpha, beta, base, witnesses, ())
+        return ExtensionClassification("takiff_iso", alpha, beta, disc, witnesses, ())
+    root = sqrt_rational(disc)
+    if root is not None:
+        eigenvalues = ((-beta + root) / 2, (-beta - root) / 2)
+    else:
+        eigenvalues = (QuadExt(-beta / 2, Fraction(1, 2), disc),
+                       QuadExt(-beta / 2, Fraction(-1, 2), disc))
+    witnesses = []
+    for p in eigenvalues:
+        denom = 2 * p + beta
+        one = 1 if not isinstance(p, QuadExt) else QuadExt(1, 0, disc)
+        witnesses.append((p / denom, one / denom))
+    check_witnesses_all_pairs(alpha, beta, base, tuple(witnesses), eigenvalues)
+    return ExtensionClassification(
+        "direct_sum_iso", alpha, beta, disc, tuple(witnesses), eigenvalues
+    )

@@ -2,8 +2,11 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+
+from liechar import chevalley_structure, classify_extension
 
 CMD = [sys.executable, "-m", "liechar"]
 
@@ -110,6 +113,15 @@ def test_classify_ext_command():
     payload = json.loads(res.stdout)
     assert payload["reports"][0]["kind"] == "takiff_iso"
     assert payload["reports"][0]["witnesses"] == [["-1/2", "1"]]
+
+
+def test_classify_ext_command_split_irrational_branch():
+    res = run_cli("classify-ext", "--alpha", "2", "--beta", "1/3", "--base", "A3")
+    assert res.returncode == 0
+    payload = json.loads(res.stdout)
+    assert payload["reports"][0]["kind"] == "direct_sum_iso"
+    expect = classify_extension(2, Fraction(1, 3), chevalley_structure("A3")).to_json()
+    assert payload["reports"] == [expect]
 
 
 def test_singular_command():

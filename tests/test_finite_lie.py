@@ -20,9 +20,14 @@ from liechar import (
     singular_constraints,
     takiff,
 )
-from liechar.finite_lie import LieStructure
+from liechar.finite_lie import LieStructure, _check_witnesses
 from liechar.linalg import SparseNullspace, sqrt_rational
-from oracles import hom_dim_all_equations, invariant_forms_all_equations
+from oracles import (
+    check_witnesses_all_pairs,
+    classify_extension_all_pairs,
+    hom_dim_all_equations,
+    invariant_forms_all_equations,
+)
 
 SL2 = chevalley_structure("A1")
 SL3 = chevalley_structure("A2")
@@ -425,7 +430,9 @@ def _classify_cases():
 
 # SHA-256 of the classifications' canonical JSON, one line per case.  The
 # JSON does not name the base algebra, so every base gives the same digest;
-# each base still runs every hom/ideal/commuting check on its own brackets.
+# each base checks the hom/ideal/commuting identities once in
+# Q[t]/(t^2 - beta t - alpha), which holds them only if its bracket is nonzero.
+# The per-pair checks in the doubled algebra run as the oracle below.
 CLASSIFY_DIGEST = "e354a7288520432b92736b77ba47a448e7895afa8c1a70afdbdf160658a6831a"
 
 
@@ -437,6 +444,52 @@ def test_classify_extension_json_is_pinned(label):
         for a, b in _classify_cases()
     )
     assert hashlib.sha256(text.encode()).hexdigest() == CLASSIFY_DIGEST
+
+
+@pytest.mark.parametrize("base", [SL2, SL3, SO5, abelian(3)], ids=["A1", "A2", "B2", "abelian3"])
+def test_classify_extension_matches_all_pairs_oracle(base):
+    for a, b in _classify_cases():
+        fast = classify_extension(a, b, base).to_json()
+        assert fast == classify_extension_all_pairs(a, b, base).to_json()
+        if not base.brackets:  # no identity is checked, and nothing else changes
+            assert fast == classify_extension(a, b, SL2).to_json()
+
+
+def _raised(check, *args):
+    try:
+        check(*args)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+def _perturbed_witnesses():
+    """(alpha, beta, witnesses, eigenvalues, message on a non-abelian base)."""
+    out = [(F(-1, 4), F(1), ((F(-1, 2), F(2)),), (), "takiff witness image is not abelian")]
+    for alpha, beta in [(F(1), F(0)), (F(2), F(1, 3)), (F(1), F(1))]:
+        res = classify_extension(alpha, beta)
+        (a1, a2), w_minus = res.witnesses
+        p_plus, p_minus = res.eigenvalues
+        out += [
+            (alpha, beta, ((a1 + 1, a2), w_minus), res.eigenvalues,
+             "witness map is not a Lie homomorphism"),
+            (alpha, beta, res.witnesses, (p_minus, p_plus), "second-copy ideal relation fails"),
+            (alpha, beta, ((a1, a2), (a1, a2)), (p_plus, p_plus),
+             "images of the two witnesses do not commute"),
+        ]
+    return out
+
+
+@pytest.mark.parametrize("base", [SL2, SL3, abelian(3)], ids=["A1", "A2", "abelian3"])
+def test_witness_checks_are_as_strict_as_the_pair_loops(base):
+    for alpha, beta, witnesses, eigenvalues, message in _perturbed_witnesses():
+        args = (alpha, beta, base, witnesses, eigenvalues)
+        fast = _raised(_check_witnesses, *args)
+        assert fast == _raised(check_witnesses_all_pairs, *args)
+        if base.brackets:
+            assert fast == message
+        else:  # only the spanning check sees an abelian base
+            assert fast in (None, "witness images do not span")
 
 
 # -- quadratic-extension scalars -------------------------------------------------------
