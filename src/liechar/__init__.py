@@ -16,7 +16,6 @@ from .rootsys import (
     Weight,
     alternating_sum,
     build_root_system,
-    cartan_isomorphic,
     cartan_matrix,
     langlands_dual,
     weight,

@@ -15,10 +15,10 @@ the dominant multiplicities themselves in the W-invariant ring
 and in the monomial oracle ring.
 
 Pochhammer products, D, 1/D and (q;q)^{-rank}, are applied to a series
-one Euler factor at a time (``euler_product``); the product forms in
-``qseries`` are its test oracles.  In the W-invariant ring the factors
-(1 - e^mu q^n) with mu != 0 are applied together, as one series built by
-the log-derivative recurrence and cached per root system.
+by one routine in every coefficient ring (``euler_product``): the factors
+(1 - q^n) one pass at a time, and the factors (1 - e^mu q^n) with mu != 0
+together, as one series built by the log-derivative recurrence and cached
+per context.  The product forms in ``qseries`` are its test oracles.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .linalg import frac
-from .qseries import GradedCharacter, GroupRingElt, InvariantContext, series_one, series_zero
+from .qseries import GradedCharacter, GroupRingElt, series_one, series_zero
 from .rootsys import RootSystem, UsageError, Weight, alternating_sum, weight
 
 
@@ -175,58 +175,49 @@ def euler_product(f: GradedCharacter, char: GroupRingElt) -> GradedCharacter:
     """f prod_{n>=1} prod_mu (1 - e^mu q^n)^{-c_mu} for char = sum_mu c_mu e^mu
     with integer c_mu, exact through f.order.
 
-    Each factor is 1 + O(q) (Kac, Infinite-dimensional Lie algebras, 10.10),
-    so applying one costs one pass over the series and no series product:
-    dividing by 1 - u q^n is g_e += u g_{e-n} for ascending e, multiplying
-    by it is g_e -= u g_{e-n} for descending e, with u = e^mu in f's
-    coefficient ring (no product at all for mu = 0).  The exponents of each
-    class mod 1 are held in one list, so the passes do no Fraction arithmetic.
-
-    In the W-invariant ring a single e^mu, mu != 0, is no coefficient, so
-    there the passes apply the mu = 0 factors only, and f is multiplied once
-    by the series E of all the others, which the context builds from the
-    log-derivative recurrence and caches (``InvariantContext.euler_series``).
-    Both sides of ``verify_gko`` thus divide by the same E.
+    Each factor is 1 + O(q) (Kac, Infinite-dimensional Lie algebras, 10.10).
+    The mu = 0 factors cost one pass over the series each and no product at
+    all: dividing by 1 - q^n is g_e += g_{e-n} for ascending e, multiplying
+    by it is g_e -= g_{e-n} for descending e.  The factors with mu != 0 come
+    as one series E, which the context builds from the log-derivative
+    recurrence and caches (``euler_series``), so every side built in one
+    context divides by the same E; the passed series is multiplied by E
+    once.  The exponents of each class mod 1 are held in one list, so
+    neither step does Fraction arithmetic.
     """
     ctx = f.context
     if any(frac(c).denominator != 1 for c in char.terms.values()):
         raise UsageError("Euler-product multiplicities must be integers")
-    moving = None
-    if isinstance(ctx, InvariantContext):
-        # the mu != 0 factors come as one cached series, applied after the passes
-        moving = GroupRingElt({mu: c for mu, c in char.terms.items() if any(mu)})
-        char = GroupRingElt({mu: c for mu, c in char.terms.items() if not any(mu)})
-    factors = [(None if not any(mu) else ctx.project(GroupRingElt.monomial(mu)), c)
-               for mu, c in char.items_sorted()]
+    c0 = int(char.coeff((0,) * ctx.rs.rank))
+    moving = GroupRingElt({mu: c for mu, c in char.terms.items() if any(mu)})
     classes: Dict[Fraction, Fraction] = {}  # exponent class mod 1 -> lowest exponent
     for e in f.terms:
         r = e - math.floor(e)
         if r not in classes or e < classes[r]:
             classes[r] = e
+    euler = None
+    if classes and not moving.is_zero():
+        euler = ctx.euler_series(moving, math.floor(f.order - min(classes.values())))
     add, mul, zero = ctx.add, ctx.mul, ctx.is_zero
     out: Dict[Fraction, object] = {}
     for low in classes.values():
         g = [f.terms.get(low + k, ctx.czero()) for k in range(math.floor(f.order - low) + 1)]
-        for u, c in factors:
-            for n in range(1, len(g)):
-                steps = range(n, len(g)) if c > 0 else range(len(g) - 1, n - 1, -1)
-                for _ in range(abs(c)):
-                    for i in steps:
-                        src = g[i - n]
-                        if zero(src):
-                            continue
-                        if u is not None:
-                            src = mul(u, src)
-                        g[i] = add(g[i], src if c > 0 else ctx.scale(src, -1))
+        for n in range(1, len(g)):
+            steps = range(n, len(g)) if c0 > 0 else range(len(g) - 1, n - 1, -1)
+            for _ in range(abs(c0)):
+                for i in steps:
+                    src = g[i - n]
+                    if not zero(src):
+                        g[i] = add(g[i], src if c0 > 0 else ctx.scale(src, -1))
+        if euler is not None:
+            h = [ctx.czero()] * len(g)
+            for j, v in enumerate(g):
+                if not zero(v):
+                    for k in range(len(g) - j):
+                        h[j + k] = add(h[j + k], mul(v, euler[k]))
+            g = h
         out.update((low + k, v) for k, v in enumerate(g))
-    res = GradedCharacter(ctx, f.order, out)
-    if moving is None or moving.is_zero():
-        return res
-    # the series lacks no term below its lower bound L, so E through
-    # order - L makes the product exact through the order
-    low = min(res.lower_bound(), res.order)
-    coeffs = ctx.euler_series(moving, math.floor(res.order - low))
-    return res.mul(GradedCharacter(ctx, res.order - low, dict(enumerate(coeffs))))
+    return GradedCharacter(ctx, f.order, out)
 
 
 def weyl_module_char(ctx, lam: Weight, kappa: LevelValue, order) -> GradedCharacter:

@@ -118,12 +118,6 @@ def _xi_config(xi) -> dict:
 def cmd_verify_gko(args, t0: float) -> int:
     rs = build_root_system(args.type)
     kappas = [parse_rational(k) for k in args.kappa] if args.kappa else None
-    if kappas is not None:
-        for k in kappas:
-            kv = level(rs, k)
-            kv.require_noncritical()
-            if rs.lacity * kv.shifted == 1:
-                raise UsageError(f"kappa {rat_str(k)} sits on the kernel-partner pole")
     xi = parse_coords(args.xi) if args.xi else None
     rep = verify_gko(args.type, parse_rational(args.order), _spec_mode(args.spec),
                      xi=xi, kappas=kappas)

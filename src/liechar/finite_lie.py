@@ -527,9 +527,7 @@ def equivariant_hom_dim(rep_from: str, rep_to: str, ls: LieStructure) -> int:
 class QuadExt:
     """a + b sqrt(d) with exact rational a, b and fixed nonsquare d > 0.
 
-    An int or Fraction operand shifts or scales (a, b) directly, and
-    results are built from the Fraction parts without normalizing them
-    again.  Operands over different radicands raise UsageError.
+    Operands over different radicands raise UsageError.
     """
 
     __slots__ = ("a", "b", "d")
@@ -539,11 +537,6 @@ class QuadExt:
         self.b = frac(b)
         self.d = frac(d)
 
-    def _same_field(self, a: Fraction, b: Fraction) -> "QuadExt":
-        out = object.__new__(QuadExt)
-        out.a, out.b, out.d = a, b, self.d
-        return out
-
     def _lift(self, other) -> "QuadExt":
         if isinstance(other, QuadExt):
             if other.d != self.d:
@@ -552,31 +545,25 @@ class QuadExt:
         return QuadExt(other, 0, self.d)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._same_field(self.a + other, self.b) if other else self
         o = self._lift(other)
-        return self._same_field(self.a + o.a, self.b + o.b)
+        return QuadExt(self.a + o.a, self.b + o.b, self.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._same_field(-self.a, -self.b)
+        return QuadExt(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._same_field(self.a - other, self.b)
         o = self._lift(other)
-        return self._same_field(self.a - o.a, self.b - o.b)
+        return QuadExt(self.a - o.a, self.b - o.b, self.d)
 
     def __rsub__(self, other):
         return self._lift(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self if other == 1 else self._same_field(self.a * other, self.b * other)
         o = self._lift(other)
         a, b = self.a, self.b
-        return self._same_field(a * o.a + self.d * b * o.b, a * o.b + b * o.a)
+        return QuadExt(a * o.a + self.d * b * o.b, a * o.b + b * o.a, self.d)
 
     __rmul__ = __mul__
 
@@ -585,11 +572,9 @@ class QuadExt:
         nrm = a * a - self.d * b * b
         if nrm == 0:
             raise ZeroDivisionError("zero element of the quadratic extension")
-        return self._same_field(a / nrm, -b / nrm)
+        return QuadExt(a / nrm, -b / nrm, self.d)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._same_field(self.a / other, self.b / other)
         return self * self._lift(other).inverse()
 
     def __rtruediv__(self, other):

@@ -5,9 +5,9 @@ r_vee (kappa + h_vee)(kappa_dual + h_vee_dual) = 1, the kernel-object
 pairing 1/(kappa + h_vee) + 1/(kappa* + h_vee) = r_vee n, and the glued
 pair behind both.  The verifiers assemble both sides of the coset
 character identity and of the lattice theta identity from independent
-constituents and compare coefficients exactly.  In ``group_ring`` the two
-coset sides share one cached series for the factors of 1/D, which cannot
-hide a mismatch (``make_context``).
+constituents and compare coefficients exactly.  In every mode the two
+coset sides share one cached series for the mu != 0 factors of 1/D, which
+cannot hide a mismatch (``make_context``).
 """
 
 from __future__ import annotations
@@ -100,7 +100,8 @@ def kernel_partner_level(kappa: LevelValue, n: int) -> LevelValue:
     rs = kappa.root_system
     rhs = Fraction(rs.lacity * n) - Fraction(1) / kappa.shifted
     if rhs == 0:
-        raise UsageError("degenerate level: partner would be at infinity")
+        raise UsageError(f"kappa {rat_str(kappa.value)} sits on the kernel-partner pole: "
+                         "its partner would be at infinity")
     return LevelValue(Fraction(1) / rhs - rs.dual_coxeter, rs)
 
 
@@ -225,7 +226,7 @@ def assemble_coset_character(
     """LHS of the coset identity: sum over lam in Q+ of
     ch[Weyl module at kappa] * ch[W-algebra module at the partner level],
     computed as S_kappa = sum_lam q^{h_lam} ch[L_lam] ch[W_{lam*}] divided by D
-    one Euler factor at a time (in ``group_ring``, the mu != 0 factors at once)."""
+    with ``euler_product``: the mu = 0 factors by passes, the others at once."""
     order = frac(order)
     ctx = make_context(rs, mode, xi)
     kappa = level(rs, kappa_value)
@@ -256,7 +257,8 @@ def verify_gko(
     kappas: Optional[List] = None,
 ) -> IdentityReport:
     """Coset character identity: the assembled kappa-dependent sum equals
-    ch[V^{kappa-1}] ch[L_1], and is itself independent of the sampled kappa."""
+    ch[V^{kappa-1}] ch[L_1], and is itself independent of the sampled kappa.
+    Every kappa is checked before any side is built."""
     t0 = time.perf_counter()
     rs = build_root_system(type_label)
     order = _check_verifier_args(rs, order, mode)
@@ -265,6 +267,11 @@ def verify_gko(
     kappas = [frac(k) for k in kappas]
     if len(set(kappas)) < 2:
         raise UsageError("need at least two distinct kappa samples")
+    # refuse a critical kappa or one on the kernel-partner pole before any
+    # side is built; on a simply-laced type the pole kappa + h_vee = 1 is
+    # also where kappa - 1, the right-hand side's level, is critical
+    for k in kappas:
+        kernel_partner_level(level(rs, k), 1)
     sides = [assemble_coset_character(rs, k, order, mode, xi) for k in kappas]
     rhs = coset_rhs_character(rs, kappas[0], order, mode, xi)
     _require_known_through(order, rhs, *sides)

@@ -14,9 +14,10 @@ denominator of the functional mu -> (mu, xi).  The group ring over
 monomials, GroupRingContext, is the invariant ring's multiplier and the
 tests' oracle.  Each context maps group-ring elements into its ring with
 ``project``, gives the irreducible characters ch L_lam in it with
-``irreducible`` and the orbit sums m_lam with ``orbit_sum``.  The
-invariant ring writes its coefficients out expanded to monomials, so its
-JSON is the group ring's, byte for byte.
+``irreducible``, the orbit sums m_lam with ``orbit_sum``, and the Euler
+product of a character with ``euler_series``.  The invariant ring writes
+its coefficients out expanded to monomials, so its JSON is the group
+ring's, byte for byte.
 
 Exponents are exact Fractions; conformal weights at rational level are
 rational, so nothing here ever touches floating point.  Exponents may be
@@ -160,8 +161,9 @@ class _Context:
     part, under a ring homomorphism, ``project``: the identity, the
     restriction of an invariant element to its dominant coefficients,
     e^mu -> 1, or e^mu -> z^{(mu, xi)}.  The base holds the ring operations
-    of GroupRingElt coefficients, of rank rs.rank; RayContext's unit has
-    rank 1, and TrivialContext's coefficients are plain numbers.  The
+    of GroupRingElt coefficients, of rank rs.rank, and the one Euler series
+    routine built on them; RayContext's unit has rank 1, and
+    TrivialContext's coefficients are plain numbers.  The
     context classes derive from this base only, never from one another:
     perfbench/tracer.py wraps ``mul`` on the three mode classes, and a class
     that inherited another's wrapped ``mul`` would count each product twice.
@@ -171,6 +173,7 @@ class _Context:
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
+        self._euler: Dict[object, Tuple[list, list]] = {}
 
     def one(self):
         return GroupRingElt.one(self.rs.rank)
@@ -189,6 +192,41 @@ class _Context:
 
     def mul(self, a, b):
         return a * b
+
+    def frobenius(self, c, m: int):
+        """The Adams operation psi^m, e^mu -> e^{m mu}: on dominant keys it
+        sends m_mu to m_{m mu}, and on ray's 1-tuple keys z^k to z^{mk}."""
+        return c.frobenius(m)
+
+    def divide_exactly(self, c, n: int):
+        """c / n, which must leave no remainder in any coefficient."""
+        res = GroupRingElt()
+        res.terms = {w: _divide_exactly(v, n) for w, v in c.terms.items()}
+        return res
+
+    def euler_series(self, char: GroupRingElt, depth: int) -> list:
+        """Coefficients a_0, ..., a_depth of prod_{n>=1} prod_mu (1 - e^mu q^n)^{-c_mu}
+        for char = sum_mu c_mu e^mu with integer c_mu, in this ring.
+
+        Solves the log-derivative recurrence n a_n = sum_{k=1..n} b_k a_{n-k},
+        b_k = sum_{d | k} d psi^{k/d}(char) (Kac, Infinite-dimensional Lie
+        algebras, 10.10), with psi^m the ring's Adams operation.  The
+        coefficients are cached per projected char and extended on demand, so
+        one series serves every depth and every side built in this context.
+        """
+        c = self.project(char)
+        b, a = self._euler.setdefault(c, ([self.czero()], [self.one()]))
+        for n in range(len(a), depth + 1):
+            bn = self.czero()
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    bn = self.add(bn, self.scale(self.frobenius(c, n // d), d))
+            b.append(bn)
+            acc = self.czero()
+            for k in range(1, n + 1):
+                acc = self.add(acc, self.mul(b[k], a[n - k]))
+            a.append(self.divide_exactly(acc, n))
+        return a[: depth + 1]
 
     def irreducible(self, lam: Weight):
         """ch L_lam in this ring: Freudenthal's full character, projected.
@@ -257,7 +295,6 @@ class InvariantContext(_Context):
         self._stabilizers: Dict[Tuple[bool, ...], int] = {}
         self._conjugates: Dict[Weight, Tuple[Weight, int]] = {}
         self._irreducibles: Dict[Weight, GroupRingElt] = {}
-        self._euler: Dict[frozenset, Tuple[List[GroupRingElt], List[GroupRingElt]]] = {}
 
     def _orbit(self, mu: Weight) -> List[Weight]:
         orbit = self._orbits.get(mu)
@@ -353,33 +390,6 @@ class InvariantContext(_Context):
         """sum_{lam in lams} m_lam is the element keyed by the lams."""
         return GroupRingElt(dict.fromkeys(lams, 1))
 
-    def euler_series(self, char: GroupRingElt, depth: int) -> List[GroupRingElt]:
-        """Coefficients a_0, ..., a_depth of prod_{n>=1} prod_mu (1 - e^mu q^n)^{-c_mu}
-        for a W-invariant char = sum_mu c_mu e^mu with integer c_mu.
-
-        Solves the log-derivative recurrence n a_n = sum_{k=1..n} b_k a_{n-k},
-        b_k = sum_{d | k} d psi^{k/d}(char), where the Adams operation psi^m
-        sends m_mu to m_{m mu} (Kac, Infinite-dimensional Lie algebras,
-        10.10).  The coefficients are cached per char and extended on
-        demand, so one series serves every depth and every side built on
-        this root system.
-        """
-        inv = self.project(char)
-        b, a = self._euler.setdefault(frozenset(inv.terms.items()), ([self.czero()], [self.one()]))
-        for n in range(len(a), depth + 1):
-            bn = GroupRingElt()
-            for d in range(1, n + 1):
-                if n % d == 0:
-                    bn = bn + inv.frobenius(n // d).scale(d)
-            b.append(bn)
-            acc = GroupRingElt()
-            for k in range(1, n + 1):
-                acc = acc + self.mul(b[k], a[n - k])
-            an = GroupRingElt()
-            an.terms = {w: _divide_exactly(c, n) for w, c in acc.terms.items()}
-            a.append(an)
-        return a[: depth + 1]
-
     def describe(self) -> dict:
         return {"coefficients": "group_ring", "type": self.rs.type_label}
 
@@ -388,7 +398,7 @@ def _divide_exactly(c: int, k: int) -> int:
     """c / k for integers, which must divide."""
     q, r = divmod(c, k)
     if r:
-        raise AssertionError(f"orbit-basis coefficient {c} is not divisible by {k}")
+        raise AssertionError(f"coefficient {c} is not divisible by {k}")
     return q
 
 
@@ -406,6 +416,12 @@ class TrivialContext(_Context):
 
     def scale(self, a, c):
         return int_or_frac(a * c)
+
+    def frobenius(self, c, m: int):
+        return c
+
+    def divide_exactly(self, c, n: int):
+        return _divide_exactly(c, n)
 
     def coeff_json(self, c):
         return _coord_json(c)
@@ -487,25 +503,31 @@ class RayContext(_Context):
 def make_context(rs: RootSystem, mode: str = "group_ring", xi: Optional[Weight] = None):
     """The coefficient ring of ``mode`` on rs; a coweight xi applies to ``ray`` only.
 
-    ``group_ring`` is rs's one InvariantContext, made on first use and held
-    by rs, so every series built on rs shares its caches (among them ch L_lam
-    and one series E for the mu != 0 factors of 1/D) and they are freed
-    with rs.  The identities compare W-invariant coefficients only, and a
-    shared E cannot turn a failure into a pass: E = 1 + O(q) is invertible,
-    so S E = T E holds exactly when S = T, and a wrong E could only
-    misreport the mismatching coefficients, not hide a mismatch.
+    rs holds one context per mode and (for ``ray``) coordinate-wise equal xi,
+    made on first use, so every series built in a ring on rs shares its
+    caches (among them ch L_lam in ``group_ring`` and the Euler series E of
+    ``euler_series``) and they are freed with rs.  A shared E cannot turn a
+    failure into a pass: E = 1 + O(q) is invertible, so S E = T E holds
+    exactly when S = T, and a wrong E could only misreport the mismatching
+    coefficients, not hide a mismatch.
     """
     if xi is not None and mode != "ray":
         raise UsageError(f"a coweight xi applies to mode 'ray' only, not {mode!r}")
-    if mode == "group_ring":
-        if rs._invariant_context is None:
-            rs._invariant_context = InvariantContext(rs)
-        return rs._invariant_context
-    if mode == "trivial":
-        return TrivialContext(rs)
     if mode == "ray":
-        return RayContext(rs, rs.rho_check if xi is None else xi)
-    raise UsageError(f"unknown coefficient mode {mode!r}")
+        xi = tuple(int_or_frac(c) for c in (rs.rho_check if xi is None else xi))
+    key = (mode, xi)
+    ctx = rs._contexts.get(key)
+    if ctx is None:
+        if mode == "group_ring":
+            ctx = InvariantContext(rs)
+        elif mode == "trivial":
+            ctx = TrivialContext(rs)
+        elif mode == "ray":
+            ctx = RayContext(rs, xi)
+        else:
+            raise UsageError(f"unknown coefficient mode {mode!r}")
+        rs._contexts[key] = ctx
+    return ctx
 
 
 # ---------------------------------------------------------------------------

@@ -197,9 +197,9 @@ class RootSystem:
         self._coroot_coords: Tuple[Tuple[int, ...], ...] = tuple(
             self._coroot(alpha, steps) for alpha in self.positive_roots)
         self.weyl_order: int = _weyl_order_from_heights(self._heights)
-        # the W-invariant coefficient ring and its caches, made on first use
-        # by qseries.make_context and freed with this root system
-        self._invariant_context = None
+        # the coefficient contexts and their caches, one per (mode, xi), made
+        # on first use by qseries.make_context and freed with this root system
+        self._contexts = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -541,21 +541,3 @@ def langlands_dual(rs: RootSystem) -> RootSystem:
     transposed = [[rs.cartan_matrix[j][i] for j in range(n)] for i in range(n)]
     dual_label = f"{_DUAL_SERIES[rs.series]}{n}"
     return RootSystem(transposed, dual_label)
-
-
-def cartan_isomorphic(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
-    """Equality of Cartan matrices up to a simultaneous node permutation."""
-    n = len(a)
-    if len(b) != n:
-        return False
-
-    from itertools import permutations
-
-    rows_a = sorted(tuple(sorted(row)) for row in a)
-    rows_b = sorted(tuple(sorted(row)) for row in b)
-    if rows_a != rows_b:
-        return False
-    for perm in permutations(range(n)):
-        if all(a[i][j] == b[perm[i]][perm[j]] for i in range(n) for j in range(n)):
-            return True
-    return False

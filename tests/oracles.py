@@ -4,10 +4,12 @@ No package code calls these, so they live with the tests instead of in
 ``liechar.__all__``.
 """
 
+import math
 from fractions import Fraction
+from itertools import permutations
 from typing import Dict
 
-from liechar import GroupRingElt, weight
+from liechar import GradedCharacter, GroupRingElt, weight
 from liechar.finite_lie import (
     BilinearFormSpace,
     ExtensionClassification,
@@ -26,6 +28,46 @@ def dominant_representative(rs, lam):
 def orbit_alternating_sum(rs, mu):
     """A_mu = sum_w eps(w) e^{w(mu)} for regular dominant mu."""
     return GroupRingElt({nu: par for nu, par in rs.weyl_orbit_signed(mu)})
+
+
+def cartan_isomorphic(a, b):
+    """Equality of Cartan matrices up to a simultaneous node permutation."""
+    n = len(a)
+    if len(b) != n:
+        return False
+    if sorted(tuple(sorted(row)) for row in a) != sorted(tuple(sorted(row)) for row in b):
+        return False
+    return any(all(a[i][j] == b[perm[i]][perm[j]] for i in range(n) for j in range(n))
+               for perm in permutations(range(n)))
+
+
+def euler_product_by_passes(f, char):
+    """f prod_{n>=1} prod_mu (1 - e^mu q^n)^{-c_mu}, one pass over the series
+    per Euler factor: dividing by 1 - u q^n is g_e += u g_{e-n} for ascending
+    e, multiplying by it is g_e -= u g_{e-n} for descending e, with u = e^mu
+    in f's ring.  Needs a ring in which e^mu is a coefficient, so not the
+    W-invariant one."""
+    ctx = f.context
+    factors = [(ctx.project(GroupRingElt.monomial(mu)), c) for mu, c in char.items_sorted()]
+    classes: Dict[Fraction, Fraction] = {}  # exponent class mod 1 -> lowest exponent
+    for e in f.terms:
+        r = e - math.floor(e)
+        if r not in classes or e < classes[r]:
+            classes[r] = e
+    out = {}
+    for low in classes.values():
+        g = [f.terms.get(low + k, ctx.czero()) for k in range(math.floor(f.order - low) + 1)]
+        for u, c in factors:
+            for n in range(1, len(g)):
+                steps = range(n, len(g)) if c > 0 else range(len(g) - 1, n - 1, -1)
+                for _ in range(abs(c)):
+                    for i in steps:
+                        src = g[i - n]
+                        if not ctx.is_zero(src):
+                            src = ctx.mul(u, src)
+                            g[i] = ctx.add(g[i], src if c > 0 else ctx.scale(src, -1))
+        out.update((low + k, v) for k, v in enumerate(g))
+    return GradedCharacter(ctx, f.order, out)
 
 
 def invariant_forms_all_equations(ls):

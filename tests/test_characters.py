@@ -332,6 +332,43 @@ def test_euler_inverse_matches_pochhammer_products(label, mode):
         denominator_inverse(ctx, -1)
 
 
+@st.composite
+def drawn_euler_inputs(draw):
+    """A specialized ring, a series with exponents in several classes mod 1
+    (some below q^0) and non-invariant coefficients, and an integer char whose
+    multiplicities include negative ones and zeros, e^0 among its weights."""
+    rs = build_root_system(draw(st.sampled_from(["A1", "A2", "A3", "B2", "G2"])))
+    ctx = make_context(rs, draw(st.sampled_from(["trivial", "ray"])))
+    weights = st.tuples(*[st.integers(-2, 2)] * rs.rank)
+    coeffs = st.dictionaries(weights, st.integers(-3, 3), min_size=1, max_size=3)
+    exponents = st.sampled_from([F(-1, 2), F(0), F(1, 3), F(1), F(3, 2), F(7, 3)])
+    terms = draw(st.dictionaries(exponents, coeffs, min_size=1, max_size=3))
+    order = draw(st.sampled_from([F(0), F(1, 2), F(2), F(5, 2)]))
+    f = GradedCharacter(ctx, order, {e: ctx.project(GroupRingElt(c)) for e, c in terms.items()})
+    char = draw(st.dictionaries(weights, st.integers(-2, 2), min_size=1, max_size=4))
+    char[(0,) * rs.rank] = draw(st.integers(-2, 2))
+    return f, char
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn_euler_inputs())
+def test_euler_product_of_a_drawn_char_matches_pochhammer_products(case):
+    # one more input for the oracle of test_euler_inverse_matches_pochhammer_products:
+    # (1 - e^mu q^n)^{-c} is c Pochhammer inverses for c > 0 and -c finite
+    # products for c < 0, each built deep enough for f's lower bound
+    f, char = case
+    ctx = f.context
+    deeper = f.order - min(f.lower_bound(), 0)
+    expect = series_one(ctx, deeper)
+    for mu, c in char.items():
+        build = pochhammer_inverse if c > 0 else pochhammer_finite
+        for _ in range(abs(c)):
+            expect = expect.mul(build(ctx, mu, 1, deeper))
+    expect = f.mul(expect)
+    assert expect.order == f.order
+    assert euler_product(f, GroupRingElt(char)).canonical_str() == expect.canonical_str()
+
+
 def test_euler_inverse_division_must_be_exact():
     # (1 - q)^{-1/2} has coefficient 1/2 at q^1: a non-integer multiplicity
     # is refused before any pass

@@ -227,3 +227,7 @@ def test_gko_custom_kappas_and_failure_exit():
     res = run_cli("verify-gko", "--type", "A1", "--order", "2", "--kappa", "-1",
                   "--kappa", "3")
     assert res.returncode == 2
+    # ... in the second position too, refused before the first side is built
+    res = run_cli("verify-gko", "--type", "A4", "--order", "8", "--kappa", "-2",
+                  "--kappa", "-4")
+    assert res.returncode == 2

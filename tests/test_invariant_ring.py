@@ -19,6 +19,7 @@ from liechar import (
     GroupRingContext,
     GroupRingElt,
     InvariantContext,
+    RayContext,
     TrivialContext,
     UsageError,
     assemble_coset_character,
@@ -30,10 +31,12 @@ from liechar import (
     lattice_theta,
     level_one_char,
     make_context,
+    series_one,
     specialize,
 )
 from liechar import characters
 from liechar.characters import _adjoint_char
+from oracles import euler_product_by_passes
 
 SMALL_LABELS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "F4", "G2"]
 ORACLE_TYPES = [build_root_system(t) for t in ["A1", "A2", "A3", "B2", "B3", "C3", "G2"]]
@@ -136,7 +139,7 @@ def test_invariant_euler_product_matches_the_monomial_passes(case):
     char = _adjoint_char(rs).scale(sign)
     got = euler_product(f, char)
     assert got.order == order
-    assert got.canonical_str() == euler_product(_monomial_series(ctx, f), char).canonical_str()
+    assert got.canonical_str() == euler_product_by_passes(_monomial_series(ctx, f), char).canonical_str()
 
 
 def test_make_context_hands_out_one_invariant_ring_per_root_system():
@@ -147,14 +150,37 @@ def test_make_context_hands_out_one_invariant_ring_per_root_system():
     assert make_context(build_root_system("A2"), "group_ring") is not ctx
 
 
+def test_make_context_hands_out_one_ring_per_mode_and_coweight():
+    rs = build_root_system("A2")
+    trivial, ray = make_context(rs, "trivial"), make_context(rs, "ray")
+    assert isinstance(trivial, TrivialContext) and isinstance(ray, RayContext)
+    assert make_context(rs, "trivial") is trivial
+    # xi defaults to rho_check, and equal coordinates are one key whether
+    # they come as ints or Fractions
+    assert make_context(rs, "ray", rs.rho_check) is ray
+    assert make_context(rs, "ray", (1, 1)) is ray
+    assert make_context(rs, "ray", (F(1), F(2, 2))) is ray
+    other = make_context(rs, "ray", (F(1, 2), F(1, 3)))
+    assert other is not ray and other.xi == (F(1, 2), F(1, 3))
+    assert make_context(rs, "ray", [F(1, 2), F(2, 6)]) is other
+    assert len({id(make_context(rs)), id(trivial), id(ray), id(other)}) == 4
+    assert make_context(build_root_system("A2"), "trivial") is not trivial
+
+
 def test_euler_series_extends_its_cache_exactly():
     rs = build_root_system("B2")
-    shared = make_context(rs, "group_ring")
     char = _adjoint_char(rs)
-    shallow = shared.euler_series(char, 2)
-    deep = shared.euler_series(char, 5)
-    assert deep[:3] == shallow and deep[0] == shared.one()
-    assert InvariantContext(rs).euler_series(char, 5) == deep
+    # the series is the Euler product of char, here built by the passes oracle
+    passes = euler_product_by_passes(series_one(GroupRingContext(rs), 5), char)
+    fresh = {"group_ring": InvariantContext, "trivial": TrivialContext,
+             "ray": lambda rs: RayContext(rs, rs.rho_check)}
+    for mode, make in fresh.items():
+        shared = make_context(rs, mode)
+        shallow = shared.euler_series(char, 2)
+        deep = shared.euler_series(char, 5)
+        assert deep[:3] == shallow and deep[0] == shared.one()
+        assert make(rs).euler_series(char, 5) == deep
+        assert deep == [shared.project(passes.coeff(n)) for n in range(6)]
 
 
 # -- the coset sides ----------------------------------------------------------------

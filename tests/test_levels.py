@@ -236,6 +236,22 @@ def test_gko_usage_errors():
         verify_gko("E6", 1)  # full-mode rank cap
 
 
+@pytest.mark.parametrize("mode", ["group_ring", "trivial", "ray"])
+def test_gko_refuses_every_bad_kappa_before_building_a_side(monkeypatch, mode):
+    # A4: kappa = -5 is critical, and kappa = -4 sits on the kernel-partner
+    # pole, where kappa - 1 is critical too; either one in either position is
+    # refused before any side is assembled
+    def no_side(*args, **kwargs):
+        raise AssertionError("a side was built before every kappa was checked")
+
+    monkeypatch.setattr(levels, "assemble_coset_character", no_side)
+    monkeypatch.setattr(levels, "coset_rhs_character", no_side)
+    for bad in (-5, -4):
+        for kappas in ([-2, bad], [bad, -2]):
+            with pytest.raises(UsageError):
+                verify_gko("A4", 8, mode, kappas=kappas)
+
+
 def test_default_kappa_samples_avoid_degenerate_set():
     for rs in (A1, A2):
         for kap in default_kappa_samples(rs, 4):

@@ -8,12 +8,11 @@ from liechar import (
     UsageError,
     alternating_sum,
     build_root_system,
-    cartan_isomorphic,
     langlands_dual,
     weight,
 )
 from liechar.linalg import mat_inverse
-from oracles import dominant_representative
+from oracles import cartan_isomorphic, dominant_representative
 
 ALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
              "D4", "D5", "E6", "E7", "E8", "F4", "G2"]
