@@ -34,7 +34,6 @@ from .qseries import (
     series_equal,
     series_one,
     series_zero,
-    specialize,
 )
 from .characters import (
     FiniteCharacter,

@@ -18,7 +18,9 @@ Pochhammer products, D, 1/D and (q;q)^{-rank}, are applied to a series
 by one routine in every coefficient ring (``euler_product``): the factors
 (1 - q^n) one pass at a time, and the factors (1 - e^mu q^n) with mu != 0
 together, as one series built by the log-derivative recurrence and cached
-per context.  The product forms in ``qseries`` are its test oracles.
+per context.  The product forms in ``qseries`` are its test oracles.  The
+coset sum divides by the (q;q)^rank D that all its summands share once, as
+the Euler product of ch g + rank e^0, instead of building module series.
 """
 
 from __future__ import annotations
@@ -150,13 +152,19 @@ def conformal_top_weight(rs: RootSystem, lam: Weight, kappa: LevelValue) -> Frac
 # graded characters
 
 
+def _cartan_char(rs: RootSystem) -> GroupRingElt:
+    """rank e^0, the character of the Cartan subalgebra: its Euler product
+    is (q;q)^{-rank}."""
+    return GroupRingElt({(0,) * rs.rank: rs.rank})
+
+
 def _adjoint_char(rs: RootSystem) -> GroupRingElt:
     """ch g = rank e^0 + sum_{alpha in Delta} e^alpha."""
-    adjoint = {(0,) * rs.rank: rs.rank}
+    adjoint = _cartan_char(rs)
     for alpha in rs.positive_roots:
-        adjoint[alpha] = 1
-        adjoint[tuple(-c for c in alpha)] = 1
-    return GroupRingElt(adjoint)
+        adjoint.terms[alpha] = 1
+        adjoint.terms[tuple(-c for c in alpha)] = 1
+    return adjoint
 
 
 def denominator_series(ctx, order) -> GradedCharacter:
@@ -223,7 +231,8 @@ def euler_product(f: GradedCharacter, char: GroupRingElt) -> GradedCharacter:
 def weyl_module_char(ctx, lam: Weight, kappa: LevelValue, order) -> GradedCharacter:
     """Character of the level-kappa Weyl module with top space L_lam:
     q^{h_kappa(lam)} ch[L_lam] / D, truncated at the requested order.
-    (The coset sum divides its whole lam-sum by the common D instead.)"""
+    (The coset sum divides its whole lam-sum by the common (q;q)^rank D
+    instead.)"""
     rs = ctx.rs
     kappa.require_noncritical()
     order = frac(order)
@@ -253,7 +262,8 @@ def walgebra_module_char(ctx, lam_star: Weight, kappa_star: LevelValue, order) -
     sum's exponents are minimized exactly at w = e, so the series has
     lower bound lead = h* - (lam*, rho); that can be negative for extreme
     levels, which the series representation tolerates.  The numerator,
-    ``_alternating_series``, is shared with the lattice-theta LHS.
+    ``_alternating_series``, is what both verifiers' lambda-sums multiply
+    by ch L_lam.
     """
     rs = ctx.rs
     kappa_star.require_noncritical()
@@ -265,8 +275,7 @@ def walgebra_module_char(ctx, lam_star: Weight, kappa_star: LevelValue, order) -
     lead = h - rs.inner(lam_star, rs.rho)
     if lead > order:
         return series_zero(ctx, order)
-    cartan = GroupRingElt({(0,) * rs.rank: rs.rank})
-    return euler_product(_alternating_series(ctx, lam_star, lead, order), cartan)
+    return euler_product(_alternating_series(ctx, lam_star, lead, order), _cartan_char(rs))
 
 
 def lattice_theta(ctx, order) -> GradedCharacter:
@@ -289,8 +298,7 @@ def level_one_char(ctx, order) -> GradedCharacter:
     order = frac(order)
     if order < 0:
         raise UsageError("order must be nonnegative")
-    cartan = GroupRingElt({(0,) * rs.rank: rs.rank})
-    return euler_product(lattice_theta(ctx, order), cartan)
+    return euler_product(lattice_theta(ctx, order), _cartan_char(rs))
 
 
 # ---------------------------------------------------------------------------

@@ -657,7 +657,7 @@ class GradedCharacter:
 
 
 # ---------------------------------------------------------------------------
-# constructors and specialization
+# constructors and comparison
 
 
 def series_one(ctx, order) -> GradedCharacter:
@@ -714,28 +714,6 @@ def pochhammer_finite(ctx, mu: Weight, s, order) -> GradedCharacter:
         result = result.mul(factor)
         step += 1
     return result
-
-
-def specialize(f: GradedCharacter, mode: str, xi: Optional[Weight] = None) -> GradedCharacter:
-    """Ring homomorphism to a single-variable series.
-
-    mode "trivial" sends e^mu -> 1; mode "ray" sends e^mu -> z^{(mu, xi)}.
-    Two group rings are accepted: make_context's W-invariant ring, whose
-    series are expanded to monomials first, and the monomial
-    GroupRingContext of the tests' oracles.  Specializing an
-    already-specialized series is the identity (trivial on trivial) or an
-    error for incompatible requests.
-    """
-    ctx = f.context
-    if mode not in ("trivial", "ray"):
-        raise UsageError(f"unknown specialization mode {mode!r}")
-    if isinstance(ctx, TrivialContext) and mode == "trivial":
-        return f
-    if not isinstance(ctx, (GroupRingContext, InvariantContext)):
-        raise UsageError(f"cannot {mode}-specialize an already specialized series")
-    new_ctx = make_context(ctx.rs, mode, xi)
-    expand = ctx.expand if isinstance(ctx, InvariantContext) else lambda c: c
-    return GradedCharacter(new_ctx, f.order, {e: new_ctx.project(expand(c)) for e, c in f.terms.items()})
 
 
 def series_equal(f: GradedCharacter, g: GradedCharacter):

@@ -9,7 +9,16 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Dict
 
-from liechar import GradedCharacter, GroupRingElt, weight
+from liechar import (
+    GradedCharacter,
+    GroupRingContext,
+    GroupRingElt,
+    InvariantContext,
+    TrivialContext,
+    UsageError,
+    make_context,
+    weight,
+)
 from liechar.finite_lie import (
     BilinearFormSpace,
     ExtensionClassification,
@@ -17,6 +26,28 @@ from liechar.finite_lie import (
     _rep_matrices,
 )
 from liechar.linalg import SparseNullspace, frac, sqrt_rational
+
+
+def specialize(f, mode, xi=None):
+    """Ring homomorphism to a single-variable series.
+
+    mode "trivial" sends e^mu -> 1; mode "ray" sends e^mu -> z^{(mu, xi)}.
+    Two group rings are accepted: make_context's W-invariant ring, whose
+    series are expanded to monomials first, and the monomial
+    GroupRingContext of the tests' oracles.  Specializing an
+    already-specialized series is the identity (trivial on trivial) or an
+    error for incompatible requests.
+    """
+    ctx = f.context
+    if mode not in ("trivial", "ray"):
+        raise UsageError(f"unknown specialization mode {mode!r}")
+    if isinstance(ctx, TrivialContext) and mode == "trivial":
+        return f
+    if not isinstance(ctx, (GroupRingContext, InvariantContext)):
+        raise UsageError(f"cannot {mode}-specialize an already specialized series")
+    new_ctx = make_context(ctx.rs, mode, xi)
+    expand = ctx.expand if isinstance(ctx, InvariantContext) else lambda c: c
+    return GradedCharacter(new_ctx, f.order, {e: new_ctx.project(expand(c)) for e, c in f.terms.items()})
 
 
 def dominant_representative(rs, lam):

@@ -33,14 +33,13 @@ from liechar import (
     pochhammer_inverse,
     series_equal,
     singular_constraints,
-    specialize,
     takiff,
     verify_gko,
     verify_kw,
     weight,
 )
 from liechar.linalg import isqrt_rational_floor, sqrt_rational
-from oracles import orbit_alternating_sum
+from oracles import orbit_alternating_sum, specialize
 
 
 def report(num, name, ok):

@@ -28,7 +28,6 @@ from liechar import (
     pochhammer_inverse,
     series_equal,
     series_one,
-    specialize,
     sym2_decompose,
     walgebra_module_char,
     weight,
@@ -36,7 +35,7 @@ from liechar import (
 )
 from liechar import characters
 from liechar.linalg import mat_inverse
-from oracles import dominant_representative, orbit_alternating_sum
+from oracles import dominant_representative, orbit_alternating_sum, specialize
 
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")

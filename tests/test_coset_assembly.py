@@ -1,10 +1,11 @@
-"""The coset sum factored as S_kappa * 1/D, against the per-lambda form it replaced.
+"""The coset sum factored as S_kappa / ((q;q)^rank D), against the per-lambda form it replaced.
 
-``assemble_coset_character`` applies the common 1/D once to
-S_kappa = sum_lam q^{h_lam} ch[L_lam] ch[W_{lam*}].  The oracle here builds
-each lambda-summand as a Weyl-module series times a W-module series, with
-the depth bookkeeping that form needs when W-module factors start below
-q^0; both must give the same canonical JSON.
+``assemble_coset_character`` divides once, by the common (q;q)^rank D, the
+sum S_kappa = sum_lam q^{lead_lam} ch[L_lam] sum_w eps(w) q^{depth_w(lam*)}.
+The oracle here builds each lambda-summand as a Weyl-module series times a
+W-module series, each with its own Euler division, and with the depth
+bookkeeping that form needs when W-module factors start below q^0; both
+must give the same canonical JSON.
 """
 
 from fractions import Fraction as F
@@ -45,15 +46,15 @@ def _weyl_module_with_inv_d(ctx, lam, kappa, order, inv_d):
     return shifted.mul(inv_d.truncate(need))
 
 
-def per_lambda_coset(rs, kappa_value, order, mode):
+def per_lambda_coset(rs, kappa_value, order, mode, xi=None):
     """The coset sum with one Weyl-module factor per lambda.
 
     A W-module factor may start at q^{lead_t} < q^0, so its Weyl-module
     partner is needed through order - lead_t, and 1/D deep enough for all.
-    In ``group_ring`` it is built over monomials.
+    In ``group_ring`` it is built over monomials; xi is ray's coweight.
     """
     order = frac(order)
-    ctx = GroupRingContext(rs) if mode == "group_ring" else make_context(rs, mode)
+    ctx = GroupRingContext(rs) if mode == "group_ring" else make_context(rs, mode, xi)
     kappa = level(rs, kappa_value)
     partner = kernel_partner_level(kappa, 1)
     needs = []
@@ -88,18 +89,23 @@ def shifted_levels(draw, rs):
 def coset_inputs(draw):
     rs = draw(st.sampled_from(ORACLE_TYPES))
     kappa = draw(shifted_levels(rs)) - rs.dual_coxeter
-    mode = draw(st.sampled_from(["group_ring", "trivial", "ray"]))
+    mode = draw(st.sampled_from(["group_ring", "trivial", "ray", "ray_rational"]))
+    xi = None
+    if mode == "ray_rational":
+        # a rational coweight off rho_check: ch L_lam from Freudenthal, projected
+        coord = st.fractions(-2, 2, max_denominator=3)
+        mode, xi = "ray", draw(st.tuples(*[coord] * rs.rank).filter(lambda x: x != rs.rho_check))
     order = draw(st.integers(0, 6).map(lambda k: F(k, 2)))
-    return rs, kappa, mode, order
+    return rs, kappa, mode, xi, order
 
 
 @settings(max_examples=60, deadline=None)
 @given(coset_inputs())
 def test_factored_coset_sum_matches_per_lambda_oracle(case):
-    rs, kappa, mode, order = case
-    got = assemble_coset_character(rs, kappa, order, mode)
+    rs, kappa, mode, xi, order = case
+    got = assemble_coset_character(rs, kappa, order, mode, xi)
     assert got.order == order
-    assert got.canonical_str() == per_lambda_coset(rs, kappa, order, mode).canonical_str()
+    assert got.canonical_str() == per_lambda_coset(rs, kappa, order, mode, xi).canonical_str()
 
 
 @st.composite

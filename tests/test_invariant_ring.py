@@ -32,11 +32,10 @@ from liechar import (
     level_one_char,
     make_context,
     series_one,
-    specialize,
 )
 from liechar import characters
 from liechar.characters import _adjoint_char
-from oracles import euler_product_by_passes
+from oracles import euler_product_by_passes, specialize
 
 SMALL_LABELS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "F4", "G2"]
 ORACLE_TYPES = [build_root_system(t) for t in ["A1", "A2", "A3", "B2", "B3", "C3", "G2"]]

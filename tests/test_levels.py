@@ -23,14 +23,14 @@ from liechar import (
     lattice_theta,
     level,
     make_context,
+    rat_str,
     series_equal,
-    specialize,
     verify_gko,
     verify_kw,
     weight,
 )
-from liechar import levels
-from oracles import dominant_representative
+from liechar import characters, cli, levels
+from oracles import dominant_representative, specialize
 
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
@@ -402,6 +402,45 @@ def test_kappa_independence_reports_the_first_mismatch(monkeypatch):
     assert rep.status == "fail"
     assert rep.first_mismatch["comparison"] == "kappa-independence 1 vs 1/2"
     assert rep.first_mismatch["exponent"] == "3"
+
+
+@pytest.mark.parametrize("mode,spec", [("group_ring", "full"), ("trivial", "trivial"), ("ray", "ray")])
+def test_negative_control_a_dropped_lambda_fails_at_its_top_weight(monkeypatch, capsys, mode, spec):
+    # with ch L_theta taken as zero the coset sum loses its theta-summand,
+    # which starts at q^{|theta|^2/2} = q^1; the first kappa sample fails there
+    theta = A2.highest_root
+    ring = type(make_context(A2, mode))
+    irreducible = ring.irreducible
+
+    def dropping_theta(self, lam):
+        return self.czero() if tuple(lam) == theta else irreducible(self, lam)
+
+    monkeypatch.setattr(ring, "irreducible", dropping_theta)
+    rep = verify_gko("A2", 2, mode)
+    assert rep.status == "fail"
+    first = rat_str(default_kappa_samples(A2)[0])
+    assert rep.first_mismatch["comparison"] == f"lhs[kappa={first}] vs rhs"
+    assert rep.first_mismatch["exponent"] == rat_str(A2.norm2(theta) / 2) == "1"
+    assert cli.main(["verify-gko", "--type", "A2", "--order", "2", "--spec", spec]) == 1
+    assert json.loads(capsys.readouterr().out)["status"] == "fail"
+
+
+@pytest.mark.parametrize("order,n_lams", [(2, 2), (4, 5)])
+def test_gko_divides_once_per_side(monkeypatch, order, n_lams):
+    # two kappa sides, each S_kappa / ((q;q)^rank D), and a RHS of 1/D and
+    # Theta_Q / (q;q)^rank: four Euler products, however many lambda-summands
+    calls = []
+    euler_product = characters.euler_product
+
+    def counted(f, char):
+        calls.append(char)
+        return euler_product(f, char)
+
+    monkeypatch.setattr(characters, "euler_product", counted)
+    monkeypatch.setattr(levels, "euler_product", counted)
+    assert len(A2.dominant_weights_in_root_lattice(order)) == n_lams
+    assert verify_gko("A2", order).status == "pass"
+    assert len(calls) == 4
 
 
 def test_kw_usage_errors():

@@ -17,9 +17,9 @@ from liechar import (
     pochhammer_inverse,
     series_equal,
     series_one,
-    specialize,
     weight,
 )
+from oracles import specialize
 
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
