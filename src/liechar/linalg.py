@@ -22,6 +22,8 @@ def frac(x) -> Fraction:
 
 def int_or_frac(x):
     """The rational x as an int when integral, else as a Fraction."""
+    if type(x) is int:
+        return x
     x = frac(x)
     return int(x) if x.denominator == 1 else x
 

@@ -43,6 +43,7 @@ def rat_str(x) -> str:
 
 
 def _coord_json(c):
+    c = int_or_frac(c)
     return c if isinstance(c, int) else rat_str(c)
 
 
@@ -162,13 +163,13 @@ class _Context:
     restriction of an invariant element to its dominant coefficients,
     e^mu -> 1, or e^mu -> z^{(mu, xi)}.  The base holds the ring operations
     of GroupRingElt coefficients, of rank rs.rank, and the one Euler series
-    routine built on them; RayContext's unit has rank 1, and
-    TrivialContext's coefficients are plain numbers.  The
-    context classes derive from this base only, never from one another:
-    perfbench/tracer.py wraps ``mul`` on the three mode classes, and a class
-    that inherited another's wrapped ``mul`` would count each product twice.
-    (InvariantContext's products reach that wrapper through the
-    GroupRingContext they expand into.)
+    routine built on them; RayContext's unit has rank 1, and TrivialContext's
+    coefficients are plain numbers.  The context classes derive from this
+    base only, never from one another: perfbench/tracer.py wraps ``mul`` on
+    the three mode classes, and a class that inherited another's wrapped
+    ``mul`` would count each product twice.  InvariantContext's products
+    reach that wrapper through its GroupRingContext once per miss of its
+    table of orbit-sum products m_mu m_nu, not once per product.
     """
 
     def __init__(self, rs: RootSystem):
@@ -284,7 +285,8 @@ class InvariantContext(_Context):
 
     Each RootSystem holds one instance, ``make_context(rs, "group_ring")``,
     whose caches every series built on rs shares: orbit lists, |W_x| per
-    zero pattern, dominant conjugates, ch L_lam per lam and the Euler series.
+    zero pattern, dominant conjugates, the products m_mu m_nu per pair
+    (mu, nu), ch L_lam per lam and the Euler series.
     """
 
     def __init__(self, rs: RootSystem):
@@ -294,6 +296,7 @@ class InvariantContext(_Context):
         self._orbits: Dict[Weight, List[Weight]] = {}
         self._stabilizers: Dict[Tuple[bool, ...], int] = {}
         self._conjugates: Dict[Weight, Tuple[Weight, int]] = {}
+        self._pairs: Dict[Tuple[Weight, Weight], Tuple[tuple, tuple]] = {}
         self._irreducibles: Dict[Weight, GroupRingElt] = {}
 
     def _orbit(self, mu: Weight) -> List[Weight]:
@@ -316,41 +319,36 @@ class InvariantContext(_Context):
         self._conjugates[x] = hit = (d, self._stabilizer(d))
         return hit
 
-    def _orbit_size(self, c: GroupRingElt) -> int:
-        order = self.rs.weyl_order
-        return sum(order // self._stabilizer(mu) for mu in c.terms)
+    def _pair(self, key: Tuple[Weight, Weight]) -> Tuple[tuple, tuple]:
+        """m_mu m_nu = sum_d m m_d, as aligned tuples of the d and of the m:
+        (1/|W_nu|) sum_{beta in W mu} |W_{beta+nu}| m_{dom(beta+nu)}, by
+        sum_{w in W} e^{w x} = |W_x| m_{dom x}, with W mu the smaller orbit.
+        The division by |W_nu| is exact; a nonzero remainder raises."""
+        mu, nu = sorted(key, key=self._stabilizer, reverse=True)  # smaller orbit first
+        orbit = self.expand(GroupRingElt.monomial(mu))
+        acc: Dict[Weight, int] = {}
+        for x in self._monomials.mul(orbit, GroupRingElt.monomial(nu)).terms:
+            d, s = self._conjugates.get(x) or self._conjugate(x)
+            acc[d] = acc.get(d, 0) + s
+        k = self._stabilizer(nu)
+        return tuple(acc), tuple(_divide_exactly(c, k) for c in acc.values())
 
     def mul(self, a, b):
-        """The orbit product m_mu m_nu = (1/|W_nu|) sum_{beta in W mu} |W_{beta+nu}| m_{dom(beta+nu)},
-        from sum_{w in W} e^{w x} = |W_x| m_{dom x}.
-
-        Only the orbits of the factor with the smaller total orbit size are
-        expanded; the group ring multiplies that expansion by the other
-        factor's terms of one stabilizer class |W_nu| at a time, and each
-        product is folded onto dominant conjugates and divided by |W_nu|
-        exactly: a nonzero remainder raises.
-        """
+        """sum_{mu, nu} a_mu b_nu m_mu m_nu, with m_mu m_nu tabled per (mu, nu)."""
         zero = self._zero
         if len(a.terms) == 1 and zero in a.terms:
             return b.scale(a.terms[zero])
         if len(b.terms) == 1 and zero in b.terms:
             return a.scale(b.terms[zero])
-        if self._orbit_size(a) > self._orbit_size(b):
-            a, b = b, a
-        classes: Dict[int, GroupRingElt] = {}
-        for nu, c in b.terms.items():
-            classes.setdefault(self._stabilizer(nu), GroupRingElt()).terms[nu] = c
-        expanded = self.expand(a)
-        seen, conjugate = self._conjugates, self._conjugate
+        pairs, pair = self._pairs, self._pair
         out: Dict[Weight, object] = {}
-        for k, part in classes.items():
-            acc: Dict[Weight, object] = {}
-            get = acc.get
-            for x, c in self._monomials.mul(expanded, part).terms.items():
-                d, s = seen.get(x) or conjugate(x)
-                acc[d] = get(d, 0) + c * s
-            for d, c in acc.items():
-                out[d] = out.get(d, 0) + _divide_exactly(c, k)
+        get = out.get
+        for mu, c1 in a.terms.items():
+            for nu, c2 in b.terms.items():
+                key = (mu, nu) if mu <= nu else (nu, mu)
+                c = c1 * c2
+                for d, m in zip(*(pairs.get(key) or pairs.setdefault(key, pair(key)))):
+                    out[d] = get(d, 0) + c * m
         res = GroupRingElt()
         res.terms = {d: c for d, c in out.items() if c != 0}
         return res
@@ -366,8 +364,8 @@ class InvariantContext(_Context):
         dom = {w: c for w, c in gre.terms.items() if min(w) >= 0}
         res = GroupRingElt()
         res.terms = dom
-        to_dominant = self.rs._reflect_to_dominant
-        if self._orbit_size(res) != len(gre.terms) or any(
+        to_dominant, order = self.rs._reflect_to_dominant, self.rs.weyl_order
+        if sum(order // self._stabilizer(mu) for mu in dom) != len(gre.terms) or any(
                 dom.get(to_dominant(w)) != c for w, c in gre.terms.items()):
             raise UsageError("a W-invariant coefficient ring got a non-invariant element")
         return res

@@ -38,7 +38,7 @@ from liechar.characters import _adjoint_char
 from oracles import euler_product_by_passes, specialize
 
 SMALL_LABELS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "F4", "G2"]
-ORACLE_TYPES = [build_root_system(t) for t in ["A1", "A2", "A3", "B2", "B3", "C3", "G2"]]
+ORACLE_TYPES = [build_root_system(t) for t in ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2"]]
 
 
 def _monomial_series(ctx, f):
@@ -83,9 +83,10 @@ def test_d5_theta_counts_roots_and_norm_four_vectors():
 
 @st.composite
 def invariant_elements(draw, rs, max_terms=4):
-    """A W-invariant element as dominant weight -> coefficient."""
+    """A W-invariant element as dominant weight -> coefficient, some rational."""
     weights = st.tuples(*[st.integers(0, 2)] * rs.rank)
-    terms = draw(st.dictionaries(weights, st.integers(-3, 3), max_size=max_terms))
+    coeffs = st.integers(-3, 3) | st.sampled_from([F(1, 2), F(-2, 3), F(5, 6)])
+    terms = draw(st.dictionaries(weights, coeffs, max_size=max_terms))
     return GroupRingElt(terms)
 
 
@@ -102,6 +103,39 @@ def test_orbit_product_matches_the_group_ring_product(case):
     ctx = make_context(rs, "group_ring")
     assert ctx.expand(ctx.mul(a, b)) == ctx.expand(a) * ctx.expand(b)
     assert ctx.project(ctx.expand(a) * ctx.expand(b)) == ctx.mul(a, b)
+
+
+@pytest.mark.parametrize("label,top", [("A2", 2), ("B2", 2), ("G2", 2), ("A3", 1), ("B3", 1), ("D4", 1)])
+def test_orbit_product_of_every_small_pair_matches_the_group_ring_product(label, top):
+    # every stabilizer class on both sides, m_0 (the unit) among them
+    ctx = make_context(build_root_system(label), "group_ring")
+    weights = itertools.product(range(top + 1), repeat=ctx.rs.rank)
+    basis = [GroupRingElt.monomial(mu) for mu in weights]
+    for a, b in itertools.product(basis, repeat=2):
+        assert ctx.expand(ctx.mul(a, b)) == ctx.expand(a) * ctx.expand(b)
+        assert ctx.mul(a, b) == ctx.mul(b, a)
+
+
+def test_orbit_products_are_tabled_once_per_pair_and_root_system(monkeypatch):
+    monomial_products = []
+    real = GroupRingContext.mul
+
+    def counting(self, a, b):
+        monomial_products.append((a, b))
+        return real(self, a, b)
+
+    monkeypatch.setattr(GroupRingContext, "mul", counting)
+    ctx = make_context(build_root_system("A3"), "group_ring")
+    a = GroupRingElt({(1, 0, 0): 2, (0, 1, 1): F(1, 2)})
+    b = GroupRingElt({(0, 0, 1): -1, (1, 1, 0): 3, (0, 1, 1): 1})
+    product = ctx.mul(a, b)
+    assert len(monomial_products) == 6  # one per distinct pair (mu, nu)
+    assert ctx.mul(a, b) == product and ctx.mul(b, a) == product
+    assert ctx.mul(b.scale(2), a) == product.scale(2)
+    assert len(monomial_products) == 6
+    fresh = make_context(build_root_system("A3"), "group_ring")
+    assert fresh is not ctx and fresh.mul(b, a) == product
+    assert len(monomial_products) == 12
 
 
 def test_projecting_a_non_invariant_element_raises():

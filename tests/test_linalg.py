@@ -86,3 +86,12 @@ def test_int_or_frac():
     assert int_or_frac(F(4, 2)) == 2 and type(int_or_frac(F(4, 2))) is int
     assert int_or_frac(3) == 3 and type(int_or_frac(3)) is int
     assert int_or_frac(F(1, 3)) == F(1, 3) and type(int_or_frac(F(1, 3))) is F
+
+
+def test_int_or_frac_returns_ints_as_they_are():
+    big = 10 ** 40
+    assert int_or_frac(big) is big and int_or_frac(-7) == -7
+    for b in (True, False):
+        assert int_or_frac(b) == b and type(int_or_frac(b)) is int
+    assert int_or_frac(F(4, 2)) == 2 and type(int_or_frac(F(4, 2))) is int
+    assert int_or_frac(F(1, 2)) == F(1, 2) and type(int_or_frac(F(1, 2))) is F

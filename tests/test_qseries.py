@@ -388,3 +388,13 @@ def test_canonical_serialization_golden():
     )
     assert series.canonical_str() == expected
 
+
+def test_canonical_serialization_writes_values_not_representations():
+    # 1/2 * 2 is Fraction(1, 1): written as the number 1, like the int 1
+    halves = GroupRingElt({(1,): F(1, 2)}) * GroupRingElt({(1,): 2})
+    assert halves.to_json() == GroupRingElt({(2,): 1}).to_json() == [{"weight": [2], "coeff": 1}]
+    assert TrivialContext(A1).coeff_json(F(6, 2)) == 3
+    assert TrivialContext(A1).coeff_json(F(3, 2)) == "3/2"
+    ray = RayContext(A1, (F(1, 2),))
+    twice_half = GroupRingElt({(1,): F(1, 2)}) * GroupRingElt({(0,): 4})
+    assert ray.coeff_json(twice_half) == [{"zexp": "1/4", "coeff": 2}]
