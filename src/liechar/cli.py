@@ -146,8 +146,8 @@ def cmd_weights(args, t0: float) -> int:
     bound = parse_rational(args.max_norm) / 2
     rows = []
     all_positive = True
+    kappa = default_kappa_samples(rs, 1)[0]
     for lam in rs.dominant_weights_in_root_lattice(bound):
-        kappa = default_kappa_samples(rs, 1)[0]
         h_two = conformal_weight(rs, lam, kappa, n)
         h_closed = conformal_weight_closed(rs, lam, n)
         positive = h_closed > 0 or all(c == 0 for c in lam)

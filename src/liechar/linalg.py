@@ -176,12 +176,3 @@ def sqrt_rational(r: Fraction) -> Optional[Fraction]:
     if pn * pn == r.numerator and pd * pd == r.denominator:
         return Fraction(pn, pd)
     return None
-
-
-def isqrt_rational_floor(r: Fraction) -> int:
-    """floor(sqrt(r)) for a nonnegative rational r."""
-    r = frac(r)
-    if r < 0:
-        raise ValueError("negative radicand")
-    # floor(sqrt(n/d)) = isqrt(floor(n*d)) / d ... done exactly via isqrt(n*d)//d
-    return math.isqrt(r.numerator * r.denominator) // r.denominator

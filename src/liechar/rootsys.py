@@ -23,13 +23,14 @@ for sums that need every term.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from collections import Counter
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .linalg import frac, int_or_frac, isqrt_rational_floor, mat_inverse
+from .linalg import frac, int_or_frac, mat_inverse
 
 Weight = Tuple[int, ...]  # coordinates in the fundamental-weight basis
 
@@ -153,8 +154,10 @@ class RootSystem:
     Built from a finite-type Cartan matrix; all derived quantities
     (positive roots, Weyl vectors, dual Coxeter number, lacity, Weyl
     group order) are computed, not table lookups.  The root data is
-    immutable after construction and safe to share; the one mutable part
-    is the cache of the W-invariant coefficient ring, which only grows.
+    immutable after construction and safe to share; the two mutable parts
+    are caches that only grow: the coefficient contexts (``_contexts``) and
+    the dominant weights of Q+ up to the deepest norm bound asked so far
+    (``_q_plus``).
     """
 
     def __init__(self, cartan: Sequence[Sequence[int]], type_label: str):
@@ -179,8 +182,7 @@ class RootSystem:
         self._form_den, self._form_scaled = _scaled_to_ints(self.quadratic_form)
         # simple root alpha_i has fundamental-weight coords = i-th row of A
         self.simple_roots: Tuple[Weight, ...] = self.cartan_matrix
-        self._lattice_den, self._inv_cartan_t_scaled = _scaled_to_ints(
-            mat_inverse([[cartan[j][i] for j in range(n)] for i in range(n)]))
+        self._lattice_den, self._inv_cartan_t_scaled = _scaled_to_ints(list(zip(*ainv)))
         self._build_positive_roots()
         self.rho: Weight = (1,) * n
         # a coweight, so rational: (rho_check, alpha_i) = 1 for every i
@@ -200,6 +202,10 @@ class RootSystem:
         # the coefficient contexts and their caches, one per (mode, xi), made
         # on first use by qseries.make_context and freed with this root system
         self._contexts = {}
+        # (scaled norm lam^T F lam, lam) for lam in Q+, sorted, through the
+        # scaled norm _q_plus_limit; grown by dominant_weights_in_root_lattice
+        self._q_plus: List[Tuple[int, Weight]] = []
+        self._q_plus_limit = -1
 
     # -- construction helpers -------------------------------------------------
 
@@ -426,35 +432,60 @@ class RootSystem:
         return self._reflect_to_dominant(tuple(-c for c in lam))
 
     def dominant_weights_in_root_lattice(self, norm_bound) -> List[Weight]:
-        """All lam in Q^+ with (lam,lam)/2 <= norm_bound.
+        """All lam in Q^+ with (lam,lam)/2 <= norm_bound, as a new list.
 
-        Sorted by (lam,lam), then lexicographically by coordinates.
+        Sorted by (lam,lam), then lexicographically by coordinates.  The
+        walk runs once per deeper bound: a shallower bound is a prefix of
+        the cached list.
         """
         bound = frac(norm_bound)
         if bound < 0:
             raise UsageError("norm bound must be nonnegative")
-        n = self.rank
-        caps = [
-            isqrt_rational_floor(2 * bound / self.quadratic_form[i][i]) for i in range(n)
-        ]
-        found: List[Tuple[Fraction, Weight]] = []
+        # (lam, lam) <= 2 bound <=> lam^T F lam <= 2 bound den, an int
+        limit = math.floor(2 * bound * self._form_den)
+        if limit > self._q_plus_limit:
+            self._q_plus = self._walk_q_plus(limit)
+            self._q_plus_limit = limit
+        end = bisect.bisect_right(self._q_plus, limit, key=operator.itemgetter(0))
+        return [lam for _, lam in self._q_plus[:end]]
+
+    def _walk_q_plus(self, limit: int) -> List[Tuple[int, Weight]]:
+        """(lam^T F lam, lam) for every lam in Q^+ with lam^T F lam <= limit,
+        sorted, F = ``_form_scaled``.
+
+        Depth-first over the coordinates, in ints: raising c_i by one adds
+        2 (F c)_i + F_ii to the norm and column i of ``_inv_cartan_t_scaled``
+        to the root-lattice residues.  Every (omega_i, omega_j) is positive
+        on a finite type, so no later coordinate lowers the norm, and c_i
+        stops rising once the partial norm passes the limit (Fincke and
+        Pohst, Math. Comp. 44, 1985, on the positive orthant).
+        """
+        n, form, den = self.rank, self._form_scaled, self._lattice_den
+        if any(x < 0 for row in form for x in row):
+            raise AssertionError("a negative (omega_i, omega_j) breaks the pruning")
+        residue_cols = list(zip(*self._inv_cartan_t_scaled))
+        found: List[Tuple[int, Weight]] = []
         coords = [0] * n
 
-        def rec(i: int):
+        def rec(i: int, norm: int, fc: Sequence[int], res: Sequence[int]) -> None:
             if i == n:
-                lam = tuple(coords)
-                nn = self.norm2(lam)
-                if nn <= 2 * bound and self.in_root_lattice(lam):
-                    found.append((nn, lam))
+                if not any(res):
+                    found.append((norm, tuple(coords)))
                 return
-            for c in range(caps[i] + 1):
-                coords[i] = c
-                rec(i + 1)
+            row, col = form[i], residue_cols[i]
+            while True:
+                rec(i + 1, norm, fc, res)
+                norm += 2 * fc[i] + row[i]
+                if norm > limit:
+                    break
+                coords[i] += 1
+                fc = [a + b for a, b in zip(fc, row)]
+                res = [(a + b) % den for a, b in zip(res, col)]
             coords[i] = 0
 
-        rec(0)
+        rec(0, 0, [0] * n, [0] * n)
         found.sort()
-        return [lam for _, lam in found]
+        return found
 
     def _coroot_pairings(self, lam: Weight) -> Tuple[List[int], List[int]]:
         """(lam+rho, alpha^vee) and (rho, alpha^vee) for every positive root."""

@@ -61,6 +61,44 @@ def orbit_alternating_sum(rs, mu):
     return GroupRingElt({nu: par for nu, par in rs.weyl_orbit_signed(mu)})
 
 
+def isqrt_rational_floor(r: Fraction) -> int:
+    """floor(sqrt(r)) for a nonnegative rational r."""
+    r = frac(r)
+    if r < 0:
+        raise ValueError("negative radicand")
+    # floor(sqrt(n/d)) = isqrt(floor(n*d)) / d ... done exactly via isqrt(n*d)//d
+    return math.isqrt(r.numerator * r.denominator) // r.denominator
+
+
+def dominant_weights_box_scan(rs, norm_bound):
+    """All lam in Q^+ with (lam,lam)/2 <= norm_bound, sorted by (lam,lam)
+    then coordinates: every point of the box c_i <= sqrt(2 bound / (omega_i,
+    omega_i)), each with its own Fraction norm and lattice test."""
+    bound = frac(norm_bound)
+    if bound < 0:
+        raise UsageError("norm bound must be nonnegative")
+    n = rs.rank
+    caps = [isqrt_rational_floor(2 * bound / rs.quadratic_form[i][i]) for i in range(n)]
+    found = []
+    coords = [0] * n
+
+    def rec(i):
+        if i == n:
+            lam = tuple(coords)
+            nn = rs.norm2(lam)
+            if nn <= 2 * bound and rs.in_root_lattice(lam):
+                found.append((nn, lam))
+            return
+        for c in range(caps[i] + 1):
+            coords[i] = c
+            rec(i + 1)
+        coords[i] = 0
+
+    rec(0)
+    found.sort()
+    return [lam for _, lam in found]
+
+
 def cartan_isomorphic(a, b):
     """Equality of Cartan matrices up to a simultaneous node permutation."""
     n = len(a)

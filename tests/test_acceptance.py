@@ -38,8 +38,8 @@ from liechar import (
     verify_kw,
     weight,
 )
-from liechar.linalg import isqrt_rational_floor, sqrt_rational
-from oracles import orbit_alternating_sum, specialize
+from liechar.linalg import sqrt_rational
+from oracles import isqrt_rational_floor, orbit_alternating_sum, specialize
 
 
 def report(num, name, ok):

@@ -5,14 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liechar import (
+    RootSystem,
     UsageError,
     alternating_sum,
     build_root_system,
     langlands_dual,
+    verify_gko,
     weight,
 )
 from liechar.linalg import mat_inverse
-from oracles import cartan_isomorphic, dominant_representative
+from oracles import cartan_isomorphic, dominant_representative, dominant_weights_box_scan
 
 ALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
              "D4", "D5", "E6", "E7", "E8", "F4", "G2"]
@@ -274,6 +276,55 @@ def test_dominant_weights_in_root_lattice():
     assert len(set(ws)) == len(ws)
     norms = [a2.norm2(w) for w in ws]
     assert norms == sorted(norms)
+
+
+RANK_8_TYPES = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+                + [f"C{n}" for n in range(3, 9)] + [f"D{n}" for n in range(4, 9)]
+                + ["E6", "E7", "E8", "F4", "G2"])
+NORM_BOUNDS = [0, F(1, 2), 1, F(7, 3), F(5, 2), 4, 6]
+
+
+def _count_walks(monkeypatch):
+    walks = []
+    real = RootSystem._walk_q_plus
+
+    def counting(self, limit):
+        walks.append((self.type_label, limit))
+        return real(self, limit)
+
+    monkeypatch.setattr(RootSystem, "_walk_q_plus", counting)
+    return walks
+
+
+@pytest.mark.parametrize("label", RANK_8_TYPES)
+def test_q_plus_walk_matches_the_box_scan(label, monkeypatch):
+    # ascending, every bound walks deeper; descending, every bound is a prefix
+    walks = _count_walks(monkeypatch)
+    rs = build_root_system(label)
+    expected = {b: dominant_weights_box_scan(rs, b) for b in NORM_BOUNDS}
+    for b in NORM_BOUNDS:
+        assert rs.dominant_weights_in_root_lattice(b) == expected[b]
+    assert len(walks) == len(NORM_BOUNDS)
+    for b in reversed(NORM_BOUNDS):
+        assert rs.dominant_weights_in_root_lattice(b) == expected[b]
+    assert len(walks) == len(NORM_BOUNDS)
+
+
+def test_q_plus_lists_are_fresh():
+    rs = build_root_system("A3")
+    first = rs.dominant_weights_in_root_lattice(3)
+    expected = list(first)
+    first.clear()
+    rs.dominant_weights_in_root_lattice(2).append((9, 9, 9))
+    assert rs.dominant_weights_in_root_lattice(3) == expected
+    with pytest.raises(UsageError):
+        rs.dominant_weights_in_root_lattice(F(-1, 2))
+
+
+def test_two_kappa_gko_walks_q_plus_once(monkeypatch):
+    walks = _count_walks(monkeypatch)
+    assert verify_gko("A2", 3, "trivial").status == "pass"
+    assert [label for label, _ in walks] == ["A2"]
 
 
 SYSTEMS = {label: build_root_system(label) for label in ALL_TYPES}
