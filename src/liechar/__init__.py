@@ -72,7 +72,6 @@ from .finite_lie import (
     ConstraintPolynomial,
     ExtensionClassification,
     LieStructure,
-    Poly2,
     QuadExt,
     TwoTriplesModeAlgebra,
     abelian,

@@ -326,19 +326,18 @@ def _strip_highest_weights(rs: RootSystem, char: GroupRingElt) -> Dict[Weight, i
     return out
 
 
+def _square_decompose(rs: RootSystem, lam: Weight, sign: int) -> Dict[Weight, int]:
+    """Highest weights (with multiplicity) of (ch^2 + sign psi^2 ch)/2, ch = ch L_lam."""
+    ch = finite_char(rs, lam).multiplicities
+    half = (ch * ch + ch.frobenius(2).scale(sign)).scale(Fraction(1, 2))
+    return _strip_highest_weights(rs, half)
+
+
 def alt2_decompose(rs: RootSystem, lam: Weight) -> Dict[Weight, int]:
     """Highest weights (with multiplicity) of wedge^2 L_lam."""
-    ch = finite_char(rs, lam).multiplicities
-    sq = ch * ch
-    frob = ch.frobenius(2)
-    half = (sq - frob).scale(Fraction(1, 2))
-    return _strip_highest_weights(rs, half)
+    return _square_decompose(rs, lam, -1)
 
 
 def sym2_decompose(rs: RootSystem, lam: Weight) -> Dict[Weight, int]:
     """Highest weights (with multiplicity) of Sym^2 L_lam."""
-    ch = finite_char(rs, lam).multiplicities
-    sq = ch * ch
-    frob = ch.frobenius(2)
-    half = (sq + frob).scale(Fraction(1, 2))
-    return _strip_highest_weights(rs, half)
+    return _square_decompose(rs, lam, 1)

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import SparseNullspace, frac, int_or_frac, sqrt_rational
 from .rootsys import RootSystem, UsageError, Weight, build_root_system
-from .qseries import rat_str
+from .qseries import GroupRingElt, rat_str
 
 Vector = Dict[int, Fraction]  # sparse coefficient vector over the basis
 
@@ -30,9 +30,7 @@ class LieStructure:
 
     brackets[(i, j)] for i < j maps basis index k to the coefficient of
     x_k in [x_i, x_j] (an int when integral, else a Fraction); the i > j
-    values follow by antisymmetry and are not stored.  An optional
-    grading labels each basis vector with a nonnegative integer (used by
-    the Takiff construction).
+    values follow by antisymmetry and are not stored.
 
     ``generators`` lists basis indices whose iterated brackets span the
     algebra; it defaults to the whole basis.  The x that leave a bilinear
@@ -45,7 +43,6 @@ class LieStructure:
         self,
         labels: Sequence[str],
         brackets: Dict[Tuple[int, int], Vector],
-        grading: Optional[Sequence[int]] = None,
         name: str = "",
         generators: Optional[Sequence[int]] = None,
     ):
@@ -61,7 +58,6 @@ class LieStructure:
             clean = {k: int_or_frac(c) for k, c in vec.items() if c != 0}
             if clean:
                 self.brackets[(i, j)] = clean
-        self.grading = list(grading) if grading is not None else [0] * self.dimension
         if generators is None:
             generators = range(self.dimension)
         self.generators: Tuple[int, ...] = tuple(generators)
@@ -300,11 +296,8 @@ def takiff(ls: LieStructure) -> LieStructure:
         brackets[(i, j)] = dict(vec)
         brackets[(i, j + d)] = {k + d: c for k, c in vec.items()}
         brackets[(j, i + d)] = {k + d: -c for k, c in vec.items()}
-    grading = [0] * d + [1] * d
     generators = ls.generators + tuple(g + d for g in ls.generators)
-    return LieStructure(
-        labels, brackets, grading=grading, name=f"takiff({ls.name})", generators=generators
-    )
+    return LieStructure(labels, brackets, name=f"takiff({ls.name})", generators=generators)
 
 
 def abelian(dim: int) -> LieStructure:
@@ -660,8 +653,7 @@ def classify_extension(
         denom = 2 * p + beta
         if denom == 0:
             raise UsageError(f"degenerate denominator 2p + beta = 0 at p = {p}")
-        c2 = (1 if not isinstance(p, QuadExt) else QuadExt(1, 0, disc)) / denom
-        witnesses.append((p / denom, c2))
+        witnesses.append((p / denom, 1 / denom))
     witnesses = tuple(witnesses)
     _check_witnesses(alpha, beta, base, witnesses, (p_plus, p_minus))
     return ExtensionClassification(
@@ -711,96 +703,6 @@ def _check_witnesses(alpha, beta, base: LieStructure, witnesses, eigenvalues) ->
 # degree-two singular-vector constraints
 
 
-class Poly2:
-    """Polynomial in the two level symbols kappa_1, kappa_2 over Q."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Optional[Dict[Tuple[int, int], Fraction]] = None):
-        self.terms: Dict[Tuple[int, int], Fraction] = {}
-        if terms:
-            for k, c in terms.items():
-                c = frac(c)
-                if c != 0:
-                    self.terms[k] = c
-
-    @classmethod
-    def const(cls, c) -> "Poly2":
-        return cls({(0, 0): frac(c)})
-
-    @classmethod
-    def kappa(cls, factor: int) -> "Poly2":
-        return cls({(1, 0) if factor == 0 else (0, 1): Fraction(1)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "Poly2") -> "Poly2":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            nv = out.get(k, Fraction(0)) + c
-            if nv == 0:
-                out.pop(k, None)
-            else:
-                out[k] = nv
-        return Poly2(out)
-
-    def __neg__(self) -> "Poly2":
-        return Poly2({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "Poly2") -> "Poly2":
-        return self + (-other)
-
-    def __mul__(self, other: "Poly2") -> "Poly2":
-        out: Dict[Tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                k = (i1 + i2, j1 + j2)
-                nv = out.get(k, Fraction(0)) + c1 * c2
-                if nv == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = nv
-        return Poly2(out)
-
-    def scale(self, c) -> "Poly2":
-        c = frac(c)
-        return Poly2({k: v * c for k, v in self.terms.items()}) if c else Poly2()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly2) and self.terms == other.terms
-
-    def evaluate(self, k1, k2) -> Fraction:
-        k1, k2 = frac(k1), frac(k2)
-        return sum(
-            (c * k1**i * k2**j for (i, j), c in self.terms.items()), Fraction(0)
-        )
-
-    def variables(self) -> Tuple[bool, bool]:
-        uses1 = any(i for (i, _j) in self.terms)
-        uses2 = any(j for (_i, j) in self.terms)
-        return uses1, uses2
-
-    def to_json(self) -> list:
-        return [
-            {"k1_power": i, "k2_power": j, "coeff": rat_str(c)}
-            for (i, j), c in sorted(self.terms.items())
-        ]
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for (i, j), c in sorted(self.terms.items()):
-            s = str(c)
-            if i:
-                s += f"*k1^{i}" if i > 1 else "*k1"
-            if j:
-                s += f"*k2^{j}" if j > 1 else "*k2"
-            bits.append(s)
-        return " + ".join(bits)
-
-
 # mode symbols: ("e"|"h"|"f", factor, mode_index)
 _SL2_BRACKET = {
     ("e", "f"): (("h", 1),),
@@ -816,8 +718,9 @@ class TwoTriplesModeAlgebra:
     """Mode algebra of two commuting affine sl_2 triples at symbolic levels.
 
     States are linear combinations of creation-mode monomials applied to
-    the vacuum, with Poly2 coefficients in the two levels.  Root vectors
-    may be rescaled (e -> s e, f -> t f); the invariant form is fixed by
+    the vacuum, with coefficients polynomial in the two levels: GroupRingElts
+    keyed by (power of kappa_1, power of kappa_2).  Root vectors may be
+    rescaled (e -> s e, f -> t f); the invariant form is fixed by
     <e, f> = 1 and <h, h> = 2 before rescaling.
     """
 
@@ -846,12 +749,9 @@ class TwoTriplesModeAlgebra:
             return Fraction(2)
         return Fraction(0)
 
-    def vacuum(self) -> Dict[tuple, Poly2]:
-        return {(): Poly2.const(1)}
-
-    def apply(self, mode, state: Dict[tuple, Poly2]) -> Dict[tuple, Poly2]:
+    def apply(self, mode, state: Dict[tuple, GroupRingElt]) -> Dict[tuple, GroupRingElt]:
         sym, fac, m = mode
-        out: Dict[tuple, Poly2] = {}
+        out: Dict[tuple, GroupRingElt] = {}
         for mono, coeff in state.items():
             if m < 0:
                 _state_add(out, (mode,) + mono, coeff)
@@ -860,10 +760,10 @@ class TwoTriplesModeAlgebra:
                 _state_add(out, mono2, coeff * poly)
         return out
 
-    def _push(self, mode, mono: tuple) -> Dict[tuple, Poly2]:
+    def _push(self, mode, mono: tuple) -> Dict[tuple, GroupRingElt]:
         """Move an annihilation mode through a creation monomial onto |0>."""
         sym, fac, m = mode
-        out: Dict[tuple, Poly2] = {}
+        out: Dict[tuple, GroupRingElt] = {}
         for i, (sym2, fac2, n) in enumerate(mono):
             if fac2 != fac:
                 continue
@@ -871,21 +771,20 @@ class TwoTriplesModeAlgebra:
             for z, c in self._bracket(sym, sym2, fac):
                 mm = m + n
                 if mm < 0:
-                    _state_add(out, prefix + ((z, fac, mm),) + suffix, Poly2.const(c))
+                    const = GroupRingElt.monomial((0, 0), c)
+                    _state_add(out, prefix + ((z, fac, mm),) + suffix, const)
                 else:
                     for mono2, poly in self._push((z, fac, mm), suffix).items():
                         _state_add(out, prefix + mono2, poly.scale(c))
             if m + n == 0 and m != 0:
                 cp = self._pairing(sym, sym2, fac) * m
                 if cp:
-                    _state_add(
-                        out, prefix + suffix, Poly2.kappa(fac).scale(cp)
-                    )
+                    _state_add(out, prefix + suffix, GroupRingElt.monomial((1 - fac, fac), cp))
         # annihilation modes (m >= 0, including zero modes) kill the vacuum
         return out
 
 
-def _state_add(state: Dict[tuple, Poly2], mono: tuple, poly: Poly2) -> None:
+def _state_add(state: Dict[tuple, GroupRingElt], mono: tuple, poly: GroupRingElt) -> None:
     cur = state.get(mono)
     nv = poly if cur is None else cur + poly
     if nv.is_zero():
@@ -920,14 +819,17 @@ class ConstraintPolynomial:
 
     pair: str  # "aa" | "bb" | "ab"
     coefficient: str  # which coefficient of the candidate vector it multiplies
-    polynomial: Poly2
+    polynomial: GroupRingElt
     root_set: dict
 
     def to_json(self) -> dict:
         return {
             "pair": self.pair,
             "coefficient": self.coefficient,
-            "polynomial": self.polynomial.to_json(),
+            "polynomial": [
+                {"k1_power": i, "k2_power": j, "coeff": rat_str(c)}
+                for (i, j), c in self.polynomial.items_sorted()
+            ],
             "root_set": self.root_set,
         }
 
@@ -954,22 +856,23 @@ def singular_constraints(scale_e=(1, 1), scale_f=(1, 1)) -> List[ConstraintPolyn
     matching = {"aa": "alpha", "bb": "gamma", "ab": "beta"}
     out = []
     for pair, (fc, fd) in lowering.items():
-        polys: Dict[str, Poly2] = {}
+        polys: Dict[str, GroupRingElt] = {}
         for name, mono in monomials.items():
-            state = {mono: Poly2.const(1)}
+            state = {mono: GroupRingElt.monomial((0, 0))}
             state = algebra.apply(("f", fd, 1), state)
             state = algebra.apply(("f", fc, 1), state)
             for rest, poly in state.items():
                 if rest:
                     raise AssertionError("lowering did not land on the vacuum line")
-                polys[name] = polys.get(name, Poly2()) + poly
+                polys[name] = polys.get(name, GroupRingElt()) + poly
         for name, poly in polys.items():
             if name != matching[pair] and not poly.is_zero():
                 raise AssertionError("cross-term constraint did not vanish")
-        poly = polys.get(matching[pair], Poly2())
+        poly = polys.get(matching[pair], GroupRingElt())
         if poly.is_zero():
             raise AssertionError("matching constraint vanished identically")
-        uses1, uses2 = poly.variables()
+        uses1 = any(i for i, _j in poly.terms)
+        uses2 = any(j for _i, j in poly.terms)
         if uses1 and uses2:
             # must be a nonzero multiple of kappa_1 kappa_2
             if set(poly.terms) != {(1, 1)}:
@@ -980,7 +883,7 @@ def singular_constraints(scale_e=(1, 1), scale_f=(1, 1)) -> List[ConstraintPolyn
             deg = max(i + j for (i, j) in poly.terms)
             coeffs = [Fraction(0)] * (deg + 1)
             for (i, j), c in poly.terms.items():
-                coeffs[i + j] = c
+                coeffs[i + j] = frac(c)
             roots = _rational_roots(coeffs)
             root_set = {"variable": var, "roots": [rat_str(r) for r in roots]}
         out.append(

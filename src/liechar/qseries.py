@@ -50,10 +50,11 @@ def _coord_json(c):
 class GroupRingElt:
     """Element of the integral group ring of the weight lattice: sum c_mu e^mu.
 
-    Stored sparsely as {int tuple -> coefficient}, the tuple holding mu's
-    fundamental-weight coordinates; zero coefficients are never kept.
-    RayContext's Laurent polynomials are GroupRingElts keyed by 1-tuples.
-    Coefficients are integers for honest characters, but exact rationals
+    Stored sparsely as {int tuple -> coefficient}; zero coefficients are
+    never kept.  The keys are int-tuple exponents: mu's fundamental-weight
+    coordinates, the z-exponent (a 1-tuple) of a RayContext Laurent
+    polynomial, or the (kappa_1, kappa_2) powers of a singular-vector
+    constraint polynomial.  Coefficients are integers for honest characters, but exact rationals
     are tolerated in intermediate arithmetic.
     """
 

@@ -73,6 +73,15 @@ def test_levels_ff_dual_value():
     assert payload["reports"][0]["holds"] is True
 
 
+def test_levels_negative_rational_kappa_with_equals():
+    # argparse reads "-3/2" after a space as an option, so it is attached with "="
+    res = run_cli("levels", "--type", "A1", "--kappa=-3/2", "--op", "kernel")
+    assert res.returncode == 0
+    payload = json.loads(res.stdout)
+    assert payload["reports"][0]["target"]["kappa"] == "-3"
+    assert payload["reports"][0]["holds"] is True
+
+
 def test_levels_gluing():
     res = run_cli("levels", "--type", "A1", "--kappa", "-1", "--op", "gluing", "--n", "1")
     payload = json.loads(res.stdout)

@@ -11,11 +11,12 @@ The whole stdout of ``liechar char --which finite|weyl`` in the
 specialized rings, on D5, B3 and E6 with weights in and outside the root
 lattice, is digested in CLI_GOLDEN, and that of ``liechar char --spec full``
 (every builder on A2 and D4) and ``liechar verify-kw --spec full`` in
-FULL_CLI_GOLDEN and FULL_KW_GOLDEN.
+FULL_CLI_GOLDEN and FULL_KW_GOLDEN, and that of ``liechar singular`` at two
+scalings in SINGULAR_GOLDEN.
 A change that moves any byte of these series fails here.  To re-record
 after an intended change of output, run this file as a script and paste
 what it prints into GOLDEN, SIDE_GOLDEN, GROUP_RING_SIDE_GOLDEN,
-CLI_GOLDEN, FULL_CLI_GOLDEN and FULL_KW_GOLDEN.
+CLI_GOLDEN, FULL_CLI_GOLDEN, FULL_KW_GOLDEN and SINGULAR_GOLDEN.
 """
 
 import contextlib
@@ -349,6 +350,19 @@ FULL_KW_GOLDEN = {
     'D4': '6dcaa6a5c8004ccb0f39ad94dcead33b1fe20ce90f88bed687404fcce8251b80',
 }
 
+# ``liechar singular`` at the default scales and rescaled (the constraint
+# polynomials and their root sets), recorded while the kappa-polynomials were
+# still a class of their own.
+SINGULAR_ARGV = {
+    "default": ["singular"],
+    "rescaled": ["singular", "--scale-ea", "2", "--scale-fa", "7/2", "--scale-fb=-3/5"],
+}
+
+SINGULAR_GOLDEN = {
+    'default': '1e0bb1dbfef168df6fb69ee0d2d65233a6209570affccd922693a98bd9f9440b',
+    'rescaled': 'c2f45f31a8828e33b5cddbc831fb2dfc9e869ed17f4d8e62d1892208a7715a57',
+}
+
 
 @pytest.mark.parametrize("label", TYPES)
 def test_canonical_json_digests(label):
@@ -383,6 +397,11 @@ def test_full_verify_kw_cli_digests(label):
     assert _stdout_digest(_full_kw_argv(label)) == FULL_KW_GOLDEN[label]
 
 
+@pytest.mark.parametrize("case", sorted(SINGULAR_ARGV))
+def test_singular_cli_digests(case):
+    assert _stdout_digest(SINGULAR_ARGV[case]) == SINGULAR_GOLDEN[case]
+
+
 if __name__ == "__main__":
     for b in BUILDERS:
         for label in TYPES:
@@ -404,3 +423,6 @@ if __name__ == "__main__":
     print()
     for label in FULL_KW_ORDER:
         print(f"    {label!r}: {_stdout_digest(_full_kw_argv(label))!r},")
+    print()
+    for case, argv in SINGULAR_ARGV.items():
+        print(f"    {case!r}: {_stdout_digest(argv)!r},")
