@@ -169,23 +169,17 @@ def cmd_levels(args, t0: float) -> int:
     rs = build_root_system(args.type)
     kappa = level(rs, parse_rational(args.kappa))
     if args.op == "ff-dual":
-        out = ff_dual_level(kappa)
-        rel = LevelRelation("ff_dual", None, kappa, out)
-        rows = [rel.to_json()]
-        status = "pass" if rel.holds() else "fail"
+        rels = [LevelRelation("ff_dual", None, kappa, ff_dual_level(kappa))]
     elif args.op == "kernel":
-        out = kernel_partner_level(kappa, args.n)
-        rel = LevelRelation("kernel", args.n, kappa, out)
-        rows = [rel.to_json()]
-        status = "pass" if rel.holds() else "fail"
+        rels = [LevelRelation("kernel", args.n, kappa, kernel_partner_level(kappa, args.n))]
     elif args.op == "gluing":
         first, second = gluing_levels(kappa, args.n)
-        rel1 = LevelRelation("gluing_first", args.n, kappa, first)
-        rel2 = LevelRelation("gluing_second", args.n, kappa, second)
-        rows = [rel1.to_json(), rel2.to_json()]
-        status = "pass" if rel1.holds() and rel2.holds() else "fail"
+        rels = [LevelRelation("gluing_first", args.n, kappa, first),
+                LevelRelation("gluing_second", args.n, kappa, second)]
     else:
         raise UsageError(f"unknown level operation {args.op!r}")
+    rows = [rel.to_json() for rel in rels]
+    status = "pass" if all(rel.holds() for rel in rels) else "fail"
     config = {"type": args.type, "kappa": args.kappa, "op": args.op, "n": args.n}
     return _finish("levels", config, rows, status, args.out, t0, args.timing)
 

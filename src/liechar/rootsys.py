@@ -10,15 +10,15 @@ rational coordinates and only ever enter ``inner``.  All bilinear data
 derives from the symmetrized Cartan matrix, normalized so the highest
 root theta has (theta, theta) = 2.
 
-Weyl-group operations never materialize W.  An orbit is enumerated as a
-tree under simple reflections, each element built once from the parent
-that reflects away its first negative coordinate.  Alternating sums over the
-orbit of a regular dominant weight, the numerators of the Weyl-Kac
-character formula, are built by a depth-bounded walk down from the
-dominant weight (``alternating_sum``), which visits only the orbit
-elements whose depth is within the truncation and never the whole orbit.
-The full signed orbit (``weyl_orbit_signed``) stays as its test oracle and
-for sums that need every term.
+Weyl-group operations never materialize W.  One walk (``_orbit_walk``)
+enumerates the orbit of a dominant weight as a tree under simple
+reflections, each element built once from the parent that reflects away its
+first negative coordinate, and carries each element's depth and sign.  The
+orbit (``weyl_orbit``), the signed orbit of a regular weight
+(``weyl_orbit_signed``) and the truncated alternating sums that are the
+numerators of the Weyl-Kac character formula (``alternating_sum``) all read
+it; depth grows down every branch, so the alternating sums prune the walk at
+the truncation and never visit the rest of the orbit.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import math
 import operator
 from collections import Counter
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .linalg import frac, int_or_frac, mat_inverse
 
@@ -193,11 +193,13 @@ class RootSystem:
             raise AssertionError("normalization broke: (theta,theta) != 2")
         self.dual_coxeter: int = int(1 + self.inner(self.rho, self.highest_root))
         self.lacity: int = int(Fraction(1) / min(self.symmetrizer))
+        # lac d_i = lac (alpha_i, rho), ints: the depth step of s_i in
+        # _orbit_walk, and the scale of the simple roots' lengths in _coroot
+        self._steps: Tuple[int, ...] = tuple(int(d * self.lacity) for d in self.symmetrizer)
         # <omega_j, alpha^vee> for each positive root alpha: the coroot
         # alpha^vee = 2 alpha / (alpha, alpha) in simple-coroot coordinates
-        steps = [int(d * self.lacity) for d in self.symmetrizer]
         self._coroot_coords: Tuple[Tuple[int, ...], ...] = tuple(
-            self._coroot(alpha, steps) for alpha in self.positive_roots)
+            self._coroot(alpha) for alpha in self.positive_roots)
         self.weyl_order: int = _weyl_order_from_heights(self._heights)
         # the coefficient contexts and their caches, one per (mode, xi), made
         # on first use by qseries.make_context and freed with this root system
@@ -246,10 +248,10 @@ class RootSystem:
         self._root_coords = root_coords  # positive roots -> simple-root coords
         self._heights = [len(level) for level in by_height if level]
 
-    def _coroot(self, alpha: Weight, steps: Sequence[int]) -> Tuple[int, ...]:
+    def _coroot(self, alpha: Weight) -> Tuple[int, ...]:
         """alpha^vee in simple-coroot coordinates, c_j d_j / d_alpha, in ints:
-        steps[j] = lac d_j, and lac (alpha, alpha) = sum_i lac d_i c_i <alpha, alpha_i^vee>."""
-        scaled = [c * s for c, s in zip(self._root_coords[alpha], steps)]
+        _steps[j] = lac d_j, and lac (alpha, alpha) = sum_i lac d_i c_i <alpha, alpha_i^vee>."""
+        scaled = [c * s for c, s in zip(self._root_coords[alpha], self._steps)]
         len2 = sum(map(operator.mul, scaled, alpha))
         out = [divmod(2 * x, len2) for x in scaled]
         if any(r for _, r in out):
@@ -310,18 +312,17 @@ class RootSystem:
             raise UsageError(f"{what} requires a dominant weight")
         return lam
 
+    def _regular(self, lam: Weight, what: str) -> Weight:
+        """lam as an int tuple; UsageError off the regular dominant integral weights."""
+        lam = self._dominant(lam, what)
+        if 0 in lam:
+            raise UsageError(f"{what} requires a regular weight")
+        return lam
+
     def dimension(self) -> int:
         return self.rank + 2 * len(self.positive_roots)
 
     # -- Weyl group machinery --------------------------------------------------
-
-    def reflect(self, i: int, lam: Weight) -> Weight:
-        """Simple reflection s_i(lam) = lam - <lam, alpha_i^vee> alpha_i."""
-        c = lam[i]
-        if c == 0:
-            return lam
-        alpha = self.simple_roots[i]
-        return tuple([x - c * a for x, a in zip(lam, alpha)])
 
     def _reflect_to_dominant(self, lam: Weight) -> Weight:
         """The dominant weight in the W-orbit of lam, an int tuple of rank n (unchecked)."""
@@ -333,85 +334,47 @@ class RootSystem:
             c = lam[i]
             lam = tuple([x - c * a for x, a in zip(lam, roots[i])])
 
-    def weyl_orbit(self, lam: Weight) -> List[Weight]:
-        """Full W-orbit of a dominant weight, each element exactly once, sorted.
+    def _orbit_walk(self, lam: Weight, limit: Optional[int] = None) -> List[Tuple[Weight, int, int]]:
+        """(w(lam), lac (lam - w(lam), rho), eps(w)) for each element w(lam) of
+        the W-orbit of a dominant lam (unchecked) of depth at most limit, if given.
 
         Walks the tree in which the parent of a non-dominant nu is s_j nu, j
         the first index with nu_j < 0: from mu it steps by s_i only when
-        mu_i > 0 and s_i mu has no negative coordinate before index i.  Each
-        element thus has exactly one parent and is built once, with no set
-        of seen elements.
+        c = mu_i > 0 and s_i mu has no negative coordinate before index i.
+        Each element thus has exactly one parent and is built once, with no
+        set of seen elements.  A step lengthens w by one, which flips the
+        sign, and adds c lac d_i > 0 to the depth, so depth grows down every
+        branch and pruning a step past limit loses no element within it.
+        The sign is eps(w) of the one w with w(lam) = nu when lam is regular.
         """
-        lam = self._dominant(lam, "weyl_orbit")
-        roots = self.simple_roots
-        orbit = [lam]
-        todo = [lam]
-        while todo:
-            mu = todo.pop()
+        if limit is None:
+            limit = math.inf
+        elif limit < 0:
+            return []
+        roots, steps = self.simple_roots, self._steps
+        walk = [(lam, 0, 1)]
+        for mu, depth, sign in walk:  # the list grows under the loop: a queue
             for i, c in enumerate(mu):
                 if c > 0:
-                    nu = tuple([x - c * a for x, a in zip(mu, roots[i])])
-                    if i == 0 or min(nu[:i]) >= 0:
-                        orbit.append(nu)
-                        todo.append(nu)
-        orbit.sort()
-        return orbit
+                    d = depth + c * steps[i]
+                    if d <= limit:
+                        nu = tuple([x - c * a for x, a in zip(mu, roots[i])])
+                        if i == 0 or min(nu[:i]) >= 0:
+                            walk.append((nu, d, -sign))
+        return walk
+
+    def weyl_orbit(self, lam: Weight) -> List[Weight]:
+        """Full W-orbit of a dominant weight, each element exactly once, sorted."""
+        return sorted([nu for nu, _, _ in self._orbit_walk(self._dominant(lam, "weyl_orbit"))])
 
     def weyl_orbit_signed(self, lam: Weight) -> List[Tuple[Weight, int]]:
-        """Orbit of a regular dominant weight with det-parities epsilon(w).
+        """Orbit of a regular dominant weight with det-parities epsilon(w), sorted.
 
         The parity of an orbit element is well defined exactly when the
         stabilizer is trivial, i.e. lam is regular; this is enforced.
         """
-        lam = self._dominant(lam, "weyl_orbit_signed")
-        if any(c == 0 for c in lam):
-            raise UsageError("weyl_orbit_signed requires a regular weight")
-        parity = {lam: 1}
-        frontier = [lam]
-        while frontier:
-            nxt = []
-            for mu in frontier:
-                pm = parity[mu]
-                for i in range(self.rank):
-                    nu = self.reflect(i, mu)
-                    if nu not in parity:
-                        parity[nu] = -pm
-                        nxt.append(nu)
-            frontier = nxt
-        return sorted(parity.items())
-
-    def weyl_orbit_descending(self, mu: Weight, bound) -> Iterator[Tuple[Weight, object, int]]:
-        """Orbit elements w(mu) of depth (mu - w(mu), rho) <= bound, as
-        (w(mu), depth, eps(w)), for a regular dominant mu.
-
-        Walks breadth-first down from mu.  From nu = w(mu) it steps by s_i
-        only when c = <nu, alpha_i^vee> > 0, which lengthens w by one and
-        adds c (alpha_i, rho) = c d_i > 0 to the depth.  Depth thus grows
-        along every reduced word, so pruning a step past the bound loses no
-        element within it, and each element of depth <= bound is reached.
-        Depths are exact: ints for simply-laced types, else Fractions.
-        """
-        mu = self._dominant(mu, "weyl_orbit_descending")
-        if any(c == 0 for c in mu):
-            raise UsageError("weyl_orbit_descending requires a regular weight")
-        # depths are kept scaled by the lacity, where every step is integral
-        lac = self.lacity
-        steps = [int(d * lac) for d in self.symmetrizer]
-        limit = math.floor(frac(bound) * lac)
-        roots = self.simple_roots
-        level = {mu: 0} if limit >= 0 else {}
-        sign = 1
-        while level:
-            nxt = {}
-            for nu, depth in level.items():
-                yield nu, depth if lac == 1 else Fraction(depth, lac), sign
-                for i, c in enumerate(nu):
-                    if c > 0:
-                        d = depth + c * steps[i]
-                        if d <= limit:
-                            nxt[tuple(x - c * a for x, a in zip(nu, roots[i]))] = d
-            level = nxt
-            sign = -sign
+        walk = self._orbit_walk(self._regular(lam, "weyl_orbit_signed"))
+        return sorted([(nu, sign) for nu, _, sign in walk])
 
     def stabilizer_order(self, lam: Weight) -> int:
         """|W_lam| for a dominant lam, without walking its orbit.
@@ -554,10 +517,11 @@ def alternating_sum(rs: RootSystem, mu: Weight, bound) -> Dict[Fraction, int]:
     Zero entries are dropped and keys come in increasing order.  Depth 0
     is w = e alone, so it maps to 1 whenever bound >= 0.
     """
-    hist: Dict[object, int] = {}
-    for _, depth, sign in rs.weyl_orbit_descending(mu, bound):
+    mu, lac = rs._regular(mu, "alternating_sum"), rs.lacity
+    hist: Dict[int, int] = {}  # depths scaled by lac, where every step is integral
+    for _, depth, sign in rs._orbit_walk(mu, math.floor(frac(bound) * lac)):
         hist[depth] = hist.get(depth, 0) + sign
-    return {frac(d): c for d, c in sorted(hist.items()) if c}
+    return {Fraction(d, lac): c for d, c in sorted(hist.items()) if c}
 
 
 def build_root_system(type_label: str) -> RootSystem:

@@ -56,9 +56,29 @@ def dominant_representative(rs, lam):
     return rs._reflect_to_dominant(weight(lam))
 
 
+def reflection_orbit(rs, lam):
+    """The W-orbit of lam as sorted (nu, parity) pairs: the breadth-first
+    closure of lam under the simple reflections s_i nu = nu - nu_i alpha_i,
+    with a dict of seen elements, each new element taking the opposite
+    parity of the one it was first reached from.  The parity is eps(w) for
+    w(lam) = nu when lam is regular; for any lam the pairs list its orbit."""
+    lam = weight(lam)
+    parity, frontier = {lam: 1}, [lam]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            for i, alpha in enumerate(rs.simple_roots):
+                nu = tuple(x - mu[i] * a for x, a in zip(mu, alpha))
+                if nu not in parity:
+                    parity[nu] = -parity[mu]
+                    nxt.append(nu)
+        frontier = nxt
+    return sorted(parity.items())
+
+
 def orbit_alternating_sum(rs, mu):
     """A_mu = sum_w eps(w) e^{w(mu)} for regular dominant mu."""
-    return GroupRingElt({nu: par for nu, par in rs.weyl_orbit_signed(mu)})
+    return GroupRingElt(dict(reflection_orbit(rs, mu)))
 
 
 def isqrt_rational_floor(r: Fraction) -> int:

@@ -12,22 +12,27 @@ specialized rings, on D5, B3 and E6 with weights in and outside the root
 lattice, is digested in CLI_GOLDEN, and that of ``liechar char --spec full``
 (every builder on A2 and D4) and ``liechar verify-kw --spec full`` in
 FULL_CLI_GOLDEN and FULL_KW_GOLDEN, and that of ``liechar singular`` at two
-scalings in SINGULAR_GOLDEN.
+scalings in SINGULAR_GOLDEN.  The Weyl-orbit sums behind them,
+``alternating_sum``, ``weyl_orbit`` and ``weyl_orbit_signed`` on a fixed
+sweep of weights, are digested by ``repr`` in ORBIT_GOLDEN.
 A change that moves any byte of these series fails here.  To re-record
 after an intended change of output, run this file as a script and paste
 what it prints into GOLDEN, SIDE_GOLDEN, GROUP_RING_SIDE_GOLDEN,
-CLI_GOLDEN, FULL_CLI_GOLDEN, FULL_KW_GOLDEN and SINGULAR_GOLDEN.
+CLI_GOLDEN, FULL_CLI_GOLDEN, FULL_KW_GOLDEN, SINGULAR_GOLDEN and
+ORBIT_GOLDEN.
 """
 
 import contextlib
 import hashlib
 import io
+import itertools
 from fractions import Fraction as F
 
 import pytest
 
 from liechar import (
     GradedCharacter,
+    alternating_sum,
     assemble_coset_character,
     build_root_system,
     coset_rhs_character,
@@ -363,6 +368,63 @@ SINGULAR_GOLDEN = {
     'rescaled': 'c2f45f31a8828e33b5cddbc831fb2dfc9e869ed17f4d8e62d1892208a7715a57',
 }
 
+# The Weyl-orbit sums on every lambda in {0, 1}^rank, recorded while
+# alternating_sum, weyl_orbit and weyl_orbit_signed each ran on a walk of
+# its own.  ``repr`` pins the key types (Fraction depths) with the values.
+# "alternating" is alternating_sum at mu = lambda + rho and bounds -1/2, 0,
+# 1/2, 5/2 and the depth 2 (mu, rho) of w_0, where it sums the whole orbit;
+# "orbits" is weyl_orbit(lambda) and weyl_orbit_signed(lambda + rho).  Whole
+# orbits are walked only where |W| <= 2000, and at mu = rho on E6.
+ORBIT_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "F4", "G2", "E6"]
+ORBIT_CASES = [("alternating", t) for t in ORBIT_TYPES] + [
+    ("orbits", t) for t in ORBIT_TYPES if t != "E6"]
+
+
+def _orbit_digest(kind, label):
+    rs = build_root_system(label)
+    out = []
+    for lam in itertools.product((0, 1), repeat=rs.rank):
+        mu = tuple(c + 1 for c in lam)
+        if kind == "orbits":
+            out.append((rs.weyl_orbit(lam), rs.weyl_orbit_signed(mu)))
+            continue
+        bounds = [F(-1, 2), 0, F(1, 2), F(5, 2)]
+        if rs.weyl_order <= 2000 or not any(lam):
+            bounds.append(2 * rs.inner(mu, rs.rho))
+        out.append([alternating_sum(rs, mu, b) for b in bounds])
+    return hashlib.sha256(repr(out).encode()).hexdigest()
+
+
+ORBIT_GOLDEN = {
+    ('alternating', 'A1'): '2debf73d3c136402438cbe116e9d80a2177a21a67dc73fb548175f1fcb0762fc',
+    ('alternating', 'A2'): '102c845747346bca0773a8ee8b0ff4f54db03b4af44eff645cd33f75ad659034',
+    ('alternating', 'A3'): '0c9fbb8e6637fc33568c10925bb4612aa1a7a60c51d2d71c2332d9c4bf781998',
+    ('alternating', 'A4'): '9251cbcced6006fafcdabecc2e6132bbf8c332a51b4a1051b91c894e2a6e65e9',
+    ('alternating', 'B2'): '83fb8112d2f6de999ac15613e704980cc38778d6bfc7842df2f5b8b477bdea16',
+    ('alternating', 'B3'): '5850ee5fea3261b982ca36b60e9fc14a2f0e7038c9ef6b139c81cb6b0d28c23d',
+    ('alternating', 'B4'): '2c58a801424714c91c7b5c71c113cb8d7d2698703ac748bee1532c76e28b48a6',
+    ('alternating', 'C3'): 'f39ee209f9b6134b69c39f7d45be479dfb7b22a247b1880e6082f6513dff417e',
+    ('alternating', 'C4'): '1d56a0e18cef5d6f60d6749b05504649af793b1f5effc62c31e0e5249dcd1dab',
+    ('alternating', 'D4'): '85d5ed9b261dff96cec08920fce595b8f3da4083a73b3b0fe10b756dfc0e4b8a',
+    ('alternating', 'D5'): '2addeff87ccc98f20eed3cc2972b28fd3a231450b9b0f11fbb52364b8e3ab6bd',
+    ('alternating', 'F4'): 'e0c68f77b26f1b46d794649a224ea0441a84c4d0eee3bfcd9605fab4c357b800',
+    ('alternating', 'G2'): '91d13d250a0e57fe58a04bef72bb42bb867beb26be49eebc5ab3102d29cb41e6',
+    ('alternating', 'E6'): '19f304dbc45b0c8a97c6555122388afed764f9abfcafaa52c37401b0019f816c',
+    ('orbits', 'A1'): '1d9a5f0b607787f6ab4c5202428b3eb9264e446053cdf851ac27589e700709e4',
+    ('orbits', 'A2'): '8fb33b070b6dc51480b9fc0c0a64c604f2174587f0a505004f167b1682191b5a',
+    ('orbits', 'A3'): 'b2d2cdba21c4c0108e16dc5a9c5156412b1a8c8caa0dd37bdccd4d5da42a45f6',
+    ('orbits', 'A4'): '564e3898abb1f3cb3a87ed368b039e2339637eb6ac888d792cf389f1047b81d3',
+    ('orbits', 'B2'): 'abf316f81b77bd42efa5c2a3ce29413b3bbe25e66183cd56e8b1f94c5ab71755',
+    ('orbits', 'B3'): 'a3335b3802b35ac670b88df8bf996c734955387d44541c6d826bdd3a9ae3d320',
+    ('orbits', 'B4'): '61e1c292bea061c0777e3d4ef3ba0f61b9e4ee7cac26003e48a5f008a5902782',
+    ('orbits', 'C3'): 'e95778c9f7a2d635c329a43dd9ae9cda646cd61367a1dd2a8526dd2a9762f544',
+    ('orbits', 'C4'): '3d21a10588c9048522fe04d3842cd6354d9249744e3a3531683a0346216dd78f',
+    ('orbits', 'D4'): '18f1b2a98ad8b8ce0866ec9d96f4cf5bb3388a6d56f779cfb1de10f9ea8fb67c',
+    ('orbits', 'D5'): '9a7c300c82eee30e49bf0f28ef1b0c733961a21e4a1dd2f223edc274bc84c1bc',
+    ('orbits', 'F4'): 'c05d2b8c4ff3a001811d2e494e398949c8b677d2468beed31971e5101cda333a',
+    ('orbits', 'G2'): '8029d9159cc3d74a62ad7dec0c04bb85b71e8ed3230255724b0cd50b89664677',
+}
+
 
 @pytest.mark.parametrize("label", TYPES)
 def test_canonical_json_digests(label):
@@ -402,6 +464,11 @@ def test_singular_cli_digests(case):
     assert _stdout_digest(SINGULAR_ARGV[case]) == SINGULAR_GOLDEN[case]
 
 
+@pytest.mark.parametrize("kind,label", ORBIT_CASES)
+def test_weyl_orbit_sum_digests(kind, label):
+    assert _orbit_digest(kind, label) == ORBIT_GOLDEN[kind, label]
+
+
 if __name__ == "__main__":
     for b in BUILDERS:
         for label in TYPES:
@@ -426,3 +493,6 @@ if __name__ == "__main__":
     print()
     for case, argv in SINGULAR_ARGV.items():
         print(f"    {case!r}: {_stdout_digest(argv)!r},")
+    print()
+    for case in ORBIT_CASES:
+        print(f"    {case!r}: {_orbit_digest(*case)!r},")

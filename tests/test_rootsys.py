@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -14,7 +15,12 @@ from liechar import (
     weight,
 )
 from liechar.linalg import mat_inverse
-from oracles import cartan_isomorphic, dominant_representative, dominant_weights_box_scan
+from oracles import (
+    cartan_isomorphic,
+    dominant_representative,
+    dominant_weights_box_scan,
+    reflection_orbit,
+)
 
 ALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
              "D4", "D5", "E6", "E7", "E8", "F4", "G2"]
@@ -135,23 +141,6 @@ def test_orbit_sizes_divide_weyl_order(label):
 RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "F4", "G2"]
 
 
-def _reflect_orbit(rs, lam):
-    """Breadth-first closure under rs.reflect with a set of seen elements,
-    the oracle of weyl_orbit's parent-tree walk."""
-    lam = weight(lam)
-    seen, frontier = {lam}, [lam]
-    while frontier:
-        nxt = []
-        for mu in frontier:
-            for i in range(rs.rank):
-                nu = rs.reflect(i, mu)
-                if nu not in seen:
-                    seen.add(nu)
-                    nxt.append(nu)
-        frontier = nxt
-    return sorted(seen)
-
-
 @pytest.mark.parametrize("label", RANK_LE_4 + ["E6"])
 def test_weyl_orbit_matches_reflect_walk(label):
     rs = build_root_system(label)
@@ -159,7 +148,7 @@ def test_weyl_orbit_matches_reflect_walk(label):
     samples = [rs.rho, rs.highest_root, weight([2 * c for c in first]), weight(first[::-1]),
                weight([0] * rs.rank)]
     for lam in samples:
-        got, expect = rs.weyl_orbit(lam), _reflect_orbit(rs, lam)
+        got, expect = rs.weyl_orbit(lam), [nu for nu, _ in reflection_orbit(rs, lam)]
         assert got == expect
         assert all(type(c) is int for w in got for c in w)
 
@@ -209,11 +198,14 @@ def _regular_dominant_and_bound(draw):
 @settings(max_examples=80, deadline=None)
 @given(_regular_dominant_and_bound())
 def test_alternating_sum_matches_full_signed_orbit(case):
-    # the full signed orbit, filtered by depth, is the oracle of the walk
+    # the reflection closure's signed orbit, filtered by depth, is the oracle
+    # of the walk
     rs, mu, bound = case
+    signed = reflection_orbit(rs, mu)
+    assert rs.weyl_orbit_signed(mu) == signed
     oracle = {}
     full = {}
-    for nu, par in rs.weyl_orbit_signed(mu):
+    for nu, par in signed:
         depth = rs.inner(weight(m - n for m, n in zip(mu, nu)), rs.rho)
         full[nu] = (depth, par)
         if depth <= bound:
@@ -222,14 +214,16 @@ def test_alternating_sum_matches_full_signed_orbit(case):
     got = alternating_sum(rs, mu, bound)
     assert got == oracle
     assert list(got) == sorted(got)
-    walk = list(rs.weyl_orbit_descending(mu, bound))
-    walked = {nu: (depth, par) for nu, depth, par in walk}
+    lac = rs.lacity  # the walk's depths and limit are scaled by the lacity
+    walk = rs._orbit_walk(mu, math.floor(bound * lac))
+    walked = {nu: (F(depth, lac), par) for nu, depth, par in walk}
     assert len(walked) == len(walk)  # each element once
     assert walked == {nu: dp for nu, dp in full.items() if dp[0] <= bound}
     deepest = max(depth for depth, _ in full.values())
     assert deepest == 2 * rs.inner(mu, rs.rho)
-    everything = list(rs.weyl_orbit_descending(mu, deepest + 1))
+    everything = rs._orbit_walk(mu, int((deepest + 1) * lac))
     assert len(everything) == rs.weyl_order
+    assert sorted(everything) == sorted(rs._orbit_walk(mu))
 
 
 def test_alternating_sum_rejects_non_regular_or_non_dominant():
