@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals.
 
-Small dense/sparse routines used throughout the package: matrix inverse,
-null spaces of sparse systems (eliminated fraction-free in integers),
-and rational square roots.  Everything is exact; no floating point.
+Small routines used throughout the package: null spaces of sparse
+systems (eliminated fraction-free in integers) and rational square
+roots.  Everything is exact; no floating point.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 
 Row = Dict[int, Fraction]  # column -> coefficient, an int or a Fraction
@@ -26,28 +26,6 @@ def int_or_frac(x):
         return x
     x = frac(x)
     return int(x) if x.denominator == 1 else x
-
-
-def mat_inverse(a: Sequence[Sequence]) -> List[List[Fraction]]:
-    """Invert a square matrix by Gauss-Jordan elimination.
-
-    Raises ValueError on a singular matrix.
-    """
-    n = len(a)
-    aug = [[frac(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 class SparseNullspace:

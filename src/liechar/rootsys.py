@@ -10,6 +10,16 @@ rational coordinates and only ever enter ``inner``.  All bilinear data
 derives from the symmetrized Cartan matrix, normalized so the highest
 root theta has (theta, theta) = 2.
 
+Construction runs in ints.  The symmetrizer is read along the Dynkin
+diagram and checked on every edge, and one fraction-free Gauss-Jordan
+elimination of [A | I] (Bareiss) gives det A and adj A, from which the
+scaled integer forms behind ``inner`` and ``in_root_lattice`` are read.
+Its pivots are the leading principal minors of A, so a Cartan matrix not
+of finite type (not symmetrizable, or with a pivot <= 0) is refused with
+a UsageError before any root is built; its root strings would never close.
+Dominant conjugation (``_reflect_to_dominant``) reflects a list in place
+along each node's Dynkin neighbours.
+
 Weyl-group operations never materialize W.  One walk (``_orbit_walk``)
 enumerates the orbit of a dominant weight as a tree under simple
 reflections, each element built once from the parent that reflects away its
@@ -30,7 +40,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .linalg import frac, int_or_frac, mat_inverse
+from .linalg import frac, int_or_frac
 
 Weight = Tuple[int, ...]  # coordinates in the fundamental-weight basis
 
@@ -124,36 +134,75 @@ def is_valid_cartan(a: Sequence[Sequence[int]]) -> bool:
     return True
 
 
-def _symmetrizer(a: Sequence[Sequence[int]]) -> List[Fraction]:
-    """d_i = (alpha_i, alpha_i)/2 with max_i d_i = 1, from d_i a_ij = d_j a_ji."""
+def _symmetrizer(a: Sequence[Sequence[int]]) -> List[int]:
+    """Coprime positive ints e_i proportional to d_i = (alpha_i, alpha_i)/2,
+    from (alpha_i, alpha_j) = a_ij d_j = a_ji d_i.  Read along a spanning tree
+    of the Dynkin diagram, scaling e up where a ratio does not divide, then
+    checked on every edge: UsageError unless A is indecomposable and
+    symmetrizable."""
     n = len(a)
-    d: List[Fraction] = [None] * n  # type: ignore[list-item]
-    d[0] = Fraction(1)
+    e = [1] + [0] * (n - 1)
     todo = [0]
     while todo:
         i = todo.pop()
         for j in range(n):
-            if i != j and a[i][j] != 0 and d[j] is None:
-                d[j] = d[i] * Fraction(a[j][i], a[i][j])
+            if a[i][j] and not e[j]:
+                scale = abs(a[i][j]) // math.gcd(e[i] * a[j][i], a[i][j])
+                if scale > 1:
+                    e = [x * scale for x in e]
+                e[j] = e[i] * a[j][i] // a[i][j]
                 todo.append(j)
-    if any(x is None for x in d):
+    if not all(e):
         raise UsageError("Cartan matrix is not indecomposable")
-    top = max(d)
-    return [x / top for x in d]
+    if any(a[i][j] and a[i][j] * e[j] != a[j][i] * e[i] for i in range(n) for j in range(i)):
+        raise UsageError("Cartan matrix is not symmetrizable")
+    g = math.gcd(*e)
+    return [x // g for x in e]
 
 
-def _scaled_to_ints(matrix: Sequence[Sequence[Fraction]]) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
-    """(den, den * matrix) with den the least common denominator of the entries."""
-    den = math.lcm(*(x.denominator for row in matrix for x in row))
-    return den, tuple(tuple(int(x * den) for x in row) for row in matrix)
+def _det_and_adjugate(a: Sequence[Sequence[int]]) -> Tuple[int, List[List[int]]]:
+    """(det A, adj A) in ints, by one fraction-free Gauss-Jordan elimination
+    of [A | I] (Bareiss, Math. Comp. 22, 1968), which ends at [det A I | adj A].
+
+    The pivot of step k is the leading principal minor of order k + 1, and
+    the division by the previous pivot is exact.  For a symmetrizable A
+    (with d > 0), all pivots are positive exactly when the symmetrized A is
+    positive definite, that is, when A is of finite type (Kac,
+    Infinite-dimensional Lie algebras, Thm 4.3); any other A raises
+    UsageError here, before a root is built.
+    """
+    n = len(a)
+    m = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a)]
+    prev = 1
+    for k, top in enumerate(m):
+        p = top[k]
+        if p <= 0:
+            raise UsageError("Cartan matrix is not of finite type")
+        for i, row in enumerate(m):
+            if i != k:
+                f = row[k]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+    return prev, [row[n:] for row in m]
+
+
+def _reduced(den: int, rows: Sequence[Sequence[int]]) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+    """(den, rows) / their common gcd: for rows = den M with M rational, the
+    least common denominator of M's entries and that multiple of M."""
+    g = math.gcd(den, *(x for row in rows for x in row))
+    return den // g, tuple(tuple([x // g for x in row]) for row in rows)
 
 
 class RootSystem:
     """Complete integral/rational data of one simple root system.
 
-    Built from a finite-type Cartan matrix; all derived quantities
-    (positive roots, Weyl vectors, dual Coxeter number, lacity, Weyl
-    group order) are computed, not table lookups.  The root data is
+    Built from a finite-type Cartan matrix, in integer arithmetic: the
+    inverse Cartan matrix comes from one fraction-free elimination, whose
+    pivots also refuse (UsageError) a matrix that is not of finite type.
+    All derived quantities (positive roots, Weyl vectors, dual Coxeter
+    number, lacity, Weyl group order) are computed, not table lookups.
+    ``quadratic_form`` holds the (omega_i, omega_j) as Fractions, derived
+    from the integer form that ``inner`` sums.  The root data is
     immutable after construction and safe to share; the two mutable parts
     are caches that only grow: the coefficient contexts (``_contexts``) and
     the dominant weights of Q+ up to the deepest norm bound asked so far
@@ -171,31 +220,40 @@ class RootSystem:
         n = self.rank
         if len(cartan) != n:
             raise UsageError("rank does not match Cartan matrix size")
-        self.symmetrizer: Tuple[Fraction, ...] = tuple(_symmetrizer(cartan))
-        # quadratic_form[i][j] = (omega_i, omega_j) = (A^{-1})_{ij} d_j
-        ainv = mat_inverse(cartan)
+        a = self.cartan_matrix
+        e = _symmetrizer(a)
+        top, low = max(e), min(e)
+        # d_i = e_i / max e, so that the long roots have (alpha, alpha) = 2
+        self.symmetrizer: Tuple[Fraction, ...] = tuple(Fraction(x, top) for x in e)
+        self.lacity: int = top // low
+        # lac d_i = lac (alpha_i, rho), ints: the depth step of s_i in
+        # _orbit_walk, and the scale of the simple roots' lengths in _coroot
+        self._steps: Tuple[int, ...] = tuple(x // low for x in e)
+        # (omega_i, omega_j) = (A^{-1})_ij d_j = adj(A)_ij lac d_j / (lac det A)
+        # and A^{-T} = adj(A)^T / det A, each as ints over its least common
+        # denominator, so inner and in_root_lattice sum in ints and divide (or
+        # reduce) once
+        det, adj = _det_and_adjugate(a)
+        self._form_den, self._form_scaled = _reduced(
+            self.lacity * det, [[x * s for x, s in zip(row, self._steps)] for row in adj])
+        self._lattice_den, self._inv_cartan_t_scaled = _reduced(det, list(zip(*adj)))
+        den = self._form_den
         self.quadratic_form: Tuple[Tuple[Fraction, ...], ...] = tuple(
-            tuple(ainv[i][j] * self.symmetrizer[j] for j in range(n)) for i in range(n)
-        )
-        # the same form and A^{-T} as ints over one common denominator each,
-        # so inner and in_root_lattice sum in ints and divide (or reduce) once
-        self._form_den, self._form_scaled = _scaled_to_ints(self.quadratic_form)
-        # simple root alpha_i has fundamental-weight coords = i-th row of A
-        self.simple_roots: Tuple[Weight, ...] = self.cartan_matrix
-        self._lattice_den, self._inv_cartan_t_scaled = _scaled_to_ints(list(zip(*ainv)))
+            tuple([Fraction(x, den) for x in row]) for row in self._form_scaled)
+        # simple root alpha_i has fundamental-weight coords = i-th row of A,
+        # and s_i moves only coordinate i and its Dynkin neighbours j, by a_ij
+        self.simple_roots: Tuple[Weight, ...] = a
+        self._neighbours: Tuple[Tuple[Tuple[int, int], ...], ...] = tuple(
+            tuple([(j, x) for j, x in enumerate(row) if x and j != i]) for i, row in enumerate(a))
         self._build_positive_roots()
         self.rho: Weight = (1,) * n
         # a coweight, so rational: (rho_check, alpha_i) = 1 for every i
-        self.rho_check = tuple(int_or_frac(1 / d) for d in self.symmetrizer)
+        self.rho_check = tuple(int_or_frac(Fraction(top, x)) for x in e)
         self.highest_root: Weight = self.positive_roots[-1]
         theta_len2 = self.inner(self.highest_root, self.highest_root)
         if theta_len2 != 2:
             raise AssertionError("normalization broke: (theta,theta) != 2")
         self.dual_coxeter: int = int(1 + self.inner(self.rho, self.highest_root))
-        self.lacity: int = int(Fraction(1) / min(self.symmetrizer))
-        # lac d_i = lac (alpha_i, rho), ints: the depth step of s_i in
-        # _orbit_walk, and the scale of the simple roots' lengths in _coroot
-        self._steps: Tuple[int, ...] = tuple(int(d * self.lacity) for d in self.symmetrizer)
         # <omega_j, alpha^vee> for each positive root alpha: the coroot
         # alpha^vee = 2 alpha / (alpha, alpha) in simple-coroot coordinates
         self._coroot_coords: Tuple[Tuple[int, ...], ...] = tuple(
@@ -212,51 +270,50 @@ class RootSystem:
     # -- construction helpers -------------------------------------------------
 
     def _build_positive_roots(self) -> None:
+        """Positive roots by height, each level sorted, with their simple-root
+        coordinates (``_root_coords``, in order of discovery) and the number
+        of roots at each height (``_heights``)."""
+        roots, sub, add = self.simple_roots, operator.sub, operator.add
         n = self.rank
-        # track both fundamental-weight coords and simple-root coords
-        root_coords: Dict[Weight, Tuple[int, ...]] = {}
-        by_height: List[List[Weight]] = [[]]
-        for i, alpha in enumerate(self.simple_roots):
-            rc = tuple(int(i == j) for j in range(n))
-            root_coords[alpha] = rc
-            by_height[0].append(alpha)
-        h = 0
-        while by_height[h]:
-            nxt: List[Weight] = []
-            for beta in by_height[h]:
-                rc = root_coords[beta]
-                for i, alpha in enumerate(self.simple_roots):
-                    # root string: q = p - <beta, alpha_i^vee> copies upward
-                    p = 0
-                    down = tuple(b - a for b, a in zip(beta, alpha))
-                    while down in root_coords:
-                        p += 1
-                        down = tuple(b - a for b, a in zip(down, alpha))
-                    if p - beta[i] >= 1:
-                        up = tuple(b + a for b, a in zip(beta, alpha))
-                        if up not in root_coords:
-                            root_coords[up] = tuple(
-                                c + int(i == j) for j, c in enumerate(rc)
-                            )
-                            nxt.append(up)
-            by_height.append(sorted(nxt))
-            h += 1
+        root_coords: Dict[Weight, Tuple[int, ...]] = {
+            alpha: tuple([int(i == j) for j in range(n)]) for i, alpha in enumerate(roots)}
+        level: List[Weight] = list(roots)
         ordered: List[Weight] = []
-        for level in by_height:
+        self._heights = []
+        while level:
             ordered.extend(sorted(level))
+            self._heights.append(len(level))
+            nxt: List[Weight] = []
+            for beta in level:
+                rc = root_coords[beta]
+                for i, alpha in enumerate(roots):
+                    # root string: q = p - <beta, alpha_i^vee> copies upward,
+                    # and beta - alpha_i is no root unless alpha_i is in beta
+                    p = 0
+                    if rc[i]:
+                        down = tuple(map(sub, beta, alpha))
+                        while down in root_coords:
+                            p += 1
+                            down = tuple(map(sub, down, alpha))
+                    if p > beta[i]:
+                        up = tuple(map(add, beta, alpha))
+                        if up not in root_coords:
+                            root_coords[up] = (*rc[:i], rc[i] + 1, *rc[i + 1:])
+                            nxt.append(up)
+            level = sorted(nxt)
         self.positive_roots: Tuple[Weight, ...] = tuple(ordered)
         self._root_coords = root_coords  # positive roots -> simple-root coords
-        self._heights = [len(level) for level in by_height if level]
 
     def _coroot(self, alpha: Weight) -> Tuple[int, ...]:
         """alpha^vee in simple-coroot coordinates, c_j d_j / d_alpha, in ints:
-        _steps[j] = lac d_j, and lac (alpha, alpha) = sum_i lac d_i c_i <alpha, alpha_i^vee>."""
-        scaled = [c * s for c, s in zip(self._root_coords[alpha], self._steps)]
-        len2 = sum(map(operator.mul, scaled, alpha))
-        out = [divmod(2 * x, len2) for x in scaled]
-        if any(r for _, r in out):
+        _steps[j] = lac d_j, and lac d_alpha = lac (alpha, alpha) / 2 =
+        sum_i lac d_i c_i <alpha, alpha_i^vee> / 2."""
+        scaled = list(map(operator.mul, self._root_coords[alpha], self._steps))
+        step, odd = divmod(sum(map(operator.mul, scaled, alpha)), 2)
+        coroot = tuple([x // step for x in scaled])
+        if odd or (step != 1 and [k * step for k in coroot] != scaled):
             raise AssertionError("a coroot came out non-integral")
-        return tuple(k for k, _ in out)
+        return coroot
 
     # -- basic queries ---------------------------------------------------------
 
@@ -325,14 +382,34 @@ class RootSystem:
     # -- Weyl group machinery --------------------------------------------------
 
     def _reflect_to_dominant(self, lam: Weight) -> Weight:
-        """The dominant weight in the W-orbit of lam, an int tuple of rank n (unchecked)."""
-        roots = self.simple_roots
+        """The dominant weight in the W-orbit of lam, an int tuple of rank n (unchecked).
+
+        Reflects by s_i at the first negative coordinate i, in place on a
+        list: s_i negates coordinate i and moves only i's Dynkin neighbours
+        j, by -lam_i a_ij.  Coordinates before i were nonnegative, so the
+        next negative one is the least neighbour below i that went negative,
+        or else the first negative one after i.
+        """
+        if min(lam) >= 0:
+            return lam
+        lam, nbrs, n = list(lam), self._neighbours, len(lam)
+        i = next(i for i, c in enumerate(lam) if c < 0)
         while True:
-            i = next((i for i, c in enumerate(lam) if c < 0), None)
-            if i is None:
-                return lam
             c = lam[i]
-            lam = tuple([x - c * a for x, a in zip(lam, roots[i])])
+            lam[i] = -c
+            low = i
+            for j, a in nbrs[i]:
+                lam[j] -= c * a
+                if j < low and lam[j] < 0:
+                    low = j
+            if low < i:
+                i = low
+                continue
+            i += 1
+            while i < n and lam[i] >= 0:
+                i += 1
+            if i == n:
+                return tuple(lam)
 
     def _orbit_walk(self, lam: Weight, limit: Optional[int] = None) -> List[Tuple[Weight, int, int]]:
         """(w(lam), lac (lam - w(lam), rho), eps(w)) for each element w(lam) of

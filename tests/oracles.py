@@ -50,10 +50,40 @@ def specialize(f, mode, xi=None):
     return GradedCharacter(new_ctx, f.order, {e: new_ctx.project(expand(c)) for e, c in f.terms.items()})
 
 
+def mat_inverse(a):
+    """Invert a square matrix by Gauss-Jordan elimination over Fractions.
+
+    Raises ValueError on a singular matrix.
+    """
+    n = len(a)
+    aug = [[frac(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+           for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = Fraction(1) / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
 def dominant_representative(rs, lam):
-    """The dominant weight in the W-orbit of lam, for any integral lam of rs's rank."""
+    """The dominant weight in the W-orbit of lam, for any integral lam of rs's
+    rank: s_i nu = nu - nu_i alpha_i on the whole tuple, at the first
+    negative coordinate i, until there is none."""
     rs._require_rank(lam)
-    return rs._reflect_to_dominant(weight(lam))
+    lam = weight(lam)
+    while True:
+        i = next((i for i, c in enumerate(lam) if c < 0), None)
+        if i is None:
+            return lam
+        c = lam[i]
+        lam = tuple(x - c * a for x, a in zip(lam, rs.simple_roots[i]))
 
 
 def reflection_orbit(rs, lam):

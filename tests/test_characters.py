@@ -34,8 +34,7 @@ from liechar import (
     weyl_module_char,
 )
 from liechar import characters
-from liechar.linalg import mat_inverse
-from oracles import dominant_representative, orbit_alternating_sum, specialize
+from oracles import dominant_representative, mat_inverse, orbit_alternating_sum, specialize
 
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")

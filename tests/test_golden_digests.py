@@ -14,12 +14,14 @@ lattice, is digested in CLI_GOLDEN, and that of ``liechar char --spec full``
 FULL_CLI_GOLDEN and FULL_KW_GOLDEN, and that of ``liechar singular`` at two
 scalings in SINGULAR_GOLDEN.  The Weyl-orbit sums behind them,
 ``alternating_sum``, ``weyl_orbit`` and ``weyl_orbit_signed`` on a fixed
-sweep of weights, are digested by ``repr`` in ORBIT_GOLDEN.
+sweep of weights, are digested by ``repr`` in ORBIT_GOLDEN, and the data
+every one of them starts from, the attributes of ``RootSystem`` on A1-A8,
+B2-B6, C2-C6, D4-D8, E6-E8, F4, G2, A12 and D16, in ROOTSYS_GOLDEN.
 A change that moves any byte of these series fails here.  To re-record
 after an intended change of output, run this file as a script and paste
 what it prints into GOLDEN, SIDE_GOLDEN, GROUP_RING_SIDE_GOLDEN,
-CLI_GOLDEN, FULL_CLI_GOLDEN, FULL_KW_GOLDEN, SINGULAR_GOLDEN and
-ORBIT_GOLDEN.
+CLI_GOLDEN, FULL_CLI_GOLDEN, FULL_KW_GOLDEN, SINGULAR_GOLDEN,
+ORBIT_GOLDEN and ROOTSYS_GOLDEN.
 """
 
 import contextlib
@@ -426,6 +428,56 @@ ORBIT_GOLDEN = {
 }
 
 
+# The root-system data, in order: positive roots as listed, the dicts in
+# insertion order, both integer forms with their denominators.
+ROOTSYS_TYPES = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 7)]
+                 + [f"C{n}" for n in range(2, 7)] + [f"D{n}" for n in range(4, 9)]
+                 + ["E6", "E7", "E8", "F4", "G2", "A12", "D16"])
+
+
+def _rootsys_digest(label):
+    rs = build_root_system(label)
+    data = (rs.positive_roots, rs._root_coords, rs._heights, rs._coroot_coords,
+            rs.symmetrizer, rs.rho_check, rs.quadratic_form,
+            rs._form_den, rs._form_scaled, rs._lattice_den, rs._inv_cartan_t_scaled,
+            rs.dual_coxeter, rs.lacity, rs.weyl_order)
+    return hashlib.sha256(repr(data).encode()).hexdigest()
+
+
+ROOTSYS_GOLDEN = {
+    'A1': 'd478e654878952b4746d72cdc91815f9524ba8d8b83cfb5d2c60ec34a8bd081d',
+    'A2': '034c8d3949286c68c0f247cf6cafe9716122222c52cd8ede3b6e636839839e0e',
+    'A3': '21ff78ef33e417a477d3c955acb8adb75d4536599e6e7b7f6c72ce1156d28cbb',
+    'A4': 'd3e5d526fc98974710ae663de186ab9d50b6fcd3c6cfaad233ed251266fa1109',
+    'A5': '68c88af089143d910c0e17b706f7bf515e7cbfffb73d7b2ac4f8af79083964bd',
+    'A6': '7537338eb17efb41ab78d0c754219783adf240ff16981d9511a12218c2c3e8db',
+    'A7': '62cbb8dc3f94a6fe456938e9dc26141488dd02ec7063c8dfea8304ae4bcf6555',
+    'A8': '24e0d4475835e58e7ceb50a3540647f9e09c00b5261a0edb6402b2508f135e7e',
+    'B2': 'fe19f7e4c2c71e7450a11134f581c0f19b01387de67f20b53e85f14bfe6d741f',
+    'B3': '1d117fda80302d48743c9fc348e219a860463190c23d10ec83da207bd6fbd7df',
+    'B4': '8f0d35c96befa564dffc20c5065932fbe34e276042510795ca051361d5a3b486',
+    'B5': 'ed3f673c4ae603e6a5bc74fc2022fa3945ca4df6e4151b95e8795726059c54ca',
+    'B6': '0f41a57e1ba10564e9699b832ddf3ba9f63295d962569e4508e2056dcb242aa7',
+    'C2': 'c77025ec58bc031be6c0cb11ff695451229897facd49a5cdb6aba26098ca0fed',
+    'C3': '37012d1f7494542e92f2aba3969ecf548792b429dd7a5de853e21ab6e35747b9',
+    'C4': '2f727c7332bdd8ab7a686c990240839918341fb42d8287557e94cc43396ef090',
+    'C5': '37264223d4414d8d1d60e1ce3747741851d4d96082c8e0f15a52ea9fc902833a',
+    'C6': 'cf7649d74de7b90a2d286d9c8c5a4edba96e73668c16b726263d2ba3ab4ae159',
+    'D4': 'e55a954309f3019105e53cd502123a9f04bbf74a19a640fb868614fe6c66271e',
+    'D5': '9ca4364efa15872cd6af4eafe246d1cc82e495161ba2100bb6f92c7919e87af9',
+    'D6': '92cc9748c5813e62bd2b6f5a18560c50a3fcf59d49c38a3ec3e09cf1177e41d4',
+    'D7': '1f70fa1dec30f6f66f3b67d517dcb165740348defe78ab9f3319e060fa13cbaa',
+    'D8': '4a4644099cbb8b70d4329cb718174c0a8e30f4a34b331e6e6a7f2111e475184a',
+    'E6': 'e47c5e9ff5da35578288e0f9ddfe046a51953b722d4d64fefa7b83e2f4e38b91',
+    'E7': '9c1eb19dd12bd0f0482a44dc71354562e3a3c38b7d160dfce13e168f4fdc663f',
+    'E8': '15657da8a750170c8b9e0b81caed6c95360f53335ffc566f23ce067eb9a50d83',
+    'F4': '6210a7f5092f6aee001e15f1709179f97fdfdb201f414918993a7f542facbb37',
+    'G2': '4116f6ad2a79ba24e8356b963e341a17e576e88292c7d1df095bd4c121e5c0c3',
+    'A12': '7af792e3d7091e453b0805a7bc871f9ba38f0560e12f5467608bbb60ddd3baa2',
+    'D16': '515c7b69843736cb0a506021fb91523646db0341110d830135b14fc0a20f678c',
+}
+
+
 @pytest.mark.parametrize("label", TYPES)
 def test_canonical_json_digests(label):
     got = {(b, m): _digest(b, label, m) for b in BUILDERS for m in MODES}
@@ -469,6 +521,11 @@ def test_weyl_orbit_sum_digests(kind, label):
     assert _orbit_digest(kind, label) == ORBIT_GOLDEN[kind, label]
 
 
+@pytest.mark.parametrize("label", ROOTSYS_TYPES)
+def test_root_system_digests(label):
+    assert _rootsys_digest(label) == ROOTSYS_GOLDEN[label]
+
+
 if __name__ == "__main__":
     for b in BUILDERS:
         for label in TYPES:
@@ -496,3 +553,6 @@ if __name__ == "__main__":
     print()
     for case in ORBIT_CASES:
         print(f"    {case!r}: {_orbit_digest(*case)!r},")
+    print()
+    for label in ROOTSYS_TYPES:
+        print(f"    {label!r}: {_rootsys_digest(label)!r},")

@@ -1,4 +1,6 @@
 import math
+import random
+import signal
 from fractions import Fraction as F
 
 import pytest
@@ -14,11 +16,12 @@ from liechar import (
     verify_gko,
     weight,
 )
-from liechar.linalg import mat_inverse
+from liechar.rootsys import cartan_matrix, parse_type_label
 from oracles import (
     cartan_isomorphic,
     dominant_representative,
     dominant_weights_box_scan,
+    mat_inverse,
     reflection_orbit,
 )
 
@@ -336,10 +339,14 @@ def _form_arguments(draw):
 @given(_form_arguments())
 def test_integer_form_matches_fraction_form(case):
     # inner sums den * (omega_i, omega_j) in ints and in_root_lattice reduces
-    # den' * A^{-T} lam mod den'; the oracles solve over Fractions directly
+    # den' * A^{-T} lam mod den', both read off one integer elimination; the
+    # oracles solve over Fractions directly
     rs, lam, xi = case
     n = rs.rank
-    expect = sum((li * rs.quadratic_form[i][j] * xj for i, li in enumerate(lam)
+    ainv = mat_inverse(rs.cartan_matrix)
+    form = [[ainv[i][j] * rs.symmetrizer[j] for j in range(n)] for i in range(n)]
+    assert rs.quadratic_form == tuple(map(tuple, form))
+    expect = sum((li * form[i][j] * xj for i, li in enumerate(lam)
                   for j, xj in enumerate(xi)), F(0))
     for got in (rs.inner(lam, xi), rs.inner(xi, lam)):
         assert type(got) is F and got == expect
@@ -362,3 +369,55 @@ def test_weyl_dimension(label):
     rs = build_root_system(label)
     assert rs.weyl_dimension(weight([0] * rs.rank)) == 1
     assert rs.weyl_dimension(rs.highest_root) == rs.dimension()
+
+
+@pytest.mark.parametrize("label", RANK_8_TYPES + ["C2"])
+def test_neighbour_list_conjugation_matches_the_tuple_loop(label):
+    # A is not symmetric on B, C, F4 and G2: s_i moves neighbour j by a_ij,
+    # from row i, and reading column i instead gives other weights there
+    rs = build_root_system(label)
+    rng = random.Random(label)
+    for _ in range(200):
+        lam = tuple(rng.randint(-6, 6) for _ in range(rs.rank))
+        got = rs._reflect_to_dominant(lam)
+        assert got == dominant_representative(rs, lam)
+        assert type(got) is tuple and all(type(c) is int for c in got)
+
+
+NOT_FINITE = {
+    "hyperbolic": [[2, -3], [-3, 2]],
+    "affine A1": [[2, -2], [-2, 2]],
+    "twisted affine A2": [[2, -1], [-4, 2]],
+    "affine A2": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
+    "non-symmetrizable 3-cycle": [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]],
+}
+
+
+def _raise_timeout(signum, frame):
+    raise TimeoutError("RootSystem construction ran for over a second")
+
+
+@pytest.mark.parametrize("name", sorted(NOT_FINITE))
+def test_cartan_matrices_not_of_finite_type_are_refused(name):
+    # off finite type the positive roots never run out, so the refusal must
+    # come before any root is built; the alarm turns a hang into a failure
+    cartan = NOT_FINITE[name]
+    label = f"A{len(cartan)}"
+    old = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        for a in (cartan, [list(col) for col in zip(*cartan)]):
+            with pytest.raises(UsageError, match="finite type|symmetrizable"):
+                RootSystem(a, label)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("label", RANK_8_TYPES + ["C2", "A12", "D16"])
+def test_every_finite_type_and_its_transpose_builds(label):
+    a = cartan_matrix(*parse_type_label(label))
+    rs = RootSystem(a, label)
+    dual = RootSystem([list(col) for col in zip(*a)], label)
+    assert rs.weyl_order == dual.weyl_order
+    assert len(rs.positive_roots) == len(dual.positive_roots)
