@@ -245,7 +245,7 @@ def weyl_module_char(ctx, lam: Weight, kappa: LevelValue, order) -> GradedCharac
 
 def _alternating_series(ctx, lam: Weight, lead, order) -> GradedCharacter:
     """q^lead sum_w eps(w) q^{(lam+rho - w(lam+rho), rho)} for dominant lam, truncated:
-    walked down from lam+rho through the depths <= order - lead only."""
+    ``alternating_sum`` multiplies it out over the positive roots, through order - lead only."""
     alt = alternating_sum(ctx.rs, tuple(c + 1 for c in lam), order - lead)
     if alt.get(0) != 1:
         raise AssertionError("leading coefficient of an alternating numerator must be 1")

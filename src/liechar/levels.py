@@ -301,8 +301,8 @@ def verify_gko(
 def kw_lhs_character(rs: RootSystem, order, mode: str = "group_ring", xi=None) -> GradedCharacter:
     """sum_{lam in Q+} q^{(lam,lam)/2} ch[L_lam] sum_w eps(w) q^{(lam+rho-w(lam+rho), rho)}.
 
-    Each alternating sum is walked down from lam+rho only through the depths
-    (lam+rho-w(lam+rho), rho) <= order - (lam,lam)/2 that survive truncation.
+    Each alternating sum is multiplied out as prod_{alpha>0} (1 - q^{(lam+rho, alpha)})
+    only through the depths <= order - (lam,lam)/2 that survive truncation.
     """
     return _lambda_sum(make_context(rs, mode, xi), frac(order), lambda lam: (lam, rs.norm2(lam) / 2))
 

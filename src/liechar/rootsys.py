@@ -20,15 +20,13 @@ a UsageError before any root is built; its root strings would never close.
 Dominant conjugation (``_reflect_to_dominant``) reflects a list in place
 along each node's Dynkin neighbours.
 
-Weyl-group operations never materialize W.  One walk (``_orbit_walk``)
+Weyl-group operations never materialize W.  One private walk
 enumerates the orbit of a dominant weight as a tree under simple
 reflections, each element built once from the parent that reflects away its
-first negative coordinate, and carries each element's depth and sign.  The
-orbit (``weyl_orbit``), the signed orbit of a regular weight
-(``weyl_orbit_signed``) and the truncated alternating sums that are the
-numerators of the Weyl-Kac character formula (``alternating_sum``) all read
-it; depth grows down every branch, so the alternating sums prune the walk at
-the truncation and never visit the rest of the orbit.
+first negative coordinate, for ``weyl_orbit`` and ``weyl_orbit_signed``.
+The truncated Weyl-Kac numerators (``alternating_sum``) need no walk: by the
+Weyl denominator identity they are prod_{alpha>0} (1 - q^{(mu, alpha)}),
+multiplied out in ints by the helper that ``principal_specialization`` uses.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ import math
 import operator
 from collections import Counter
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .linalg import frac, int_or_frac
 
@@ -218,22 +216,23 @@ class RootSystem:
             tuple(int(x) for x in row) for row in cartan
         )
         n = self.rank
-        if len(cartan) != n:
-            raise UsageError("rank does not match Cartan matrix size")
         a = self.cartan_matrix
         e = _symmetrizer(a)
+        det, adj = _det_and_adjugate(a)
+        canon = tuple(map(tuple, cartan_matrix(self.series, n)))
+        if a != canon and (_DUAL_SERIES[self.series] != self.series or tuple(zip(*a)) != canon):
+            raise UsageError(f"Cartan matrix is not that of type {type_label}")
         top, low = max(e), min(e)
         # d_i = e_i / max e, so that the long roots have (alpha, alpha) = 2
         self.symmetrizer: Tuple[Fraction, ...] = tuple(Fraction(x, top) for x in e)
         self.lacity: int = top // low
-        # lac d_i = lac (alpha_i, rho), ints: the depth step of s_i in
-        # _orbit_walk, and the scale of the simple roots' lengths in _coroot
+        # lac d_i = lac (alpha_i, rho), ints: lac (mu, alpha_i) = mu_i lac d_i
+        # in alternating_sum, and the scale of the simple roots' lengths in _coroot
         self._steps: Tuple[int, ...] = tuple(x // low for x in e)
         # (omega_i, omega_j) = (A^{-1})_ij d_j = adj(A)_ij lac d_j / (lac det A)
         # and A^{-T} = adj(A)^T / det A, each as ints over its least common
         # denominator, so inner and in_root_lattice sum in ints and divide (or
         # reduce) once
-        det, adj = _det_and_adjugate(a)
         self._form_den, self._form_scaled = _reduced(
             self.lacity * det, [[x * s for x, s in zip(row, self._steps)] for row in adj])
         self._lattice_den, self._inv_cartan_t_scaled = _reduced(det, list(zip(*adj)))
@@ -411,38 +410,29 @@ class RootSystem:
             if i == n:
                 return tuple(lam)
 
-    def _orbit_walk(self, lam: Weight, limit: Optional[int] = None) -> List[Tuple[Weight, int, int]]:
-        """(w(lam), lac (lam - w(lam), rho), eps(w)) for each element w(lam) of
-        the W-orbit of a dominant lam (unchecked) of depth at most limit, if given.
+    def _orbit_walk(self, lam: Weight) -> List[Tuple[Weight, int]]:
+        """(w(lam), eps(w)) for each element w(lam) of the W-orbit of a dominant lam (unchecked).
 
         Walks the tree in which the parent of a non-dominant nu is s_j nu, j
         the first index with nu_j < 0: from mu it steps by s_i only when
         c = mu_i > 0 and s_i mu has no negative coordinate before index i.
         Each element thus has exactly one parent and is built once, with no
         set of seen elements.  A step lengthens w by one, which flips the
-        sign, and adds c lac d_i > 0 to the depth, so depth grows down every
-        branch and pruning a step past limit loses no element within it.
-        The sign is eps(w) of the one w with w(lam) = nu when lam is regular.
+        sign: eps(w) of the one w with w(lam) = nu when lam is regular.
         """
-        if limit is None:
-            limit = math.inf
-        elif limit < 0:
-            return []
-        roots, steps = self.simple_roots, self._steps
-        walk = [(lam, 0, 1)]
-        for mu, depth, sign in walk:  # the list grows under the loop: a queue
+        roots = self.simple_roots
+        walk = [(lam, 1)]
+        for mu, sign in walk:  # the list grows under the loop: a queue
             for i, c in enumerate(mu):
                 if c > 0:
-                    d = depth + c * steps[i]
-                    if d <= limit:
-                        nu = tuple([x - c * a for x, a in zip(mu, roots[i])])
-                        if i == 0 or min(nu[:i]) >= 0:
-                            walk.append((nu, d, -sign))
+                    nu = tuple([x - c * a for x, a in zip(mu, roots[i])])
+                    if i == 0 or min(nu[:i]) >= 0:
+                        walk.append((nu, -sign))
         return walk
 
     def weyl_orbit(self, lam: Weight) -> List[Weight]:
         """Full W-orbit of a dominant weight, each element exactly once, sorted."""
-        return sorted([nu for nu, _, _ in self._orbit_walk(self._dominant(lam, "weyl_orbit"))])
+        return sorted([nu for nu, _ in self._orbit_walk(self._dominant(lam, "weyl_orbit"))])
 
     def weyl_orbit_signed(self, lam: Weight) -> List[Tuple[Weight, int]]:
         """Orbit of a regular dominant weight with det-parities epsilon(w), sorted.
@@ -450,8 +440,7 @@ class RootSystem:
         The parity of an orbit element is well defined exactly when the
         stabilizer is trivial, i.e. lam is regular; this is enforced.
         """
-        walk = self._orbit_walk(self._regular(lam, "weyl_orbit_signed"))
-        return sorted([(nu, sign) for nu, _, sign in walk])
+        return sorted(self._orbit_walk(self._regular(lam, "weyl_orbit_signed")))
 
     def stabilizer_order(self, lam: Weight) -> int:
         """|W_lam| for a dominant lam, without walking its orbit.
@@ -557,11 +546,7 @@ class RootSystem:
         num, den = Counter(num), Counter(den)
         common = num & den
         num, den = num - common, den - common
-        g = [1]
-        for a in sorted(num.elements()):
-            g.extend([0] * a)
-            for k in range(len(g) - 1, a - 1, -1):
-                g[k] -= g[k - a]
+        g = _one_minus_product(sorted(num.elements()), sum(num.elements()))
         for b in sorted(den.elements(), reverse=True):
             for k in range(b, len(g)):
                 g[k] += g[k - b]
@@ -585,20 +570,35 @@ def _weyl_order_from_heights(counts: Sequence[int]) -> int:
     return order
 
 
+def _one_minus_product(exps: Iterable[int], top: int) -> List[int]:
+    """Coefficients of prod_{a in exps} (1 - q^a), positive ints a, through q^top (none
+    if top < 0): one descending pass g_k -= g_{k-a} per factor, to the degree reached."""
+    g, deg = [1] + [0] * top, 0
+    for a in exps:
+        deg = min(deg + a, top)
+        for k in range(deg, a - 1, -1):
+            g[k] -= g[k - a]
+    return g[:top + 1]
+
+
 def alternating_sum(rs: RootSystem, mu: Weight, bound) -> Dict[Fraction, int]:
     """Depth histogram of the signed orbit of a regular dominant mu, truncated:
     depth (mu - w(mu), rho) -> sum of eps(w), for every depth <= bound.
 
     The truncated numerator of the Weyl-Kac character formula (Kac,
-    Infinite-dimensional Lie algebras, ch. 10), sum_w eps(w) q^{depth}.
-    Zero entries are dropped and keys come in increasing order.  Depth 0
-    is w = e alone, so it maps to 1 whenever bound >= 0.
+    Infinite-dimensional Lie algebras, ch. 10), sum_w eps(w) q^{depth}, is
+    prod_{alpha>0} (1 - q^{(mu, alpha)}) by the Weyl denominator identity,
+    multiplied out at depths scaled by lac: lac (mu, alpha) = sum_i mu_i lac
+    d_i c_i, c the simple-root coordinates of alpha, is an int.  A non-regular
+    mu is refused, since a factor 1 - q^0 would make the sum 0.  Zero entries
+    are dropped and keys come in increasing order.  Depth 0 is w = e alone,
+    so it maps to 1 whenever bound >= 0.
     """
     mu, lac = rs._regular(mu, "alternating_sum"), rs.lacity
-    hist: Dict[int, int] = {}  # depths scaled by lac, where every step is integral
-    for _, depth, sign in rs._orbit_walk(mu, math.floor(frac(bound) * lac)):
-        hist[depth] = hist.get(depth, 0) + sign
-    return {Fraction(d, lac): c for d, c in sorted(hist.items()) if c}
+    scaled = list(map(operator.mul, mu, rs._steps))
+    exps = [sum(map(operator.mul, scaled, c)) for c in rs._root_coords.values()]
+    g = _one_minus_product(exps, math.floor(frac(bound) * lac))
+    return {Fraction(d, lac): c for d, c in enumerate(g) if c}
 
 
 def build_root_system(type_label: str) -> RootSystem:

@@ -106,6 +106,17 @@ def reflection_orbit(rs, lam):
     return sorted(parity.items())
 
 
+def orbit_depth_histogram(rs, mu):
+    """depth (mu - w(mu), rho) -> sum of eps(w) over the whole signed
+    reflection orbit of a regular dominant mu, zero entries dropped: the
+    untruncated Weyl-Kac numerator summed over W, not over the positive roots."""
+    hist = {}
+    for nu, par in reflection_orbit(rs, mu):
+        depth = rs.inner(weight(m - n for m, n in zip(mu, nu)), rs.rho)
+        hist[depth] = hist.get(depth, 0) + par
+    return {d: c for d, c in hist.items() if c}
+
+
 def orbit_alternating_sum(rs, mu):
     """A_mu = sum_w eps(w) e^{w(mu)} for regular dominant mu."""
     return GroupRingElt(dict(reflection_orbit(rs, mu)))

@@ -1,6 +1,6 @@
-import math
 import random
 import signal
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -16,12 +16,13 @@ from liechar import (
     verify_gko,
     weight,
 )
-from liechar.rootsys import cartan_matrix, parse_type_label
+from liechar.rootsys import _DUAL_SERIES, cartan_matrix, parse_type_label
 from oracles import (
     cartan_isomorphic,
     dominant_representative,
     dominant_weights_box_scan,
     mat_inverse,
+    orbit_depth_histogram,
     reflection_orbit,
 )
 
@@ -201,32 +202,34 @@ def _regular_dominant_and_bound(draw):
 @settings(max_examples=80, deadline=None)
 @given(_regular_dominant_and_bound())
 def test_alternating_sum_matches_full_signed_orbit(case):
-    # the reflection closure's signed orbit, filtered by depth, is the oracle
-    # of the walk
+    # the reflection closure's signed orbit, histogrammed by depth and
+    # filtered by the bound, is the oracle of the product over positive roots
     rs, mu, bound = case
-    signed = reflection_orbit(rs, mu)
-    assert rs.weyl_orbit_signed(mu) == signed
-    oracle = {}
-    full = {}
-    for nu, par in signed:
-        depth = rs.inner(weight(m - n for m, n in zip(mu, nu)), rs.rho)
-        full[nu] = (depth, par)
-        if depth <= bound:
-            oracle[depth] = oracle.get(depth, 0) + par
-    oracle = {d: c for d, c in oracle.items() if c}
+    assert rs.weyl_orbit_signed(mu) == reflection_orbit(rs, mu)
+    full = orbit_depth_histogram(rs, mu)
+    assert max(full) == 2 * rs.inner(mu, rs.rho)
     got = alternating_sum(rs, mu, bound)
-    assert got == oracle
+    assert got == {d: c for d, c in full.items() if d <= bound}
     assert list(got) == sorted(got)
-    lac = rs.lacity  # the walk's depths and limit are scaled by the lacity
-    walk = rs._orbit_walk(mu, math.floor(bound * lac))
-    walked = {nu: (F(depth, lac), par) for nu, depth, par in walk}
-    assert len(walked) == len(walk)  # each element once
-    assert walked == {nu: dp for nu, dp in full.items() if dp[0] <= bound}
-    deepest = max(depth for depth, _ in full.values())
-    assert deepest == 2 * rs.inner(mu, rs.rho)
-    everything = rs._orbit_walk(mu, int((deepest + 1) * lac))
-    assert len(everything) == rs.weyl_order
-    assert sorted(everything) == sorted(rs._orbit_walk(mu))
+    walk = rs._orbit_walk(mu)
+    assert len(walk) == len(set(walk)) == rs.weyl_order  # each element once
+
+
+@pytest.mark.parametrize("label", ["E8", "F4", "G2", "B4", "C4"])
+def test_alternating_sum_at_rho_is_the_full_denominator(label):
+    # at mu = rho the whole numerator prod_{alpha>0} (1 - q^{(rho, alpha)})
+    # has degree S = 2 (rho, rho), vanishes at q = 1 and is (anti)palindromic;
+    # on E8 the orbit holds 696 729 600 elements and the product must not
+    # walk it
+    rs = build_root_system(label)
+    top, sign = 2 * rs.norm2(rs.rho), (-1) ** len(rs.positive_roots)
+    start = time.perf_counter()
+    got = alternating_sum(rs, rs.rho, top)
+    assert time.perf_counter() - start < 1.0
+    assert min(got) == 0 and max(got) == top
+    assert sum(got.values()) == 0
+    assert got[0] == 1 and got[top] == sign
+    assert all(got.get(top - d, 0) == sign * c for d, c in got.items())
 
 
 def test_alternating_sum_rejects_non_regular_or_non_dominant():
@@ -416,8 +419,26 @@ def test_cartan_matrices_not_of_finite_type_are_refused(name):
 
 @pytest.mark.parametrize("label", RANK_8_TYPES + ["C2", "A12", "D16"])
 def test_every_finite_type_and_its_transpose_builds(label):
-    a = cartan_matrix(*parse_type_label(label))
+    series, rank = parse_type_label(label)
+    a = cartan_matrix(series, rank)
     rs = RootSystem(a, label)
-    dual = RootSystem([list(col) for col in zip(*a)], label)
+    dual = RootSystem([list(col) for col in zip(*a)], f"{_DUAL_SERIES[series]}{rank}")
     assert rs.weyl_order == dual.weyl_order
     assert len(rs.positive_roots) == len(dual.positive_roots)
+
+
+def test_a_type_label_must_name_its_cartan_matrix():
+    with pytest.raises(UsageError, match="not that of type A6"):
+        RootSystem(cartan_matrix("E", 6), "A6")
+    with pytest.raises(UsageError, match="not that of type B3"):
+        RootSystem(cartan_matrix("C", 3), "B3")
+    with pytest.raises(UsageError, match="not that of type A2"):
+        RootSystem(cartan_matrix("A", 3), "A2")  # the label's rank is not the matrix's
+
+
+@pytest.mark.parametrize("label", RANK_8_TYPES + ["C2"])
+def test_langlands_dual_builds_under_its_label(label):
+    rs = build_root_system(label)
+    dual = langlands_dual(rs)
+    assert dual.type_label == f"{_DUAL_SERIES[rs.series]}{rs.rank}"
+    assert langlands_dual(dual).cartan_matrix == rs.cartan_matrix
