@@ -204,25 +204,25 @@ def euler_product(f: GradedCharacter, char: GroupRingElt) -> GradedCharacter:
         if r not in classes or e < classes[r]:
             classes[r] = e
     euler = None
-    if classes and not moving.is_zero():
+    if classes and moving:
         euler = ctx.euler_series(moving, math.floor(f.order - min(classes.values())))
-    add, mul, zero = ctx.add, ctx.mul, ctx.is_zero
+    mul, zero = ctx.mul, ctx.czero()
     out: Dict[Fraction, object] = {}
     for low in classes.values():
-        g = [f.terms.get(low + k, ctx.czero()) for k in range(math.floor(f.order - low) + 1)]
+        g = [f.terms.get(low + k, zero) for k in range(math.floor(f.order - low) + 1)]
         for n in range(1, len(g)):
             steps = range(n, len(g)) if c0 > 0 else range(len(g) - 1, n - 1, -1)
             for _ in range(abs(c0)):
                 for i in steps:
                     src = g[i - n]
-                    if not zero(src):
-                        g[i] = add(g[i], src if c0 > 0 else ctx.scale(src, -1))
+                    if src:
+                        g[i] += src if c0 > 0 else -src
         if euler is not None:
-            h = [ctx.czero()] * len(g)
+            h = [zero] * len(g)
             for j, v in enumerate(g):
-                if not zero(v):
+                if v:
                     for k in range(len(g) - j):
-                        h[j + k] = add(h[j + k], mul(v, euler[k]))
+                        h[j + k] += mul(v, euler[k])
             g = h
         out.update((low + k, v) for k, v in enumerate(g))
     return GradedCharacter(ctx, f.order, out)
@@ -249,7 +249,7 @@ def _alternating_series(ctx, lam: Weight, lead, order) -> GradedCharacter:
     alt = alternating_sum(ctx.rs, tuple(c + 1 for c in lam), order - lead)
     if alt.get(0) != 1:
         raise AssertionError("leading coefficient of an alternating numerator must be 1")
-    return GradedCharacter(ctx, order, {lead + d: ctx.scale(ctx.one(), c) for d, c in alt.items()})
+    return GradedCharacter(ctx, order, {lead + d: c * ctx.one() for d, c in alt.items()})
 
 
 def walgebra_module_char(ctx, lam_star: Weight, kappa_star: LevelValue, order) -> GradedCharacter:
@@ -310,7 +310,7 @@ def _strip_highest_weights(rs: RootSystem, char: GroupRingElt) -> Dict[Weight, i
     remaining = GroupRingElt(dict(char.terms))
     out: Dict[Weight, int] = {}
     rho = rs.rho
-    while not remaining.is_zero():
+    while remaining:
         best = None
         best_h = None
         for w in remaining.terms:
@@ -322,14 +322,14 @@ def _strip_highest_weights(rs: RootSystem, char: GroupRingElt) -> Dict[Weight, i
             raise UsageError("input is not a nonnegative integral character")
         c = int(c)
         out[best] = out.get(best, 0) + c
-        remaining = remaining - finite_char(rs, best).multiplicities.scale(c)
+        remaining = remaining - c * finite_char(rs, best).multiplicities
     return out
 
 
 def _square_decompose(rs: RootSystem, lam: Weight, sign: int) -> Dict[Weight, int]:
     """Highest weights (with multiplicity) of (ch^2 + sign psi^2 ch)/2, ch = ch L_lam."""
     ch = finite_char(rs, lam).multiplicities
-    half = (ch * ch + ch.frobenius(2).scale(sign)).scale(Fraction(1, 2))
+    half = Fraction(1, 2) * (ch * ch + sign * ch.frobenius(2))
     return _strip_highest_weights(rs, half)
 
 

@@ -2,8 +2,9 @@
 
 Every command writes a schema-versioned JSON report (stdout, and to
 --out when given) and exits 0 on pass, 1 on an identity mismatch, 2 on
-a usage error.  Reports are byte-identical for identical configurations;
-wall-clock fields stay zeroed unless --timing is passed.
+a usage error, 3 on an internal error (a failed consistency check, with
+its traceback on stderr).  Reports are byte-identical for identical
+configurations; wall-clock fields stay zeroed unless --timing is passed.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from fractions import Fraction
 from typing import List, Optional
 
@@ -54,6 +56,7 @@ SCHEMA_VERSION = 1
 EXIT_PASS = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def parse_rational(text: str) -> Fraction:
@@ -240,7 +243,17 @@ def cmd_singular(args, t0: float) -> int:
     return _finish("singular", config, rows, status, args.out, t0, args.timing)
 
 
-_CHAR_BUILDERS = ("level-one", "weyl", "wmod", "denominator", "denominator-inverse", "finite", "theta")
+# --which -> the series it dumps, from (ctx, lam, kappa, order)
+_CHAR_BUILDERS = {
+    "level-one": lambda ctx, lam, kappa, order: level_one_char(ctx, order),
+    "weyl": weyl_module_char,
+    "wmod": walgebra_module_char,
+    "denominator": lambda ctx, lam, kappa, order: denominator_series(ctx, order),
+    "denominator-inverse": lambda ctx, lam, kappa, order: denominator_inverse(ctx, order),
+    "finite": lambda ctx, lam, kappa, order: GradedCharacter(
+        ctx, order, {Fraction(0): ctx.irreducible(lam)}),
+    "theta": lambda ctx, lam, kappa, order: lattice_theta(ctx, order),
+}
 
 
 def cmd_char(args, t0: float) -> int:
@@ -253,26 +266,10 @@ def cmd_char(args, t0: float) -> int:
     kappa = level(rs, parse_rational(args.kappa)) if args.kappa else level(
         rs, default_kappa_samples(rs, 1)[0]
     )
-    which = args.which
-    if which == "level-one":
-        series = level_one_char(ctx, order)
-    elif which == "theta":
-        series = lattice_theta(ctx, order)
-    elif which == "denominator":
-        series = denominator_series(ctx, order)
-    elif which == "denominator-inverse":
-        series = denominator_inverse(ctx, order)
-    elif which == "weyl":
-        series = weyl_module_char(ctx, lam, kappa, order)
-    elif which == "wmod":
-        series = walgebra_module_char(ctx, lam, kappa, order)
-    elif which == "finite":
-        series = GradedCharacter(ctx, order, {Fraction(0): ctx.irreducible(lam)})
-    else:
-        raise UsageError(f"unknown character constructor {which!r}")
+    series = _CHAR_BUILDERS[args.which](ctx, lam, kappa, order)
     config = {
         "type": args.type,
-        "which": which,
+        "which": args.which,
         "order": args.order,
         "spec": args.spec,
         "lambda": args.lam,
@@ -379,6 +376,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except Exception as exc:  # a failed internal check, not a mismatch (exit 1)
+        traceback.print_exc()
+        sys.stderr.write(f"error: internal: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -787,7 +787,7 @@ class TwoTriplesModeAlgebra:
 def _state_add(state: Dict[tuple, GroupRingElt], mono: tuple, poly: GroupRingElt) -> None:
     cur = state.get(mono)
     nv = poly if cur is None else cur + poly
-    if nv.is_zero():
+    if not nv:
         state.pop(mono, None)
     else:
         state[mono] = nv
@@ -866,10 +866,10 @@ def singular_constraints(scale_e=(1, 1), scale_f=(1, 1)) -> List[ConstraintPolyn
                     raise AssertionError("lowering did not land on the vacuum line")
                 polys[name] = polys.get(name, GroupRingElt()) + poly
         for name, poly in polys.items():
-            if name != matching[pair] and not poly.is_zero():
+            if name != matching[pair] and poly:
                 raise AssertionError("cross-term constraint did not vanish")
         poly = polys.get(matching[pair], GroupRingElt())
-        if poly.is_zero():
+        if not poly:
             raise AssertionError("matching constraint vanished identically")
         uses1 = any(i for i, _j in poly.terms)
         uses2 = any(j for _i, j in poly.terms)

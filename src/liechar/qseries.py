@@ -12,12 +12,15 @@ Laurent polynomials in one variable z (e^mu -> z^{(mu, xi)}), held as
 GroupRingElts keyed by 1-tuples of z-exponents scaled by the common
 denominator of the functional mu -> (mu, xi).  The group ring over
 monomials, GroupRingContext, is the invariant ring's multiplier and the
-tests' oracle.  Each context maps group-ring elements into its ring with
-``project``, gives the irreducible characters ch L_lam in it with
-``irreducible``, the orbit sums m_lam with ``orbit_sum``, and the Euler
-product of a character with ``euler_series``.  The invariant ring writes
-its coefficients out expanded to monomials, so its JSON is the group
-ring's, byte for byte.
+tests' oracle.  Coefficients take Python's +, -, scalar *, divmod and
+truth value, ints and GroupRingElts alike, so a context holds only what
+differs per ring: the projection ``project`` of group-ring elements into
+it, the product ``mul`` and Adams operation ``frobenius``, the closed
+forms ``irreducible`` (ch L_lam) and ``orbit_sum`` (m_lam), and the JSON
+of a coefficient and of the ring.  The base builds the Euler product of a
+character, ``euler_series``, from these.  The invariant ring writes its
+coefficients out expanded to monomials, so its JSON is the group ring's,
+byte for byte.
 
 Exponents are exact Fractions; conformal weights at rational level are
 rational, so nothing here ever touches floating point.  Exponents may be
@@ -76,8 +79,8 @@ class GroupRingElt:
     def one(cls, rank: int) -> "GroupRingElt":
         return cls({(0,) * rank: 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def coeff(self, w: Weight):
         return self.terms.get(tuple(w), 0)
@@ -119,6 +122,19 @@ class GroupRingElt:
         if c != 0:
             res.terms = {w: int_or_frac(v * c) for w, v in self.terms.items()}
         return res
+
+    __rmul__ = scale
+
+    def __divmod__(self, n) -> Tuple["GroupRingElt", "GroupRingElt"]:
+        """(q, r) with each coefficient's divmod by the scalar n: self = n q + r."""
+        q, r = GroupRingElt(), GroupRingElt()
+        for w, c in self.terms.items():
+            a, b = divmod(c, n)
+            if a:
+                q.terms[w] = a
+            if b:
+                r.terms[w] = b
+        return q, r
 
     def frobenius(self, k: int) -> "GroupRingElt":
         """The Adams operation psi^k: e^mu -> e^{k mu}, for an integer k != 0."""
@@ -162,35 +178,35 @@ class _Context:
     Every context is the image of the group ring, or of its W-invariant
     part, under a ring homomorphism, ``project``: the identity, the
     restriction of an invariant element to its dominant coefficients,
-    e^mu -> 1, or e^mu -> z^{(mu, xi)}.  The base holds the ring operations
-    of GroupRingElt coefficients, of rank rs.rank, and the one Euler series
-    routine built on them; RayContext's unit has rank 1, and TrivialContext's
-    coefficients are plain numbers.  The context classes derive from this
-    base only, never from one another: perfbench/tracer.py wraps ``mul`` on
-    the three mode classes, and a class that inherited another's wrapped
-    ``mul`` would count each product twice.  InvariantContext's products
-    reach that wrapper through its GroupRingContext once per miss of its
-    table of orbit-sum products m_mu m_nu, not once per product.
+    e^mu -> 1, or e^mu -> z^{(mu, xi)}.  A coefficient is a GroupRingElt or,
+    in TrivialContext, a plain number, and both take Python's +, -, scalar
+    *, divmod and truth value, so a context holds only what differs per
+    ring: the projection, the product ``mul``, the Adams operation, the
+    closed forms ``irreducible`` and ``orbit_sum``, and the JSON of a
+    coefficient and of the ring.  The unit and zero are project(e^0) and
+    project(0), built once when the base's __init__ runs, so a subclass
+    sets the fields its ``project`` reads first; they are shared, and no
+    code changes a coefficient in place.  The context classes derive from
+    this base only, never from one another: perfbench/tracer.py wraps
+    ``mul`` on the three mode classes, and a class that inherited another's
+    wrapped ``mul`` would count each product twice.  InvariantContext's
+    products reach that wrapper through its GroupRingContext once per miss
+    of its table of orbit-sum products m_mu m_nu, not once per product.
     """
+
+    coefficients = "group_ring"  # the ring's name in JSON
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self._euler: Dict[object, Tuple[list, list]] = {}
+        self._one = self.project(GroupRingElt.one(rs.rank))
+        self._czero = self.project(GroupRingElt())
 
     def one(self):
-        return GroupRingElt.one(self.rs.rank)
+        return self._one
 
     def czero(self):
-        return GroupRingElt()
-
-    def is_zero(self, c) -> bool:
-        return c.is_zero()
-
-    def scale(self, a, c):
-        return a.scale(c)
-
-    def add(self, a, b):
-        return a + b
+        return self._czero
 
     def mul(self, a, b):
         return a * b
@@ -200,34 +216,32 @@ class _Context:
         sends m_mu to m_{m mu}, and on ray's 1-tuple keys z^k to z^{mk}."""
         return c.frobenius(m)
 
-    def divide_exactly(self, c, n: int):
-        """c / n, which must leave no remainder in any coefficient."""
-        res = GroupRingElt()
-        res.terms = {w: _divide_exactly(v, n) for w, v in c.terms.items()}
-        return res
-
     def euler_series(self, char: GroupRingElt, depth: int) -> list:
         """Coefficients a_0, ..., a_depth of prod_{n>=1} prod_mu (1 - e^mu q^n)^{-c_mu}
         for char = sum_mu c_mu e^mu with integer c_mu, in this ring.
 
         Solves the log-derivative recurrence n a_n = sum_{k=1..n} b_k a_{n-k},
         b_k = sum_{d | k} d psi^{k/d}(char) (Kac, Infinite-dimensional Lie
-        algebras, 10.10), with psi^m the ring's Adams operation.  The
+        algebras, 10.10), with psi^m the ring's Adams operation; the division
+        by n is exact, and a remainder raises AssertionError.  The
         coefficients are cached per projected char and extended on demand, so
         one series serves every depth and every side built in this context.
         """
         c = self.project(char)
-        b, a = self._euler.setdefault(c, ([self.czero()], [self.one()]))
+        b, a = self._euler.setdefault(c, ([self._czero], [self._one]))
         for n in range(len(a), depth + 1):
-            bn = self.czero()
+            bn = self._czero
             for d in range(1, n + 1):
                 if n % d == 0:
-                    bn = self.add(bn, self.scale(self.frobenius(c, n // d), d))
+                    bn += d * self.frobenius(c, n // d)
             b.append(bn)
-            acc = self.czero()
+            acc = self._czero
             for k in range(1, n + 1):
-                acc = self.add(acc, self.mul(b[k], a[n - k]))
-            a.append(self.divide_exactly(acc, n))
+                acc += self.mul(b[k], a[n - k])
+            an, rem = divmod(acc, n)
+            if rem:
+                raise AssertionError(f"Euler series coefficient {acc} is not divisible by {n}")
+            a.append(an)
         return a[: depth + 1]
 
     def irreducible(self, lam: Weight):
@@ -245,6 +259,9 @@ class _Context:
         gre = GroupRingElt()
         gre.terms = {nu: 1 for lam in lams for nu in self.rs.weyl_orbit(lam)}
         return self.project(gre)
+
+    def describe(self) -> dict:
+        return {"coefficients": self.coefficients, "type": self.rs.type_label}
 
     def matches(self, other) -> bool:
         return (
@@ -267,9 +284,6 @@ class GroupRingContext(_Context):
     def project(self, gre: GroupRingElt):
         return gre
 
-    def describe(self) -> dict:
-        return {"coefficients": "group_ring", "type": self.rs.type_label}
-
 
 class InvariantContext(_Context):
     """The W-invariant part of the group ring, in the orbit-sum basis.
@@ -291,7 +305,6 @@ class InvariantContext(_Context):
     """
 
     def __init__(self, rs: RootSystem):
-        super().__init__(rs)
         self._zero: Weight = (0,) * rs.rank
         self._monomials = GroupRingContext(rs)
         self._orbits: Dict[Weight, List[Weight]] = {}
@@ -299,6 +312,7 @@ class InvariantContext(_Context):
         self._conjugates: Dict[Weight, Tuple[Weight, int]] = {}
         self._pairs: Dict[Tuple[Weight, Weight], Tuple[tuple, tuple]] = {}
         self._irreducibles: Dict[Weight, GroupRingElt] = {}
+        super().__init__(rs)
 
     def _orbit(self, mu: Weight) -> List[Weight]:
         orbit = self._orbits.get(mu)
@@ -327,20 +341,24 @@ class InvariantContext(_Context):
         The division by |W_nu| is exact; a nonzero remainder raises."""
         mu, nu = sorted(key, key=self._stabilizer, reverse=True)  # smaller orbit first
         orbit = self.expand(GroupRingElt.monomial(mu))
-        acc: Dict[Weight, int] = {}
+        acc = GroupRingElt()
+        terms = acc.terms
         for x in self._monomials.mul(orbit, GroupRingElt.monomial(nu)).terms:
             d, s = self._conjugates.get(x) or self._conjugate(x)
-            acc[d] = acc.get(d, 0) + s
+            terms[d] = terms.get(d, 0) + s
         k = self._stabilizer(nu)
-        return tuple(acc), tuple(_divide_exactly(c, k) for c in acc.values())
+        prod, rem = divmod(acc, k)
+        if rem:
+            raise AssertionError(f"orbit-sum product {acc} is not divisible by |W_nu| = {k}")
+        return tuple(prod.terms), tuple(prod.terms.values())
 
     def mul(self, a, b):
         """sum_{mu, nu} a_mu b_nu m_mu m_nu, with m_mu m_nu tabled per (mu, nu)."""
         zero = self._zero
         if len(a.terms) == 1 and zero in a.terms:
-            return b.scale(a.terms[zero])
+            return a.terms[zero] * b
         if len(b.terms) == 1 and zero in b.terms:
-            return a.scale(b.terms[zero])
+            return b.terms[zero] * a
         pairs, pair = self._pairs, self._pair
         out: Dict[Weight, object] = {}
         get = out.get
@@ -389,38 +407,14 @@ class InvariantContext(_Context):
         """sum_{lam in lams} m_lam is the element keyed by the lams."""
         return GroupRingElt(dict.fromkeys(lams, 1))
 
-    def describe(self) -> dict:
-        return {"coefficients": "group_ring", "type": self.rs.type_label}
-
-
-def _divide_exactly(c: int, k: int) -> int:
-    """c / k for integers, which must divide."""
-    q, r = divmod(c, k)
-    if r:
-        raise AssertionError(f"coefficient {c} is not divisible by {k}")
-    return q
-
 
 class TrivialContext(_Context):
     """Coefficients are plain integers: e^mu -> 1."""
 
-    def one(self):
-        return 1
-
-    def czero(self):
-        return 0
-
-    def is_zero(self, c) -> bool:
-        return c == 0
-
-    def scale(self, a, c):
-        return int_or_frac(a * c)
+    coefficients = "trivial"
 
     def frobenius(self, c, m: int):
         return c
-
-    def divide_exactly(self, c, n: int):
-        return _divide_exactly(c, n)
 
     def coeff_json(self, c):
         return _coord_json(c)
@@ -437,9 +431,6 @@ class TrivialContext(_Context):
         rs = self.rs
         return sum(rs.weyl_order // rs.stabilizer_order(lam) for lam in lams)
 
-    def describe(self) -> dict:
-        return {"coefficients": "trivial", "type": self.rs.type_label}
-
 
 class RayContext(_Context):
     """Coefficients are Laurent polynomials: e^mu -> z^{(mu, xi)} for a coweight xi.
@@ -450,17 +441,16 @@ class RayContext(_Context):
     integer dot product and z-exponents are written as k / den only in JSON.
     """
 
+    coefficients = "ray"
+
     def __init__(self, rs: RootSystem, xi: Weight):
-        super().__init__(rs)
         self.xi = tuple(int_or_frac(c) for c in xi)
         pairings = [rs.inner(tuple(int(i == j) for j in range(rs.rank)), self.xi)
                     for i in range(rs.rank)]
         self.den = math.lcm(*(p.denominator for p in pairings))
         self.coords = tuple(int(p * self.den) for p in pairings)
         self._principal = self.xi == rs.rho_check
-
-    def one(self):
-        return GroupRingElt.one(1)
+        super().__init__(rs)
 
     def coeff_json(self, c):
         return [
@@ -492,11 +482,7 @@ class RayContext(_Context):
         return res
 
     def describe(self) -> dict:
-        return {
-            "coefficients": "ray",
-            "type": self.rs.type_label,
-            "xi": [_coord_json(c) for c in self.xi],
-        }
+        return {**super().describe(), "xi": [_coord_json(c) for c in self.xi]}
 
 
 def make_context(rs: RootSystem, mode: str = "group_ring", xi: Optional[Weight] = None):
@@ -545,7 +531,7 @@ class GradedCharacter:
         if terms:
             for e, c in terms.items():
                 e = frac(e)
-                if e <= self.order and not context.is_zero(c):
+                if e <= self.order and c:
                     self.terms[e] = c
 
     # -- inspection ----------------------------------------------------------
@@ -570,14 +556,9 @@ class GradedCharacter:
         self._require_context(other)
         order = min(self.order, other.order)
         out = dict(self.terms)
-        ctx = self.context
         for e, c in other.terms.items():
-            nc = ctx.add(out.get(e, ctx.czero()), c) if e in out else c
-            if ctx.is_zero(nc):
-                out.pop(e, None)
-            else:
-                out[e] = nc
-        return GradedCharacter(ctx, order, out)
+            out[e] = out[e] + c if e in out else c
+        return GradedCharacter(self.context, order, out)  # which drops the zeros
 
     def mul(self, other: "GradedCharacter") -> "GradedCharacter":
         # completeness: coefficient at d needs f below d - N_g and g below
@@ -595,14 +576,7 @@ class GradedCharacter:
                 if e > order:
                     continue
                 p = ctx.mul(c1, c2)
-                if e in out:
-                    nc = ctx.add(out[e], p)
-                    if ctx.is_zero(nc):
-                        del out[e]
-                    else:
-                        out[e] = nc
-                elif not ctx.is_zero(p):
-                    out[e] = p
+                out[e] = out[e] + p if e in out else p
         return GradedCharacter(ctx, order, out)
 
     def times(self, c) -> "GradedCharacter":
@@ -709,7 +683,7 @@ def pochhammer_finite(ctx, mu: Weight, s, order) -> GradedCharacter:
     result = series_one(ctx, order)
     step = s
     while step <= order:
-        factor = GradedCharacter(ctx, order, {Fraction(0): ctx.one(), step: ctx.scale(unit, -1)})
+        factor = GradedCharacter(ctx, order, {Fraction(0): ctx.one(), step: -unit})
         result = result.mul(factor)
         step += 1
     return result

@@ -193,9 +193,9 @@ def euler_product_by_passes(f, char):
                 for _ in range(abs(c)):
                     for i in steps:
                         src = g[i - n]
-                        if not ctx.is_zero(src):
+                        if src:
                             src = ctx.mul(u, src)
-                            g[i] = ctx.add(g[i], src if c > 0 else ctx.scale(src, -1))
+                            g[i] += src if c > 0 else -src
         out.update((low + k, v) for k, v in enumerate(g))
     return GradedCharacter(ctx, f.order, out)
 

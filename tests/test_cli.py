@@ -228,6 +228,29 @@ def test_fail_status_maps_to_exit_one():
     assert code == EXIT_MISMATCH == 1
 
 
+def test_internal_error_exits_three(monkeypatch, capsys):
+    # a failed internal check is neither a mismatch (exit 1) nor a usage error (exit 2)
+    from liechar import cli
+    from liechar.qseries import TrivialContext
+
+    def broken(*args, **kwargs):
+        raise AssertionError("a side is known only through q^0")
+
+    monkeypatch.setattr(cli, "verify_kw", broken)
+    assert cli.main(["verify-kw", "--type", "A1", "--order", "2"]) == cli.EXIT_INTERNAL == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("Traceback")
+    assert out.err.endswith("\nerror: internal: AssertionError: a side is known only through q^0\n")
+    # the Euler series' exact division, reached through a fault in psi^2
+    frobenius = TrivialContext.frobenius
+    monkeypatch.setattr(TrivialContext, "frobenius", lambda self, c, m: frobenius(self, c, m) + int(m == 2))
+    assert cli.main(["verify-gko", "--type", "A1", "--order", "3", "--spec", "trivial"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines()[-1].startswith("error: internal: AssertionError: Euler series coefficient")
+
+
 def test_gko_custom_kappas_and_failure_exit():
     res = run_cli("verify-gko", "--type", "A1", "--order", "2",
                   "--kappa", "1/3", "--kappa", "9/2")

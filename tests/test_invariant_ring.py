@@ -217,6 +217,39 @@ def test_euler_series_extends_its_cache_exactly():
         assert deep == [shared.project(passes.coeff(n)) for n in range(6)]
 
 
+@pytest.mark.parametrize("mode", ["group_ring", "trivial", "ray"])
+def test_euler_series_refuses_a_remainder(monkeypatch, mode):
+    # a fault that adds e^0 to psi^2(char) makes 2 a_2 odd at e^0: the
+    # recurrence's exact division must raise, not return rational coefficients
+    rs = build_root_system("A2")
+    make = {"group_ring": InvariantContext, "trivial": TrivialContext,
+            "ray": lambda rs: RayContext(rs, rs.rho_check)}[mode]
+    char = _adjoint_char(rs)
+    make(rs).euler_series(char, 3)  # exact without the fault
+    ctx = make(rs)
+    frobenius = ctx.frobenius
+
+    def faulty(c, m):
+        return frobenius(c, m) + ctx.one() if m == 2 else frobenius(c, m)
+
+    monkeypatch.setattr(ctx, "frobenius", faulty)
+    with pytest.raises(AssertionError, match="not divisible by 2"):
+        ctx.euler_series(char, 3)
+
+
+def test_orbit_product_refuses_a_remainder(monkeypatch):
+    # m_w1 m_w1 = m_2w1 + 2 m_w2 in A2 is folded from 3 monomials and divided
+    # by |W_w1| = 2; one stray regular monomial leaves a remainder, which raises
+    rs = build_root_system("A2")
+    ctx = InvariantContext(rs)
+    assert dict(zip(*ctx._pair(((1, 0), (1, 0))))) == {(2, 0): 1, (0, 1): 2}
+    ctx = InvariantContext(rs)
+    mul = ctx._monomials.mul
+    monkeypatch.setattr(ctx._monomials, "mul", lambda a, b: mul(a, b) + GroupRingElt.monomial((1, 1)))
+    with pytest.raises(AssertionError, match="not divisible"):
+        ctx._pair(((1, 0), (1, 0)))
+
+
 # -- the coset sides ----------------------------------------------------------------
 
 
