@@ -206,7 +206,7 @@ def euler_product(f: GradedCharacter, char: GroupRingElt) -> GradedCharacter:
     euler = None
     if classes and moving:
         euler = ctx.euler_series(moving, math.floor(f.order - min(classes.values())))
-    mul, zero = ctx.mul, ctx.czero()
+    dot, zero = ctx.dot, ctx.czero()
     out: Dict[Fraction, object] = {}
     for low in classes.values():
         g = [f.terms.get(low + k, zero) for k in range(math.floor(f.order - low) + 1)]
@@ -218,12 +218,8 @@ def euler_product(f: GradedCharacter, char: GroupRingElt) -> GradedCharacter:
                     if src:
                         g[i] += src if c0 > 0 else -src
         if euler is not None:
-            h = [zero] * len(g)
-            for j, v in enumerate(g):
-                if v:
-                    for k in range(len(g) - j):
-                        h[j + k] += mul(v, euler[k])
-            g = h
+            g = [dot([(v, euler[n - j]) for j, v in enumerate(g[: n + 1]) if v])
+                 for n in range(len(g))]
         out.update((low + k, v) for k, v in enumerate(g))
     return GradedCharacter(ctx, f.order, out)
 
@@ -243,13 +239,14 @@ def weyl_module_char(ctx, lam: Weight, kappa: LevelValue, order) -> GradedCharac
     return denominator_inverse(ctx, order - h).times(top).shift(h)
 
 
-def _alternating_series(ctx, lam: Weight, lead, order) -> GradedCharacter:
-    """q^lead sum_w eps(w) q^{(lam+rho - w(lam+rho), rho)} for dominant lam, truncated:
-    ``alternating_sum`` multiplies it out over the positive roots, through order - lead only."""
-    alt = alternating_sum(ctx.rs, tuple(c + 1 for c in lam), order - lead)
+def _alternating_numerator(rs: RootSystem, lam: Weight, lead, order) -> Dict[Fraction, int]:
+    """q^lead sum_w eps(w) q^{(lam+rho - w(lam+rho), rho)} for dominant lam through
+    order, as {exponent: integer}: ``alternating_sum`` multiplies it out over the
+    positive roots, through order - lead only."""
+    alt = alternating_sum(rs, tuple(c + 1 for c in lam), order - lead)
     if alt.get(0) != 1:
         raise AssertionError("leading coefficient of an alternating numerator must be 1")
-    return GradedCharacter(ctx, order, {lead + d: c * ctx.one() for d, c in alt.items()})
+    return {lead + d: c for d, c in alt.items()}
 
 
 def walgebra_module_char(ctx, lam_star: Weight, kappa_star: LevelValue, order) -> GradedCharacter:
@@ -262,7 +259,7 @@ def walgebra_module_char(ctx, lam_star: Weight, kappa_star: LevelValue, order) -
     sum's exponents are minimized exactly at w = e, so the series has
     lower bound lead = h* - (lam*, rho); that can be negative for extreme
     levels, which the series representation tolerates.  The numerator,
-    ``_alternating_series``, is what both verifiers' lambda-sums multiply
+    ``_alternating_numerator``, is what both verifiers' lambda-sums multiply
     by ch L_lam.
     """
     rs = ctx.rs
@@ -275,7 +272,10 @@ def walgebra_module_char(ctx, lam_star: Weight, kappa_star: LevelValue, order) -
     lead = h - rs.inner(lam_star, rs.rho)
     if lead > order:
         return series_zero(ctx, order)
-    return euler_product(_alternating_series(ctx, lam_star, lead, order), _cartan_char(rs))
+    one = ctx.one()
+    numerator = _alternating_numerator(rs, lam_star, lead, order)
+    return euler_product(GradedCharacter(ctx, order, {e: c * one for e, c in numerator.items()}),
+                         _cartan_char(rs))
 
 
 def lattice_theta(ctx, order) -> GradedCharacter:

@@ -18,12 +18,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .characters import (
     LevelValue,
     _adjoint_char,
-    _alternating_series,
+    _alternating_numerator,
     _cartan_char,
     conformal_top_weight,
     denominator_inverse,
@@ -38,7 +38,6 @@ from .qseries import (
     make_context,
     rat_str,
     series_equal,
-    series_zero,
 )
 from .rootsys import (
     RootSystem,
@@ -222,13 +221,17 @@ def default_kappa_samples(rs: RootSystem, count: int = 2) -> List[Fraction]:
 def _lambda_sum(ctx, order: Fraction, summand) -> GradedCharacter:
     """sum_{lam in Q+} q^lead ch[L_lam] sum_w eps(w) q^{(mu+rho - w(mu+rho), rho)}
     through order, for (mu, lead) = summand(lam); a lam with lead > order
-    adds nothing, and its ch[L_lam] is not built."""
-    total = series_zero(ctx, order)
+    adds nothing, and its ch[L_lam] is not built.  Every summand is added
+    into one exponent -> coefficient dict, made a series once."""
+    terms: Dict[Fraction, object] = {}
     for lam in ctx.rs.dominant_weights_in_root_lattice(order):
         mu, lead = summand(lam)
         if lead <= order:
-            total = total.add(_alternating_series(ctx, mu, lead, order).times(ctx.irreducible(lam)))
-    return total
+            ch = ctx.irreducible(lam)
+            for e, c in _alternating_numerator(ctx.rs, mu, lead, order).items():
+                v = c * ch
+                terms[e] = terms[e] + v if e in terms else v
+    return GradedCharacter(ctx, order, terms)
 
 
 def assemble_coset_character(

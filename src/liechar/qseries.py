@@ -15,12 +15,14 @@ monomials, GroupRingContext, is the invariant ring's multiplier and the
 tests' oracle.  Coefficients take Python's +, -, scalar *, divmod and
 truth value, ints and GroupRingElts alike, so a context holds only what
 differs per ring: the projection ``project`` of group-ring elements into
-it, the product ``mul`` and Adams operation ``frobenius``, the closed
-forms ``irreducible`` (ch L_lam) and ``orbit_sum`` (m_lam), and the JSON
-of a coefficient and of the ring.  The base builds the Euler product of a
-character, ``euler_series``, from these.  The invariant ring writes its
-coefficients out expanded to monomials, so its JSON is the group ring's,
-byte for byte.
+it, the product ``mul``, the sum of products ``dot`` and Adams operation
+``frobenius``, the closed forms ``irreducible`` (ch L_lam) and
+``orbit_sum`` (m_lam), and the JSON of a coefficient and of the ring.
+Every sum of coefficient products (a series product, the Euler series and
+its convolution) is one ``dot`` per output coefficient.  The base builds
+the Euler product of a character, ``euler_series``, from these.  The
+invariant ring writes its coefficients out expanded to monomials, so its
+JSON is the group ring's, byte for byte.
 
 Exponents are exact Fractions; conformal weights at rational level are
 rational, so nothing here ever touches floating point.  Exponents may be
@@ -181,17 +183,21 @@ class _Context:
     e^mu -> 1, or e^mu -> z^{(mu, xi)}.  A coefficient is a GroupRingElt or,
     in TrivialContext, a plain number, and both take Python's +, -, scalar
     *, divmod and truth value, so a context holds only what differs per
-    ring: the projection, the product ``mul``, the Adams operation, the
-    closed forms ``irreducible`` and ``orbit_sum``, and the JSON of a
-    coefficient and of the ring.  The unit and zero are project(e^0) and
-    project(0), built once when the base's __init__ runs, so a subclass
-    sets the fields its ``project`` reads first; they are shared, and no
-    code changes a coefficient in place.  The context classes derive from
+    ring: the projection, the product ``mul``, the sum of products
+    ``dot``, the Adams operation, the closed forms ``irreducible`` and
+    ``orbit_sum``, and the JSON of a coefficient and of the ring.  The unit
+    and zero are project(e^0) and project(0), built once when the base's
+    __init__ runs, so a subclass sets the fields its ``project`` reads
+    first; they are shared, and no code changes a coefficient in place.  The context classes derive from
     this base only, never from one another: perfbench/tracer.py wraps
-    ``mul`` on the three mode classes, and a class that inherited another's
-    wrapped ``mul`` would count each product twice.  InvariantContext's
-    products reach that wrapper through its GroupRingContext once per miss
-    of its table of orbit-sum products m_mu m_nu, not once per product.
+    ``mul`` on the three mode classes as its ``qseries.coeff_mul`` leaf, and
+    a class that inherited another's wrapped ``mul`` would count each
+    product twice.  That leaf sees only the products that still go through
+    ``mul``: GroupRingContext's, whose ``dot`` is the base's sum of ``mul``,
+    among them InvariantContext's, once per miss of its table of orbit-sum
+    products m_mu m_nu; and direct ``mul`` calls (``GradedCharacter.times``,
+    the Pochhammer oracles).  The products that TrivialContext and
+    RayContext sum inside their own ``dot`` do not reach it.
     """
 
     coefficients = "group_ring"  # the ring's name in JSON
@@ -210,6 +216,10 @@ class _Context:
 
     def mul(self, a, b):
         return a * b
+
+    def dot(self, pairs):
+        """sum_{(a, b) in pairs} a b, the ring's zero for no pairs."""
+        return sum((self.mul(a, b) for a, b in pairs), self._czero)
 
     def frobenius(self, c, m: int):
         """The Adams operation psi^m, e^mu -> e^{m mu}: on dominant keys it
@@ -235,9 +245,7 @@ class _Context:
                 if n % d == 0:
                     bn += d * self.frobenius(c, n // d)
             b.append(bn)
-            acc = self._czero
-            for k in range(1, n + 1):
-                acc += self.mul(b[k], a[n - k])
+            acc = self.dot((b[k], a[n - k]) for k in range(1, n + 1))
             an, rem = divmod(acc, n)
             if rem:
                 raise AssertionError(f"Euler series coefficient {acc} is not divisible by {n}")
@@ -353,20 +361,35 @@ class InvariantContext(_Context):
         return tuple(prod.terms), tuple(prod.terms.values())
 
     def mul(self, a, b):
-        """sum_{mu, nu} a_mu b_nu m_mu m_nu, with m_mu m_nu tabled per (mu, nu)."""
+        """The orbit product: ``dot`` of one pair."""
+        return self.dot(((a, b),))
+
+    def dot(self, pairs):
+        """sum_{(a, b) in pairs} sum_{mu, nu} a_mu b_nu m_mu m_nu: the scalar
+        weights a_mu b_nu are summed per unordered pair (mu, nu) over all the
+        pairs first, and then each table row m_mu m_nu is walked once.  A
+        unit multiple c m_0 only scales its partner and builds no row."""
         zero = self._zero
-        if len(a.terms) == 1 and zero in a.terms:
-            return a.terms[zero] * b
-        if len(b.terms) == 1 and zero in b.terms:
-            return b.terms[zero] * a
-        pairs, pair = self._pairs, self._pair
+        weights: Dict[Tuple[Weight, Weight], object] = {}
         out: Dict[Weight, object] = {}
-        get = out.get
-        for mu, c1 in a.terms.items():
-            for nu, c2 in b.terms.items():
-                key = (mu, nu) if mu <= nu else (nu, mu)
-                c = c1 * c2
-                for d, m in zip(*(pairs.get(key) or pairs.setdefault(key, pair(key)))):
+        wget, get = weights.get, out.get
+        for a, b in pairs:
+            at, bt = a.terms, b.terms
+            if len(at) == 1 and zero in at:
+                at, bt = bt, at
+            if len(bt) == 1 and zero in bt:
+                c = bt[zero]
+                for mu, v in at.items():
+                    out[mu] = get(mu, 0) + c * v
+                continue
+            for mu, c1 in at.items():
+                for nu, c2 in bt.items():
+                    key = (mu, nu) if mu <= nu else (nu, mu)
+                    weights[key] = wget(key, 0) + c1 * c2
+        table, pair = self._pairs, self._pair
+        for key, c in weights.items():
+            if c:
+                for d, m in zip(*(table.get(key) or table.setdefault(key, pair(key)))):
                     out[d] = get(d, 0) + c * m
         res = GroupRingElt()
         res.terms = {d: c for d, c in out.items() if c != 0}
@@ -413,6 +436,9 @@ class TrivialContext(_Context):
 
     coefficients = "trivial"
 
+    def dot(self, pairs):
+        return sum(a * b for a, b in pairs)
+
     def frobenius(self, c, m: int):
         return c
 
@@ -457,6 +483,20 @@ class RayContext(_Context):
             {"zexp": rat_str(Fraction(k, self.den)), "coeff": _coord_json(v)}
             for (k,), v in c.items_sorted()
         ]
+
+    def dot(self, pairs):
+        """sum_{(a, b) in pairs} a b, every z-exponent product added into one dict."""
+        out: Dict[int, object] = {}
+        get = out.get
+        for a, b in pairs:
+            bt = b.terms.items()
+            for (k1,), c1 in a.terms.items():
+                for (k2,), c2 in bt:
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
+        res = GroupRingElt()
+        res.terms = {(k,): c for k, c in out.items() if c != 0}
+        return res
 
     def project(self, gre: GroupRingElt):
         coords = self.coords
@@ -569,15 +609,13 @@ class GradedCharacter:
         ctx = self.context
         lf, lg = min(self.lower_bound(), self.order), min(other.lower_bound(), other.order)
         order = min(self.order + lg, other.order + lf)
-        out: Dict[Fraction, object] = {}
+        pairs: Dict[Fraction, list] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = e1 + e2
-                if e > order:
-                    continue
-                p = ctx.mul(c1, c2)
-                out[e] = out[e] + p if e in out else p
-        return GradedCharacter(ctx, order, out)
+                if e <= order:
+                    pairs.setdefault(e, []).append((c1, c2))
+        return GradedCharacter(ctx, order, {e: ctx.dot(p) for e, p in pairs.items()})
 
     def times(self, c) -> "GradedCharacter":
         """c times each coefficient, for a coefficient c of the series' ring

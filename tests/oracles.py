@@ -16,7 +16,9 @@ from liechar import (
     InvariantContext,
     TrivialContext,
     UsageError,
+    alternating_sum,
     make_context,
+    series_zero,
     weight,
 )
 from liechar.finite_lie import (
@@ -198,6 +200,21 @@ def euler_product_by_passes(f, char):
                             g[i] += src if c > 0 else -src
         out.update((low + k, v) for k, v in enumerate(g))
     return GradedCharacter(ctx, f.order, out)
+
+
+def lambda_sum_by_series(ctx, order, summand):
+    """``levels._lambda_sum`` one series per lambda: q^lead ch[L_lam] times the
+    alternating numerator of mu, built as a series, scaled by ch L_lam with
+    ``times`` and added to the running total with ``add``, for
+    (mu, lead) = summand(lam) and every dominant lam in Q+ through order."""
+    total = series_zero(ctx, order)
+    for lam in ctx.rs.dominant_weights_in_root_lattice(order):
+        mu, lead = summand(lam)
+        if lead <= order:
+            alt = alternating_sum(ctx.rs, tuple(c + 1 for c in mu), order - lead)
+            series = GradedCharacter(ctx, order, {lead + d: c * ctx.one() for d, c in alt.items()})
+            total = total.add(series.times(ctx.irreducible(lam)))
+    return total
 
 
 def invariant_forms_all_equations(ls):

@@ -5,11 +5,13 @@ sum S_kappa = sum_lam q^{lead_lam} ch[L_lam] sum_w eps(w) q^{depth_w(lam*)}.
 The oracle here builds each lambda-summand as a Weyl-module series times a
 W-module series, each with its own Euler division, and with the depth
 bookkeeping that form needs when W-module factors start below q^0; both
-must give the same canonical JSON.
+must give the same canonical JSON.  The lambda-sum itself, added into one
+dict, is checked against the sum of one series per lambda it replaced.
 """
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,15 +21,19 @@ from liechar import (
     assemble_coset_character,
     build_root_system,
     conformal_top_weight,
+    default_kappa_samples,
     denominator_inverse,
     finite_char,
     kernel_partner_level,
+    kw_lhs_character,
     level,
     make_context,
     series_zero,
     walgebra_module_char,
 )
+from liechar import levels
 from liechar.linalg import frac
+from oracles import lambda_sum_by_series
 
 ORACLE_TYPES = [build_root_system(t) for t in ["A1", "A2", "A3", "B2", "B3", "C3", "G2"]]
 BOUND_TYPES = ORACLE_TYPES + [build_root_system(t) for t in ["A4", "D4", "F4"]]
@@ -131,3 +137,28 @@ def test_each_coset_summand_starts_at_a_nonnegative_power(case):
                 - rs.inner(lam_star, rs.rho))
         assert lead == rv * rs.norm2(lam) / 2 + (rv - 1) * rs.inner(lam, rs.rho)
         assert lead >= 0
+
+
+# (type, order, shifted levels kappa + h_vee or None for the default samples);
+# B2 and G2 at non-integer levels, with fractional exponents on the kw side
+LAMBDA_SUM_CASES = [("A1", 8, None), ("A2", 6, None), ("A3", 5, None), ("A4", 4, None),
+                    ("D4", 4, None), ("B2", F(11, 2), (F(5, 2), F(7, 3))),
+                    ("G2", F(9, 2), (F(5, 3), F(-9, 4)))]
+
+
+@pytest.mark.parametrize("mode", ["group_ring", "trivial", "ray"])
+@pytest.mark.parametrize("label,order,shifted", LAMBDA_SUM_CASES)
+def test_one_dict_lambda_sum_matches_one_series_per_lambda(monkeypatch, label, order, shifted, mode):
+    rs = build_root_system(label)
+    if shifted is None:
+        kappas = default_kappa_samples(rs, 2)
+    else:
+        kappas = [s - rs.dual_coxeter for s in shifted]
+
+    def sides():
+        return [kw_lhs_character(rs, order, mode).canonical_str()] + [
+            assemble_coset_character(rs, k, order, mode).canonical_str() for k in kappas]
+
+    got = sides()
+    monkeypatch.setattr(levels, "_lambda_sum", lambda_sum_by_series)
+    assert got == sides()

@@ -33,7 +33,7 @@ from liechar import (
     make_context,
     series_one,
 )
-from liechar import characters
+from liechar import characters, levels
 from liechar.characters import _adjoint_char
 from oracles import euler_product_by_passes, specialize
 
@@ -137,6 +137,15 @@ def test_orbit_products_are_tabled_once_per_pair_and_root_system(monkeypatch):
     fresh = make_context(build_root_system("A3"), "group_ring")
     assert fresh is not ctx and fresh.mul(b, a) == product
     assert len(monomial_products) == 12
+
+
+def test_a2_coset_check_tables_265_orbit_products(monkeypatch):
+    # verify_gko A2 q^10 reads 265 distinct products m_mu m_nu; a unit multiple
+    # c m_0 scales its partner and adds no row to the table
+    rs = build_root_system("A2")
+    monkeypatch.setattr(levels, "build_root_system", lambda label: rs)
+    assert levels.verify_gko("A2", 10).status == "pass"
+    assert len(make_context(rs, "group_ring")._pairs) == 265
 
 
 def test_projecting_a_non_invariant_element_raises():

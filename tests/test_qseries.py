@@ -2,13 +2,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liechar import (
     GradedCharacter,
     GroupRingContext,
     GroupRingElt,
+    InvariantContext,
     RayContext,
     TrivialContext,
     UsageError,
@@ -365,6 +366,61 @@ def test_specialize_bad_mode():
     f = series_one(CTX1, 1)
     with pytest.raises(UsageError):
         specialize(f, "nonsense")
+
+
+# -- sums of products ------------------------------------------------------------
+
+
+@st.composite
+def dot_inputs(draw):
+    """Pairs of W-invariant elements in the orbit-sum basis, some of them unit
+    multiples c m_0 and some rational, with some pairs repeated negated so
+    that their products cancel."""
+    rs = draw(st.sampled_from([A2, B2, G2, build_root_system("A3")]))
+    zero = (0,) * rs.rank
+    coeffs = st.integers(-3, 3) | st.sampled_from([F(1, 2), F(-2, 3), F(5, 6)])
+    weights = st.tuples(*[st.integers(0, 2)] * rs.rank)
+    elements = (st.dictionaries(weights, coeffs, max_size=3)
+                | coeffs.map(lambda c: {zero: c})).map(GroupRingElt)
+    pairs = draw(st.lists(st.tuples(elements, elements), max_size=5))
+    if pairs:
+        pairs += [(-a, b) for a, b in draw(st.lists(st.sampled_from(pairs), max_size=3))]
+    return rs, draw(st.permutations(pairs))
+
+
+def _stores_no_zero(c):
+    return not isinstance(c, GroupRingElt) or 0 not in c.terms.values()
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=dot_inputs())
+@example(case=(A2, []))
+@example(case=(A2, [(GroupRingElt({(1, 0): 2}), GroupRingElt({(0, 1): 1})),
+                    (GroupRingElt({(1, 0): -2}), GroupRingElt({(0, 1): 1}))]))
+def test_dot_is_the_sum_of_products_in_every_ring(case):
+    rs, pairs = case
+    inv = InvariantContext(rs)
+    got = inv.dot(pairs)
+    monomial = [(inv.expand(a), inv.expand(b)) for a, b in pairs]
+    want = GroupRingElt()
+    for a, b in monomial:
+        want = want + a * b
+    assert inv.expand(got) == want
+    assert _stores_no_zero(got)
+    rational_xi = tuple(F(1, i + 2) - F(1, 3) for i in range(rs.rank))
+    for ctx in [GroupRingContext(rs), TrivialContext(rs), RayContext(rs, rs.rho_check),
+                RayContext(rs, rational_xi), inv]:
+        if ctx is inv:
+            projected = pairs
+        else:
+            projected = [(ctx.project(a), ctx.project(b)) for a, b in monomial]
+        want = ctx.czero()
+        for a, b in projected:
+            want = want + ctx.mul(a, b)
+        got = ctx.dot(projected)
+        assert got == want and _stores_no_zero(got)
+        if not projected:
+            assert got == ctx.czero() and not got
 
 
 # -- serialization ------------------------------------------------------------
