@@ -26,6 +26,7 @@ the Euler product of ch g + rank e^0, instead of building module series.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -108,10 +109,11 @@ def dominant_multiplicities(rs: RootSystem, lam: Weight) -> Dict[Weight, int]:
     if not rs.is_dominant(lam):
         raise UsageError("finite_char requires a dominant integral weight")
     lac = rs.lacity
-    # (alpha, lac (omega_i, alpha) = lac d_i c_i, lac (alpha, alpha)), all integers
+    # (alpha, lac (omega_i, alpha) = lac d_i c_i, lac (alpha, alpha)), all
+    # integers: rs._steps[i] = lac d_i
     strings = []
     for alpha in rs.positive_roots:
-        pair = tuple(int(d * lac) * c for d, c in zip(rs.symmetrizer, rs.root_coords(alpha)))
+        pair = tuple(map(operator.mul, rs._steps, rs.root_coords(alpha)))
         strings.append((alpha, pair, sum(a * p for a, p in zip(alpha, pair))))
     lam_rho = tuple(c + 1 for c in lam)
     c_top = rs.inner(lam_rho, lam_rho)

@@ -9,8 +9,9 @@ constituents and compare coefficients exactly.  Both left-hand sides are
 one lambda-sum (``_lambda_sum``) of q^lead ch L_lam times an alternating
 Weyl numerator; the coset sum then divides once by (q;q)^rank D, the
 factor that every one of its summands carries.  In every mode the two
-coset sides share one cached series for the mu != 0 factors of 1/D, which
-cannot hide a mismatch (``make_context``).
+coset sides share one cached series for the mu != 0 factors of 1/D, and
+two kappa samples whose leads agree share the divided side itself; neither
+can hide a mismatch (``make_context``).
 """
 
 from __future__ import annotations
@@ -218,20 +219,22 @@ def default_kappa_samples(rs: RootSystem, count: int = 2) -> List[Fraction]:
     return [Fraction(2 * k + 3, k + 1) - rs.dual_coxeter for k in range(count)]
 
 
-def _lambda_sum(ctx, order: Fraction, summand) -> GradedCharacter:
+def _lambda_sum(ctx, order: Fraction, summands) -> GradedCharacter:
     """sum_{lam in Q+} q^lead ch[L_lam] sum_w eps(w) q^{(mu+rho - w(mu+rho), rho)}
-    through order, for (mu, lead) = summand(lam); a lam with lead > order
-    adds nothing, and its ch[L_lam] is not built.  Every summand is added
-    into one exponent -> coefficient dict, made a series once."""
-    terms: Dict[Fraction, object] = {}
-    for lam in ctx.rs.dominant_weights_in_root_lattice(order):
-        mu, lead = summand(lam)
+    through order, for each (lam, mu, lead) in summands; a lam with lead >
+    order adds nothing, and its ch[L_lam] is not built.  The pairs (c, ch
+    L_lam) of each exponent are gathered and summed with one ``ctx.dot``.
+    The series is a function of ctx, order and summands alone, so the coset
+    sides can share it whenever their summand lists agree: the level enters
+    only through the leads (``assemble_coset_character``)."""
+    one = ctx.one()
+    pairs: Dict[Fraction, list] = {}
+    for lam, mu, lead in summands:
         if lead <= order:
             ch = ctx.irreducible(lam)
             for e, c in _alternating_numerator(ctx.rs, mu, lead, order).items():
-                v = c * ch
-                terms[e] = terms[e] + v if e in terms else v
-    return GradedCharacter(ctx, order, terms)
+                pairs.setdefault(e, []).append((c * one, ch))
+    return GradedCharacter(ctx, order, {e: ctx.dot(p) for e, p in pairs.items()})
 
 
 def assemble_coset_character(
@@ -244,7 +247,14 @@ def assemble_coset_character(
     S_kappa = sum_lam q^{h_kappa(lam) + h_kappa*(lam*) - (lam*, rho)} ch[L_lam]
     sum_w eps(w) q^{(lam*+rho - w(lam*+rho), rho)} and divided once, by
     S_kappa / ((q;q)^rank D) = ``euler_product`` with ch g + rank e^0: the
-    mu = 0 factors by passes, the others at once."""
+    mu = 0 factors by passes, the others at once.
+
+    kappa enters only through the leads.  The divided side is cached on the
+    context, keyed by the order and the summand list [(lam, lam*, lead)], so
+    a second kappa whose leads all agree gets the first side itself, with no
+    second lambda-sum or division.  That cannot hide a kappa-dependence: a
+    lead that moved with kappa changes the key, and the side is built anew.
+    """
     order = frac(order)
     ctx = make_context(rs, mode, xi)
     kappa = level(rs, kappa_value)
@@ -255,11 +265,17 @@ def assemble_coset_character(
         lam_star = rs.star(lam)
         lead = (conformal_top_weight(rs, lam, kappa) + conformal_top_weight(rs, lam_star, partner)
                 - rs.inner(lam_star, rs.rho))
-        return lam_star, lead
+        return lam, lam_star, lead
 
-    # the kernel relation puts every lead at r_vee |lam|^2/2 + (r_vee - 1)(lam, rho)
-    # >= 0, and every Euler factor is 1 + O(q), so the quotient is exact through order
-    return euler_product(_lambda_sum(ctx, order, summand), _adjoint_char(rs) + _cartan_char(rs))
+    summands = tuple(map(summand, rs.dominant_weights_in_root_lattice(order)))
+    key = (order, summands)
+    side = ctx._sides.get(key)
+    if side is None:
+        # the kernel relation puts every lead at r_vee |lam|^2/2 + (r_vee - 1)(lam, rho)
+        # >= 0, and every Euler factor is 1 + O(q), so the quotient is exact through order
+        side = ctx._sides[key] = euler_product(_lambda_sum(ctx, order, summands),
+                                               _adjoint_char(rs) + _cartan_char(rs))
+    return side
 
 
 def coset_rhs_character(rs: RootSystem, kappa_value, order, mode: str = "group_ring", xi=None) -> GradedCharacter:
@@ -307,7 +323,9 @@ def kw_lhs_character(rs: RootSystem, order, mode: str = "group_ring", xi=None) -
     Each alternating sum is multiplied out as prod_{alpha>0} (1 - q^{(lam+rho, alpha)})
     only through the depths <= order - (lam,lam)/2 that survive truncation.
     """
-    return _lambda_sum(make_context(rs, mode, xi), frac(order), lambda lam: (lam, rs.norm2(lam) / 2))
+    order = frac(order)
+    summands = [(lam, lam, rs.norm2(lam) / 2) for lam in rs.dominant_weights_in_root_lattice(order)]
+    return _lambda_sum(make_context(rs, mode, xi), order, summands)
 
 
 def verify_kw(type_label: str, order, mode: str = "group_ring", xi=None) -> IdentityReport:

@@ -205,6 +205,9 @@ class _Context:
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self._euler: Dict[object, Tuple[list, list]] = {}
+        # the divided coset sides built in this ring, keyed by (order, summand
+        # list) in levels.assemble_coset_character
+        self._sides: Dict[tuple, "GradedCharacter"] = {}
         self._one = self.project(GroupRingElt.one(rs.rank))
         self._czero = self.project(GroupRingElt())
 
@@ -307,25 +310,28 @@ class InvariantContext(_Context):
     here, one integer per dominant weight instead of one per weight.
 
     Each RootSystem holds one instance, ``make_context(rs, "group_ring")``,
-    whose caches every series built on rs shares: orbit lists, |W_x| per
-    zero pattern, dominant conjugates, the products m_mu m_nu per pair
-    (mu, nu), ch L_lam per lam and the Euler series.
+    whose caches every series built on rs shares: the orbit sums m_mu over
+    monomials, |W_x| per zero pattern, dominant conjugates, the products
+    m_mu m_nu per pair (mu, nu), ch L_lam per lam, the Euler series and the
+    coset sides.
     """
 
     def __init__(self, rs: RootSystem):
         self._zero: Weight = (0,) * rs.rank
         self._monomials = GroupRingContext(rs)
-        self._orbits: Dict[Weight, List[Weight]] = {}
+        self._orbits: Dict[Weight, GroupRingElt] = {}
         self._stabilizers: Dict[Tuple[bool, ...], int] = {}
         self._conjugates: Dict[Weight, Tuple[Weight, int]] = {}
         self._pairs: Dict[Tuple[Weight, Weight], Tuple[tuple, tuple]] = {}
         self._irreducibles: Dict[Weight, GroupRingElt] = {}
         super().__init__(rs)
 
-    def _orbit(self, mu: Weight) -> List[Weight]:
+    def _orbit(self, mu: Weight) -> GroupRingElt:
+        """m_mu over monomials, built once per mu."""
         orbit = self._orbits.get(mu)
         if orbit is None:
-            orbit = self._orbits[mu] = self.rs.weyl_orbit(mu)
+            orbit = self._orbits[mu] = GroupRingElt()
+            orbit.terms = dict.fromkeys(self.rs.weyl_orbit(mu), 1)
         return orbit
 
     def _stabilizer(self, mu: Weight) -> int:
@@ -348,17 +354,16 @@ class InvariantContext(_Context):
         sum_{w in W} e^{w x} = |W_x| m_{dom x}, with W mu the smaller orbit.
         The division by |W_nu| is exact; a nonzero remainder raises."""
         mu, nu = sorted(key, key=self._stabilizer, reverse=True)  # smaller orbit first
-        orbit = self.expand(GroupRingElt.monomial(mu))
-        acc = GroupRingElt()
-        terms = acc.terms
+        orbit = self._orbit(mu)
+        acc: Dict[Weight, int] = {}
+        get, conjugates = acc.get, self._conjugates
         for x in self._monomials.mul(orbit, GroupRingElt.monomial(nu)).terms:
-            d, s = self._conjugates.get(x) or self._conjugate(x)
-            terms[d] = terms.get(d, 0) + s
+            d, s = conjugates.get(x) or self._conjugate(x)
+            acc[d] = get(d, 0) + s
         k = self._stabilizer(nu)
-        prod, rem = divmod(acc, k)
-        if rem:
+        if any(s % k for s in acc.values()):
             raise AssertionError(f"orbit-sum product {acc} is not divisible by |W_nu| = {k}")
-        return tuple(prod.terms), tuple(prod.terms.values())
+        return tuple(acc), tuple(s // k for s in acc.values())
 
     def mul(self, a, b):
         """The orbit product: ``dot`` of one pair."""
@@ -398,7 +403,7 @@ class InvariantContext(_Context):
     def expand(self, c: GroupRingElt) -> GroupRingElt:
         """c over monomials: sum_mu c_mu sum_{beta in W mu} e^beta."""
         res = GroupRingElt()
-        res.terms = {beta: v for mu, v in c.terms.items() for beta in self._orbit(mu)}
+        res.terms = {beta: v for mu, v in c.terms.items() for beta in self._orbit(mu).terms}
         return res
 
     def project(self, gre: GroupRingElt):
@@ -530,11 +535,14 @@ def make_context(rs: RootSystem, mode: str = "group_ring", xi: Optional[Weight] 
 
     rs holds one context per mode and (for ``ray``) coordinate-wise equal xi,
     made on first use, so every series built in a ring on rs shares its
-    caches (among them ch L_lam in ``group_ring`` and the Euler series E of
-    ``euler_series``) and they are freed with rs.  A shared E cannot turn a
-    failure into a pass: E = 1 + O(q) is invertible, so S E = T E holds
-    exactly when S = T, and a wrong E could only misreport the mismatching
-    coefficients, not hide a mismatch.
+    caches (among them ch L_lam in ``group_ring``, the Euler series E of
+    ``euler_series`` and the divided coset sides) and they are freed with
+    rs.  A shared E cannot turn a failure into a pass: E = 1 + O(q) is
+    invertible, so S E = T E holds exactly when S = T, and a wrong E could
+    only misreport the mismatching coefficients, not hide a mismatch.  A
+    shared coset side cannot hide a kappa-dependence either: kappa enters a
+    side only through the leads of its lambda-summands, and the summand list
+    with its leads is the cache key, so sides share only when it agrees.
     """
     if xi is not None and mode != "ray":
         raise UsageError(f"a coweight xi applies to mode 'ray' only, not {mode!r}")

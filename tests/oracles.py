@@ -202,19 +202,37 @@ def euler_product_by_passes(f, char):
     return GradedCharacter(ctx, f.order, out)
 
 
-def lambda_sum_by_series(ctx, order, summand):
+def lambda_sum_by_series(ctx, order, summands):
     """``levels._lambda_sum`` one series per lambda: q^lead ch[L_lam] times the
     alternating numerator of mu, built as a series, scaled by ch L_lam with
-    ``times`` and added to the running total with ``add``, for
-    (mu, lead) = summand(lam) and every dominant lam in Q+ through order."""
+    ``times`` and added to the running total with ``add``, for each
+    (lam, mu, lead) in summands with lead <= order."""
     total = series_zero(ctx, order)
-    for lam in ctx.rs.dominant_weights_in_root_lattice(order):
-        mu, lead = summand(lam)
+    for lam, mu, lead in summands:
         if lead <= order:
             alt = alternating_sum(ctx.rs, tuple(c + 1 for c in mu), order - lead)
             series = GradedCharacter(ctx, order, {lead + d: c * ctx.one() for d, c in alt.items()})
             total = total.add(series.times(ctx.irreducible(lam)))
     return total
+
+
+def orbit_pair_by_divmod(rs, key):
+    """``InvariantContext._pair`` in GroupRingElt arithmetic: the orbit of mu
+    (the smaller one) times e^nu over monomials, each monomial folded onto
+    its dominant conjugate (``dominant_representative``) with weight |W_x|,
+    and the sum divided by |W_nu| with GroupRingElt's divmod."""
+    mu, nu = sorted(key, key=rs.stabilizer_order, reverse=True)  # smaller orbit first
+    orbit = GroupRingElt(dict.fromkeys(rs.weyl_orbit(mu), 1))
+    acc = GroupRingElt()
+    terms = acc.terms
+    for x in GroupRingContext(rs).mul(orbit, GroupRingElt.monomial(nu)).terms:
+        d = dominant_representative(rs, x)
+        terms[d] = terms.get(d, 0) + rs.stabilizer_order(d)
+    k = rs.stabilizer_order(nu)
+    prod, rem = divmod(acc, k)
+    if rem:
+        raise AssertionError(f"orbit-sum product {acc} is not divisible by |W_nu| = {k}")
+    return tuple(prod.terms), tuple(prod.terms.values())
 
 
 def invariant_forms_all_equations(ls):

@@ -155,10 +155,20 @@ def test_one_dict_lambda_sum_matches_one_series_per_lambda(monkeypatch, label, o
     else:
         kappas = [s - rs.dual_coxeter for s in shifted]
 
-    def sides():
+    def sides(rs):
         return [kw_lhs_character(rs, order, mode).canonical_str()] + [
             assemble_coset_character(rs, k, order, mode).canonical_str() for k in kappas]
 
-    got = sides()
-    monkeypatch.setattr(levels, "_lambda_sum", lambda_sum_by_series)
-    assert got == sides()
+    got = sides(rs)
+    calls = []
+
+    def by_series(*args):
+        calls.append(args)
+        return lambda_sum_by_series(*args)
+
+    monkeypatch.setattr(levels, "_lambda_sum", by_series)
+    # a fresh root system has a fresh context, so no side the fast pass cached
+    # is handed back; the oracle builds the kw side and one coset side, which
+    # the second kappa sample shares (its leads are the first one's)
+    assert got == sides(build_root_system(label))
+    assert len(calls) == 2

@@ -35,7 +35,7 @@ from liechar import (
 )
 from liechar import characters, levels
 from liechar.characters import _adjoint_char
-from oracles import euler_product_by_passes, specialize
+from oracles import euler_product_by_passes, orbit_pair_by_divmod, specialize
 
 SMALL_LABELS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "F4", "G2"]
 ORACLE_TYPES = [build_root_system(t) for t in ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2"]]
@@ -115,6 +115,17 @@ def test_orbit_product_of_every_small_pair_matches_the_group_ring_product(label,
     for a, b in itertools.product(basis, repeat=2):
         assert ctx.expand(ctx.mul(a, b)) == ctx.expand(a) * ctx.expand(b)
         assert ctx.mul(a, b) == ctx.mul(b, a)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "G2", "D4"])
+def test_pair_table_rows_match_the_group_ring_divmod(label):
+    # every unordered pair of dominant weights with coordinate sum <= 3; the
+    # rows must agree term by term and in order
+    rs = build_root_system(label)
+    ctx = InvariantContext(rs)
+    weights = [w for w in itertools.product(range(4), repeat=rs.rank) if sum(w) <= 3]
+    for key in itertools.combinations_with_replacement(weights, 2):
+        assert ctx._pair(key) == orbit_pair_by_divmod(rs, key)
 
 
 def test_orbit_products_are_tabled_once_per_pair_and_root_system(monkeypatch):

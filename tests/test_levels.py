@@ -425,10 +425,25 @@ def test_negative_control_a_dropped_lambda_fails_at_its_top_weight(monkeypatch, 
     assert json.loads(capsys.readouterr().out)["status"] == "fail"
 
 
+def _later_second_leads(monkeypatch):
+    """Start every lam != 0 summand of A2's second default kappa sample one
+    power of q later, so its side differs from the first sample's and the RHS."""
+    second = default_kappa_samples(A2, 2)[1]
+    top = levels.conformal_top_weight
+
+    def later(rs, lam, kappa):
+        h = top(rs, lam, kappa)
+        return h + 1 if kappa.value == second and any(lam) else h
+
+    monkeypatch.setattr(levels, "conformal_top_weight", later)
+
+
 @pytest.mark.parametrize("order,n_lams", [(2, 2), (4, 5)])
 def test_gko_divides_once_per_side(monkeypatch, order, n_lams):
-    # two kappa sides, each S_kappa / ((q;q)^rank D), and a RHS of 1/D and
-    # Theta_Q / (q;q)^rank: four Euler products, however many lambda-summands
+    # one S_kappa / ((q;q)^rank D) per distinct summand list, and a RHS of 1/D
+    # and Theta_Q / (q;q)^rank: three Euler products when the two kappa
+    # samples' leads agree and four when they differ, however many
+    # lambda-summands
     calls = []
     euler_product = characters.euler_product
 
@@ -439,8 +454,51 @@ def test_gko_divides_once_per_side(monkeypatch, order, n_lams):
     monkeypatch.setattr(characters, "euler_product", counted)
     monkeypatch.setattr(levels, "euler_product", counted)
     assert len(A2.dominant_weights_in_root_lattice(order)) == n_lams
-    assert verify_gko("A2", order).status == "pass"
-    assert len(calls) == 4
+    for mode in ["group_ring", "trivial", "ray"]:
+        calls.clear()
+        assert verify_gko("A2", order, mode).status == "pass"
+        assert len(calls) == 3
+    _later_second_leads(monkeypatch)
+    for mode in ["group_ring", "trivial", "ray"]:
+        calls.clear()
+        assert verify_gko("A2", order, mode).status == "fail"
+        assert len(calls) == 4
+
+
+@pytest.mark.parametrize("mode", ["group_ring", "trivial", "ray"])
+def test_kappa_samples_with_equal_leads_share_one_side(mode):
+    rs = build_root_system("A2")
+    first, second = default_kappa_samples(rs, 2)
+    side = assemble_coset_character(rs, first, 3, mode)
+    assert assemble_coset_character(rs, second, 3, mode) is side
+    assert assemble_coset_character(rs, F(7, 5), 3, mode) is side
+    # another order or another root system is another key
+    assert assemble_coset_character(rs, second, 2, mode) is not side
+    assert assemble_coset_character(build_root_system("A2"), second, 3, mode) is not side
+
+
+# canonical JSON of first_mismatch for A2 q^2 with every lam != 0 summand of
+# the second default kappa sample started one power of q later (recorded
+# while each kappa sample still built its own side)
+LATER_LEAD_MISMATCH = {
+    "group_ring": "84ea859dd66d14cc5d734b340a07251961983fdfedada6c2af2c37c0b9f08de0",
+    "trivial": "b0eaca4cab7f263457b88cb0968fa3baae98f296f9549f91a0350e89b88ad2dd",
+    "ray": "6b839733c703ff70f652dcfc88540d799ee46b01fd2b458f3f771282f339481a",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(LATER_LEAD_MISMATCH))
+def test_a_kappa_with_other_leads_builds_its_own_side(monkeypatch, mode):
+    _later_second_leads(monkeypatch)
+    first, second = default_kappa_samples(A2, 2)
+    rs = build_root_system("A2")
+    assert assemble_coset_character(rs, second, 2, mode) is not assemble_coset_character(rs, first, 2, mode)
+    rep = verify_gko("A2", 2, mode)
+    assert rep.status == "fail"
+    assert rep.first_mismatch["comparison"] == f"lhs[kappa={rat_str(second)}] vs rhs"
+    assert rep.first_mismatch["exponent"] == "1"
+    text = json.dumps(rep.first_mismatch, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == LATER_LEAD_MISMATCH[mode]
 
 
 def test_kw_usage_errors():
