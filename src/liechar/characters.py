@@ -27,29 +27,29 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .linalg import frac
-from .qseries import GradedCharacter, GroupRingElt, series_one, series_zero
+from .linalg import frac, int_or_frac
+from .qseries import Exponent, GradedCharacter, GroupRingElt, series_one, series_zero
 from .rootsys import RootSystem, UsageError, Weight, alternating_sum, weight
 
 
 @dataclass(frozen=True)
 class LevelValue:
-    """Exact rational level kappa attached to a root system."""
+    """Exact rational level kappa attached to a root system, with its
+    shifted level kappa + h_vee (``shifted``), which must not vanish for
+    noncritical constructions."""
 
     value: Fraction
     root_system: RootSystem
+    shifted: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "value", frac(self.value))
-
-    @property
-    def shifted(self) -> Fraction:
-        """kappa + h_vee; must not vanish for noncritical constructions."""
-        return self.value + self.root_system.dual_coxeter
+        value = frac(self.value)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "shifted", value + self.root_system.dual_coxeter)
 
     def require_noncritical(self) -> None:
         if self.shifted == 0:
@@ -145,9 +145,11 @@ def casimir(rs: RootSystem, lam: Weight) -> Fraction:
 
 
 def conformal_top_weight(rs: RootSystem, lam: Weight, kappa: LevelValue) -> Fraction:
-    """Top conformal weight (lam, lam+2rho) / (2(kappa + h_vee))."""
+    """Top conformal weight (lam, lam+2rho) / (2(kappa + h_vee)), built as one
+    Fraction from the numerators and denominators of the two."""
     kappa.require_noncritical()
-    return casimir(rs, lam) / (2 * kappa.shifted)
+    cas, s = casimir(rs, lam), kappa.shifted
+    return Fraction(cas.numerator * s.denominator, 2 * cas.denominator * s.numerator)
 
 
 # ---------------------------------------------------------------------------
@@ -200,16 +202,16 @@ def euler_product(f: GradedCharacter, char: GroupRingElt) -> GradedCharacter:
         raise UsageError("Euler-product multiplicities must be integers")
     c0 = int(char.coeff((0,) * ctx.rs.rank))
     moving = GroupRingElt({mu: c for mu, c in char.terms.items() if any(mu)})
-    classes: Dict[Fraction, Fraction] = {}  # exponent class mod 1 -> lowest exponent
+    classes: Dict[Exponent, Exponent] = {}  # exponent class mod 1 -> lowest exponent
     for e in f.terms:
-        r = e - math.floor(e)
+        r = e % 1
         if r not in classes or e < classes[r]:
             classes[r] = e
     euler = None
     if classes and moving:
         euler = ctx.euler_series(moving, math.floor(f.order - min(classes.values())))
     dot, zero = ctx.dot, ctx.czero()
-    out: Dict[Fraction, object] = {}
+    out: Dict[Exponent, object] = {}
     for low in classes.values():
         g = [f.terms.get(low + k, zero) for k in range(math.floor(f.order - low) + 1)]
         for n in range(1, len(g)):
@@ -233,7 +235,7 @@ def weyl_module_char(ctx, lam: Weight, kappa: LevelValue, order) -> GradedCharac
     instead.)"""
     rs = ctx.rs
     kappa.require_noncritical()
-    order = frac(order)
+    order = int_or_frac(order)
     h = conformal_top_weight(rs, lam, kappa)
     if order < h:
         return series_zero(ctx, order)
@@ -241,14 +243,16 @@ def weyl_module_char(ctx, lam: Weight, kappa: LevelValue, order) -> GradedCharac
     return denominator_inverse(ctx, order - h).times(top).shift(h)
 
 
-def _alternating_numerator(rs: RootSystem, lam: Weight, lead, order) -> Dict[Fraction, int]:
+def _alternating_numerator(rs: RootSystem, lam: Weight, lead, order) -> Dict[Exponent, int]:
     """q^lead sum_w eps(w) q^{(lam+rho - w(lam+rho), rho)} for dominant lam through
     order, as {exponent: integer}: ``alternating_sum`` multiplies it out over the
-    positive roots, through order - lead only."""
+    positive roots, through order - lead only.  Its depths are Fractions; each
+    exponent lead + depth is an int when integral, as every one is on a
+    simply-laced type at an integer lead."""
     alt = alternating_sum(rs, tuple(c + 1 for c in lam), order - lead)
     if alt.get(0) != 1:
         raise AssertionError("leading coefficient of an alternating numerator must be 1")
-    return {lead + d: c for d, c in alt.items()}
+    return {int_or_frac(lead + int_or_frac(d)): c for d, c in alt.items()}
 
 
 def walgebra_module_char(ctx, lam_star: Weight, kappa_star: LevelValue, order) -> GradedCharacter:
@@ -266,7 +270,7 @@ def walgebra_module_char(ctx, lam_star: Weight, kappa_star: LevelValue, order) -
     """
     rs = ctx.rs
     kappa_star.require_noncritical()
-    order = frac(order)
+    order = int_or_frac(order)
     lam_star = weight(lam_star)
     if not rs.is_dominant(lam_star):
         raise UsageError("walgebra_module_char requires a dominant integral weight")
@@ -284,10 +288,10 @@ def lattice_theta(ctx, order) -> GradedCharacter:
     """Theta_Q = sum_{lam in Q} q^{(lam,lam)/2} e^lam, truncated: the orbit
     sums m_lam of the dominant lam in Q, in ctx's ring (``orbit_sum``)."""
     rs = ctx.rs
-    order = frac(order)
-    shells: Dict[Fraction, List[Weight]] = {}
+    order = int_or_frac(order)
+    shells: Dict[Exponent, List[Weight]] = {}
     for lam in rs.dominant_weights_in_root_lattice(order):
-        shells.setdefault(rs.norm2(lam) / 2, []).append(lam)
+        shells.setdefault(int_or_frac(rs.norm2(lam) / 2), []).append(lam)
     return GradedCharacter(ctx, order, {e: ctx.orbit_sum(lams) for e, lams in shells.items()})
 
 
@@ -297,7 +301,7 @@ def level_one_char(ctx, order) -> GradedCharacter:
     rs = ctx.rs
     if rs.lacity != 1:
         raise UsageError("level-one lattice character requires a simply-laced type")
-    order = frac(order)
+    order = int_or_frac(order)
     if order < 0:
         raise UsageError("order must be nonnegative")
     return euler_product(lattice_theta(ctx, order), _cartan_char(rs))

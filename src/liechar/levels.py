@@ -33,8 +33,9 @@ from .characters import (
     level,
     level_one_char,
 )
-from .linalg import frac
+from .linalg import frac, int_or_frac
 from .qseries import (
+    Exponent,
     GradedCharacter,
     make_context,
     rat_str,
@@ -156,7 +157,7 @@ def conformal_weight_closed(rs: RootSystem, lam: Weight, n: int) -> Fraction:
 class IdentityReport:
     identity: str
     type_label: str
-    order: Fraction
+    order: Exponent  # an int when integral, as in GradedCharacter
     status: str  # "pass" | "fail"
     first_mismatch: Optional[dict]
     timing_ms: int
@@ -174,7 +175,7 @@ class IdentityReport:
         return out
 
 
-def _verdict(identity: str, rs: RootSystem, order: Fraction, t0: float,
+def _verdict(identity: str, rs: RootSystem, order: Exponent, t0: float,
              comparisons: List[Tuple[str, GradedCharacter, GradedCharacter]]) -> IdentityReport:
     """Compare each (label, lhs, rhs) in turn; the first mismatch fails the identity.
 
@@ -197,8 +198,8 @@ def _verdict(identity: str, rs: RootSystem, order: Fraction, t0: float,
     return IdentityReport(identity, rs.type_label, order, status, mismatch, ms)
 
 
-def _check_verifier_args(rs: RootSystem, order, mode: str) -> Fraction:
-    order = frac(order)
+def _check_verifier_args(rs: RootSystem, order, mode: str) -> Exponent:
+    order = int_or_frac(order)
     if order < 0:
         raise UsageError("truncation order must be nonnegative")
     if rs.lacity != 1:
@@ -219,7 +220,7 @@ def default_kappa_samples(rs: RootSystem, count: int = 2) -> List[Fraction]:
     return [Fraction(2 * k + 3, k + 1) - rs.dual_coxeter for k in range(count)]
 
 
-def _lambda_sum(ctx, order: Fraction, summands) -> GradedCharacter:
+def _lambda_sum(ctx, order: Exponent, summands) -> GradedCharacter:
     """sum_{lam in Q+} q^lead ch[L_lam] sum_w eps(w) q^{(mu+rho - w(mu+rho), rho)}
     through order, for each (lam, mu, lead) in summands; a lam with lead >
     order adds nothing, and its ch[L_lam] is not built.  The pairs (c, ch
@@ -228,7 +229,7 @@ def _lambda_sum(ctx, order: Fraction, summands) -> GradedCharacter:
     sides can share it whenever their summand lists agree: the level enters
     only through the leads (``assemble_coset_character``)."""
     one = ctx.one()
-    pairs: Dict[Fraction, list] = {}
+    pairs: Dict[Exponent, list] = {}
     for lam, mu, lead in summands:
         if lead <= order:
             ch = ctx.irreducible(lam)
@@ -255,7 +256,7 @@ def assemble_coset_character(
     second lambda-sum or division.  That cannot hide a kappa-dependence: a
     lead that moved with kappa changes the key, and the side is built anew.
     """
-    order = frac(order)
+    order = int_or_frac(order)
     ctx = make_context(rs, mode, xi)
     kappa = level(rs, kappa_value)
     kappa.require_noncritical()
@@ -265,7 +266,7 @@ def assemble_coset_character(
         lam_star = rs.star(lam)
         lead = (conformal_top_weight(rs, lam, kappa) + conformal_top_weight(rs, lam_star, partner)
                 - rs.inner(lam_star, rs.rho))
-        return lam, lam_star, lead
+        return lam, lam_star, int_or_frac(lead)
 
     summands = tuple(map(summand, rs.dominant_weights_in_root_lattice(order)))
     key = (order, summands)
@@ -280,7 +281,7 @@ def assemble_coset_character(
 
 def coset_rhs_character(rs: RootSystem, kappa_value, order, mode: str = "group_ring", xi=None) -> GradedCharacter:
     """RHS: ch[vacuum affine module at kappa - 1] * ch[level-one lattice algebra]."""
-    order = frac(order)
+    order = int_or_frac(order)
     ctx = make_context(rs, mode, xi)
     level(rs, frac(kappa_value) - 1).require_noncritical()
     return denominator_inverse(ctx, order).mul(level_one_char(ctx, order))
@@ -323,8 +324,9 @@ def kw_lhs_character(rs: RootSystem, order, mode: str = "group_ring", xi=None) -
     Each alternating sum is multiplied out as prod_{alpha>0} (1 - q^{(lam+rho, alpha)})
     only through the depths <= order - (lam,lam)/2 that survive truncation.
     """
-    order = frac(order)
-    summands = [(lam, lam, rs.norm2(lam) / 2) for lam in rs.dominant_weights_in_root_lattice(order)]
+    order = int_or_frac(order)
+    summands = [(lam, lam, int_or_frac(rs.norm2(lam) / 2))
+                for lam in rs.dominant_weights_in_root_lattice(order)]
     return _lambda_sum(make_context(rs, mode, xi), order, summands)
 
 

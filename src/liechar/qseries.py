@@ -24,10 +24,16 @@ the Euler product of a character, ``euler_series``, from these.  The
 invariant ring writes its coefficients out expanded to monomials, so its
 JSON is the group ring's, byte for byte.
 
-Exponents are exact Fractions; conformal weights at rational level are
-rational, so nothing here ever touches floating point.  Exponents may be
-negative (alternating Weyl numerators dip below zero before their
-prefactor is absorbed); truncation bookkeeping stays exact either way.
+Exponents and truncation orders are exact rationals, held the way
+``int_or_frac`` holds coefficients and coweights: an int when integral,
+else a Fraction.  Every exponent of the simply-laced verifiers is an
+integer, so their series do no Fraction arithmetic; conformal weights at
+rational level and the norms of non-simply-laced types stay Fractions.  An
+int and a Fraction of equal value compare and hash alike and ``rat_str``
+writes them alike, so the choice never shows in JSON.  Nothing here ever
+touches floating point.  Exponents may be negative (alternating Weyl
+numerators dip below zero before their prefactor is absorbed); truncation
+bookkeeping stays exact either way.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import json
 import math
 import operator
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from .linalg import frac, int_or_frac
 from .rootsys import RootSystem, UsageError, Weight, weight
@@ -567,30 +573,36 @@ def make_context(rs: RootSystem, mode: str = "group_ring", xi: Optional[Weight] 
 # the truncated series ring
 
 
+Exponent = Union[int, Fraction]  # an int when integral (``int_or_frac``)
+
+
 class GradedCharacter:
-    """Truncated series sum_d c_d q^d, exact for all exponents <= order."""
+    """Truncated series sum_d c_d q^d, exact for all exponents <= order.
+
+    The order and every exponent are stored by ``int_or_frac``: an int when
+    integral, else a Fraction."""
 
     __slots__ = ("context", "order", "terms")
 
-    def __init__(self, context, order, terms: Optional[Dict[Fraction, object]] = None):
+    def __init__(self, context, order, terms: Optional[Dict[Exponent, object]] = None):
         self.context = context
-        self.order: Fraction = frac(order)
-        self.terms: Dict[Fraction, object] = {}
+        self.order: Exponent = int_or_frac(order)
+        self.terms: Dict[Exponent, object] = {}
         if terms:
             for e, c in terms.items():
-                e = frac(e)
+                e = int_or_frac(e)
                 if e <= self.order and c:
                     self.terms[e] = c
 
     # -- inspection ----------------------------------------------------------
 
     def coeff(self, e):
-        e = frac(e)
+        e = int_or_frac(e)
         if e > self.order:
             raise UsageError(f"exponent {e} beyond truncation order {self.order}")
         return self.terms.get(e, self.context.czero())
 
-    def lower_bound(self) -> Fraction:
+    def lower_bound(self) -> Exponent:
         """Largest L such that the series is known to vanish below L."""
         return min(self.terms) if self.terms else self.order
 
@@ -617,7 +629,7 @@ class GradedCharacter:
         ctx = self.context
         lf, lg = min(self.lower_bound(), self.order), min(other.lower_bound(), other.order)
         order = min(self.order + lg, other.order + lf)
-        pairs: Dict[Fraction, list] = {}
+        pairs: Dict[Exponent, list] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = e1 + e2
@@ -633,13 +645,13 @@ class GradedCharacter:
 
     def shift(self, e0) -> "GradedCharacter":
         """Multiply by q^{e0} (exact; order shifts along)."""
-        e0 = frac(e0)
+        e0 = int_or_frac(e0)
         return GradedCharacter(
             self.context, self.order + e0, {e + e0: c for e, c in self.terms.items()}
         )
 
     def truncate(self, order) -> "GradedCharacter":
-        order = frac(order)
+        order = int_or_frac(order)
         if order > self.order:
             raise UsageError("cannot extend a truncated series")
         return GradedCharacter(
@@ -680,10 +692,10 @@ class GradedCharacter:
 
 
 def series_one(ctx, order) -> GradedCharacter:
-    order = frac(order)
+    order = int_or_frac(order)
     if order < 0:
         raise UsageError("order must be nonnegative")
-    return GradedCharacter(ctx, order, {Fraction(0): ctx.one()})
+    return GradedCharacter(ctx, order, {0: ctx.one()})
 
 
 def series_zero(ctx, order) -> GradedCharacter:
@@ -696,8 +708,8 @@ def pochhammer_inverse(ctx, mu: Weight, s, order) -> GradedCharacter:
     Requires s > 0 so every factor is 1 + (higher order); mu = 0 with
     s = 1 gives the partition generating function.
     """
-    s = frac(s)
-    order = frac(order)
+    s = int_or_frac(s)
+    order = int_or_frac(order)
     if s <= 0:
         raise UsageError("pochhammer_inverse requires shift s > 0")
     if order < 0:
@@ -707,8 +719,8 @@ def pochhammer_inverse(ctx, mu: Weight, s, order) -> GradedCharacter:
     step = s
     while step <= order:
         # geometric series for (1 - e^mu q^step)^{-1}
-        geom: Dict[Fraction, object] = {}
-        e = Fraction(0)
+        geom: Dict[Exponent, object] = {}
+        e = 0
         c = ctx.one()
         while e <= order:
             geom[e] = c
@@ -721,15 +733,15 @@ def pochhammer_inverse(ctx, mu: Weight, s, order) -> GradedCharacter:
 
 def pochhammer_finite(ctx, mu: Weight, s, order) -> GradedCharacter:
     """The finite product of (1 - e^mu q^{s+p}) factors with s+p <= order."""
-    s = frac(s)
-    order = frac(order)
+    s = int_or_frac(s)
+    order = int_or_frac(order)
     if s <= 0:
         raise UsageError("pochhammer requires shift s > 0")
     unit = ctx.project(GroupRingElt.monomial(mu))
     result = series_one(ctx, order)
     step = s
     while step <= order:
-        factor = GradedCharacter(ctx, order, {Fraction(0): ctx.one(), step: -unit})
+        factor = GradedCharacter(ctx, order, {0: ctx.one(), step: -unit})
         result = result.mul(factor)
         step += 1
     return result

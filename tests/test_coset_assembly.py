@@ -172,3 +172,37 @@ def test_one_dict_lambda_sum_matches_one_series_per_lambda(monkeypatch, label, o
     # the second kappa sample shares (its leads are the first one's)
     assert got == sides(build_root_system(label))
     assert len(calls) == 2
+
+
+# (type, order, mode): the n = 1 kernel relation, checked on the leads
+LEAD_CASES = [(label, order, mode) for label, order in
+              [("A1", 8), ("A2", 6), ("A3", 5), ("A4", 4), ("D4", 4), ("D5", 3)]
+              for mode in ["group_ring", "trivial", "ray"]] + [
+                  ("E6", 4, "trivial"), ("E7", 3, "trivial"), ("E8", 4, "trivial")]
+
+
+@pytest.mark.parametrize("label,order,mode", LEAD_CASES)
+def test_every_lead_handed_to_the_lambda_sum_is_the_integer_half_norm(monkeypatch, label, order, mode):
+    # with n = 1, 1/(kappa+h_vee) + 1/(kappa*+h_vee) = 1 puts the lam-summand's
+    # lead h_kappa(lam) + h_kappa*(lam*) - (lam*, rho) at |lam|^2/2 on a
+    # simply-laced type, whatever kappa is: an int, stored as one
+    handed = []
+    lambda_sum = levels._lambda_sum
+
+    def capturing(ctx, order, summands):
+        handed.append(summands)
+        return lambda_sum(ctx, order, summands)
+
+    monkeypatch.setattr(levels, "_lambda_sum", capturing)
+    rs = build_root_system(label)
+    for kappa in default_kappa_samples(rs, 3):
+        # each kappa on a fresh root system, so none is handed another's side
+        assemble_coset_character(build_root_system(label), kappa, order, mode)
+    assert len(handed) == 3
+    lams = rs.dominant_weights_in_root_lattice(order)
+    assert len(lams) > 1
+    for summands in handed:
+        assert [lam for lam, _, _ in summands] == lams
+        for lam, lam_star, lead in summands:
+            assert lam_star == rs.star(lam)
+            assert type(lead) is int and lead == rs.norm2(lam) / 2

@@ -190,8 +190,11 @@ def test_gko_small(label, order):
 
 
 def test_gko_kappa_cancellation_bytes():
-    a = assemble_coset_character(A1, F(1, 3), 4)
-    b = assemble_coset_character(A1, F(7, 5), 4)
+    # each side on its own root system, so two independently built sides are
+    # compared, not the one side a shared context hands to both kappas
+    a = assemble_coset_character(build_root_system("A1"), F(1, 3), 4)
+    b = assemble_coset_character(build_root_system("A1"), F(7, 5), 4)
+    assert a is not b
     assert a.canonical_str() == b.canonical_str()
 
 

@@ -13,7 +13,9 @@ from liechar import (
     RayContext,
     TrivialContext,
     UsageError,
+    assemble_coset_character,
     build_root_system,
+    kw_lhs_character,
     make_context,
     pochhammer_finite,
     pochhammer_inverse,
@@ -462,3 +464,66 @@ def test_canonical_serialization_writes_values_not_representations():
     ray = RayContext(A1, (F(1, 2),))
     twice_half = GroupRingElt({(1,): F(1, 2)}) * GroupRingElt({(0,): 4})
     assert ray.coeff_json(twice_half) == [{"zexp": "1/4", "coeff": 2}]
+
+
+# -- exponents: an int when integral, else a Fraction ----------------------------
+
+
+def _stored_by_the_rule(f):
+    """Every exponent of f and its order are ints when integral, else Fractions."""
+    return all(type(e) is int if F(e).denominator == 1 else type(e) is F
+               for e in [f.order, *f.terms])
+
+
+def test_integral_exponents_are_stored_as_ints():
+    f = GradedCharacter(CTX1, F(4), {F(0): CTX1.one(), F(3, 2): CTX1.one(), F(6, 2): CTX1.one()})
+    assert type(f.order) is int and _stored_by_the_rule(f)
+    assert sorted(f.terms) == [0, F(3, 2), 3]
+    assert [type(e) for e in sorted(f.terms)] == [int, F, int]
+    # sums of non-integral exponents that come out integral are ints too
+    assert _stored_by_the_rule(f.mul(f)) and 3 in f.mul(f).terms
+    assert type(series_one(CTX1, F(5)).order) is int
+
+
+@pytest.mark.parametrize("mode", ["group_ring", "trivial", "ray"])
+@pytest.mark.parametrize("label,order,shifted", [("B2", F(11, 2), (F(5, 2), F(7, 3))),
+                                                 ("G2", F(9, 2), (F(5, 3), F(-9, 4)))])
+def test_non_integral_exponents_stay_fractions(label, order, shifted, mode):
+    # the B2 and G2 non-integer-level lambda-sums of test_coset_assembly: the
+    # kw side carries exponents |lam|^2/2 in halves and thirds, both sides
+    # integral ones as well
+    rs = build_root_system(label)
+    sides = [kw_lhs_character(rs, order, mode)] + [
+        assemble_coset_character(rs, s - rs.dual_coxeter, order, mode) for s in shifted]
+    for f in sides:
+        assert _stored_by_the_rule(f)
+        assert {type(e) for e in f.terms} == {int, F}
+
+
+def test_coeff_takes_an_integral_exponent_as_int_or_fraction():
+    f = GradedCharacter(CTX1, 4, {0: CTX1.one(), 3: GroupRingElt.monomial((2,), 5)})
+    assert f.coeff(F(3)) == f.coeff(3) == GroupRingElt.monomial((2,), 5)
+    assert f.coeff(F(4)) == f.coeff(4) == GroupRingElt()
+    with pytest.raises(UsageError):
+        f.coeff(F(9, 2))
+
+
+def test_a_fractional_shift_gives_fraction_exponents():
+    f = GradedCharacter(CTX1, 4, {0: CTX1.one(), 1: CTX1.one(), 3: CTX1.one()})
+    g = f.shift(F(1, 2))
+    assert type(g.order) is F and g.order == F(9, 2)
+    assert all(type(e) is F for e in g.terms)
+    assert sorted(g.terms) == [F(1, 2), F(3, 2), F(7, 2)]
+    # and shifting back lands on ints again
+    assert g.shift(F(-1, 2)) == f and _stored_by_the_rule(g.shift(F(-1, 2)))
+
+
+def test_fraction_keyed_integral_exponents_serialize_like_int_keyed_ones():
+    rng = random.Random(37)
+    f = random_series(rng, CTX2, order=4)
+    g = GradedCharacter(CTX2, F(f.order), {F(e): c for e, c in f.terms.items()})
+    assert g.canonical_str() == f.canonical_str()
+    assert g == f
+    one = TrivialContext(A2)
+    assert (GradedCharacter(one, F(2), {F(0): 1, F(2): 3}).canonical_str()
+            == GradedCharacter(one, 2, {0: 1, 2: 3}).canonical_str())

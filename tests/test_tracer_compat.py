@@ -109,9 +109,11 @@ def test_tracer_counts_one_coefficient_product_per_context_mul():
 
 
 def test_tracer_counts_the_verifiers_lambda_summands():
-    # one lambda-sum per kappa sample in verify_gko and one in verify_kw, each
-    # enumerating Q+ inside the span the tracer reads; the kappa samples divide
-    # by D factor by factor, so 1/D is built once, for the RHS
+    # the tracer counts the Q+ list under each levels.assemble span: one per
+    # kappa sample in verify_gko, so 2n, though the second sample shares the
+    # first one's side and only one lambda-sum of n summands is built; and n
+    # in verify_kw.  The coset sides divide by (q;q)^rank D as one Euler
+    # product, so 1/D is built once, for the RHS
     got = _run_traced(SUMMANDS_SCRIPT)
     n = got["n_lams"]
     assert n > 1
