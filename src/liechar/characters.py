@@ -15,12 +15,13 @@ the dominant multiplicities themselves in the W-invariant ring
 and in the monomial oracle ring.
 
 Pochhammer products, D, 1/D and (q;q)^{-rank}, are applied to a series
-by one routine in every coefficient ring (``euler_product``): the factors
-(1 - q^n) one pass at a time, and the factors (1 - e^mu q^n) with mu != 0
-together, as one series built by the log-derivative recurrence and cached
-per context.  The product forms in ``qseries`` are its test oracles.  The
-coset sum divides by the (q;q)^rank D that all its summands share once, as
-the Euler product of ch g + rank e^0, instead of building module series.
+by one routine in every coefficient ring (``euler_product``): a series
+product with the Euler series of the e^0 part of the character and one
+with that of the rest, each built by the log-derivative recurrence and
+cached per context.  The product forms in ``qseries`` are its test
+oracles.  The coset sum divides by the (q;q)^rank D that all its summands
+share once, as the Euler product of ch g + rank e^0, instead of building
+module series.
 """
 
 from __future__ import annotations
@@ -187,45 +188,25 @@ def euler_product(f: GradedCharacter, char: GroupRingElt) -> GradedCharacter:
     """f prod_{n>=1} prod_mu (1 - e^mu q^n)^{-c_mu} for char = sum_mu c_mu e^mu
     with integer c_mu, exact through f.order.
 
-    Each factor is 1 + O(q) (Kac, Infinite-dimensional Lie algebras, 10.10).
-    The mu = 0 factors cost one pass over the series each and no product at
-    all: dividing by 1 - q^n is g_e += g_{e-n} for ascending e, multiplying
-    by it is g_e -= g_{e-n} for descending e.  The factors with mu != 0 come
-    as one series E, which the context builds from the log-derivative
-    recurrence and caches (``euler_series``), so every side built in one
-    context divides by the same E; the passed series is multiplied by E
-    once.  The exponents of each class mod 1 are held in one list, so
-    neither step does Fraction arithmetic.
+    Each factor is 1 + O(q) (Kac, Infinite-dimensional Lie algebras, 10.10),
+    so ``GradedCharacter.mul`` by a series known through f.order less f's
+    lower bound is exact through f.order.  f is multiplied by two such series
+    from the context's cache (``euler_series``): the Euler product of the
+    e^0 part of char and that of the rest.  The rest is kept apart because
+    it is the series that the coset sides (ch g + rank e^0) and 1/D (ch g)
+    share.
     """
     ctx = f.context
-    if any(frac(c).denominator != 1 for c in char.terms.values()):
+    if any(not isinstance(int_or_frac(c), int) for c in char.terms.values()):
         raise UsageError("Euler-product multiplicities must be integers")
-    c0 = int(char.coeff((0,) * ctx.rs.rank))
-    moving = GroupRingElt({mu: c for mu, c in char.terms.items() if any(mu)})
-    classes: Dict[Exponent, Exponent] = {}  # exponent class mod 1 -> lowest exponent
-    for e in f.terms:
-        r = e % 1
-        if r not in classes or e < classes[r]:
-            classes[r] = e
-    euler = None
-    if classes and moving:
-        euler = ctx.euler_series(moving, math.floor(f.order - min(classes.values())))
-    dot, zero = ctx.dot, ctx.czero()
-    out: Dict[Exponent, object] = {}
-    for low in classes.values():
-        g = [f.terms.get(low + k, zero) for k in range(math.floor(f.order - low) + 1)]
-        for n in range(1, len(g)):
-            steps = range(n, len(g)) if c0 > 0 else range(len(g) - 1, n - 1, -1)
-            for _ in range(abs(c0)):
-                for i in steps:
-                    src = g[i - n]
-                    if src:
-                        g[i] += src if c0 > 0 else -src
-        if euler is not None:
-            g = [dot([(v, euler[n - j]) for j, v in enumerate(g[: n + 1]) if v])
-                 for n in range(len(g))]
-        out.update((low + k, v) for k, v in enumerate(g))
-    return GradedCharacter(ctx, f.order, out)
+    zero = (0,) * ctx.rs.rank
+    rest = GroupRingElt({mu: c for mu, c in char.terms.items() if mu != zero})
+    for part in (GroupRingElt({zero: char.coeff(zero)}), rest):
+        if part:
+            depth = f.order - f.lower_bound()
+            series = ctx.euler_series(part, math.floor(depth))
+            f = f.mul(GradedCharacter(ctx, depth, dict(enumerate(series))))
+    return f
 
 
 def weyl_module_char(ctx, lam: Weight, kappa: LevelValue, order) -> GradedCharacter:

@@ -247,8 +247,7 @@ def assemble_coset_character(
     Every summand carries the same (q;q)^{-rank} / D, so the sum is built as
     S_kappa = sum_lam q^{h_kappa(lam) + h_kappa*(lam*) - (lam*, rho)} ch[L_lam]
     sum_w eps(w) q^{(lam*+rho - w(lam*+rho), rho)} and divided once, by
-    S_kappa / ((q;q)^rank D) = ``euler_product`` with ch g + rank e^0: the
-    mu = 0 factors by passes, the others at once.
+    S_kappa / ((q;q)^rank D) = ``euler_product`` with ch g + rank e^0.
 
     kappa enters only through the leads.  The divided side is cached on the
     context, keyed by the order and the summand list [(lam, lam*, lead)], so

@@ -18,11 +18,11 @@ differs per ring: the projection ``project`` of group-ring elements into
 it, the product ``mul``, the sum of products ``dot`` and Adams operation
 ``frobenius``, the closed forms ``irreducible`` (ch L_lam) and
 ``orbit_sum`` (m_lam), and the JSON of a coefficient and of the ring.
-Every sum of coefficient products (a series product, the Euler series and
-its convolution) is one ``dot`` per output coefficient.  The base builds
-the Euler product of a character, ``euler_series``, from these.  The
-invariant ring writes its coefficients out expanded to monomials, so its
-JSON is the group ring's, byte for byte.
+Every sum of coefficient products (a series product and the Euler series)
+is one ``dot`` per output coefficient.  The base builds the Euler product
+of a character, ``euler_series``, from these.  The invariant ring writes
+its coefficients out expanded to monomials, so its JSON is the group
+ring's, byte for byte.
 
 Exponents and truncation orders are exact rationals, held the way
 ``int_or_frac`` holds coefficients and coweights: an int when integral,

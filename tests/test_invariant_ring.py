@@ -34,7 +34,7 @@ from liechar import (
     series_one,
 )
 from liechar import characters, levels
-from liechar.characters import _adjoint_char
+from liechar.characters import _adjoint_char, _cartan_char
 from oracles import euler_product_by_passes, orbit_pair_by_divmod, specialize
 
 SMALL_LABELS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "F4", "G2"]
@@ -180,17 +180,18 @@ def euler_inputs(draw):
     exponents = st.sampled_from([F(-1), F(-1, 2), F(0), F(1, 3), F(1, 2), F(1), F(4, 3), F(2)])
     terms = draw(st.dictionaries(exponents, invariant_elements(rs, 2), min_size=1, max_size=3))
     order = draw(st.sampled_from([F(1), F(3, 2), F(2), F(7, 3)]))
-    sign = draw(st.sampled_from([1, -1]))
-    return rs, terms, order, sign
+    # +-ch g, and each of its two parts alone: +-rank e^0 and +-sum_{alpha in Delta} e^alpha
+    cartan = _cartan_char(rs)
+    char = draw(st.sampled_from([_adjoint_char(rs), cartan, _adjoint_char(rs) - cartan]))
+    return rs, terms, order, char.scale(draw(st.sampled_from([1, -1])))
 
 
 @settings(max_examples=40, deadline=None)
 @given(euler_inputs())
 def test_invariant_euler_product_matches_the_monomial_passes(case):
-    rs, terms, order, sign = case
+    rs, terms, order, char = case
     ctx = make_context(rs, "group_ring")
     f = GradedCharacter(ctx, order, terms)
-    char = _adjoint_char(rs).scale(sign)
     got = euler_product(f, char)
     assert got.order == order
     assert got.canonical_str() == euler_product_by_passes(_monomial_series(ctx, f), char).canonical_str()

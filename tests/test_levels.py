@@ -441,6 +441,28 @@ def _later_second_leads(monkeypatch):
     monkeypatch.setattr(levels, "conformal_top_weight", later)
 
 
+@pytest.mark.parametrize("mode", ["group_ring", "trivial", "ray"])
+def test_sides_and_one_over_d_share_one_euler_series(mode):
+    # euler_product applies the e^0 factors apart from the rest, so the coset
+    # sides (ch g + rank e^0) and 1/D (ch g) read one cached series of
+    # sum_{alpha in Delta} e^alpha; the other series are (q;q)^{-2 rank} for
+    # the sides and (q;q)^{-rank} for 1/D and the lattice character.  In
+    # trivial every key is an integer, so only the key set tells the split
+    # from a fold of e^0 into the rest
+    rs = build_root_system("A3")
+    kappas = default_kappa_samples(rs, 2)
+    for kappa in kappas:
+        assemble_coset_character(rs, kappa, 4, mode)
+    coset_rhs_character(rs, kappas[0], 4, mode)
+    ctx = make_context(rs, mode)
+    cartan = characters._cartan_char(rs)
+    roots = characters._adjoint_char(rs) - cartan
+    assert set(ctx._euler) == {ctx.project(cartan), ctx.project(cartan.scale(2)), ctx.project(roots)}
+    unit = set(getattr(ctx.one(), "terms", ()))
+    non_scalar = [c for c in ctx._euler if not set(getattr(c, "terms", ())) <= unit]
+    assert len(non_scalar) == (0 if mode == "trivial" else 1)
+
+
 @pytest.mark.parametrize("order,n_lams", [(2, 2), (4, 5)])
 def test_gko_divides_once_per_side(monkeypatch, order, n_lams):
     # one S_kappa / ((q;q)^rank D) per distinct summand list, and a RHS of 1/D

@@ -79,6 +79,25 @@ print(json.dumps(out))
 """
 
 
+EULER_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import liechar
+from tracer import Tracer
+
+tracer = Tracer("euler", 2)
+tracer.install()
+out = {}
+for mode in ["group_ring", "trivial", "ray"]:
+    start = len(tracer.spans)
+    assert liechar.verify_gko("A2", 2, mode).status == "pass"
+    names = {rec[0]: rec[1] for rec in tracer.spans}
+    parents = [names[rec[2]] for rec in tracer.spans[start:] if rec[1] == "qseries.series_mul"]
+    out[mode] = {p: parents.count(p) for p in sorted(set(parents))}
+print(json.dumps(out))
+"""
+
+
 KW_ORBIT_SCRIPT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -131,6 +150,17 @@ def test_specialized_verifiers_build_no_freudenthal_character():
     assert got["group_ring"] == {"finite_char": 0, "summands": 2 * n, "inv_d_calls": 1}
     assert got["trivial"] == {"finite_char": 0, "summands": 2 * n, "inv_d_calls": 1}
     assert got["ray"] == {"finite_char": 0, "summands": 2 * n, "inv_d_calls": 1}
+
+
+def test_tracer_sees_the_euler_products_as_series_products():
+    # euler_product multiplies by its cached Euler series with
+    # GradedCharacter.mul, once for the e^0 factors and once for the rest: two
+    # series products under the one coset side (the second kappa shares it)
+    # and two under 1/D; level_one_char has the e^0 factors only, and the RHS
+    # multiplies 1/D by it
+    got = _run_traced(EULER_SCRIPT)
+    expect = {"characters.inv_d": 2, "characters.level_one": 1, "levels.assemble": 2, "levels.rhs": 1}
+    assert got == {"group_ring": expect, "trivial": expect, "ray": expect}
 
 
 def test_group_ring_kw_walks_no_orbit():
