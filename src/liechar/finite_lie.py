@@ -1,11 +1,13 @@
 """Finite-dimensional exact Lie algebra linear algebra.
 
 Structure constants are built from the root system in a Chevalley-style
-basis: magnitudes come from root strings, signs from the extraspecial-pair
-normalization, and everything downstream (Takiff doubling, invariant
-bilinear forms, intertwiner spaces, the square-zero-extension
-classification, and the degree-two singular-vector constraints) is plain
-exact linear algebra over Q or a quadratic extension Q(sqrt d).
+basis, as ints: magnitudes come from root strings, signs from the
+extraspecial-pair normalization, and the Cartan parts from the integer
+coroots.  Everything downstream (Takiff doubling, invariant bilinear
+forms, intertwiner spaces, the square-zero-extension classification, and
+the degree-two singular-vector constraints) is plain exact linear algebra
+over Q or a quadratic extension Q(sqrt d); the null spaces are reduced in
+integers by ``linalg.SparseNullspace``.
 
 The Jacobi identity is verified exhaustively for every constructed
 algebra in the test suite; nothing here is trusted by construction.
@@ -14,6 +16,7 @@ algebra in the test suite; nothing here is trusted by construction.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -121,11 +124,14 @@ def _structure_sign_table(rs: RootSystem):
     Magnitude is p + 1 from the root string; the sign is + on each
     extraspecial pair (total order: height then coordinates), and on the
     remaining special pairs follows from the Jacobi identity applied to
-    quadruples containing the extraspecial pair.
+    quadruples containing the extraspecial pair.  All in ints: a root's
+    length is lac (alpha, alpha), and each ratio of lengths times a
+    constant is an exact integer division.
     """
     pos = list(rs.positive_roots)
     posset = set(pos)
-    len2 = {a: rs.norm2(a) for a in pos}
+    # lac (alpha, alpha) = sum_i c_i lac d_i <alpha, alpha_i^vee>
+    len2 = {a: sum(c * s * x for c, s, x in zip(rs.root_coords(a), rs._steps, a)) for a in pos}
     order_key = {a: (rs.height(a), a) for a in pos}
 
     def string_down(b: Weight, a: Weight) -> int:
@@ -136,22 +142,22 @@ def _structure_sign_table(rs: RootSystem):
             cur = tuple(x - y for x, y in zip(cur, a))
         return p
 
-    table: Dict[Tuple[Weight, Weight], Fraction] = {}
+    table: Dict[Tuple[Weight, Weight], int] = {}
 
-    def pos_n(a: Weight, b: Weight) -> Fraction:
+    def pos_n(a: Weight, b: Weight) -> int:
         if order_key[a] < order_key[b]:
             return table[(a, b)]
         return -table[(b, a)]
 
-    def mixed_n(mu: Weight, nu_neg: Weight) -> Fraction:
+    def mixed_n(mu: Weight, nu_neg: Weight) -> int:
         """N(mu, -nu) for positive mu, nu with mu - nu a root."""
         diff = tuple(x - y for x, y in zip(mu, nu_neg))
         if diff in posset:
             # mu = nu + diff
-            return -(len2[diff] / len2[mu]) * pos_n(nu_neg, diff)
+            return -_exact_div(len2[diff] * pos_n(nu_neg, diff), len2[mu])
         neg = tuple(-c for c in diff)
         # nu = mu + neg
-        return (len2[neg] / len2[nu_neg]) * pos_n(neg, mu)
+        return _exact_div(len2[neg] * pos_n(neg, mu), len2[nu_neg])
 
     for gamma in pos:
         if rs.height(gamma) < 2:
@@ -164,10 +170,10 @@ def _structure_sign_table(rs: RootSystem):
         special.sort(key=lambda a: order_key[a])
         eps = special[0]
         delta = tuple(g - x for g, x in zip(gamma, eps))
-        table[(eps, delta)] = Fraction(string_down(delta, eps) + 1)
+        table[(eps, delta)] = string_down(delta, eps) + 1
         for a in special[1:]:
             b = tuple(g - x for g, x in zip(gamma, a))
-            acc = Fraction(0)
+            acc = 0
             d_minus_a = tuple(x - y for x, y in zip(delta, a))
             if d_minus_a in posset:
                 acc += mixed_n(delta, a) * pos_n(d_minus_a, eps)
@@ -180,9 +186,9 @@ def _structure_sign_table(rs: RootSystem):
                     n2 = pos_n(e_minus_a, delta)
                 else:
                     # N(-(a-eps), delta) with delta - (a-eps) = b
-                    n2 = -(len2[b] / len2[delta]) * pos_n(b, neg_e_minus_a)
+                    n2 = -_exact_div(len2[b] * pos_n(b, neg_e_minus_a), len2[delta])
                 acc += n1 * n2
-            val = (len2[gamma] / (len2[b] * table[(eps, delta)])) * acc
+            val = _exact_div(len2[gamma] * acc, len2[b] * table[(eps, delta)])
             expected = string_down(b, a) + 1
             if abs(val) != expected:
                 raise AssertionError(
@@ -190,6 +196,13 @@ def _structure_sign_table(rs: RootSystem):
                 )
             table[(a, b)] = val
     return table, pos_n, mixed_n
+
+
+def _exact_div(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise AssertionError(f"structure constant {num}/{den} is not an integer")
+    return q
 
 
 def chevalley_structure(type_label: str) -> LieStructure:
@@ -208,20 +221,10 @@ def chevalley_structure(type_label: str) -> LieStructure:
     n = rs.rank
     pos = list(rs.positive_roots)
     npos = len(pos)
-    dim = n + 2 * npos
     idx_pos = {a: n + i for i, a in enumerate(pos)}
     idx_neg = {a: n + npos + i for i, a in enumerate(pos)}
-    posset = set(pos)
 
-    def root_index(v: Weight) -> Optional[int]:
-        if v in posset:
-            return idx_pos[v]
-        nv = tuple(-c for c in v)
-        if nv in posset:
-            return idx_neg[nv]
-        return None
-
-    def n_coeff(u: Weight, sign_u: int, v: Weight, sign_v: int) -> Fraction:
+    def n_coeff(u: Weight, sign_u: int, v: Weight, sign_v: int) -> int:
         """N(su * u, sv * v) for positive roots u, v and signs."""
         if sign_u > 0 and sign_v > 0:
             return pos_n(u, v)
@@ -235,45 +238,26 @@ def chevalley_structure(type_label: str) -> LieStructure:
     labels += [f"e[{','.join(str(c) for c in rs.root_coords(a))}]" for a in pos]
     labels += [f"f[{','.join(str(c) for c in rs.root_coords(a))}]" for a in pos]
 
+    # every bracket below is [x_i, x_j] with i < j in the basis order
     brackets: Dict[Tuple[int, int], Vector] = {}
-
-    def put(i: int, j: int, vec: Vector) -> None:
-        if i == j or not vec:
-            return
-        if i < j:
-            brackets[(i, j)] = {k: frac(c) for k, c in vec.items() if c != 0}
-        else:
-            brackets[(j, i)] = {k: -frac(c) for k, c in vec.items() if c != 0}
-
-    half_len = {a: rs.norm2(a) / 2 for a in pos}
     # [h_i, x_{+-alpha}] = +-<alpha, alpha_i^vee> x_{+-alpha}
     for i in range(n):
         for a in pos:
             c = a[i]
             if c:
-                put(i, idx_pos[a], {idx_pos[a]: c})
-                put(i, idx_neg[a], {idx_neg[a]: -c})
+                brackets[(i, idx_pos[a])] = {idx_pos[a]: c}
+                brackets[(i, idx_neg[a])] = {idx_neg[a]: -c}
     # [x_alpha, x_{-alpha}] = alpha^vee expanded in simple coroots
-    for a in pos:
-        coords = rs.root_coords(a)
-        coro = {
-            i: frac(coords[i]) * rs.symmetrizer[i] / half_len[a]
-            for i in range(n)
-            if coords[i]
-        }
-        put(idx_pos[a], idx_neg[a], coro)
-    # root-root brackets
-    signed = [(a, 1) for a in pos] + [(a, -1) for a in pos]
-    for (u, su), (v, sv) in itertools.combinations(signed, 2):
-        if u == v and su != sv:
-            continue  # handled above
-        s = tuple(su * x + sv * y for x, y in zip(u, v))
-        k = root_index(s)
-        if k is None:
-            continue
-        i = idx_pos[u] if su > 0 else idx_neg[u]
-        j = idx_pos[v] if sv > 0 else idx_neg[v]
-        put(i, j, {k: n_coeff(u, su, v, sv)})
+    for a, coro in zip(pos, rs._coroot_coords):
+        brackets[(idx_pos[a], idx_neg[a])] = {i: c for i, c in enumerate(coro) if c}
+    # root-root brackets; x_alpha and x_{-alpha} sum to 0, which is no root
+    signed = [(a, 1, idx_pos[a], a) for a in pos]
+    signed += [(a, -1, idx_neg[a], tuple(-c for c in a)) for a in pos]
+    index = {w: i for _, _, i, w in signed}
+    for (u, su, i, wu), (v, sv, j, wv) in itertools.combinations(signed, 2):
+        k = index.get(tuple(map(operator.add, wu, wv)))
+        if k is not None:
+            brackets[(i, j)] = {k: n_coeff(u, su, v, sv)}
 
     simple = [i for i, a in enumerate(pos) if rs.height(a) == 1]
     generators = list(range(n)) + [n + i for i in simple] + [n + npos + i for i in simple]

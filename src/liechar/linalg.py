@@ -1,16 +1,15 @@
 """Exact linear algebra over the rationals.
 
 Small routines used throughout the package: null spaces of sparse
-systems (eliminated fraction-free in integers) and rational square
-roots.  Everything is exact; no floating point.
+systems (kept in reduced row echelon form, in integers) and rational
+square roots.  Everything is exact; no floating point.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 
 Row = Dict[int, Fraction]  # column -> coefficient, an int or a Fraction
@@ -31,97 +30,81 @@ def int_or_frac(x):
 class SparseNullspace:
     """Incremental row reduction of a sparse linear system over Q.
 
-    Rows are dicts column -> int or Fraction.  ``add_row`` scales each new
-    equation to integers, reduces it against the stored pivot rows and
-    keeps the system in row echelon form only: a stored row is a primitive
-    integer row, positive at its pivot (its least column), and may still
-    carry entries at pivot columns added after it.  Elimination is
-    fraction-free.  ``nullspace()`` back-substitutes once, which turns the
-    stored rows into the reduced row echelon form (unique for the row
-    space, up to the scale of each row), and returns the canonical basis of
-    the solution space of ``A x = 0`` read off from it.  ``rank`` needs no
-    back-substitution.
+    Rows are dicts column -> int or Fraction.  The stored rows are kept in
+    reduced row echelon form as they arrive: each is a primitive integer
+    row, positive at its pivot (its least column), with no entry at any
+    other pivot column.  ``add_row`` scales a new equation to integers
+    (a row of ints as it is), clears its pivot columns in one fraction-free
+    pass, and, if anything is left, eliminates the new pivot from the
+    stored rows that hold its column, found through a column index.  The
+    reduced row echelon form is unique for the row space, up to the scale
+    of each row, so ``nullspace()`` reads the canonical basis of the
+    solution space of ``A x = 0`` straight off the stored rows.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self.pivot_rows: Dict[int, Dict[int, int]] = {}  # pivot column -> primitive row
+        self._holders: Dict[int, Set[int]] = {}  # free column -> pivots of the rows holding it
 
-    def _reduce(self, row: Row) -> Dict[int, int]:
-        # Eliminate against the stored pivots in increasing column order.
-        # An echelon pivot row can carry later pivot columns, so elimination
-        # may introduce pivot columns that the heap then visits as well.
-        # The dict copy keeps callers' rows intact.
-        pivots = self.pivot_rows
-        den = math.lcm(*(v.denominator for v in row.values()))
-        row = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
-        todo = [c for c in row if c in pivots]
-        heapq.heapify(todo)
-        while todo:
-            c = heapq.heappop(todo)
-            if c not in row:
-                continue
+    def add_row(self, row: Row) -> None:
+        pivots, holders = self.pivot_rows, self._holders
+        row = {c: v for c, v in row.items() if v}  # a copy keeps callers' rows intact
+        if any(type(v) is not int for v in row.values()):
+            den = math.lcm(*(v.denominator for v in row.values()))
+            row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+        # a stored row holds no other pivot column, so clearing one adds none
+        for c in [c for c in row if c in pivots]:
             prow = pivots[c]
             if len(prow) == 1:  # a pinned unknown: x_c = 0
                 del row[c]
                 continue
-            a = _eliminate(row, c, prow)
-            for pc, pv in prow.items():
-                old = row.get(pc)
-                if old is None:
-                    row[pc] = -a * pv
-                    if pc in pivots:
-                        heapq.heappush(todo, pc)
-                else:
-                    nv = old - a * pv
-                    if nv:
-                        row[pc] = nv
-                    else:
-                        del row[pc]
-        return row
-
-    def add_row(self, row: Row) -> None:
-        row = self._reduce(row)
-        if row:
-            piv = min(row)
-            self.pivot_rows[piv] = _primitive(row, piv)
+            _subtract(row, _eliminate(row, c, prow), prow)
+        if not row:
+            return
+        piv = min(row)
+        row = _primitive(row, piv)
+        for q in holders.pop(piv, ()):
+            qrow = pivots[q]
+            _subtract(qrow, _eliminate(qrow, piv, row), row)
+            for c in row:
+                if c in qrow:
+                    holders.setdefault(c, set()).add(q)
+                elif c != piv:  # cancelled
+                    holders[c].discard(q)
+            pivots[q] = _primitive(qrow, q)
+        for c in row:
+            if c != piv:
+                holders.setdefault(c, set()).add(piv)
+        pivots[piv] = row
 
     @property
     def rank(self) -> int:
         return len(self.pivot_rows)
 
-    def _back_substitute(self) -> None:
-        """Bring the echelon rows to reduced row echelon form, in place."""
-        pivots = self.pivot_rows
-        for piv in sorted(pivots, reverse=True):
-            row = pivots[piv]
-            # rows of larger pivots are already reduced, so each elimination
-            # adds entries at free columns only
-            cols = [c for c in row if c != piv and c in pivots]
-            for c in cols:
-                prow = pivots[c]
-                a = _eliminate(row, c, prow)
-                for pc, pv in prow.items():
-                    nv = row.get(pc, 0) - a * pv
-                    if nv:
-                        row[pc] = nv
-                    else:
-                        del row[pc]
-            if cols:
-                pivots[piv] = _primitive(row, piv)
-
     def nullspace(self) -> List[List[Fraction]]:
-        self._back_substitute()
-        pivots = set(self.pivot_rows)
-        free = [c for c in range(self.ncols) if c not in pivots]
+        pivots = self.pivot_rows
         basis = []
-        for fc in free:
+        for fc in range(self.ncols):
+            if fc in pivots:
+                continue
             vec = [Fraction(0)] * self.ncols
             vec[fc] = Fraction(1)
-            for pc, prow in self.pivot_rows.items():
-                vec[pc] = -Fraction(prow.get(fc, 0), prow[pc])
+            for pc in self._holders.get(fc, ()):
+                prow = pivots[pc]
+                vec[pc] = -Fraction(prow[fc], prow[pc])
             basis.append(vec)
         return basis
+
+
+def _subtract(row: Dict[int, int], a: int, prow: Dict[int, int]) -> None:
+    """row -= a * prow, in place, dropping the entries that cancel."""
+    for pc, pv in prow.items():
+        nv = row.get(pc, 0) - a * pv
+        if nv:
+            row[pc] = nv
+        else:
+            del row[pc]
 
 
 def _eliminate(row: Dict[int, int], c: int, prow: Dict[int, int]) -> int:

@@ -630,11 +630,13 @@ class GradedCharacter:
         lf, lg = min(self.lower_bound(), self.order), min(other.lower_bound(), other.order)
         order = min(self.order + lg, other.order + lf)
         pairs: Dict[Exponent, list] = {}
+        ascending = sorted(other.terms.items())
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+            for e2, c2 in ascending:
                 e = e1 + e2
-                if e <= order:
-                    pairs.setdefault(e, []).append((c1, c2))
+                if e > order:
+                    break
+                pairs.setdefault(e, []).append((c1, c2))
         return GradedCharacter(ctx, order, {e: ctx.dot(p) for e, p in pairs.items()})
 
     def times(self, c) -> "GradedCharacter":

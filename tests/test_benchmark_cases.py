@@ -1,9 +1,11 @@
 """Every verifier case of the benchmark matrix passes, with the right-hand side
-whose digest the benchmark recorded.
+whose digest the benchmark recorded, and every finite-Lie lemma case gives
+the result the benchmark expects.
 
 ``perfbench/cases.py`` is loaded read-only, by path, for its workloads, its
-inputs and its digest of the right-hand side, so a change that moves a byte
-of a benchmark case's output fails here and not only in a benchmark run.
+inputs, its digest of the right-hand side and its correctness gate, so a
+change that moves a byte of a benchmark case's output fails here and not
+only in a benchmark run.
 """
 
 import importlib.util
@@ -28,6 +30,7 @@ def _load_cases():
 cases = _load_cases()
 DIGESTS = json.loads(cases.DIGESTS.read_text())
 VERIFIER_CASES = [c for cs in cases.WORKLOADS.values() for c in cs if c.kind in ("gko", "kw")]
+LEMMA_CASES = [c for cs in cases.WORKLOADS.values() for c in cs if c.kind in cases.LEMMA_EXPECTED]
 
 
 def test_the_matrix_has_gko_and_kw_cases():
@@ -41,3 +44,13 @@ def test_benchmark_case_passes_with_its_recorded_rhs(case):
     assert report.status == "pass", report.first_mismatch
     assert report.order == case.order
     assert cases.rhs_digest(liechar, case, inputs) == DIGESTS[case.id]
+
+
+def test_the_matrix_has_every_lemma_kind():
+    assert {c.kind for c in LEMMA_CASES} == set(cases.LEMMA_EXPECTED)
+
+
+@pytest.mark.parametrize("case", LEMMA_CASES, ids=lambda c: c.id)
+def test_lemma_case_gives_its_expected_result(case):
+    inputs = cases.prepare(liechar, case, 0)
+    assert cases.check(liechar, case, inputs, cases.call(liechar, case, inputs), "") is None

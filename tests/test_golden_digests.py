@@ -37,6 +37,7 @@ from liechar import (
     alternating_sum,
     assemble_coset_character,
     build_root_system,
+    chevalley_structure,
     coset_rhs_character,
     default_kappa_samples,
     denominator_inverse,
@@ -45,6 +46,7 @@ from liechar import (
     lattice_theta,
     level,
     make_context,
+    takiff,
     walgebra_module_char,
     weyl_module_char,
 )
@@ -478,6 +480,44 @@ ROOTSYS_GOLDEN = {
 }
 
 
+# The Chevalley structure constants of every type up to rank 4 and of the
+# Takiff double of C4, in order: the labels, the generators, and each
+# stored bracket with its coefficients sorted by basis index.  Each
+# coefficient must be an int.  Re-record the same way as the digests above.
+STRUCTURE_CASES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
+                   "D4", "F4", "G2", "takiff(C4)"]
+
+
+def _structure(label):
+    if label == "takiff(C4)":
+        return takiff(chevalley_structure("C4"))
+    return chevalley_structure(label)
+
+
+def _structure_digest(ls):
+    data = (ls.labels, ls.generators,
+            [(ij, sorted(vec.items())) for ij, vec in sorted(ls.brackets.items())])
+    return hashlib.sha256(repr(data).encode()).hexdigest()
+
+
+STRUCTURE_GOLDEN = {
+    'A1': '128556adf3e4bb5662f0d4526a3103c033fab970afadf22564f2ac1b1c482d3e',
+    'A2': '63f49e802d2a76b45a1bef718d4159c58855412e4e120d3178d91aac9fe3e22e',
+    'A3': 'b83f9f9aa83c3cacfe62d2430b7b0c646b517cdfdc287db8f9d3cae884870bea',
+    'A4': '44cd16cfc65d9a253ab68b45e1c214a441e7057b2f79335d9d40e20d5c0d9d64',
+    'B2': '960500342b804b5484eab75d8c509cd5893229ed87f7fbd11deb793c1caf3b01',
+    'B3': '10191cb9137bad6ac4e9f3095e48d975ad16a98f0675569c05298c0583a160c2',
+    'B4': 'e0153e42e5600ee9bfeec294b4432f1fbf9ecba46de273efc39245488f764531',
+    'C2': '51c01e48ce15eb52b42e1cdbbd9fd835ae3ee2c633315cf820dfc06f08df3e05',
+    'C3': '6b1c05cfe14aa4bfc807da7279fb49b75b992576bce8acdb24e93f7a04d8ea98',
+    'C4': '86cdb01e6891ad0a9d0396ace5f3e8602c984feffd773b68ce4b8d17adc36ab0',
+    'D4': '8aef8c38bde6f7c8394714ca650c1445af1c5d14c9a70c0f1f1f70c053df8505',
+    'F4': 'ec48a3062f91bee0b56db367fffa1855130bddbd46537c5111bf6f7803a544c1',
+    'G2': 'fcbee5e302e2759857190c5494e5f60d941bcad2121420eb92e89e7752a88fb1',
+    'takiff(C4)': 'd2f7062bca93a03e7edecc106c341a108199f695e8aebdc2c9a6bac8dfaa4a81',
+}
+
+
 @pytest.mark.parametrize("label", TYPES)
 def test_canonical_json_digests(label):
     got = {(b, m): _digest(b, label, m) for b in BUILDERS for m in MODES}
@@ -526,6 +566,13 @@ def test_root_system_digests(label):
     assert _rootsys_digest(label) == ROOTSYS_GOLDEN[label]
 
 
+@pytest.mark.parametrize("label", STRUCTURE_CASES)
+def test_structure_constant_digests(label):
+    ls = _structure(label)
+    assert all(type(c) is int for vec in ls.brackets.values() for c in vec.values())
+    assert _structure_digest(ls) == STRUCTURE_GOLDEN[label]
+
+
 if __name__ == "__main__":
     for b in BUILDERS:
         for label in TYPES:
@@ -556,3 +603,6 @@ if __name__ == "__main__":
     print()
     for label in ROOTSYS_TYPES:
         print(f"    {label!r}: {_rootsys_digest(label)!r},")
+    print()
+    for label in STRUCTURE_CASES:
+        print(f"    {label!r}: {_structure_digest(_structure(label))!r},")

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 from hypothesis import given, settings
@@ -73,11 +74,29 @@ def test_sparse_nullspace_matches_dense_rref(system):
     assert ns.nullspace() == dense_nullspace(rows, ncols)
 
 
+@settings(max_examples=200, deadline=None)
+@given(systems())
+def test_stored_rows_stay_in_reduced_row_echelon_form(system):
+    ncols, rows, _ = system
+    ns = SparseNullspace(ncols)
+    for row in rows:
+        ns.add_row(dict(enumerate(row)))
+        for piv, prow in ns.pivot_rows.items():
+            assert min(prow) == piv and prow[piv] > 0
+            assert all(type(v) is int and v for v in prow.values())
+            assert math.gcd(*prow.values()) == 1
+            assert not any(c in ns.pivot_rows for c in prow if c != piv)
+    stored = {piv: dict(prow) for piv, prow in ns.pivot_rows.items()}
+    ns.nullspace()
+    assert ns.pivot_rows == stored
+
+
 def test_elimination_visits_pivot_columns_it_introduces():
     ns = SparseNullspace(3)
     ns.add_row({0: 1, 1: 1})
-    ns.add_row({1: 1, 2: 1})  # the first row keeps its entry at pivot 1
-    ns.add_row({0: 1})  # reduces to -x1, then to x2
+    ns.add_row({1: 1, 2: 1})  # new pivot 1 is cleared from the first row: x0 - x2
+    ns.add_row({0: 1})  # reduces to x2, a new pivot cleared from both stored rows
+    # three independent rows leave no solution but 0
     assert ns.rank == 3
     assert ns.nullspace() == []
 
