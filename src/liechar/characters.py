@@ -21,7 +21,8 @@ with that of the rest, each built by the log-derivative recurrence and
 cached per context.  The product forms in ``qseries`` are its test
 oracles.  The coset sum divides by the (q;q)^rank D that all its summands
 share once, as the Euler product of ch g + rank e^0, instead of building
-module series.
+module series.  Theta_Q comes from the context; in ``trivial`` and ``ray``
+it walks no Weyl orbit and shares no code with the lambda-sum.
 """
 
 from __future__ import annotations
@@ -266,14 +267,14 @@ def walgebra_module_char(ctx, lam_star: Weight, kappa_star: LevelValue, order) -
 
 
 def lattice_theta(ctx, order) -> GradedCharacter:
-    """Theta_Q = sum_{lam in Q} q^{(lam,lam)/2} e^lam, truncated: the orbit
-    sums m_lam of the dominant lam in Q, in ctx's ring (``orbit_sum``)."""
-    rs = ctx.rs
+    """Theta_Q = sum_{lam in Q} q^{(lam,lam)/2} e^lam, truncated, in ctx's ring
+    (``theta``): counted by a transfer over the Dynkin tree in ``trivial`` and
+    ``ray`` (``RootSystem.theta_counts``), one orbit sum m_lam per dominant lam
+    in Q in the invariant ring.  UsageError for a negative order."""
     order = int_or_frac(order)
-    shells: Dict[Exponent, List[Weight]] = {}
-    for lam in rs.dominant_weights_in_root_lattice(order):
-        shells.setdefault(int_or_frac(rs.norm2(lam) / 2), []).append(lam)
-    return GradedCharacter(ctx, order, {e: ctx.orbit_sum(lams) for e, lams in shells.items()})
+    if order < 0:
+        raise UsageError("order must be nonnegative")
+    return GradedCharacter(ctx, order, ctx.theta(order))
 
 
 def level_one_char(ctx, order) -> GradedCharacter:
@@ -282,9 +283,6 @@ def level_one_char(ctx, order) -> GradedCharacter:
     rs = ctx.rs
     if rs.lacity != 1:
         raise UsageError("level-one lattice character requires a simply-laced type")
-    order = int_or_frac(order)
-    if order < 0:
-        raise UsageError("order must be nonnegative")
     return euler_product(lattice_theta(ctx, order), _cartan_char(rs))
 
 

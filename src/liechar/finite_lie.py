@@ -410,14 +410,23 @@ def _rep_matrices(ls: LieStructure, which: str):
     mats = []
     for i in ls.generators:
         ad_i = [ls.bracket_basis(i, a) for a in range(d)]
+        diag = _diagonal(ad_i)
+        if diag is not None:
+            # x.a = lam_a a (an h_i): x.(a ^ b) = (lam_a + lam_b) a ^ b
+            mats.append([{r: s} if (s := diag[a] + diag[b]) else {}
+                         for r, (a, b) in enumerate(basis_pairs)])
+            continue
         cols = []
         for a, b in basis_pairs:
-            # x.(a ^ b) = (x.a) ^ b + a ^ (x.b)
+            # x.(a ^ b) = (x.a) ^ b + a ^ (x.b).  For a square, x.(a a) =
+            # sum_k c_k (k a + a k) over x.a = sum_k c_k k, and k a + a k is
+            # the basis pair (k, a), or 2 (a a) at k = a: one pass over x.a
             col: Dict[int, Fraction] = {}
             for k, c in ad_i[a].items():
                 _add_pair(col, index, k, b, c, sym)
-            for k, c in ad_i[b].items():
-                _add_pair(col, index, a, k, c, sym)
+            if b != a:
+                for k, c in ad_i[b].items():
+                    _add_pair(col, index, a, k, c, sym)
             cols.append({r: v for r, v in col.items() if v})
         mats.append(cols)
     return mats, len(basis_pairs)

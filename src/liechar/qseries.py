@@ -16,8 +16,9 @@ tests' oracle.  Coefficients take Python's +, -, scalar *, divmod and
 truth value, ints and GroupRingElts alike, so a context holds only what
 differs per ring: the projection ``project`` of group-ring elements into
 it, the product ``mul``, the sum of products ``dot`` and Adams operation
-``frobenius``, the closed forms ``irreducible`` (ch L_lam) and
-``orbit_sum`` (m_lam), and the JSON of a coefficient and of the ring.
+``frobenius``, the closed forms ``irreducible`` (ch L_lam) and ``theta``
+(Theta_Q: ``RootSystem.theta_counts`` in ``trivial`` and ``ray``, with no
+orbit walk), and the JSON of a coefficient and of the ring.
 Every sum of coefficient products (a series product and the Euler series)
 is one ``dot`` per output coefficient.  The base builds the Euler product
 of a character, ``euler_series``, from these.  The invariant ring writes
@@ -190,8 +191,8 @@ class _Context:
     in TrivialContext, a plain number, and both take Python's +, -, scalar
     *, divmod and truth value, so a context holds only what differs per
     ring: the projection, the product ``mul``, the sum of products
-    ``dot``, the Adams operation, the closed forms ``irreducible`` and
-    ``orbit_sum``, and the JSON of a coefficient and of the ring.  The unit
+    ``dot``, the Adams operation, the closed form ``irreducible``, the lattice
+    theta series ``theta``, and the JSON of a coefficient and of the ring.  The unit
     and zero are project(e^0) and project(0), built once when the base's
     __init__ runs, so a subclass sets the fields its ``project`` reads
     first; they are shared, and no code changes a coefficient in place.  The context classes derive from
@@ -269,14 +270,6 @@ class _Context:
 
         return self.project(finite_char(self.rs, lam).multiplicities)
 
-    def orbit_sum(self, lams):
-        """The image of sum_{lam in lams} m_lam for distinct dominant lams,
-        m_lam = sum_{beta in W lam} e^beta: the orbits walked and projected
-        once.  TrivialContext and InvariantContext override it without walks."""
-        gre = GroupRingElt()
-        gre.terms = {nu: 1 for lam in lams for nu in self.rs.weyl_orbit(lam)}
-        return self.project(gre)
-
     def describe(self) -> dict:
         return {"coefficients": self.coefficients, "type": self.rs.type_label}
 
@@ -300,6 +293,14 @@ class GroupRingContext(_Context):
 
     def project(self, gre: GroupRingElt):
         return gre
+
+    def theta(self, order) -> Dict[Exponent, GroupRingElt]:
+        """Theta_Q over monomials: the W-orbit of each dominant lam in Q walked."""
+        out = {}
+        for e, lams in _theta_shells(self.rs, order).items():
+            out[e] = c = GroupRingElt()
+            c.terms = {nu: 1 for lam in lams for nu in self.rs.weyl_orbit(lam)}
+        return out
 
 
 class InvariantContext(_Context):
@@ -437,9 +438,10 @@ class InvariantContext(_Context):
             ch.terms = dominant_multiplicities(self.rs, lam)
         return ch
 
-    def orbit_sum(self, lams):
-        """sum_{lam in lams} m_lam is the element keyed by the lams."""
-        return GroupRingElt(dict.fromkeys(lams, 1))
+    def theta(self, order) -> Dict[Exponent, GroupRingElt]:
+        """Theta_Q in the orbit-sum basis: one key m_lam per dominant lam in Q."""
+        return {e: GroupRingElt(dict.fromkeys(lams, 1))
+                for e, lams in _theta_shells(self.rs, order).items()}
 
 
 class TrivialContext(_Context):
@@ -463,10 +465,9 @@ class TrivialContext(_Context):
         """dim L_lam, by the Weyl dimension formula."""
         return self.rs.weyl_dimension(lam)
 
-    def orbit_sum(self, lams):
-        """sum of the orbit sizes |W| / |W_lam|."""
-        rs = self.rs
-        return sum(rs.weyl_order // rs.stabilizer_order(lam) for lam in lams)
+    def theta(self, order) -> Dict[Exponent, int]:
+        """Theta_Q at e^lam -> 1: ``RootSystem.theta_counts`` with t = 0."""
+        return {e: m for (e, _), m in self.rs.theta_counts(order, (0,) * self.rs.rank).items()}
 
 
 class RayContext(_Context):
@@ -532,8 +533,30 @@ class RayContext(_Context):
         res.terms = {(low + den * k,): c for k, c in enumerate(poly) if c}
         return res
 
+    def theta(self, order) -> Dict[Exponent, GroupRingElt]:
+        """Theta_Q at e^lam -> z^{(lam, xi)}: ``RootSystem.theta_counts`` with
+        t_j = den (alpha_j, xi), alpha_j's fundamental-weight coordinates dotted
+        with ``coords``."""
+        t = [sum(map(operator.mul, alpha, self.coords)) for alpha in self.rs.simple_roots]
+        out: Dict[Exponent, GroupRingElt] = {}
+        for (e, k), m in self.rs.theta_counts(order, t).items():
+            c = out.get(e)
+            if c is None:
+                c = out[e] = GroupRingElt()
+            c.terms[(k,)] = m
+        return out
+
     def describe(self) -> dict:
         return {**super().describe(), "xi": [_coord_json(c) for c in self.xi]}
+
+
+def _theta_shells(rs: RootSystem, order) -> Dict[Exponent, List[Weight]]:
+    """The dominant lam in Q with (lam, lam)/2 <= order, grouped by (lam, lam)/2:
+    the two group rings' Theta_Q, one orbit per lam."""
+    shells: Dict[Exponent, List[Weight]] = {}
+    for lam in rs.dominant_weights_in_root_lattice(order):
+        shells.setdefault(int_or_frac(rs.norm2(lam) / 2), []).append(lam)
+    return shells
 
 
 def make_context(rs: RootSystem, mode: str = "group_ring", xi: Optional[Weight] = None):

@@ -27,6 +27,8 @@ first negative coordinate, for ``weyl_orbit`` and ``weyl_orbit_signed``.
 The truncated Weyl-Kac numerators (``alternating_sum``) need no walk: by the
 Weyl denominator identity they are prod_{alpha>0} (1 - q^{(mu, alpha)}),
 multiplied out in ints by the helper that ``principal_specialization`` uses.
+Nor does the theta series of Q (``theta_counts``): it is a transfer over
+the Dynkin tree, node by node from the leaves, in ints.
 """
 
 from __future__ import annotations
@@ -516,6 +518,82 @@ class RootSystem:
         found.sort()
         return found
 
+    def theta_counts(self, order, t: Sequence[int]) -> Dict[Tuple[object, int], int]:
+        """{((lam, lam)/2, sum_i c_i t_i): count} over lam = sum_i c_i alpha_i in Q
+        with (lam, lam)/2 <= order, for an integer functional t on simple-root
+        coordinates; q-exponents by ``int_or_frac``, UsageError for order < 0.
+
+        A transfer over the Dynkin tree, rooted at node 0.  A tree has no
+        cycle, so eliminating leaves first factors G = lac B, B_ij = (alpha_i,
+        alpha_j), with no fill-in: lac (lam, lam)/2 = sum_i D_i (c_i + l_i
+        c_p(i))^2, p(i) the parent of i.  Node i sends p(i), for each c_p,
+        sum_{c_i} q^{D_i (c_i + l_i c_p)^2} z^{t_i c_i} times its children's
+        messages at c_i.  No term has a negative q-exponent, so truncating
+        every message at the order is exact, and |c_i| = |(lam, omega_i^vee)|
+        <= sqrt(2 order (B^-1)_ii) by Cauchy-Schwarz (Fincke and Pohst, Math.
+        Comp. 44, 1985, summed as a generating function).  In ints: every
+        square term is scaled by the common denominator of the D_i and the
+        D_i l_i^2, and q^e z^y is the key e W + y, W = 2 Z + 1 for |y| <= Z,
+        so a product adds keys and a key is at most limit W + Z exactly when
+        e <= limit.
+        """
+        order = int_or_frac(order)
+        if order < 0:
+            raise UsageError("theta order must be nonnegative")
+        n, a, lac, steps = self.rank, self.cartan_matrix, self.lacity, self._steps
+        walk, parent, children = [0], [None] * n, {}
+        for i in walk:  # breadth first; the list grows under the loop
+            children[i] = [j for j, _ in self._neighbours[i] if j != parent[i]]
+            for j in children[i]:
+                parent[j] = i
+            walk += children[i]
+        diag, cross = [Fraction(x) for x in steps], [0] * n
+        for i in reversed(walk[1:]):  # leaves first: D_i is final when read
+            p = parent[i]
+            cross[i] = Fraction((a[i][p] * steps[p]) ** 2, 4) / diag[i]
+            diag[p] -= cross[i]
+        scale = math.lcm(*(Fraction(x).denominator for x in diag + cross))
+        limit = math.floor(order * lac * scale)
+        # (B^-1)_ii = (A^-1)_ii / d_i = (A^-1)_ii lac / steps_i
+        inv, den = self._inv_cartan_t_scaled, self._lattice_den
+        bound = [math.isqrt(math.floor(2 * order * lac * inv[i][i] / (den * steps[i])))
+                 for i in range(n)]
+        z_bound = sum(abs(x) * b for x, b in zip(t, bound))
+        width = 2 * z_bound + 1
+        cap = limit * width + z_bound
+        messages: Dict[int, List[List[Tuple[int, int]]]] = {}
+        for i in reversed(walk):
+            b, p = bound[i], parent[i]
+            incoming = [messages.pop(j) for j in children[i]]
+            terms = []  # (c_i, z^{t_i c_i} prod_k M_k(c_i))
+            for c in range(-b, b + 1):
+                poly = [(t[i] * c, 1)]
+                for message in incoming:
+                    out: Dict[int, int] = {}
+                    for key, m in poly:
+                        _accumulate(out, key, m, message[c + b], cap)
+                    poly = sorted(out.items())
+                terms.append((c, poly))
+            # K D_i (c_i + l_i c_p)^2 = d c_i^2 + x c_i c_p + y c_p^2, in ints
+            d = int(diag[i] * scale)
+            x, y = (0, 0) if p is None else (a[i][p] * steps[p] * scale, int(cross[i] * scale))
+            messages[i] = []
+            for cp in (0,) if p is None else range(-bound[p], bound[p] + 1):
+                out = {}
+                for c, poly in terms:
+                    e = d * c * c + x * c * cp + y * cp * cp
+                    if e <= limit:
+                        _accumulate(out, e * width, 1, poly, cap)
+                messages[i].append(sorted(out.items()))
+        counts: Dict[Tuple[object, int], int] = {}
+        for key, m in messages[0][0]:
+            e, y = divmod(key + z_bound, width)
+            qs, rem = divmod(e, scale)
+            if rem:
+                raise AssertionError("a theta exponent is not a multiple of the scale")
+            counts[(int_or_frac(Fraction(qs, lac)), y - z_bound)] = m
+        return counts
+
     def _coroot_pairings(self, lam: Weight) -> Tuple[List[int], List[int]]:
         """(lam+rho, alpha^vee) and (rho, alpha^vee) for every positive root."""
         lam_rho = [c + 1 for c in lam]
@@ -568,6 +646,18 @@ def _weyl_order_from_heights(counts: Sequence[int]) -> int:
     for i in range(1, (counts[0] if counts else 0) + 1):
         order *= 1 + sum(1 for c in counts if c >= i)
     return order
+
+
+def _accumulate(out: Dict[int, int], shift: int, scale: int,
+                poly: List[Tuple[int, int]], cap: int) -> None:
+    """out += scale q^shift poly for a (key, count) list sorted by key, every key
+    past cap dropped: a key grows with its q-exponent (``theta_counts``)."""
+    get, top = out.get, cap - shift
+    for key, m in poly:
+        if key > top:
+            break
+        key += shift
+        out[key] = get(key, 0) + scale * m
 
 
 def _one_minus_product(exps: Iterable[int], top: int) -> List[int]:

@@ -17,6 +17,7 @@ from liechar import (
     TrivialContext,
     UsageError,
     alternating_sum,
+    lattice_theta,
     make_context,
     series_zero,
     weight,
@@ -122,6 +123,14 @@ def orbit_depth_histogram(rs, mu):
 def orbit_alternating_sum(rs, mu):
     """A_mu = sum_w eps(w) e^{w(mu)} for regular dominant mu."""
     return GroupRingElt(dict(reflection_orbit(rs, mu)))
+
+
+def theta_by_orbits(ctx, order):
+    """Theta_Q = sum_{lam in Q} q^{(lam,lam)/2} e^lam through order, walked: the
+    monomial group ring's series (the W-orbit of every dominant lam in Q),
+    projected into ctx's ring one coefficient at a time."""
+    walked = lattice_theta(GroupRingContext(ctx.rs), order)
+    return GradedCharacter(ctx, walked.order, {e: ctx.project(c) for e, c in walked.terms.items()})
 
 
 def isqrt_rational_floor(r: Fraction) -> int:

@@ -12,15 +12,17 @@ from liechar import (
     QuadExt,
     UsageError,
     abelian,
+    alt2_decompose,
     build_root_system,
     chevalley_structure,
     classify_extension,
     equivariant_hom_dim,
     invariant_forms,
     singular_constraints,
+    sym2_decompose,
     takiff,
 )
-from liechar.finite_lie import LieStructure, _check_witnesses
+from liechar.finite_lie import LieStructure, _check_witnesses, _rep_matrices
 from liechar.linalg import SparseNullspace, sqrt_rational
 from oracles import (
     check_witnesses_all_pairs,
@@ -344,6 +346,53 @@ def test_other_hom_dims(ls):
     assert equivariant_hom_dim("trivial", "trivial", ls) == 1
     # the invariant bilinear form, seen as Sym^2(ad) -> trivial
     assert equivariant_hom_dim("sym2_adjoint", "trivial", ls) == 1
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "G2"])
+def test_hom_dims_match_the_character_decompositions(label):
+    # dim Hom_g(V, W) = sum_lam m_V(lam) m_W(lam), with the multiplicities of
+    # the wedge and symmetric squares of g from character stripping
+    rs = build_root_system(label)
+    ls = chevalley_structure(label)
+    theta = rs.highest_root
+    parts = {
+        "adjoint": {theta: 1},
+        "trivial": {(0,) * rs.rank: 1},
+        "alt2_adjoint": alt2_decompose(rs, theta),
+        "sym2_adjoint": sym2_decompose(rs, theta),
+    }
+    for rep_from, v in parts.items():
+        for rep_to, w in parts.items():
+            want = sum(m * w.get(lam, 0) for lam, m in v.items())
+            assert equivariant_hom_dim(rep_from, rep_to, ls) == want, (rep_from, rep_to)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+@pytest.mark.parametrize("which", ["alt2_adjoint", "sym2_adjoint"])
+def test_square_matrices_are_a_representation(label, which):
+    # rho([x, y]) = rho(x) rho(y) - rho(y) rho(x) on every pair of basis
+    # elements, the h_i (built as their diagonal) among them
+    ls = chevalley_structure(label)
+    mats, dim = _rep_matrices(_whole_basis(ls), which)
+
+    def act(m, vec):
+        out = {}
+        for j, x in vec.items():
+            for r, c in m[j].items():
+                out[r] = out.get(r, 0) + c * x
+        return out
+
+    for x in range(ls.dimension):
+        for y in range(ls.dimension):
+            bracket = ls.bracket_basis(x, y)
+            for j in range(dim):
+                xy, yx = act(mats[x], act(mats[y], {j: 1})), act(mats[y], act(mats[x], {j: 1}))
+                want = {}
+                for k, c in bracket.items():
+                    for r, v in mats[k][j].items():
+                        want[r] = want.get(r, 0) + c * v
+                got = {r: xy.get(r, 0) - yx.get(r, 0) for r in set(xy) | set(yx)}
+                assert {r: v for r, v in got.items() if v} == {r: v for r, v in want.items() if v}
 
 
 # -- extension classification --------------------------------------------------------

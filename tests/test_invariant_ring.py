@@ -67,9 +67,10 @@ def test_theta_without_walks_matches_the_walked_theta(label):
 
 def test_e8_theta_counts_240_sigma_3():
     # Theta_{E8} = E_4 = 1 + 240 sum_n sigma_3(n) q^n (Serre, A Course in
-    # Arithmetic, ch. VII)
-    theta = lattice_theta(TrivialContext(build_root_system("E8")), 3)
-    assert [theta.coeff(n) for n in range(4)] == [1, 240, 2160, 6720]
+    # Arithmetic, ch. VII), through q^12
+    theta = lattice_theta(TrivialContext(build_root_system("E8")), 12)
+    sigma3 = [sum(d ** 3 for d in range(1, n + 1) if n % d == 0) for n in range(13)]
+    assert [theta.coeff(n) for n in range(13)] == [1] + [240 * s for s in sigma3[1:]]
 
 
 def test_d5_theta_counts_roots_and_norm_four_vectors():

@@ -112,6 +112,25 @@ print(json.dumps({n: names.count(n) for n in ["levels.kw_lhs", "characters.finit
 """
 
 
+SPECIALIZED_ORBIT_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import liechar
+from tracer import Tracer
+
+tracer = Tracer("specialized_orbits", 3)
+tracer.install()
+out = {}
+for mode in ["trivial", "ray"]:
+    for name, verify in [("gko", liechar.verify_gko), ("kw", liechar.verify_kw)]:
+        start = len(tracer.spans)
+        assert verify("A3", 3, mode).status == "pass"
+        names = [rec[1] for rec in tracer.spans[start:]]
+        out[f"{name}-{mode}"] = {n: names.count(n) for n in ["characters.theta", "rootsys.orbit"]}
+print(json.dumps(out))
+"""
+
+
 def _run_traced(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -169,3 +188,11 @@ def test_group_ring_kw_walks_no_orbit():
     # passing verify_kw spreads no character and walks no orbit
     got = _run_traced(KW_ORBIT_SCRIPT)
     assert got == {"levels.kw_lhs": 1, "characters.finite_char": 0, "rootsys.orbit": 0}
+
+
+def test_specialized_verifiers_walk_no_orbit():
+    # trivial and ray count Theta_Q by the transfer over the Dynkin tree and
+    # take ch L_lam in closed form, so a passing verifier walks no orbit
+    got = _run_traced(SPECIALIZED_ORBIT_SCRIPT)
+    expect = {"characters.theta": 1, "rootsys.orbit": 0}
+    assert got == {f"{name}-{mode}": expect for mode in ["trivial", "ray"] for name in ["gko", "kw"]}
