@@ -2,17 +2,16 @@
 principal W-algebra modules, the affine denominator, and the level-one
 lattice character of simply-laced types.
 
-Finite characters come from Freudenthal's multiplicity recursion run on
-the dominant weights only, in integer coordinates: they are reached from
-the highest weight by positive-root steps that never leave the dominant
-chamber, and a weight on a root string is looked up by its dominant
-conjugate.  The Weyl dimension formula and the alternating-orbit-sum form
-of the Weyl character formula are independent cross-checks in the tests.
-Callers take ch L_lam from their coefficient context (``irreducible``),
-which uses a closed form in ``trivial`` and in ``ray`` along rho_check,
-the dominant multiplicities themselves in the W-invariant ring
-(``group_ring``), and this recursion spread over orbits along any other xi
-and in the monomial oracle ring.
+``finite_char`` is ch L_lam over monomials: Freudenthal's dominant
+multiplicities (``RootSystem.dominant_multiplicities``) spread over their
+Weyl orbits (``qseries.orbit_sums``).  The Weyl dimension formula and the
+alternating-orbit-sum form of the Weyl character formula are independent
+cross-checks in the tests.  Callers take ch L_lam from their coefficient
+context (``irreducible``), which uses a closed form in ``trivial`` and in
+``ray`` along rho_check, the dominant multiplicities themselves in the
+W-invariant ring (``group_ring``), and their orbit sums, projected, along
+any other xi and in the monomial oracle ring.  A Weyl module's character
+is one series product: q^h ch L_lam times 1/D.
 
 Pochhammer products, D, 1/D and (q;q)^{-rank}, are applied to a series
 by one routine in every coefficient ring (``euler_product``): a series
@@ -28,13 +27,12 @@ it walks no Weyl orbit and shares no code with the lambda-sum.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from .linalg import frac, int_or_frac
-from .qseries import Exponent, GradedCharacter, GroupRingElt, series_one, series_zero
+from .qseries import Exponent, GradedCharacter, GroupRingElt, orbit_sums, series_one, series_zero
 from .rootsys import RootSystem, UsageError, Weight, alternating_sum, weight
 
 
@@ -71,73 +69,11 @@ class FiniteCharacter:
         return int(self.multiplicities.dimension())
 
 
-def _dominant_weights_below(rs: RootSystem, lam: Weight) -> List[Tuple[int, Weight]]:
-    """Dominant mu with lam - mu in Q+, tagged with the height of lam - mu, sorted.
-
-    If lam covers mu among dominant weights, lam - mu is a positive root
-    (Stembridge, Adv. Math. 136, 1998), so a walk down by positive roots
-    through dominant weights only reaches them all.
-    """
-    found: Dict[Weight, int] = {lam: 0}
-    todo = [lam]
-    while todo:
-        mu = todo.pop()
-        for alpha in rs.positive_roots:
-            nu = tuple(m - a for m, a in zip(mu, alpha))
-            if min(nu) >= 0 and nu not in found:
-                found[nu] = found[mu] + rs.height(alpha)
-                todo.append(nu)
-    return sorted((h, mu) for mu, h in found.items())
-
-
 def finite_char(rs: RootSystem, lam: Weight) -> FiniteCharacter:
     """Irreducible character of highest weight lam: Freudenthal's dominant
-    multiplicities spread over their Weyl orbits."""
-    mult = dominant_multiplicities(rs, lam)
-    # int keys and int multiplicities already: skip GroupRingElt's checks
-    char = GroupRingElt()
-    char.terms = {nu: m for mu, m in mult.items() for nu in rs.weyl_orbit(mu)}
-    return FiniteCharacter(weight(lam), char)
-
-
-def dominant_multiplicities(rs: RootSystem, lam: Weight) -> Dict[Weight, int]:
-    """Dominant weight -> multiplicity in L_lam, by Freudenthal's recursion.
-
-    mu + k alpha (k > 0) has a dominant conjugate of smaller height, so it is
-    a weight of L_lam iff that conjugate already has a multiplicity; strings
-    are unbroken, so the first miss ends the string.
-    """
-    lam = weight(lam)
-    if not rs.is_dominant(lam):
-        raise UsageError("finite_char requires a dominant integral weight")
-    lac = rs.lacity
-    # (alpha, lac (omega_i, alpha) = lac d_i c_i, lac (alpha, alpha)), all
-    # integers: rs._steps[i] = lac d_i
-    strings = []
-    for alpha in rs.positive_roots:
-        pair = tuple(map(operator.mul, rs._steps, rs.root_coords(alpha)))
-        strings.append((alpha, pair, sum(a * p for a, p in zip(alpha, pair))))
-    lam_rho = tuple(c + 1 for c in lam)
-    c_top = rs.inner(lam_rho, lam_rho)
-    mult: Dict[Weight, int] = {lam: 1}
-    to_dominant = rs._reflect_to_dominant
-    for _, mu in _dominant_weights_below(rs, lam)[1:]:
-        total = 0
-        for alpha, pair, len2 in strings:
-            nu, ip = mu, sum(m * p for m, p in zip(mu, pair))
-            while True:
-                nu = tuple(x + a for x, a in zip(nu, alpha))
-                ip += len2
-                m = mult.get(to_dominant(nu))
-                if m is None:
-                    break
-                total += m * ip
-        mu_rho = tuple(c + 1 for c in mu)
-        m = Fraction(2 * total, lac) / (c_top - rs.inner(mu_rho, mu_rho))
-        if m.denominator != 1 or m <= 0:
-            raise AssertionError("Freudenthal produced a non-positive-integer multiplicity")
-        mult[mu] = int(m)
-    return mult
+    multiplicities (``RootSystem.dominant_multiplicities``) spread over their
+    Weyl orbits."""
+    return FiniteCharacter(weight(lam), orbit_sums(rs, rs.dominant_multiplicities(lam)))
 
 
 def casimir(rs: RootSystem, lam: Weight) -> Fraction:
@@ -212,17 +148,18 @@ def euler_product(f: GradedCharacter, char: GroupRingElt) -> GradedCharacter:
 
 def weyl_module_char(ctx, lam: Weight, kappa: LevelValue, order) -> GradedCharacter:
     """Character of the level-kappa Weyl module with top space L_lam:
-    q^{h_kappa(lam)} ch[L_lam] / D, truncated at the requested order.
-    (The coset sum divides its whole lam-sum by the common (q;q)^rank D
-    instead.)"""
-    rs = ctx.rs
+    q^{h_kappa(lam)} ch[L_lam] / D, truncated at the requested order, as
+    the product of the one-term series q^h ch L_lam and 1/D through order - h;
+    that product is exact through min(order + 0, order - h + h) = order, for
+    h < 0 too.  (The coset sum divides its whole lam-sum by the common
+    (q;q)^rank D instead.)"""
     kappa.require_noncritical()
     order = int_or_frac(order)
-    h = conformal_top_weight(rs, lam, kappa)
+    h = conformal_top_weight(ctx.rs, lam, kappa)
     if order < h:
         return series_zero(ctx, order)
-    top = ctx.irreducible(lam)
-    return denominator_inverse(ctx, order - h).times(top).shift(h)
+    return GradedCharacter(ctx, order, {h: ctx.irreducible(lam)}).mul(
+        denominator_inverse(ctx, order - h))
 
 
 def _alternating_numerator(rs: RootSystem, lam: Weight, lead, order) -> Dict[Exponent, int]:

@@ -91,25 +91,6 @@ class LieStructure:
                         out[k] = nv
         return out
 
-    def jacobi_defect(self, i: int, j: int, k: int) -> Vector:
-        out: Dict[int, Fraction] = {}
-        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = self.bracket_basis(a, b)
-            for m, cm in inner.items():
-                for t, ct in self.bracket_basis(m, c).items():
-                    nv = out.get(t, Fraction(0)) + cm * ct
-                    if nv == 0:
-                        out.pop(t, None)
-                    else:
-                        out[t] = nv
-        return out
-
-    def check_jacobi(self) -> None:
-        """Exhaustive Jacobi check over all unordered basis triples."""
-        for i, j, k in itertools.combinations(range(self.dimension), 3):
-            if self.jacobi_defect(i, j, k):
-                raise AssertionError(f"Jacobi fails on triple {(i, j, k)}")
-
     def __repr__(self) -> str:
         return f"LieStructure({self.name}, dim={self.dimension})"
 
@@ -565,9 +546,6 @@ class QuadExt:
 
     def __rtruediv__(self, other):
         return self.inverse() * other
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
 
     def __eq__(self, other):
         if isinstance(other, QuadExt):

@@ -23,7 +23,12 @@ Every sum of coefficient products (a series product and the Euler series)
 is one ``dot`` per output coefficient.  The base builds the Euler product
 of a character, ``euler_series``, from these.  The invariant ring writes
 its coefficients out expanded to monomials, so its JSON is the group
-ring's, byte for byte.
+ring's, byte for byte.  The module stands on ``rootsys`` alone: every
+``irreducible`` reads one of RootSystem's kernels (``weyl_dimension``,
+``principal_specialization``, ``dominant_multiplicities``), and
+``orbit_sums`` is the one spread of dominant coefficients over their Weyl
+orbits.  A series has one product, ``mul``: a coefficient or a power of q
+enters it as a one-term series.
 
 Exponents and truncation orders are exact rationals, held the way
 ``int_or_frac`` holds coefficients and coweights: an int when integral,
@@ -202,9 +207,9 @@ class _Context:
     product twice.  That leaf sees only the products that still go through
     ``mul``: GroupRingContext's, whose ``dot`` is the base's sum of ``mul``,
     among them InvariantContext's, once per miss of its table of orbit-sum
-    products m_mu m_nu; and direct ``mul`` calls (``GradedCharacter.times``,
-    the Pochhammer oracles).  The products that TrivialContext and
-    RayContext sum inside their own ``dot`` do not reach it.
+    products m_mu m_nu; and direct ``mul`` calls (the Pochhammer oracles).
+    The products that TrivialContext and RayContext sum inside their own
+    ``dot`` do not reach it.
     """
 
     coefficients = "group_ring"  # the ring's name in JSON
@@ -263,12 +268,11 @@ class _Context:
         return a[: depth + 1]
 
     def irreducible(self, lam: Weight):
-        """ch L_lam in this ring: Freudenthal's full character, projected.
-        TrivialContext and RayContext at rho_check override it with closed
-        forms, InvariantContext with the dominant multiplicities alone."""
-        from .characters import finite_char  # characters imports this module
-
-        return self.project(finite_char(self.rs, lam).multiplicities)
+        """ch L_lam in this ring: the orbit sums of Freudenthal's dominant
+        multiplicities, projected.  TrivialContext and RayContext at rho_check
+        override it with closed forms, InvariantContext with the dominant
+        multiplicities alone."""
+        return self.project(orbit_sums(self.rs, self.rs.dominant_multiplicities(lam)))
 
     def describe(self) -> dict:
         return {"coefficients": self.coefficients, "type": self.rs.type_label}
@@ -296,11 +300,8 @@ class GroupRingContext(_Context):
 
     def theta(self, order) -> Dict[Exponent, GroupRingElt]:
         """Theta_Q over monomials: the W-orbit of each dominant lam in Q walked."""
-        out = {}
-        for e, lams in _theta_shells(self.rs, order).items():
-            out[e] = c = GroupRingElt()
-            c.terms = {nu: 1 for lam in lams for nu in self.rs.weyl_orbit(lam)}
-        return out
+        return {e: orbit_sums(self.rs, dict.fromkeys(lams, 1))
+                for e, lams in _theta_shells(self.rs, order).items()}
 
 
 class InvariantContext(_Context):
@@ -319,8 +320,7 @@ class InvariantContext(_Context):
     Each RootSystem holds one instance, ``make_context(rs, "group_ring")``,
     whose caches every series built on rs shares: the orbit sums m_mu over
     monomials, |W_x| per zero pattern, dominant conjugates, the products
-    m_mu m_nu per pair (mu, nu), ch L_lam per lam, the Euler series and the
-    coset sides.
+    m_mu m_nu per pair (mu, nu), the Euler series and the coset sides.
     """
 
     def __init__(self, rs: RootSystem):
@@ -330,7 +330,6 @@ class InvariantContext(_Context):
         self._stabilizers: Dict[Tuple[bool, ...], int] = {}
         self._conjugates: Dict[Weight, Tuple[Weight, int]] = {}
         self._pairs: Dict[Tuple[Weight, Weight], Tuple[tuple, tuple]] = {}
-        self._irreducibles: Dict[Weight, GroupRingElt] = {}
         super().__init__(rs)
 
     def _orbit(self, mu: Weight) -> GroupRingElt:
@@ -428,14 +427,9 @@ class InvariantContext(_Context):
         return self.expand(c).to_json()
 
     def irreducible(self, lam: Weight):
-        """ch L_lam: Freudenthal's dominant multiplicities, built once per lam."""
-        lam = weight(lam)
-        ch = self._irreducibles.get(lam)
-        if ch is None:
-            from .characters import dominant_multiplicities  # characters imports this module
-
-            ch = self._irreducibles[lam] = GroupRingElt()
-            ch.terms = dominant_multiplicities(self.rs, lam)
+        """ch L_lam: Freudenthal's dominant multiplicities themselves."""
+        ch = GroupRingElt()
+        ch.terms = self.rs.dominant_multiplicities(lam)
         return ch
 
     def theta(self, order) -> Dict[Exponent, GroupRingElt]:
@@ -550,6 +544,13 @@ class RayContext(_Context):
         return {**super().describe(), "xi": [_coord_json(c) for c in self.xi]}
 
 
+def orbit_sums(rs: RootSystem, coeffs: Dict[Weight, object]) -> GroupRingElt:
+    """sum_mu c_mu m_mu over monomials for {dominant mu: c_mu}: each W-orbit walked."""
+    res = GroupRingElt()
+    res.terms = {nu: c for mu, c in coeffs.items() for nu in rs.weyl_orbit(mu)}
+    return res
+
+
 def _theta_shells(rs: RootSystem, order) -> Dict[Exponent, List[Weight]]:
     """The dominant lam in Q with (lam, lam)/2 <= order, grouped by (lam, lam)/2:
     the two group rings' Theta_Q, one orbit per lam."""
@@ -564,14 +565,14 @@ def make_context(rs: RootSystem, mode: str = "group_ring", xi: Optional[Weight] 
 
     rs holds one context per mode and (for ``ray``) coordinate-wise equal xi,
     made on first use, so every series built in a ring on rs shares its
-    caches (among them ch L_lam in ``group_ring``, the Euler series E of
-    ``euler_series`` and the divided coset sides) and they are freed with
-    rs.  A shared E cannot turn a failure into a pass: E = 1 + O(q) is
-    invertible, so S E = T E holds exactly when S = T, and a wrong E could
-    only misreport the mismatching coefficients, not hide a mismatch.  A
-    shared coset side cannot hide a kappa-dependence either: kappa enters a
-    side only through the leads of its lambda-summands, and the summand list
-    with its leads is the cache key, so sides share only when it agrees.
+    caches (among them the Euler series E of ``euler_series`` and the
+    divided coset sides) and they are freed with rs.  A shared E cannot
+    turn a failure into a pass: E = 1 + O(q) is invertible, so S E = T E
+    holds exactly when S = T, and a wrong E could only misreport the
+    mismatching coefficients, not hide a mismatch.  A shared coset side
+    cannot hide a kappa-dependence either: kappa enters a side only through
+    the leads of its lambda-summands, and the summand list with its leads is
+    the cache key, so sides share only when it agrees.
     """
     if xi is not None and mode != "ray":
         raise UsageError(f"a coweight xi applies to mode 'ray' only, not {mode!r}")
@@ -661,27 +662,6 @@ class GradedCharacter:
                     break
                 pairs.setdefault(e, []).append((c1, c2))
         return GradedCharacter(ctx, order, {e: ctx.dot(p) for e, p in pairs.items()})
-
-    def times(self, c) -> "GradedCharacter":
-        """c times each coefficient, for a coefficient c of the series' ring
-        (order and lower bound unchanged)."""
-        ctx = self.context
-        return GradedCharacter(ctx, self.order, {e: ctx.mul(c, v) for e, v in self.terms.items()})
-
-    def shift(self, e0) -> "GradedCharacter":
-        """Multiply by q^{e0} (exact; order shifts along)."""
-        e0 = int_or_frac(e0)
-        return GradedCharacter(
-            self.context, self.order + e0, {e + e0: c for e, c in self.terms.items()}
-        )
-
-    def truncate(self, order) -> "GradedCharacter":
-        order = int_or_frac(order)
-        if order > self.order:
-            raise UsageError("cannot extend a truncated series")
-        return GradedCharacter(
-            self.context, order, {e: c for e, c in self.terms.items() if e <= order}
-        )
 
     def __eq__(self, other) -> bool:
         return (

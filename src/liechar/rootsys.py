@@ -28,7 +28,9 @@ The truncated Weyl-Kac numerators (``alternating_sum``) need no walk: by the
 Weyl denominator identity they are prod_{alpha>0} (1 - q^{(mu, alpha)}),
 multiplied out in ints by the helper that ``principal_specialization`` uses.
 Nor does the theta series of Q (``theta_counts``): it is a transfer over
-the Dynkin tree, node by node from the leaves, in ints.
+the Dynkin tree, node by node from the leaves, in ints.  The three kernels
+of ch L_lam sit side by side: ``weyl_dimension``,
+``principal_specialization`` and Freudenthal's ``dominant_multiplicities``.
 """
 
 from __future__ import annotations
@@ -632,6 +634,62 @@ class RootSystem:
                 raise AssertionError("principal specialization is not a polynomial")
             del g[-b:]
         return g
+
+    def _dominant_weights_below(self, lam: Weight) -> List[Tuple[int, Weight]]:
+        """Dominant mu with lam - mu in Q+, tagged with the height of lam - mu, sorted.
+
+        If lam covers mu among dominant weights, lam - mu is a positive root
+        (Stembridge, Adv. Math. 136, 1998), so a walk down by positive roots
+        through dominant weights only reaches them all.
+        """
+        found: Dict[Weight, int] = {lam: 0}
+        todo = [lam]
+        while todo:
+            mu = todo.pop()
+            for alpha in self.positive_roots:
+                nu = tuple(m - a for m, a in zip(mu, alpha))
+                if min(nu) >= 0 and nu not in found:
+                    found[nu] = found[mu] + self.height(alpha)
+                    todo.append(nu)
+        return sorted((h, mu) for mu, h in found.items())
+
+    def dominant_multiplicities(self, lam: Weight) -> Dict[Weight, int]:
+        """Dominant weight -> multiplicity in L_lam, by Freudenthal's recursion
+        run on the dominant weights only, in integer coordinates.
+
+        mu + k alpha (k > 0) has a dominant conjugate of smaller height, so it is
+        a weight of L_lam iff that conjugate already has a multiplicity; strings
+        are unbroken, so the first miss ends the string.
+        """
+        lam = self._dominant(lam, "dominant_multiplicities")
+        lac = self.lacity
+        # (alpha, lac (omega_i, alpha) = lac d_i c_i, lac (alpha, alpha)), all
+        # integers: _steps[i] = lac d_i
+        strings = []
+        for alpha in self.positive_roots:
+            pair = tuple(map(operator.mul, self._steps, self._root_coords[alpha]))
+            strings.append((alpha, pair, sum(a * p for a, p in zip(alpha, pair))))
+        lam_rho = tuple(c + 1 for c in lam)
+        c_top = self.inner(lam_rho, lam_rho)
+        mult: Dict[Weight, int] = {lam: 1}
+        to_dominant = self._reflect_to_dominant
+        for _, mu in self._dominant_weights_below(lam)[1:]:
+            total = 0
+            for alpha, pair, len2 in strings:
+                nu, ip = mu, sum(m * p for m, p in zip(mu, pair))
+                while True:
+                    nu = tuple(x + a for x, a in zip(nu, alpha))
+                    ip += len2
+                    m = mult.get(to_dominant(nu))
+                    if m is None:
+                        break
+                    total += m * ip
+            mu_rho = tuple(c + 1 for c in mu)
+            m = Fraction(2 * total, lac) / (c_top - self.inner(mu_rho, mu_rho))
+            if m.denominator != 1 or m <= 0:
+                raise AssertionError("Freudenthal produced a non-positive-integer multiplicity")
+            mult[mu] = int(m)
+        return mult
 
     def __repr__(self) -> str:
         return f"RootSystem({self.type_label})"

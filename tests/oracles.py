@@ -6,7 +6,7 @@ No package code calls these, so they live with the tests instead of in
 
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Dict
 
 from liechar import (
@@ -213,15 +213,16 @@ def euler_product_by_passes(f, char):
 
 def lambda_sum_by_series(ctx, order, summands):
     """``levels._lambda_sum`` one series per lambda: q^lead ch[L_lam] times the
-    alternating numerator of mu, built as a series, scaled by ch L_lam with
-    ``times`` and added to the running total with ``add``, for each
-    (lam, mu, lead) in summands with lead <= order."""
+    alternating numerator of mu, built as a series, multiplied by the one-term
+    series ch L_lam with ``mul`` and added to the running total with ``add``,
+    for each (lam, mu, lead) in summands with lead <= order."""
     total = series_zero(ctx, order)
     for lam, mu, lead in summands:
         if lead <= order:
             alt = alternating_sum(ctx.rs, tuple(c + 1 for c in mu), order - lead)
             series = GradedCharacter(ctx, order, {lead + d: c * ctx.one() for d, c in alt.items()})
-            total = total.add(series.times(ctx.irreducible(lam)))
+            top = GradedCharacter(ctx, order - lead, {0: ctx.irreducible(lam)})
+            total = total.add(series.mul(top))
     return total
 
 
@@ -242,6 +243,28 @@ def orbit_pair_by_divmod(rs, key):
     if rem:
         raise AssertionError(f"orbit-sum product {acc} is not divisible by |W_nu| = {k}")
     return tuple(prod.terms), tuple(prod.terms.values())
+
+
+def jacobi_defect(ls, i, j, k):
+    """[[x_i, x_j], x_k] + [[x_j, x_k], x_i] + [[x_k, x_i], x_j] as a sparse
+    vector over ls's basis, empty exactly when Jacobi holds on the triple."""
+    out = {}
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        for m, cm in ls.bracket_basis(a, b).items():
+            for t, ct in ls.bracket_basis(m, c).items():
+                nv = out.get(t, 0) + cm * ct
+                if nv == 0:
+                    out.pop(t, None)
+                else:
+                    out[t] = nv
+    return out
+
+
+def check_jacobi(ls):
+    """Exhaustive Jacobi check over all unordered basis triples of ls."""
+    for i, j, k in combinations(range(ls.dimension), 3):
+        if jacobi_defect(ls, i, j, k):
+            raise AssertionError(f"Jacobi fails on triple {(i, j, k)}")
 
 
 def invariant_forms_all_equations(ls):

@@ -206,8 +206,7 @@ def test_criterion_8_extension_classification():
         p_plus, p_minus = res.eigenvalues
         s = p_plus + p_minus + beta
         p = p_plus * p_minus + alpha
-        ok = ok and (s == 0 if not hasattr(s, "is_zero") else s.is_zero())
-        ok = ok and (p == 0 if not hasattr(p, "is_zero") else p.is_zero())
+        ok = ok and s == 0 and p == 0
         count_split += 1
     report(8, "square-zero extension classification (20 random per branch)", ok)
 

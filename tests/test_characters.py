@@ -10,6 +10,7 @@ from liechar import (
     GradedCharacter,
     GroupRingContext,
     GroupRingElt,
+    RootSystem,
     UsageError,
     alt2_decompose,
     build_root_system,
@@ -153,7 +154,7 @@ def test_finite_char_against_weyl_formulas_and_box_scan(case):
         rs, lam_rho
     )
     assert fc.dimension() == rs.weyl_dimension(lam)
-    assert characters._dominant_weights_below(rs, lam) == _dominant_below_by_box_scan(rs, lam)
+    assert rs._dominant_weights_below(lam) == _dominant_below_by_box_scan(rs, lam)
     assert all(type(c) is int for w in fc.multiplicities.terms for c in w)
     assert all(type(m) is int for m in fc.multiplicities.terms.values())
 
@@ -406,11 +407,33 @@ def test_weyl_module_times_denominator(label, lam):
     assert series_equal(prod, expect) is None
 
 
+# h = h_vee / (kappa + h_vee) for lam = theta, h_vee = 3 on both types
+@pytest.mark.parametrize("label", ["A2", "B2"])
+@pytest.mark.parametrize("shifted,order,h", [
+    (-3, 1, -1), (-2, F(3, 2), F(-3, 2)), (2, 3, F(3, 2)), (F(7, 2), 2, F(6, 7)), (1, 2, 3)])
+def test_weyl_module_is_the_top_times_one_over_d_term_by_term(label, shifted, order, h):
+    # the one series product q^h ch L_lam * 1/D against {h + e: ch L_lam c_e}
+    # for 1/D = sum_e c_e q^e through order - h: shifted levels below 0,
+    # fractional tops and a top above the order, in all five rings
+    rs = build_root_system(label)
+    lam = rs.highest_root
+    kappa = level(rs, shifted - rs.dual_coxeter)
+    assert conformal_top_weight(rs, lam, kappa) == h
+    for ctx in _contexts(rs):
+        got = weyl_module_char(ctx, lam, kappa, order)
+        terms = {}
+        if h <= order:
+            top, inv_d = ctx.irreducible(lam), denominator_inverse(ctx, order - h)
+            terms = {h + e: ctx.mul(top, c) for e, c in inv_d.terms.items()}
+        assert got == GradedCharacter(ctx, order, terms)
+        assert got.order == order and got.lower_bound() == min(h, order)
+
+
 def test_weyl_module_above_the_order_builds_no_finite_character(monkeypatch):
     def unused(rs, lam):
-        raise AssertionError("finite_char built for a top above the order")
+        raise AssertionError("ch L_lam built for a top above the order")
 
-    monkeypatch.setattr(characters, "finite_char", unused)
+    monkeypatch.setattr(RootSystem, "dominant_multiplicities", unused)
     kap = level(A1, 0)  # shifted level 2: the top of L_theta sits at q^1
     wm = weyl_module_char(CTX1, A1.highest_root, kap, F(1, 2))
     assert wm.terms == {} and wm.order == F(1, 2)

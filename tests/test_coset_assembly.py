@@ -48,8 +48,7 @@ def _weyl_module_with_inv_d(ctx, lam, kappa, order, inv_d):
         return series_zero(ctx, order)
     assert inv_d.order >= need
     top = ctx.project(finite_char(rs, lam).multiplicities)
-    shifted = GradedCharacter(ctx, need, {F(0): top}).shift(h)
-    return shifted.mul(inv_d.truncate(need))
+    return GradedCharacter(ctx, order, {h: top}).mul(GradedCharacter(ctx, need, inv_d.terms))
 
 
 def per_lambda_coset(rs, kappa_value, order, mode, xi=None):
@@ -75,7 +74,7 @@ def per_lambda_coset(rs, kappa_value, order, mode, xi=None):
     for lam, h, lead_t in needs:
         wfac = _weyl_module_with_inv_d(ctx, lam, kappa, order - min(lead_t, 0), inv_d)
         tfac = walgebra_module_char(ctx, rs.star(lam), partner, order - h)
-        total = total.add(wfac.mul(tfac).truncate(order))
+        total = total.add(wfac.mul(tfac))
     return total
 
 

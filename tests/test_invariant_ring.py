@@ -20,6 +20,7 @@ from liechar import (
     GroupRingElt,
     InvariantContext,
     RayContext,
+    RootSystem,
     TrivialContext,
     UsageError,
     assemble_coset_character,
@@ -33,7 +34,7 @@ from liechar import (
     make_context,
     series_one,
 )
-from liechar import characters, levels
+from liechar import levels
 from liechar.characters import _adjoint_char, _cartan_char
 from oracles import euler_product_by_passes, orbit_pair_by_divmod, specialize
 
@@ -287,13 +288,13 @@ def test_coset_rhs_matches_the_monomial_rhs(label, order):
 
 def test_group_ring_sides_build_each_irreducible_once(monkeypatch):
     built = []
-    real = characters.dominant_multiplicities
+    real = RootSystem.dominant_multiplicities
 
     def counting(rs, lam):
         built.append(lam)
         return real(rs, lam)
 
-    monkeypatch.setattr(characters, "dominant_multiplicities", counting)
+    monkeypatch.setattr(RootSystem, "dominant_multiplicities", counting)
     rs = build_root_system("A2")
     for kappa in default_kappa_samples(rs, 2):
         assemble_coset_character(rs, kappa, 3)

@@ -148,7 +148,10 @@ def test_no_operation_stores_a_zero_coefficient(a, b, c, n, xi):
         assert not _stored_zeros(pa) and not _stored_zeros(pb)
         f = GradedCharacter(ctx, 2, {0: pa, F(1, 2): pb, 1: -pa})
         g = GradedCharacter(ctx, 2, {0: pb, F(1, 2): c * pa, 1: pa})
-        for s in (f.add(g), f.mul(g), f.times(pb), f.shift(F(1, 2)), f.add(f.times(-ctx.one()))):
+        # pb, q^(1/2) and -1 as one-term series
+        by_pb, q_half, minus = (GradedCharacter(ctx, 2, {e: v})
+                                for e, v in ((0, pb), (F(1, 2), ctx.one()), (0, -ctx.one())))
+        for s in (f.add(g), f.mul(g), f.mul(by_pb), f.mul(q_half), f.add(f.mul(minus))):
             assert all(v and not _stored_zeros(v) for v in s.terms.values())
 
 
@@ -215,7 +218,7 @@ def test_mismatched_contexts_raise():
 
 def test_negative_exponents_round_trip():
     # q^{-1/2}(1 - q) times q^{1/2} recovers 1 - q with correct bookkeeping
-    f = GradedCharacter(CTX1, 4, {0: CTX1.one(), 1: CTX1.one().scale(-1)}).shift(F(-1, 2))
+    f = GradedCharacter(CTX1, F(7, 2), {F(-1, 2): CTX1.one(), F(1, 2): CTX1.one().scale(-1)})
     assert f.lower_bound() == F(-1, 2)
     g = GradedCharacter(CTX1, 4, {F(1, 2): CTX1.one()})
     prod = f.mul(g)
@@ -231,25 +234,26 @@ def deep_and_truncated(draw):
     exponents are halves in [-3, 5], so lower bounds may be negative."""
     exps = st.integers(-6, 10).map(lambda k: F(k, 2))
     deep = GradedCharacter(CTX1, 5, draw(st.dictionaries(exps, group_ring_elts(1), max_size=5)))
-    return deep, deep.truncate(draw(exps))
+    return deep, GradedCharacter(CTX1, draw(exps), deep.terms)
 
 
 @settings(max_examples=100, deadline=None)
 @given(deep_and_truncated(), deep_and_truncated(),
        st.integers(-6, 6).map(lambda k: F(k, 2)), group_ring_elts(1))
 def test_series_operations_claim_no_order_beyond_their_data(fs, gs, e0, c):
-    # what mul, shift and times claim to know of truncated inputs must agree
-    # with the same operation on the deeper inputs
+    # what mul claims to know of truncated inputs must agree with the product
+    # of the deeper inputs
     (big_f, f), (big_g, g) = fs, gs
     prod, deep = f.mul(g), big_f.mul(big_g)
     assert deep.order >= prod.order
-    assert deep.truncate(prod.order) == prod
-    assert big_f.shift(e0).truncate(f.order + e0) == f.shift(e0)
-    scaled = f.times(c)
-    assert scaled.order == f.order
-    assert big_f.times(c).truncate(f.order) == scaled
+    assert GradedCharacter(CTX1, prod.order, deep.terms) == prod
+    # a one-term series q^e0 c known through f.order + e0 - L_f scales and
+    # shifts f term by term, through f.order + e0 (``weyl_module_char``)
     if c:
-        assert scaled.lower_bound() == f.lower_bound()
+        low = min(f.lower_bound(), f.order)
+        scaled = f.mul(GradedCharacter(CTX1, f.order + e0 - low, {e0: c}))
+        assert scaled == GradedCharacter(
+            CTX1, f.order + e0, {e + e0: CTX1.mul(v, c) for e, v in f.terms.items()})
 
 
 # -- pochhammer ---------------------------------------------------------------
@@ -510,12 +514,13 @@ def test_coeff_takes_an_integral_exponent_as_int_or_fraction():
 
 def test_a_fractional_shift_gives_fraction_exponents():
     f = GradedCharacter(CTX1, 4, {0: CTX1.one(), 1: CTX1.one(), 3: CTX1.one()})
-    g = f.shift(F(1, 2))
+    g = f.mul(GradedCharacter(CTX1, F(9, 2), {F(1, 2): CTX1.one()}))
     assert type(g.order) is F and g.order == F(9, 2)
     assert all(type(e) is F for e in g.terms)
     assert sorted(g.terms) == [F(1, 2), F(3, 2), F(7, 2)]
     # and shifting back lands on ints again
-    assert g.shift(F(-1, 2)) == f and _stored_by_the_rule(g.shift(F(-1, 2)))
+    back = g.mul(GradedCharacter(CTX1, 4, {F(-1, 2): CTX1.one()}))
+    assert back == f and _stored_by_the_rule(back)
 
 
 def test_fraction_keyed_integral_exponents_serialize_like_int_keyed_ones():

@@ -5,6 +5,8 @@ spans it reads.
 Run in a subprocess: ``Tracer.install()`` rebinds names inside ``liechar``.
 """
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -131,6 +133,27 @@ print(json.dumps(out))
 """
 
 
+def test_every_traced_name_resolves():
+    # every (module, attribute) the tracer wraps must exist in liechar, read
+    # in-process and without install(), so that deleting a traced name fails
+    # here with that name
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = [t for ts in [*tracer.SPANS.values(), *tracer.LEAVES.values()] for t in ts]
+    targets += list(tracer.COUNTED.values())
+    missing = []
+    for module, attr in targets:
+        obj = importlib.import_module(f"liechar.{module}")
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"liechar.{module}.{attr}")
+    assert len(targets) > 20
+    assert missing == []
+
+
 def _run_traced(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -162,8 +185,8 @@ def test_tracer_counts_the_verifiers_lambda_summands():
 def test_specialized_verifiers_build_no_freudenthal_character():
     # trivial takes ch L_lam from the Weyl dimension and ray at rho_check from
     # the principal specialization; group_ring runs Freudenthal's recursion
-    # once per lambda, on dominant weights only and cached for both kappa
-    # samples, with no finite_char orbit spread
+    # once per lambda, on dominant weights only, with no finite_char orbit
+    # spread (the second kappa sample shares the first one's side)
     got = _run_traced(FINITE_CHAR_SCRIPT)
     n = got["n_lams"]
     assert got["group_ring"] == {"finite_char": 0, "summands": 2 * n, "inv_d_calls": 1}
