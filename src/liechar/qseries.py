@@ -319,16 +319,15 @@ class InvariantContext(_Context):
 
     Each RootSystem holds one instance, ``make_context(rs, "group_ring")``,
     whose caches every series built on rs shares: the orbit sums m_mu over
-    monomials, |W_x| per zero pattern, dominant conjugates, the products
-    m_mu m_nu per pair (mu, nu), the Euler series and the coset sides.
+    monomials, the products m_mu m_nu per pair (mu, nu), the Euler series
+    and the coset sides.  The dominant conjugates and |W_x| come from rs's
+    own table (``RootSystem._conjugate``), which Freudenthal shares.
     """
 
     def __init__(self, rs: RootSystem):
         self._zero: Weight = (0,) * rs.rank
         self._monomials = GroupRingContext(rs)
         self._orbits: Dict[Weight, GroupRingElt] = {}
-        self._stabilizers: Dict[Tuple[bool, ...], int] = {}
-        self._conjugates: Dict[Weight, Tuple[Weight, int]] = {}
         self._pairs: Dict[Tuple[Weight, Weight], Tuple[tuple, tuple]] = {}
         super().__init__(rs)
 
@@ -340,33 +339,21 @@ class InvariantContext(_Context):
             orbit.terms = dict.fromkeys(self.rs.weyl_orbit(mu), 1)
         return orbit
 
-    def _stabilizer(self, mu: Weight) -> int:
-        """|W_mu| for a dominant mu; it depends only on mu's zero pattern."""
-        key = tuple(map(operator.not_, mu))  # the zero pattern
-        k = self._stabilizers.get(key)
-        if k is None:
-            k = self._stabilizers[key] = self.rs.stabilizer_order(mu)
-        return k
-
-    def _conjugate(self, x: Weight) -> Tuple[Weight, int]:
-        """(dom x, |W_x|) for any weight x, memoized; |W_x| = |W_{dom x}|."""
-        d = self.rs._reflect_to_dominant(x)
-        self._conjugates[x] = hit = (d, self._stabilizer(d))
-        return hit
-
     def _pair(self, key: Tuple[Weight, Weight]) -> Tuple[tuple, tuple]:
         """m_mu m_nu = sum_d m m_d, as aligned tuples of the d and of the m:
         (1/|W_nu|) sum_{beta in W mu} |W_{beta+nu}| m_{dom(beta+nu)}, by
         sum_{w in W} e^{w x} = |W_x| m_{dom x}, with W mu the smaller orbit.
         The division by |W_nu| is exact; a nonzero remainder raises."""
-        mu, nu = sorted(key, key=self._stabilizer, reverse=True)  # smaller orbit first
+        table, conjugate = self.rs._conjugates, self.rs._conjugate
+        # smaller orbit first; a dominant w is its own conjugate
+        mu, nu = sorted(key, key=lambda w: conjugate(w)[1], reverse=True)
         orbit = self._orbit(mu)
         acc: Dict[Weight, int] = {}
-        get, conjugates = acc.get, self._conjugates
+        get = acc.get
         for x in self._monomials.mul(orbit, GroupRingElt.monomial(nu)).terms:
-            d, s = conjugates.get(x) or self._conjugate(x)
+            d, s = table.get(x) or conjugate(x)
             acc[d] = get(d, 0) + s
-        k = self._stabilizer(nu)
+        k = conjugate(nu)[1]
         if any(s % k for s in acc.values()):
             raise AssertionError(f"orbit-sum product {acc} is not divisible by |W_nu| = {k}")
         return tuple(acc), tuple(s // k for s in acc.values())
@@ -417,9 +404,9 @@ class InvariantContext(_Context):
         dom = {w: c for w, c in gre.terms.items() if min(w) >= 0}
         res = GroupRingElt()
         res.terms = dom
-        to_dominant, order = self.rs._reflect_to_dominant, self.rs.weyl_order
-        if sum(order // self._stabilizer(mu) for mu in dom) != len(gre.terms) or any(
-                dom.get(to_dominant(w)) != c for w, c in gre.terms.items()):
+        conjugate, order = self.rs._conjugate, self.rs.weyl_order
+        if sum(order // conjugate(mu)[1] for mu in dom) != len(gre.terms) or any(
+                dom.get(conjugate(w)[0]) != c for w, c in gre.terms.items()):
             raise UsageError("a W-invariant coefficient ring got a non-invariant element")
         return res
 

@@ -18,7 +18,8 @@ Its pivots are the leading principal minors of A, so a Cartan matrix not
 of finite type (not symmetrizable, or with a pivot <= 0) is refused with
 a UsageError before any root is built; its root strings would never close.
 Dominant conjugation (``_reflect_to_dominant``) reflects a list in place
-along each node's Dynkin neighbours.
+along each node's Dynkin neighbours; its results, with |W_x|, go to one
+table (``_conjugate``) that Freudenthal and the invariant ring both read.
 
 Weyl-group operations never materialize W.  One private walk
 enumerates the orbit of a dominant weight as a tree under simple
@@ -30,7 +31,8 @@ multiplied out in ints by the helper that ``principal_specialization`` uses.
 Nor does the theta series of Q (``theta_counts``): it is a transfer over
 the Dynkin tree, node by node from the leaves, in ints.  The three kernels
 of ch L_lam sit side by side: ``weyl_dimension``,
-``principal_specialization`` and Freudenthal's ``dominant_multiplicities``.
+``principal_specialization`` and Freudenthal's ``dominant_multiplicities``,
+which walks one root string per W_mu-orbit of roots, in ints.
 """
 
 from __future__ import annotations
@@ -205,10 +207,11 @@ class RootSystem:
     number, lacity, Weyl group order) are computed, not table lookups.
     ``quadratic_form`` holds the (omega_i, omega_j) as Fractions, derived
     from the integer form that ``inner`` sums.  The root data is
-    immutable after construction and safe to share; the two mutable parts
-    are caches that only grow: the coefficient contexts (``_contexts``) and
-    the dominant weights of Q+ up to the deepest norm bound asked so far
-    (``_q_plus``).
+    immutable after construction and safe to share; the mutable parts are
+    caches that only grow: the coefficient contexts (``_contexts``), the
+    dominant weights of Q+ up to the deepest norm bound asked so far
+    (``_q_plus``), the dominant conjugates (``_conjugates``), and |W_J| and
+    Freudenthal's strings per zero pattern J.
     """
 
     def __init__(self, cartan: Sequence[Sequence[int]], type_label: str):
@@ -269,6 +272,9 @@ class RootSystem:
         # scaled norm _q_plus_limit; grown by dominant_weights_in_root_lattice
         self._q_plus: List[Tuple[int, Weight]] = []
         self._q_plus_limit = -1
+        self._conjugates: Dict[Weight, Tuple[Weight, int]] = {}
+        self._parabolic_orders: Dict[Tuple[bool, ...], int] = {}
+        self._strings: Dict[Tuple[bool, ...], list] = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -446,18 +452,29 @@ class RootSystem:
         """
         return sorted(self._orbit_walk(self._regular(lam, "weyl_orbit_signed")))
 
-    def stabilizer_order(self, lam: Weight) -> int:
-        """|W_lam| for a dominant lam, without walking its orbit.
+    def _conjugate(self, x: Weight) -> Tuple[Weight, int]:
+        """(dom x, |W_x|) for any weight x, from the table ``_conjugates``,
+        which a miss fills; hot loops read the table first themselves."""
+        hit = self._conjugates.get(x)
+        if hit is None:
+            d = self._reflect_to_dominant(x)
+            hit = self._conjugates[x] = (d, self._parabolic_order(tuple(map(operator.not_, d))))
+        return hit
 
-        W_lam is the parabolic subgroup generated by the simple reflections
-        of lam's zero coordinates, so its order is the Weyl order of the
-        positive roots supported on those coordinates, read off their height
-        histogram like ``weyl_order``.
-        """
-        zero = [c == 0 for c in self._dominant(lam, "stabilizer_order")]
-        heights = Counter(sum(rc) for rc in self._root_coords.values()
-                          if all(zero[i] for i, c in enumerate(rc) if c))
-        return _weyl_order_from_heights([heights[h] for h in range(1, len(heights) + 1)])
+    def stabilizer_order(self, lam: Weight) -> int:
+        """|W_lam| for a dominant lam, without walking its orbit."""
+        return self._parabolic_order(tuple(c == 0 for c in self._dominant(lam, "stabilizer_order")))
+
+    def _parabolic_order(self, zero: Tuple[bool, ...]) -> int:
+        """|W_J|, J the nodes marked in zero, cached: the Weyl order of the
+        positive roots supported on J, read off their height histogram."""
+        k = self._parabolic_orders.get(zero)
+        if k is None:
+            heights = Counter(sum(rc) for rc in self._root_coords.values()
+                              if all(zero[i] for i, c in enumerate(rc) if c))
+            k = self._parabolic_orders[zero] = _weyl_order_from_heights(
+                [heights[h] for h in range(1, len(heights) + 1)])
+        return k
 
     def star(self, lam: Weight) -> Weight:
         """Highest weight of the dual representation: -w_0(lam)."""
@@ -643,52 +660,76 @@ class RootSystem:
         through dominant weights only reaches them all.
         """
         found: Dict[Weight, int] = {lam: 0}
-        todo = [lam]
+        todo, sub = [lam], operator.sub
         while todo:
             mu = todo.pop()
-            for alpha in self.positive_roots:
-                nu = tuple(m - a for m, a in zip(mu, alpha))
+            for alpha, rc in self._root_coords.items():
+                nu = tuple(map(sub, mu, alpha))
                 if min(nu) >= 0 and nu not in found:
-                    found[nu] = found[mu] + self.height(alpha)
+                    found[nu] = found[mu] + sum(rc)
                     todo.append(nu)
         return sorted((h, mu) for mu, h in found.items())
 
+    def _freudenthal_strings(self, zero: Tuple[bool, ...]) -> list:
+        """Freudenthal's strings at a dominant mu with zero pattern J, cached:
+        (alpha, lac (omega_i, alpha) per i, lac (alpha, alpha), count) for the
+        one J-dominant root alpha of each W_J-orbit that holds positive roots.
+
+        W_J = W_mu fixes mu, so a string's terms are the same along an orbit
+        (Moody and Patera, Bull. AMS 7, 1982).  Its |W_J| / |W_J'| roots, J'
+        the nodes of J where alpha_j = 0, are all positive off Phi_J (s_j, j
+        in J, permutes the other positive roots); inside Phi_J they are
+        closed under negation, so count is half of them.
+        """
+        strings = self._strings.get(zero)
+        if strings is None:
+            order, strings = self._parabolic_order(zero), []
+            for alpha, rc in self._root_coords.items():
+                if all(c >= 0 for c, z in zip(alpha, zero) if z):
+                    pair = tuple(map(operator.mul, self._steps, rc))
+                    size = order // self._parabolic_order(tuple(z and not c for z, c in zip(zero, alpha)))
+                    inside = all(zero[i] for i, c in enumerate(rc) if c)
+                    strings.append((alpha, pair, sum(map(operator.mul, alpha, pair)),
+                                    size // 2 if inside else size))
+            self._strings[zero] = strings
+        return strings
+
     def dominant_multiplicities(self, lam: Weight) -> Dict[Weight, int]:
         """Dominant weight -> multiplicity in L_lam, by Freudenthal's recursion
-        run on the dominant weights only, in integer coordinates.
+        run on the dominant weights only, in ints.
 
-        mu + k alpha (k > 0) has a dominant conjugate of smaller height, so it is
-        a weight of L_lam iff that conjugate already has a multiplicity; strings
-        are unbroken, so the first miss ends the string.
+        mu + k alpha (k > 0) has a dominant conjugate of smaller height, read
+        from ``_conjugates``, so it is a weight of L_lam iff that conjugate
+        already has a multiplicity; strings are unbroken, so the first miss
+        ends the string.  The positive roots enter by W_mu-orbits
+        (``_freudenthal_strings``).  A string sums lac (mu + k alpha, alpha),
+        and the norms are x^T F x, F = ``_form_scaled``, so the recursion's
+        one division is an exact int divmod.
         """
         lam = self._dominant(lam, "dominant_multiplicities")
-        lac = self.lacity
-        # (alpha, lac (omega_i, alpha) = lac d_i c_i, lac (alpha, alpha)), all
-        # integers: _steps[i] = lac d_i
-        strings = []
-        for alpha in self.positive_roots:
-            pair = tuple(map(operator.mul, self._steps, self._root_coords[alpha]))
-            strings.append((alpha, pair, sum(a * p for a, p in zip(alpha, pair))))
-        lam_rho = tuple(c + 1 for c in lam)
-        c_top = self.inner(lam_rho, lam_rho)
+        form, table, conjugate, add = self._form_scaled, self._conjugates, self._conjugate, operator.add
+
+        def norm(x):  # (x + rho)^T F (x + rho)
+            x = [c + 1 for c in x]
+            return sum(c * sum(map(operator.mul, row, x)) for c, row in zip(x, form))
+
+        top = norm(lam)
         mult: Dict[Weight, int] = {lam: 1}
-        to_dominant = self._reflect_to_dominant
         for _, mu in self._dominant_weights_below(lam)[1:]:
             total = 0
-            for alpha, pair, len2 in strings:
-                nu, ip = mu, sum(m * p for m, p in zip(mu, pair))
+            for alpha, pair, len2, count in self._freudenthal_strings(tuple(map(operator.not_, mu))):
+                nu, ip = mu, sum(map(operator.mul, mu, pair))
                 while True:
-                    nu = tuple(x + a for x, a in zip(nu, alpha))
+                    nu = tuple(map(add, nu, alpha))
                     ip += len2
-                    m = mult.get(to_dominant(nu))
+                    m = mult.get((table.get(nu) or conjugate(nu))[0])
                     if m is None:
                         break
-                    total += m * ip
-            mu_rho = tuple(c + 1 for c in mu)
-            m = Fraction(2 * total, lac) / (c_top - self.inner(mu_rho, mu_rho))
-            if m.denominator != 1 or m <= 0:
+                    total += count * m * ip
+            m, rem = divmod(2 * self._form_den * total, self.lacity * (top - norm(mu)))
+            if rem or m <= 0:
                 raise AssertionError("Freudenthal produced a non-positive-integer multiplicity")
-            mult[mu] = int(m)
+            mult[mu] = m
         return mult
 
     def __repr__(self) -> str:

@@ -89,6 +89,41 @@ def dominant_representative(rs, lam):
         lam = tuple(x - c * a for x, a in zip(lam, rs.simple_roots[i]))
 
 
+def dominant_multiplicities_by_strings(rs, lam):
+    """Dominant weight -> multiplicity in L_lam, by Freudenthal's recursion
+    with one string per positive root, each string step reflected to its
+    dominant conjugate by ``dominant_representative``, and the division done
+    in Fractions on ``inner`` norms: the routine that
+    ``RootSystem.dominant_multiplicities`` replaced."""
+    lam = weight(lam)
+    lac = rs.lacity
+    # (alpha, lac (omega_i, alpha) = lac d_i c_i, lac (alpha, alpha)), all
+    # integers: _steps[i] = lac d_i
+    strings = []
+    for alpha in rs.positive_roots:
+        pair = tuple(s * c for s, c in zip(rs._steps, rs.root_coords(alpha)))
+        strings.append((alpha, pair, sum(a * p for a, p in zip(alpha, pair))))
+    lam_rho = tuple(c + 1 for c in lam)
+    c_top = rs.inner(lam_rho, lam_rho)
+    mult = {lam: 1}
+    for _, mu in rs._dominant_weights_below(lam)[1:]:
+        total = 0
+        for alpha, pair, len2 in strings:
+            nu, ip = mu, sum(m * p for m, p in zip(mu, pair))
+            while True:
+                nu = tuple(x + a for x, a in zip(nu, alpha))
+                ip += len2
+                m = mult.get(dominant_representative(rs, nu))
+                if m is None:
+                    break
+                total += m * ip
+        mu_rho = tuple(c + 1 for c in mu)
+        m = Fraction(2 * total, lac) / (c_top - rs.inner(mu_rho, mu_rho))
+        assert m.denominator == 1 and m > 0, (lam, mu, m)
+        mult[mu] = int(m)
+    return mult
+
+
 def reflection_orbit(rs, lam):
     """The W-orbit of lam as sorted (nu, parity) pairs: the breadth-first
     closure of lam under the simple reflections s_i nu = nu - nu_i alpha_i,

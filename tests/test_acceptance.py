@@ -8,8 +8,6 @@ to tune anywhere in this file.
 import random
 from fractions import Fraction as F
 
-import pytest
-
 from liechar import (
     GroupRingContext,
     GroupRingElt,
@@ -21,7 +19,6 @@ from liechar import (
     classify_extension,
     conformal_weight,
     conformal_weight_closed,
-    coset_rhs_character,
     equivariant_hom_dim,
     ff_dual_level,
     finite_char,
@@ -38,7 +35,6 @@ from liechar import (
     verify_kw,
     weight,
 )
-from liechar.linalg import sqrt_rational
 from oracles import isqrt_rational_floor, orbit_alternating_sum, specialize
 
 

@@ -19,6 +19,7 @@ from liechar import (
 from liechar.rootsys import _DUAL_SERIES, cartan_matrix, parse_type_label
 from oracles import (
     cartan_isomorphic,
+    dominant_multiplicities_by_strings,
     dominant_representative,
     dominant_weights_box_scan,
     mat_inverse,
@@ -385,6 +386,47 @@ def test_neighbour_list_conjugation_matches_the_tuple_loop(label):
         got = rs._reflect_to_dominant(lam)
         assert got == dominant_representative(rs, lam)
         assert type(got) is tuple and all(type(c) is int for c in got)
+        # the shared table: filled on a miss, read back on a hit
+        assert rs._conjugate(lam) == (got, rs.stabilizer_order(got))
+        assert rs._conjugates[lam] == rs._conjugate(lam)
+
+
+def _small_dominant_weights(rs, rng, count=4, tries=30):
+    """Up to count distinct dominant weights with one to three coordinates
+    in {1, 2}, (lam, lam) <= 8 and at most 40 dominant weights below them."""
+    found = []
+    for _ in range(tries):
+        lam = [0] * rs.rank
+        for i in rng.sample(range(rs.rank), rng.randint(1, min(3, rs.rank))):
+            lam[i] = rng.randint(1, 2)
+        lam = tuple(lam)
+        if lam not in found and rs.norm2(lam) <= 8 and len(rs._dominant_weights_below(lam)) <= 40:
+            found.append(lam)
+            if len(found) == count:
+                break
+    return found
+
+
+@pytest.mark.parametrize("label", RANK_8_TYPES)
+def test_orbit_grouped_freudenthal_matches_one_string_per_root(label):
+    # on B, C, F4 and G2 the stabilizer's root system Phi_J can hold both
+    # root lengths, so its orbits there differ in size
+    rs = build_root_system(label)
+    lams = _small_dominant_weights(rs, random.Random(label))
+    assert len(lams) >= 2
+    for lam in lams + [rs.highest_root]:
+        assert rs.dominant_multiplicities(lam) == dominant_multiplicities_by_strings(rs, lam), lam
+
+
+def test_freudenthal_meets_the_weyl_dimension_on_the_d4_q40_summands():
+    # every lam that verify_kw D4 q^40 sums in group_ring
+    rs = build_root_system("D4")
+    lams = rs.dominant_weights_in_root_lattice(40)
+    assert len(lams) == 177
+    for lam in lams:
+        mult = rs.dominant_multiplicities(lam)
+        orbits = sum(m * (rs.weyl_order // rs.stabilizer_order(mu)) for mu, m in mult.items())
+        assert orbits == rs.weyl_dimension(lam), lam
 
 
 NOT_FINITE = {

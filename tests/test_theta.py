@@ -1,6 +1,9 @@
 """Theta_Q in ``trivial`` and ``ray`` by the transfer over the Dynkin tree
 (``RootSystem.theta_counts``), against the W-orbit walk it replaces
-(``oracles.theta_by_orbits``) and against closed forms.
+(``oracles.theta_by_orbits``) and against closed forms (E4 on E8, the
+Borweins' a(q) on A2), and the alternating-sum side of the lattice identity
+against the same closed forms and, in ``group_ring``, against Theta_Q on
+E6-E8.
 """
 
 from fractions import Fraction as F
@@ -15,6 +18,7 @@ from liechar import (
     verify_gko,
     verify_kw,
 )
+from liechar.levels import kw_lhs_character
 from oracles import theta_by_orbits
 
 RANK_LE_6 = (
@@ -87,3 +91,45 @@ def test_e8_ray_verifiers_reach_their_orders():
     assert kw.status == "pass" and kw.order == 14
     gko = verify_gko("E8", 8, "ray")
     assert gko.status == "pass" and gko.order == 8
+
+
+def _e4(top):
+    """E4 = 1 + 240 sum_n sigma_3(n) q^n through q^top, as {n: coefficient}."""
+    return {0: 1, **{n: 240 * sum(d ** 3 for d in range(1, n + 1) if n % d == 0)
+                     for n in range(1, top + 1)}}
+
+
+def test_e8_theta_is_the_eisenstein_series_e4():
+    # E8 is even unimodular, so its theta series is the weight-4 modular form
+    # E4 (Conway and Sloane, SPLAG, ch. 4)
+    theta = lattice_theta(make_context(build_root_system("E8"), "trivial"), 80)
+    assert theta.order == 80 and theta.terms == _e4(80)
+
+
+def test_a2_theta_is_the_borwein_cubic_theta():
+    # a(q) = sum_{m, n} q^(m^2 + mn + n^2) = 1 + 6 sum_n (d_1,3(n) - d_2,3(n)) q^n,
+    # d_r,3(n) the number of divisors of n that are r mod 3 (Borwein and
+    # Borwein, Trans. AMS 323, 1991)
+    a = {0: 1}
+    for n in range(1, 61):
+        c = 6 * sum((d % 3 == 1) - (d % 3 == 2) for d in range(1, n + 1) if n % d == 0)
+        if c:
+            a[n] = c
+    theta = lattice_theta(make_context(build_root_system("A2"), "trivial"), 60)
+    assert theta.order == 60 and theta.terms == a
+
+
+def test_e8_alternating_sum_side_is_e4():
+    # the lambda-sum, the Weyl dimensions and the alternating numerators
+    # against a modular form, with no code from theta_counts
+    lhs = kw_lhs_character(build_root_system("E8"), 80, "trivial")
+    assert lhs.order == 80 and lhs.terms == _e4(80)
+
+
+@pytest.mark.parametrize("label", ["E6", "E7", "E8"])
+def test_group_ring_alternating_sum_side_is_theta_at_high_rank(label):
+    # the coefficients as dominant-weight maps: the JSON would expand every
+    # E8 orbit sum to its monomials
+    rs = build_root_system(label)
+    lhs = kw_lhs_character(rs, 20, "group_ring")
+    assert lhs.order == 20 and lhs.terms == lattice_theta(make_context(rs, "group_ring"), 20).terms
