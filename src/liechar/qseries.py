@@ -120,13 +120,22 @@ class GroupRingElt:
         return self + (-other)
 
     def __mul__(self, other: "GroupRingElt") -> "GroupRingElt":
+        """The sum over all pairs of terms; by a one-term c e^v it only shifts
+        the other's keys by v and scales by c, in the same key order, no zero."""
+        a, b = self.terms, other.terms
+        if len(a) == 1:
+            a, b = b, a
+        res = GroupRingElt()
+        if len(b) == 1:
+            ((v, c),) = b.items()
+            res.terms = {tuple(map(operator.add, w, v)): x * c for w, x in a.items()}
+            return res
         out: Dict[Weight, object] = {}
         get = out.get
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
+        for w1, c1 in a.items():
+            for w2, c2 in b.items():
                 w = tuple(map(operator.add, w1, w2))
                 out[w] = get(w, 0) + c1 * c2
-        res = GroupRingElt()
         res.terms = {w: c for w, c in out.items() if c != 0}
         return res
 
@@ -342,35 +351,41 @@ class InvariantContext(_Context):
     def _pair(self, key: Tuple[Weight, Weight]) -> Tuple[tuple, tuple]:
         """m_mu m_nu = sum_d m m_d, as aligned tuples of the d and of the m:
         (1/|W_nu|) sum_{beta in W mu} |W_{beta+nu}| m_{dom(beta+nu)}, by
-        sum_{w in W} e^{w x} = |W_x| m_{dom x}, with W mu the smaller orbit.
-        The division by |W_nu| is exact; a nonzero remainder raises."""
+        sum_{w in W} e^{w x} = |W_x| m_{dom x}, W mu the smaller orbit (key
+        order on a tie).  The pass that divides by |W_nu| raises on a remainder."""
         table, conjugate = self.rs._conjugates, self.rs._conjugate
-        # smaller orbit first; a dominant w is its own conjugate
-        mu, nu = sorted(key, key=lambda w: conjugate(w)[1], reverse=True)
-        orbit = self._orbit(mu)
+        mu, nu = key
+        (_, s), (_, k) = conjugate(mu), conjugate(nu)
+        if s < k:
+            mu, nu, k = nu, mu, s
+        shift = GroupRingElt()
+        shift.terms = {nu: 1}
         acc: Dict[Weight, int] = {}
         get = acc.get
-        for x in self._monomials.mul(orbit, GroupRingElt.monomial(nu)).terms:
+        for x in self._monomials.mul(self._orbit(mu), shift).terms:
             d, s = table.get(x) or conjugate(x)
             acc[d] = get(d, 0) + s
-        k = conjugate(nu)[1]
-        if any(s % k for s in acc.values()):
-            raise AssertionError(f"orbit-sum product {acc} is not divisible by |W_nu| = {k}")
-        return tuple(acc), tuple(s // k for s in acc.values())
+        row = []
+        for s in acc.values():
+            m, r = divmod(s, k)
+            if r:
+                raise AssertionError(f"orbit-sum product {acc} is not divisible by |W_nu| = {k}")
+            row.append(m)
+        return tuple(acc), tuple(row)
 
     def mul(self, a, b):
         """The orbit product: ``dot`` of one pair."""
         return self.dot(((a, b),))
 
     def dot(self, pairs):
-        """sum_{(a, b) in pairs} sum_{mu, nu} a_mu b_nu m_mu m_nu: the scalar
-        weights a_mu b_nu are summed per unordered pair (mu, nu) over all the
-        pairs first, and then each table row m_mu m_nu is walked once.  A
-        unit multiple c m_0 only scales its partner and builds no row."""
+        """sum_{(a, b) in pairs} sum_{mu, nu} a_mu b_nu m_mu m_nu: the weights
+        a_mu b_nu of all the pairs are summed first, in one dict of nu per mu;
+        then each unordered pair adds its two weights and, unless they cancel,
+        walks its row once.  A unit multiple c m_0 only scales its partner."""
         zero = self._zero
-        weights: Dict[Tuple[Weight, Weight], object] = {}
+        weights: Dict[Weight, Dict[Weight, object]] = {}
         out: Dict[Weight, object] = {}
-        wget, get = weights.get, out.get
+        get = out.get
         for a, b in pairs:
             at, bt = a.terms, b.terms
             if len(at) == 1 and zero in at:
@@ -381,14 +396,21 @@ class InvariantContext(_Context):
                     out[mu] = get(mu, 0) + c * v
                 continue
             for mu, c1 in at.items():
+                row = weights.setdefault(mu, {})
+                rget = row.get
                 for nu, c2 in bt.items():
-                    key = (mu, nu) if mu <= nu else (nu, mu)
-                    weights[key] = wget(key, 0) + c1 * c2
+                    row[nu] = rget(nu, 0) + c1 * c2
         table, pair = self._pairs, self._pair
-        for key, c in weights.items():
-            if c:
-                for d, m in zip(*(table.get(key) or table.setdefault(key, pair(key)))):
-                    out[d] = get(d, 0) + c * m
+        for mu, row in weights.items():
+            for nu, c in row.items():
+                if nu != mu and mu in weights.get(nu, ()):
+                    if nu < mu:
+                        continue  # added in at (nu, mu)
+                    c += weights[nu][mu]
+                if c:
+                    key = (mu, nu) if mu <= nu else (nu, mu)
+                    for d, m in zip(*(table.get(key) or table.setdefault(key, pair(key)))):
+                        out[d] = get(d, 0) + c * m
         res = GroupRingElt()
         res.terms = {d: c for d, c in out.items() if c != 0}
         return res

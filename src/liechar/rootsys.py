@@ -205,8 +205,9 @@ class RootSystem:
     pivots also refuse (UsageError) a matrix that is not of finite type.
     All derived quantities (positive roots, Weyl vectors, dual Coxeter
     number, lacity, Weyl group order) are computed, not table lookups.
-    ``quadratic_form`` holds the (omega_i, omega_j) as Fractions, derived
-    from the integer form that ``inner`` sums.  The root data is
+    The bilinear form is kept only as integers over one denominator, which
+    ``inner`` sums; (omega_i, omega_j) and (alpha_i, alpha_i)/2 are
+    ``inner`` of the unit and the simple-root tuples.  The root data is
     immutable after construction and safe to share; the mutable parts are
     caches that only grow: the coefficient contexts (``_contexts``), the
     dominant weights of Q+ up to the deepest norm bound asked so far
@@ -231,7 +232,6 @@ class RootSystem:
             raise UsageError(f"Cartan matrix is not that of type {type_label}")
         top, low = max(e), min(e)
         # d_i = e_i / max e, so that the long roots have (alpha, alpha) = 2
-        self.symmetrizer: Tuple[Fraction, ...] = tuple(Fraction(x, top) for x in e)
         self.lacity: int = top // low
         # lac d_i = lac (alpha_i, rho), ints: lac (mu, alpha_i) = mu_i lac d_i
         # in alternating_sum, and the scale of the simple roots' lengths in _coroot
@@ -243,9 +243,6 @@ class RootSystem:
         self._form_den, self._form_scaled = _reduced(
             self.lacity * det, [[x * s for x, s in zip(row, self._steps)] for row in adj])
         self._lattice_den, self._inv_cartan_t_scaled = _reduced(det, list(zip(*adj)))
-        den = self._form_den
-        self.quadratic_form: Tuple[Tuple[Fraction, ...], ...] = tuple(
-            tuple([Fraction(x, den) for x in row]) for row in self._form_scaled)
         # simple root alpha_i has fundamental-weight coords = i-th row of A,
         # and s_i moves only coordinate i and its Dynkin neighbours j, by a_ij
         self.simple_roots: Tuple[Weight, ...] = a

@@ -168,6 +168,12 @@ def theta_by_orbits(ctx, order):
     return GradedCharacter(ctx, walked.order, {e: ctx.project(c) for e, c in walked.terms.items()})
 
 
+def fundamental_norms(rs):
+    """(omega_i, omega_i) for each fundamental weight, as Fractions from ``inner``."""
+    units = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
+    return [rs.inner(u, u) for u in units]
+
+
 def isqrt_rational_floor(r: Fraction) -> int:
     """floor(sqrt(r)) for a nonnegative rational r."""
     r = frac(r)
@@ -185,7 +191,7 @@ def dominant_weights_box_scan(rs, norm_bound):
     if bound < 0:
         raise UsageError("norm bound must be nonnegative")
     n = rs.rank
-    caps = [isqrt_rational_floor(2 * bound / rs.quadratic_form[i][i]) for i in range(n)]
+    caps = [isqrt_rational_floor(2 * bound / norm) for norm in fundamental_norms(rs)]
     found = []
     coords = [0] * n
 

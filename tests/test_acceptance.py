@@ -35,7 +35,7 @@ from liechar import (
     verify_kw,
     weight,
 )
-from oracles import isqrt_rational_floor, orbit_alternating_sum, specialize
+from oracles import fundamental_norms, isqrt_rational_floor, orbit_alternating_sum, specialize
 
 
 def report(num, name, ok):
@@ -55,7 +55,7 @@ def random_levels(rng, rs, count, n=1):
 
 
 def dominant_integral_ball(rs, norm_bound):
-    caps = [isqrt_rational_floor(F(norm_bound) / rs.quadratic_form[i][i]) for i in range(rs.rank)]
+    caps = [isqrt_rational_floor(F(norm_bound) / norm) for norm in fundamental_norms(rs)]
     out = []
 
     def rec(i, coords):

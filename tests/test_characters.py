@@ -35,7 +35,13 @@ from liechar import (
     weyl_module_char,
 )
 from liechar import characters
-from oracles import dominant_representative, mat_inverse, orbit_alternating_sum, specialize
+from oracles import (
+    dominant_representative,
+    fundamental_norms,
+    mat_inverse,
+    orbit_alternating_sum,
+    specialize,
+)
 
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
@@ -128,9 +134,9 @@ def _dominant_below_by_box_scan(rs, lam):
     to_roots = mat_inverse([[rs.cartan_matrix[j][i] for j in range(n)] for i in range(n)])
     bound = rs.norm2(lam)
     caps = []
-    for i in range(n):
+    for norm in fundamental_norms(rs):
         c = 0
-        while (c + 1) ** 2 * rs.quadratic_form[i][i] <= bound:
+        while (c + 1) ** 2 * norm <= bound:
             c += 1
         caps.append(c)
     out = []

@@ -3,16 +3,20 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from liechar import chevalley_structure, classify_extension
 
 CMD = [sys.executable, "-m", "liechar"]
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*args, env_extra=None):
+    # the child imports liechar from this checkout, installed or not
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(

@@ -438,9 +438,14 @@ ROOTSYS_TYPES = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 7)]
 
 
 def _rootsys_digest(label):
+    # the symmetrizer (alpha_i, alpha_i)/2 and the Fraction matrix of the
+    # (omega_i, omega_j) are built from inner, with the reprs the digests hold
     rs = build_root_system(label)
+    units = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
+    symmetrizer = tuple(rs.inner(alpha, alpha) / 2 for alpha in rs.simple_roots)
+    quadratic_form = tuple(tuple(rs.inner(u, v) for v in units) for u in units)
     data = (rs.positive_roots, rs._root_coords, rs._heights, rs._coroot_coords,
-            rs.symmetrizer, rs.rho_check, rs.quadratic_form,
+            symmetrizer, rs.rho_check, quadratic_form,
             rs._form_den, rs._form_scaled, rs._lattice_den, rs._inv_cartan_t_scaled,
             rs.dual_coxeter, rs.lacity, rs.weyl_order)
     return hashlib.sha256(repr(data).encode()).hexdigest()

@@ -130,6 +130,29 @@ def test_pair_table_rows_match_the_group_ring_divmod(label):
         assert ctx._pair(key) == orbit_pair_by_divmod(rs, key)
 
 
+PAIR_TYPES = [build_root_system(t) for t in ["A2", "A3", "A4", "B3", "C3", "D4", "G2"]]
+
+
+@st.composite
+def dominant_pairs(draw):
+    """Two dominant weights with coordinate sum <= 6; half the draws give nu
+    the zero pattern of mu, so |W_mu| = |W_nu| and the key's order decides."""
+    rs = draw(st.sampled_from(PAIR_TYPES))
+    weights = [w for w in itertools.product(range(7), repeat=rs.rank) if sum(w) <= 6]
+    mu = draw(st.sampled_from(weights))
+    if draw(st.booleans()):
+        weights = [w for w in weights if [c == 0 for c in w] == [c == 0 for c in mu]]
+    return rs, mu, draw(st.sampled_from(weights))
+
+
+@settings(max_examples=100, deadline=None)
+@given(dominant_pairs())
+def test_pair_rows_of_random_deeper_pairs_match_the_group_ring_divmod(case):
+    rs, mu, nu = case
+    for key in ((mu, nu), (nu, mu)):
+        assert InvariantContext(rs)._pair(key) == orbit_pair_by_divmod(rs, key)
+
+
 def test_orbit_products_are_tabled_once_per_pair_and_root_system(monkeypatch):
     monomial_products = []
     real = GroupRingContext.mul

@@ -90,6 +90,22 @@ def test_group_ring_against_dense_oracle():
         }
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_one_term_product_matches_the_two_loops(data):
+    # a one-term factor c e^v on either side: the product is the two loops'
+    # term by term, in their key order and with their coefficient types
+    rank = data.draw(st.integers(1, 3))
+    weights = st.tuples(*[st.integers(-3, 3)] * rank)
+    coeffs = (st.integers(-4, 4) | st.fractions(-3, 3, max_denominator=6)).filter(bool)
+    a = GroupRingElt(data.draw(st.dictionaries(weights, coeffs, max_size=6)))
+    one_term = GroupRingElt({data.draw(weights): data.draw(coeffs)})
+    for x, y in ((a, one_term), (one_term, a)):
+        got, want = list((x * y).terms.items()), list(dense_product(x, y).items())
+        assert got == want
+        assert [type(c) for _, c in got] == [type(c) for _, c in want]
+
+
 @settings(max_examples=80, deadline=None)
 @given(group_ring_elts(2), group_ring_elts(2), group_ring_elts(2))
 def test_group_ring_laws(a, b, c):

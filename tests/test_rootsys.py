@@ -107,9 +107,10 @@ def test_langlands_dual():
     g2 = build_root_system("G2")
     g2d = langlands_dual(g2)
     assert g2d.type_label == "G2"
-    # long/short roles swap: symmetrizers are permuted
-    assert sorted(g2d.symmetrizer) == sorted(g2.symmetrizer)
-    assert g2d.symmetrizer != g2.symmetrizer
+    # long/short roles swap: the half squared lengths (alpha_i, alpha_i)/2 are permuted
+    halves, dual_halves = ([rs.inner(a, a) / 2 for a in rs.simple_roots] for rs in (g2, g2d))
+    assert sorted(dual_halves) == sorted(halves)
+    assert dual_halves != halves
 
 
 @pytest.mark.parametrize("label", ["A2", "B3", "C4", "D4", "F4", "G2"])
@@ -339,6 +340,22 @@ def _form_arguments(draw):
     return rs, draw(ints), draw(st.one_of(ints, st.just(rs.rho_check), rationals))
 
 
+def _symmetrizer_from_cartan(a):
+    """d_i = (alpha_i, alpha_i)/2 as Fractions, from (alpha_i, alpha_j) =
+    a_ij d_j = a_ji d_i along the Dynkin diagram, scaled so max d = 1."""
+    n = len(a)
+    d = [F(1)] + [None] * (n - 1)
+    todo = [0]
+    while todo:
+        i = todo.pop()
+        for j in range(n):
+            if a[i][j] and d[j] is None:
+                d[j] = d[i] * a[j][i] / a[i][j]
+                todo.append(j)
+    top = max(d)
+    return [x / top for x in d]
+
+
 @settings(max_examples=200, deadline=None)
 @given(_form_arguments())
 def test_integer_form_matches_fraction_form(case):
@@ -348,8 +365,10 @@ def test_integer_form_matches_fraction_form(case):
     rs, lam, xi = case
     n = rs.rank
     ainv = mat_inverse(rs.cartan_matrix)
-    form = [[ainv[i][j] * rs.symmetrizer[j] for j in range(n)] for i in range(n)]
-    assert rs.quadratic_form == tuple(map(tuple, form))
+    d = _symmetrizer_from_cartan(rs.cartan_matrix)
+    form = [[ainv[i][j] * d[j] for j in range(n)] for i in range(n)]
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    assert [[rs.inner(u, v) for v in units] for u in units] == form
     expect = sum((li * form[i][j] * xj for i, li in enumerate(lam)
                   for j, xj in enumerate(xi)), F(0))
     for got in (rs.inner(lam, xi), rs.inner(xi, lam)):
