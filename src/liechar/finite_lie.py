@@ -39,7 +39,9 @@ class LieStructure:
     algebra; it defaults to the whole basis.  The x that leave a bilinear
     form invariant, or that commute with a linear map between two modules,
     form a Lie subalgebra, so imposing those equations on the generators
-    alone gives the same solution space as imposing them on every x.
+    alone gives the same solution space as imposing them on every x.  The
+    solvers impose them only on the diagonal generators and on those that
+    ``_needed_generators`` keeps; the others' equations follow.
     """
 
     def __init__(
@@ -300,15 +302,16 @@ def invariant_forms(ls: LieStructure) -> BilinearFormSpace:
     generator acting diagonally, x.y = lam_y y (the h_i of a Chevalley
     basis), gives the one-term equations (lam_y + lam_z) B(y,z) = 0: an
     invariant form pairs weight mu only with weight -mu.  Those unknowns
-    are pinned to 0 without building a row; the other generators'
-    equations are built only where they touch a free unknown, restricted
-    to the free unknowns, and the sparse null-space over the free
-    unknowns, padded with 0, is the whole system's.
+    are pinned to 0 without building a row.  Of the other generators only
+    those ``_needed_generators`` keeps (the e_i of a Chevalley basis, and
+    also the h_i.t of a Takiff double) get equations, built only where
+    they touch a free unknown and restricted to the free unknowns; the
+    sparse null-space over the free unknowns, padded with 0, is the whole
+    system's.
     """
     d = ls.dimension
-    ads = [[ls.bracket_basis(x, y) for y in range(d)] for x in ls.generators]
-    diagonals = [_diagonal(ad_x) for ad_x in ads]
-    weight = [tuple(w[y] for w in diagonals if w is not None) for y in range(d)]
+    diagonals = _ad_diagonals(ls)
+    weight = [tuple(w[y] for w in diagonals.values()) for y in range(d)]
     by_weight: Dict[tuple, List[int]] = {}
     for y, wt in enumerate(weight):
         by_weight.setdefault(wt, []).append(y)
@@ -318,9 +321,8 @@ def invariant_forms(ls: LieStructure) -> BilinearFormSpace:
     index = {p: n for n, p in enumerate(free)}
 
     ns = SparseNullspace(len(free))
-    for ad_x, diag in zip(ads, diagonals):
-        if diag is not None:
-            continue
+    for x in _needed_generators(ls, diagonals):
+        ad_x = [ls.bracket_basis(x, y) for y in range(d)]
         pre = _preimages(ad_x)
         rows = set()
         for a, b in free:
@@ -349,14 +351,64 @@ def invariant_forms(ls: LieStructure) -> BilinearFormSpace:
 
 
 def _diagonal(mat) -> Optional[List]:
-    """The diagonal entries of a sparse matrix (a list of columns), or None
-    when the matrix is not diagonal."""
+    """The diagonal entries of a sparse matrix (its columns, in order), or
+    None when the matrix is not diagonal."""
     diag = []
     for j, col in enumerate(mat):
         if len(col) > 1 or (col and j not in col):
             return None
         diag.append(col.get(j, 0))
     return diag
+
+
+def _ad_diagonals(ls: LieStructure) -> Dict[int, List]:
+    """Each generator acting diagonally on g, mapped to its eigenvalues."""
+    out = {}
+    for x in ls.generators:
+        diag = _diagonal(ls.bracket_basis(x, y) for y in range(ls.dimension))
+        if diag is not None:
+            out[x] = diag
+    return out
+
+
+def _needed_generators(ls: LieStructure, diagonals: Dict[int, List]) -> List[int]:
+    """The non-diagonal generators whose equations the others do not imply.
+
+    The x whose invariance (or intertwiner) equations hold form a Lie
+    subalgebra, which holds the diagonal generators: the solvers pin their
+    equations.  Walking ``ls.generators`` in order after the diagonal
+    ones, x is dropped when
+    (a) an earlier decided e has h = [e, x] in the span of the diagonal
+    generators, [h, e] = c e and [h, x] = -c x with c != 0: e, h, x span an
+    sl2, and in a finite-dimensional sl2-module a vector killed by e and h
+    has highest weight 0, so x kills it too (Humphreys, Introduction to Lie
+    Algebras, 7.2); or (b) x is a nonzero multiple of [y, z] for earlier
+    decided y, z.  A Chevalley basis keeps its e_i, a Takiff double its e_i
+    and h_i.t.  Each decided generator is bracketed once with each earlier
+    one, so the pass makes O(|generators|^2) bracket lookups.
+    """
+
+    def sl2(e, f):
+        h = ls.bracket_basis(e, f)
+        if any(k not in diagonals for k in h):
+            return False
+        c = sum(a * diagonals[k][e] for k, a in h.items())
+        return c != 0 and sum(a * diagonals[k][f] for k, a in h.items()) == -c
+
+    done: List[int] = []
+    spanned = set()  # basis elements that are multiples of [y, z], y, z done
+    kept = []
+    for x in itertools.chain(diagonals, ls.generators):
+        if x in done:
+            continue
+        if x not in diagonals and x not in spanned and not any(sl2(e, x) for e in done):
+            kept.append(x)
+        for y in done:
+            vec = ls.bracket_basis(x, y)
+            if len(vec) == 1:
+                spanned.update(vec)
+        done.append(x)
+    return kept
 
 
 def _preimages(mat) -> List[List[int]]:
@@ -372,24 +424,26 @@ def _preimages(mat) -> List[List[int]]:
 # intertwiner spaces
 
 
-def _rep_matrices(ls: LieStructure, which: str):
-    """Sparse matrices of the generators on the chosen module.
+def _rep_matrices(ls: LieStructure, which: str, gens: Sequence[int]):
+    """Sparse matrices of the basis elements ``gens`` on the chosen module.
 
     A matrix is a list of columns; column j maps each row index to its
-    nonzero coefficient in x.v_j.
+    nonzero coefficient in x.v_j.  ``equivariant_hom_dim`` asks only for
+    the diagonal generators and those ``_needed_generators`` keeps; the
+    test oracles pass ``ls.generators``.
     """
     d = ls.dimension
     if which == "adjoint":
-        return [[ls.bracket_basis(i, j) for j in range(d)] for i in ls.generators], d
+        return [[ls.bracket_basis(i, j) for j in range(d)] for i in gens], d
     if which == "trivial":
-        return [[{}] for _ in ls.generators], 1
+        return [[{}] for _ in gens], 1
     if which not in ("alt2_adjoint", "sym2_adjoint"):
         raise UsageError(f"unknown representation {which!r}")
     sym = which == "sym2_adjoint"
     basis_pairs = [(a, b) for a in range(d) for b in range(a if sym else a + 1, d)]
     index = {p: i for i, p in enumerate(basis_pairs)}
     mats = []
-    for i in ls.generators:
+    for i in gens:
         ad_i = [ls.bracket_basis(i, a) for a in range(d)]
         diag = _diagonal(ad_i)
         if diag is not None:
@@ -431,23 +485,22 @@ def equivariant_hom_dim(rep_from: str, rep_to: str, ls: LieStructure) -> int:
 
     The unknown T has entry T[r][c] at column r * dim V + c; the equations
     rho_W(x) T = T rho_V(x) are imposed for x among the generators.  A
-    generator diagonal on both modules (the h_i of a Chevalley basis)
-    gives the one-term equations (lam_W(r) - lam_V(c)) T[r][c] = 0, so
-    Hom_g(V, W) lies in the sum of the Hom(V_mu, W_mu) over the common
-    weights mu.  The other entries are pinned to 0 without building a row;
-    the other generators' equations are built, from the nonzero matrix
-    entries only, where they touch a free entry, restricted to the free
-    entries.
+    generator diagonal on g (the h_i of a Chevalley basis) is diagonal on
+    every module here and gives the one-term equations
+    (lam_W(r) - lam_V(c)) T[r][c] = 0, so Hom_g(V, W) lies in the sum of
+    the Hom(V_mu, W_mu) over the common weights mu.  The other entries are
+    pinned to 0 without building a row.  Of the other generators only
+    those ``_needed_generators`` keeps get equations, built from the
+    nonzero matrix entries only where they touch a free entry, restricted
+    to the free entries.
     """
-    mats_v, dim_v = _rep_matrices(ls, rep_from)
-    mats_w, dim_w = _rep_matrices(ls, rep_to)
-    diagonal, rest = [], []
-    for mv, mw in zip(mats_v, mats_w):
-        dv, dw = _diagonal(mv), _diagonal(mw)
-        if dv is not None and dw is not None:
-            diagonal.append((dv, dw))
-        else:
-            rest.append((mv, mw))
+    diagonals = _ad_diagonals(ls)
+    gens = list(diagonals) + _needed_generators(ls, diagonals)
+    mats_v, dim_v = _rep_matrices(ls, rep_from, gens)
+    mats_w, dim_w = _rep_matrices(ls, rep_to, gens)
+    n = len(diagonals)
+    diagonal = [(_diagonal(mv), _diagonal(mw)) for mv, mw in zip(mats_v[:n], mats_w[:n])]
+    rest = zip(mats_v[n:], mats_w[n:])
     by_weight: Dict[tuple, List[int]] = {}
     for c in range(dim_v):
         by_weight.setdefault(tuple(dv[c] for dv, _ in diagonal), []).append(c)

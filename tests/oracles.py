@@ -345,8 +345,8 @@ def invariant_forms_all_equations(ls):
 def hom_dim_all_equations(rep_from, rep_to, ls):
     """dim Hom_g(V, W) from one row rho_W(x) T - T rho_V(x) = 0 per generator
     and entry of T, with no entry pinned up front."""
-    mats_v, dim_v = _rep_matrices(ls, rep_from)
-    mats_w, dim_w = _rep_matrices(ls, rep_to)
+    mats_v, dim_v = _rep_matrices(ls, rep_from, ls.generators)
+    mats_w, dim_w = _rep_matrices(ls, rep_to, ls.generators)
     ns = SparseNullspace(dim_w * dim_v)
     for mv, mw in zip(mats_v, mats_w):
         w_rows = [{} for _ in range(dim_w)]

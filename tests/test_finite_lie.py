@@ -22,7 +22,13 @@ from liechar import (
     sym2_decompose,
     takiff,
 )
-from liechar.finite_lie import LieStructure, _check_witnesses, _rep_matrices
+from liechar.finite_lie import (
+    LieStructure,
+    _ad_diagonals,
+    _check_witnesses,
+    _needed_generators,
+    _rep_matrices,
+)
 from liechar.linalg import SparseNullspace, sqrt_rational
 from oracles import (
     check_jacobi,
@@ -208,21 +214,111 @@ def _raising_and_lowering(ls):
     return LieStructure(ls.labels, ls.brackets, name=ls.name, generators=gens)
 
 
-@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "C3", "G2"])
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3", "C4", "G2"])
 def test_invariant_forms_match_all_equations_oracle(label):
     ls = chevalley_structure(label)
     for alg in (ls, takiff(ls)):
         assert _json(invariant_forms(alg)) == _json(invariant_forms_all_equations(alg))
 
 
-@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2"])
+SQUARES = ("alt2_adjoint", "sym2_adjoint")
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3", "G2"])
 def test_hom_dim_matches_all_equations_oracle(label):
     ls = chevalley_structure(label)
     for rep_from in REPS:
         for rep_to in REPS:
+            if ls.dimension > 15 and rep_from in SQUARES and rep_to in SQUARES:
+                continue  # ~1 s per oracle on B3 and C3; alt2 -> adjoint stays
             assert equivariant_hom_dim(rep_from, rep_to, ls) == hom_dim_all_equations(
                 rep_from, rep_to, ls
             ), (rep_from, rep_to)
+
+
+# Nilpotent negative controls, every basis element a generator; only the
+# central elements act diagonally.  Heisenberg, [x, y] = z: h = [x, y] = z
+# has [h, x] = 0, so c = 0 and x, y span no sl2.  [a, b] = x + y with
+# [a, x] = u and [a, y] = w: the two-term bracket implies neither x nor y.
+NILPOTENT = {
+    "heisenberg": (["x", "y", "z"], {(0, 1): {2: 1}}, ("z",), 3),
+    "two_term": (["a", "b", "x", "y", "u", "w"],
+                 {(0, 1): {2: 1, 3: 1}, (0, 2): {4: 1}, (0, 3): {5: 1}}, ("u", "w"), 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NILPOTENT))
+def test_nilpotent_negative_controls_match_the_oracles(name):
+    labels, brackets, central, ad_to_ad = NILPOTENT[name]
+    ls = LieStructure(labels, brackets, name=name)
+    check_jacobi(ls)
+    for alg in (ls, takiff(ls)):
+        assert _kept_labels(alg) == [s for s in alg.labels if s[0] not in central]
+        assert _json(invariant_forms(alg)) == _json(invariant_forms_all_equations(alg))
+        for rep_from in ("adjoint", "trivial", "alt2_adjoint"):
+            for rep_to in ("adjoint", "trivial"):
+                assert equivariant_hom_dim(rep_from, rep_to, alg) == hom_dim_all_equations(
+                    rep_from, rep_to, alg
+                ), (alg.name, rep_from, rep_to)
+    assert equivariant_hom_dim("adjoint", "adjoint", ls) == ad_to_ad
+
+
+def _kept_labels(ls):
+    return [ls.labels[x] for x in _needed_generators(ls, _ad_diagonals(ls))]
+
+
+def _simple_labels(ls):
+    n = ls.root_system.rank
+    return [ls.labels[x] for x in range(n, 2 * n)]
+
+
+def test_kept_generators_and_row_counts(monkeypatch):
+    for label in RANK_LE_4:
+        ls = chevalley_structure(label)
+        simple = _simple_labels(ls)
+        assert _kept_labels(ls) == _kept_labels(_whole_basis(ls)) == simple
+        if label in RANK_LE_3:
+            t = takiff(ls)
+            want = simple + [f"h{i + 1}.t" for i in range(ls.root_system.rank)]
+            assert _kept_labels(t) == _kept_labels(_whole_basis(t)) == want
+        edges = _raising_and_lowering(ls)
+        for alg in (edges, takiff(edges)):
+            assert _kept_labels(alg) == [alg.labels[x] for x in alg.generators]
+
+    rows = [0]
+    add_row = SparseNullspace.add_row
+
+    def counted(ns, row):
+        rows[0] += 1
+        add_row(ns, row)
+
+    monkeypatch.setattr(SparseNullspace, "add_row", counted)
+    assert invariant_forms(takiff(chevalley_structure("C4"))).dimension == 2
+    assert rows[0] == 268
+    rows[0] = 0
+    assert equivariant_hom_dim("alt2_adjoint", "adjoint", chevalley_structure("B3")) == 1
+    assert rows[0] == 271
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_generator_order_does_not_change_the_results(label):
+    # with f_i before e_i the sl2 rule keeps f_i and drops e_i
+    rng = random.Random(3301)
+    ls = chevalley_structure(label)
+    for alg in (ls, takiff(ls)):
+        # square -> square on a Takiff double is the slow part; g keeps all 16
+        pairs = [(a, b) for a in REPS for b in REPS
+                 if alg is ls or a not in SQUARES or b not in SQUARES]
+        want = [_json(invariant_forms(alg))] + [equivariant_hom_dim(*p, alg) for p in pairs]
+        for _ in range(3):
+            gens = list(alg.generators)
+            rng.shuffle(gens)
+            shuffled = LieStructure(alg.labels, alg.brackets, name=alg.name, generators=gens)
+            got = [_json(invariant_forms(shuffled))]
+            got += [equivariant_hom_dim(*p, shuffled) for p in pairs]
+            assert got == want, gens
+            if alg is ls:
+                assert len(_kept_labels(shuffled)) == ls.root_system.rank
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
@@ -374,7 +470,7 @@ def test_square_matrices_are_a_representation(label, which):
     # rho([x, y]) = rho(x) rho(y) - rho(y) rho(x) on every pair of basis
     # elements, the h_i (built as their diagonal) among them
     ls = chevalley_structure(label)
-    mats, dim = _rep_matrices(_whole_basis(ls), which)
+    mats, dim = _rep_matrices(ls, which, range(ls.dimension))
 
     def act(m, vec):
         out = {}
