@@ -36,7 +36,6 @@ from .qseries import (
     series_zero,
 )
 from .characters import (
-    FiniteCharacter,
     LevelValue,
     alt2_decompose,
     casimir,
@@ -64,6 +63,7 @@ from .levels import (
     gluing_levels,
     kernel_partner_level,
     kw_lhs_character,
+    lead_line,
     verify_gko,
     verify_kw,
 )

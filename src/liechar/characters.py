@@ -60,20 +60,11 @@ def level(rs: RootSystem, value) -> LevelValue:
     return LevelValue(frac(value), rs)
 
 
-@dataclass(frozen=True)
-class FiniteCharacter:
-    highest_weight: Weight
-    multiplicities: GroupRingElt  # full weight-system character
-
-    def dimension(self) -> int:
-        return int(self.multiplicities.dimension())
-
-
-def finite_char(rs: RootSystem, lam: Weight) -> FiniteCharacter:
+def finite_char(rs: RootSystem, lam: Weight) -> GroupRingElt:
     """Irreducible character of highest weight lam: Freudenthal's dominant
     multiplicities (``RootSystem.dominant_multiplicities``) spread over their
     Weyl orbits."""
-    return FiniteCharacter(weight(lam), orbit_sums(rs, rs.dominant_multiplicities(lam)))
+    return orbit_sums(rs, rs.dominant_multiplicities(lam))
 
 
 def casimir(rs: RootSystem, lam: Weight) -> Fraction:
@@ -83,11 +74,9 @@ def casimir(rs: RootSystem, lam: Weight) -> Fraction:
 
 
 def conformal_top_weight(rs: RootSystem, lam: Weight, kappa: LevelValue) -> Fraction:
-    """Top conformal weight (lam, lam+2rho) / (2(kappa + h_vee)), built as one
-    Fraction from the numerators and denominators of the two."""
+    """Top conformal weight (lam, lam+2rho) / (2(kappa + h_vee))."""
     kappa.require_noncritical()
-    cas, s = casimir(rs, lam), kappa.shifted
-    return Fraction(cas.numerator * s.denominator, 2 * cas.denominator * s.numerator)
+    return casimir(rs, lam) / (2 * kappa.shifted)
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +233,13 @@ def _strip_highest_weights(rs: RootSystem, char: GroupRingElt) -> Dict[Weight, i
             raise UsageError("input is not a nonnegative integral character")
         c = int(c)
         out[best] = out.get(best, 0) + c
-        remaining = remaining - c * finite_char(rs, best).multiplicities
+        remaining = remaining - c * finite_char(rs, best)
     return out
 
 
 def _square_decompose(rs: RootSystem, lam: Weight, sign: int) -> Dict[Weight, int]:
     """Highest weights (with multiplicity) of (ch^2 + sign psi^2 ch)/2, ch = ch L_lam."""
-    ch = finite_char(rs, lam).multiplicities
+    ch = finite_char(rs, lam)
     half = Fraction(1, 2) * (ch * ch + sign * ch.frobenius(2))
     return _strip_highest_weights(rs, half)
 

@@ -227,7 +227,7 @@ class _Context:
         self.rs = rs
         self._euler: Dict[object, Tuple[list, list]] = {}
         # the divided coset sides built in this ring, keyed by (order, summand
-        # list) in levels.assemble_coset_character
+        # list) in levels.assemble_coset_character; at slope 0 every kappa shares one
         self._sides: Dict[tuple, "GradedCharacter"] = {}
         self._one = self.project(GroupRingElt.one(rs.rank))
         self._czero = self.project(GroupRingElt())
@@ -580,8 +580,8 @@ def make_context(rs: RootSystem, mode: str = "group_ring", xi: Optional[Weight] 
     holds exactly when S = T, and a wrong E could only misreport the
     mismatching coefficients, not hide a mismatch.  A shared coset side
     cannot hide a kappa-dependence either: kappa enters a side only through
-    the leads of its lambda-summands, and the summand list with its leads is
-    the cache key, so sides share only when it agrees.
+    the leads of its lambda-summands (``levels.lead_line``), and the summand
+    list with its leads is the cache key, so sides share only when it agrees.
     """
     if xi is not None and mode != "ray":
         raise UsageError(f"a coweight xi applies to mode 'ray' only, not {mode!r}")

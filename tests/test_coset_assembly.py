@@ -47,7 +47,7 @@ def _weyl_module_with_inv_d(ctx, lam, kappa, order, inv_d):
     if need < 0:
         return series_zero(ctx, order)
     assert inv_d.order >= need
-    top = ctx.project(finite_char(rs, lam).multiplicities)
+    top = ctx.project(finite_char(rs, lam))
     return GradedCharacter(ctx, order, {h: top}).mul(GradedCharacter(ctx, need, inv_d.terms))
 
 

@@ -12,7 +12,9 @@ specialized rings, on D5, B3 and E6 with weights in and outside the root
 lattice, is digested in CLI_GOLDEN, and that of ``liechar char --spec full``
 (every builder on A2 and D4) and ``liechar verify-kw --spec full`` in
 FULL_CLI_GOLDEN and FULL_KW_GOLDEN, and that of ``liechar singular`` at two
-scalings in SINGULAR_GOLDEN.  The Weyl-orbit sums behind them,
+scalings in SINGULAR_GOLDEN.  The exit code, stdout and stderr of
+``liechar verify-gko`` in every spec and at a refused --kappa are digested
+in GKO_CLI_GOLDEN, and those of ``liechar weights`` in WEIGHTS_CLI_GOLDEN.  The Weyl-orbit sums behind them,
 ``alternating_sum``, ``weyl_orbit`` and ``weyl_orbit_signed`` on a fixed
 sweep of weights, are digested by ``repr`` in ORBIT_GOLDEN, and the data
 every one of them starts from, the attributes of ``RootSystem`` on A1-A8,
@@ -21,7 +23,8 @@ A change that moves any byte of these series fails here.  To re-record
 after an intended change of output, run this file as a script and paste
 what it prints into GOLDEN, SIDE_GOLDEN, GROUP_RING_SIDE_GOLDEN,
 CLI_GOLDEN, FULL_CLI_GOLDEN, FULL_KW_GOLDEN, SINGULAR_GOLDEN,
-ORBIT_GOLDEN and ROOTSYS_GOLDEN.
+GKO_CLI_GOLDEN, WEIGHTS_CLI_GOLDEN, ORBIT_GOLDEN, ROOTSYS_GOLDEN and
+STRUCTURE_GOLDEN.
 """
 
 import contextlib
@@ -83,7 +86,7 @@ def _series(builder, label, mode):
         return weyl_module_char(ctx, rs.highest_root, kappa, F(7, 2))
     if builder == "walgebra_module_char":
         return walgebra_module_char(ctx, lam, kappa, 3)
-    return GradedCharacter(ctx, 0, {0: ctx.project(finite_char(rs, lam).multiplicities)})
+    return GradedCharacter(ctx, 0, {0: ctx.project(finite_char(rs, lam))})
 
 
 def _side(builder, label, mode):
@@ -372,6 +375,48 @@ SINGULAR_GOLDEN = {
     'rescaled': 'c2f45f31a8828e33b5cddbc831fb2dfc9e869ed17f4d8e62d1892208a7715a57',
 }
 
+# ``liechar verify-gko`` in every spec on A2 q^3 and D4 q^2, and refusing a
+# --kappa on A2's kernel-partner pole (kappa + h_vee = 1, exit 2), and
+# ``liechar weights`` with n = 1 and 2, recorded while each coset lead still
+# came from the two levels.  The exit code and stderr are digested with
+# stdout.
+GKO_CLI_ORDER = {"A2": "3", "D4": "2"}
+GKO_CLI_ARGV = {(t, s): ["verify-gko", "--type", t, "--order", o, "--spec", s]
+                for t, o in GKO_CLI_ORDER.items() for s in ("full", "trivial", "ray")}
+GKO_CLI_ARGV["A2", "pole"] = ["verify-gko", "--type", "A2", "--order", "3",
+                              "--kappa", "1/2", "--kappa", "-2"]
+WEIGHTS_CLI_ARGV = {(t, n): ["weights", "--type", t, "--n", str(n)]
+                    for t in ("A3", "D4", "B2", "G2") for n in (1, 2)}
+
+
+def _run_digest(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return hashlib.sha256(f"{code}\n{out.getvalue()}{err.getvalue()}".encode()).hexdigest()
+
+
+GKO_CLI_GOLDEN = {
+    ('A2', 'full'): '79506fd95e4384f0c0736456c6be1a2d055c31e71358ceae09f84d0a096c0b93',
+    ('A2', 'trivial'): '110364935731ba6db677c3025b33517b0d9ac6feb1e3383f45728367b9cf9a3f',
+    ('A2', 'ray'): 'ab7486f48748a68aa4c8c03fd6018dd2c25105587f0c86556f247ab9fcf4b5ab',
+    ('D4', 'full'): '75ad7d3ca7546efeb45f1c394043d0e6dfa0fcd006425f6366abe70cb67eae90',
+    ('D4', 'trivial'): 'ebd9406c72bf27fc64be59dd7cdbb2f69d1e8cd06766ceeb28ead66a3525c789',
+    ('D4', 'ray'): '2a2dd1fd9a371adcf554711a1dd9177133ae9a080c8cae96df8ad8c59b2124b0',
+    ('A2', 'pole'): '221c1dbb4ff2735a9d23baf00c06698d419e5bc90cd5d6ff2418c26055a567aa',
+}
+
+WEIGHTS_CLI_GOLDEN = {
+    ('A3', 1): 'edc327a7e5b1e6675b63bc65321587fe026c78cecfc4ce56bc42795571e75935',
+    ('A3', 2): '6690eae00515f07f30c678c0f2779cb8a1b4569a25bb259e83e9a410113e9d93',
+    ('D4', 1): '6dee3bd637018d902bfeb2e08a9e07b8af03d9d14cf05c9d9164a781cb4d90b5',
+    ('D4', 2): '3c93717e5b8533f31b8c7107c7b264caa1d78e069d44ab7503f06f72e6f2c80a',
+    ('B2', 1): '94cb4f85f8dd59a8b6f27ec013ccc8acc4fc1abd9dfa2c7265e248b5c00808f8',
+    ('B2', 2): '4a76d08d7bbc4c28b6754c37076e217882c67531b883017fa2a1839aed963d5d',
+    ('G2', 1): '646ba56ad10d412830015a1debb7ffb7dc1491883ea894df4679f5aff88d2e94',
+    ('G2', 2): '161984479d80f8aadb3f5471e1929358bd07eb2bca5389625985c685a083170d',
+}
+
 # The Weyl-orbit sums on every lambda in {0, 1}^rank, recorded while
 # alternating_sum, weyl_orbit and weyl_orbit_signed each ran on a walk of
 # its own.  ``repr`` pins the key types (Fraction depths) with the values.
@@ -561,6 +606,16 @@ def test_singular_cli_digests(case):
     assert _stdout_digest(SINGULAR_ARGV[case]) == SINGULAR_GOLDEN[case]
 
 
+@pytest.mark.parametrize("case", sorted(GKO_CLI_ARGV))
+def test_verify_gko_cli_digests(case):
+    assert _run_digest(GKO_CLI_ARGV[case]) == GKO_CLI_GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(WEIGHTS_CLI_ARGV))
+def test_weights_cli_digests(case):
+    assert _run_digest(WEIGHTS_CLI_ARGV[case]) == WEIGHTS_CLI_GOLDEN[case]
+
+
 @pytest.mark.parametrize("kind,label", ORBIT_CASES)
 def test_weyl_orbit_sum_digests(kind, label):
     assert _orbit_digest(kind, label) == ORBIT_GOLDEN[kind, label]
@@ -602,6 +657,12 @@ if __name__ == "__main__":
     print()
     for case, argv in SINGULAR_ARGV.items():
         print(f"    {case!r}: {_stdout_digest(argv)!r},")
+    print()
+    for case, argv in GKO_CLI_ARGV.items():
+        print(f"    {case!r}: {_run_digest(argv)!r},")
+    print()
+    for case, argv in WEIGHTS_CLI_ARGV.items():
+        print(f"    {case!r}: {_run_digest(argv)!r},")
     print()
     for case in ORBIT_CASES:
         print(f"    {case!r}: {_orbit_digest(*case)!r},")

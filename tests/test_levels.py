@@ -21,6 +21,7 @@ from liechar import (
     kw_lhs_character,
     langlands_dual,
     lattice_theta,
+    lead_line,
     level,
     make_context,
     rat_str,
@@ -164,6 +165,51 @@ def test_conformal_weight_forms_agree_and_positive(label):
                 assert conformal_weight(rs, lam, kap, n) == h
             if any(c != 0 for c in lam):
                 assert h > 0
+
+
+# -- the lead line ----------------------------------------------------------------
+
+ALL_TYPES = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 7)]
+             + [f"C{n}" for n in range(2, 7)] + [f"D{n}" for n in range(4, 9)]
+             + ["E6", "E7", "E8", "F4", "G2"])
+ADE_TYPES = [t for t in ALL_TYPES if t[0] in "ADE"]
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_lead_line_slope_is_zero(label):
+    # Cas lam* = Cas lam, since -w_0 preserves the form and fixes rho
+    rs = build_root_system(label)
+    for lam in rs.dominant_weights_in_root_lattice(6):
+        lam_star, slope, _ = lead_line(rs, lam)
+        assert lam_star == rs.star(lam)
+        assert slope == 0
+
+
+@pytest.mark.parametrize("label", ADE_TYPES)
+def test_lead_line_is_the_two_level_conformal_weight_on_ade(label):
+    rs = build_root_system(label)
+    rng = random.Random(113)
+    lams = rs.dominant_weights_in_root_lattice(3)
+    for kap in random_noncritical_levels(rng, rs, 3, avoid_kernel_pole_n=1):
+        u = 1 / level(rs, kap).shifted
+        for lam in lams:
+            _, slope, intercept = lead_line(rs, lam)
+            assert slope * u + intercept == conformal_weight(rs, lam, kap, 1)
+    for lam in lams:
+        assert lead_line(rs, lam)[2] == conformal_weight_closed(rs, lam, 1) == rs.norm2(lam) / 2
+
+
+@pytest.mark.parametrize("label", ["B2", "C3", "G2", "F4"])
+def test_lead_line_pairs_with_rho_and_conformal_weight_with_rho_check(label):
+    # off ADE the two differ by exactly (lam, rho_vee - rho), which is not
+    # always zero
+    rs = build_root_system(label)
+    gaps = []
+    for lam in rs.dominant_weights_in_root_lattice(4):
+        gap = lead_line(rs, lam)[2] - conformal_weight_closed(rs, lam, 1)
+        assert gap == rs.inner(lam, rs.rho_check) - rs.inner(lam, rs.rho)
+        gaps.append(gap)
+    assert any(gaps)
 
 
 # -- coset identity -------------------------------------------------------------
@@ -390,25 +436,6 @@ def test_group_ring_sides_refuse_a_non_invariant_bump(monkeypatch):
         verify_gko("A2", 2)
 
 
-def test_kappa_independence_reports_the_first_mismatch(monkeypatch):
-    # both sides known one power of q beyond the RHS and different there: each
-    # matches the RHS, and the kappa check names the exponent where they part
-    coset = levels.assemble_coset_character
-    second = default_kappa_samples(A1, 2)[1]
-
-    def deeper(rs, kappa, order, mode="group_ring", xi=None):
-        f = coset(rs, kappa, order + 1, mode, xi)
-        if kappa == second:
-            f = f.add(GradedCharacter(f.context, f.order, {order + 1: f.context.one()}))
-        return f
-
-    monkeypatch.setattr(levels, "assemble_coset_character", deeper)
-    rep = verify_gko("A1", 2)
-    assert rep.status == "fail"
-    assert rep.first_mismatch["comparison"] == "kappa-independence 1 vs 1/2"
-    assert rep.first_mismatch["exponent"] == "3"
-
-
 @pytest.mark.parametrize("mode,spec", [("group_ring", "full"), ("trivial", "trivial"), ("ray", "ray")])
 def test_negative_control_a_dropped_lambda_fails_at_its_top_weight(monkeypatch, capsys, mode, spec):
     # with ch L_theta taken as zero the coset sum loses its theta-summand,
@@ -431,16 +458,17 @@ def test_negative_control_a_dropped_lambda_fails_at_its_top_weight(monkeypatch, 
 
 
 def _later_second_leads(monkeypatch):
-    """Start every lam != 0 summand of A2's second default kappa sample one
-    power of q later, so its side differs from the first sample's and the RHS."""
-    second = default_kappa_samples(A2, 2)[1]
-    top = levels.conformal_top_weight
+    """Add the line 15 u - 5 to every lam != 0 lead: it is 0 at A2's first
+    default kappa sample (u = 1/3) and 1 at its second (u = 2/5), so only the
+    second sample's lam != 0 summands start one power of q later, and its
+    side differs from the first sample's and the RHS."""
+    line = levels.lead_line
 
-    def later(rs, lam, kappa):
-        h = top(rs, lam, kappa)
-        return h + 1 if kappa.value == second and any(lam) else h
+    def tilted(rs, lam):
+        lam_star, slope, intercept = line(rs, lam)
+        return (lam_star, slope + 15, intercept - 5) if any(lam) else (lam_star, slope, intercept)
 
-    monkeypatch.setattr(levels, "conformal_top_weight", later)
+    monkeypatch.setattr(levels, "lead_line", tilted)
 
 
 @pytest.mark.parametrize("mode", ["group_ring", "trivial", "ray"])
