@@ -37,7 +37,6 @@ from .qseries import (
 )
 from .characters import (
     LevelValue,
-    alt2_decompose,
     casimir,
     conformal_top_weight,
     denominator_inverse,
@@ -47,7 +46,6 @@ from .characters import (
     lattice_theta,
     level,
     level_one_char,
-    sym2_decompose,
     walgebra_module_char,
     weyl_module_char,
 )

@@ -210,45 +210,3 @@ def level_one_char(ctx, order) -> GradedCharacter:
     if rs.lacity != 1:
         raise UsageError("level-one lattice character requires a simply-laced type")
     return euler_product(lattice_theta(ctx, order), _cartan_char(rs))
-
-
-# ---------------------------------------------------------------------------
-# tensor-square decompositions
-
-
-def _strip_highest_weights(rs: RootSystem, char: GroupRingElt) -> Dict[Weight, int]:
-    """Decompose a genuine character into irreducibles by repeated stripping."""
-    remaining = GroupRingElt(dict(char.terms))
-    out: Dict[Weight, int] = {}
-    rho = rs.rho
-    while remaining:
-        best = None
-        best_h = None
-        for w in remaining.terms:
-            h = rs.inner(w, rho)
-            if best is None or h > best_h:
-                best, best_h = w, h
-        c = frac(remaining.terms[best])
-        if not rs.is_dominant(best) or c.denominator != 1 or c <= 0:
-            raise UsageError("input is not a nonnegative integral character")
-        c = int(c)
-        out[best] = out.get(best, 0) + c
-        remaining = remaining - c * finite_char(rs, best)
-    return out
-
-
-def _square_decompose(rs: RootSystem, lam: Weight, sign: int) -> Dict[Weight, int]:
-    """Highest weights (with multiplicity) of (ch^2 + sign psi^2 ch)/2, ch = ch L_lam."""
-    ch = finite_char(rs, lam)
-    half = Fraction(1, 2) * (ch * ch + sign * ch.frobenius(2))
-    return _strip_highest_weights(rs, half)
-
-
-def alt2_decompose(rs: RootSystem, lam: Weight) -> Dict[Weight, int]:
-    """Highest weights (with multiplicity) of wedge^2 L_lam."""
-    return _square_decompose(rs, lam, -1)
-
-
-def sym2_decompose(rs: RootSystem, lam: Weight) -> Dict[Weight, int]:
-    """Highest weights (with multiplicity) of Sym^2 L_lam."""
-    return _square_decompose(rs, lam, 1)

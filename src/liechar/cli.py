@@ -10,6 +10,7 @@ configurations; wall-clock fields stay zeroed unless --timing is passed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -78,13 +79,24 @@ def _spec_mode(name: str) -> str:
 
 
 def _write_report(payload: dict, out_path: Optional[str]) -> None:
+    """Write the report to --out (through a temporary file, replaced into
+    place), then to stdout; an unwritable --out is a usage error, and no
+    report is printed for it."""
     text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    sys.stdout.write(text)
     if out_path:
         tmp = out_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, out_path)
+        made = False
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                made = True
+                fh.write(text)
+            os.replace(tmp, out_path)
+        except OSError as exc:
+            if made:
+                with contextlib.suppress(OSError):
+                    os.remove(tmp)
+            raise UsageError(f"cannot write report to {out_path}: {exc.strerror or exc}") from None
+    sys.stdout.write(text)
 
 
 def _finish(command: str, config: dict, reports: List[dict], status: str,

@@ -1,13 +1,14 @@
 """Finite-dimensional exact Lie algebra linear algebra.
 
 Structure constants are built from the root system in a Chevalley-style
-basis, as ints: magnitudes come from root strings, signs from the
-extraspecial-pair normalization, and the Cartan parts from the integer
-coroots.  Everything downstream (Takiff doubling, invariant bilinear
-forms, intertwiner spaces, the square-zero-extension classification, and
-the degree-two singular-vector constraints) is plain exact linear algebra
-over Q or a quadratic extension Q(sqrt d); the null spaces are reduced in
-integers by ``linalg.SparseNullspace``.
+basis, as ints: one table of N(a, b) over the ordered pairs of roots, with
+magnitudes from root strings and signs from the extraspecial pairs, and
+the Cartan parts from the integer coroots.  Everything downstream
+(Takiff doubling, invariant bilinear forms, intertwiner spaces, the
+square-zero-extension classification, and the degree-two singular-vector
+constraints) is plain exact linear algebra over Q or a quadratic
+extension Q(sqrt d); the null spaces are reduced in integers by
+``linalg.SparseNullspace``.
 
 The Jacobi identity is verified exhaustively for every constructed
 algebra in the test suite; nothing here is trusted by construction.
@@ -101,84 +102,69 @@ class LieStructure:
 # Chevalley-style construction from the root system
 
 
-def _structure_sign_table(rs: RootSystem):
-    """Bracket coefficients N(a, b) for positive-root pairs with a + b a root.
+def _structure_constants(rs: RootSystem) -> Dict[Tuple[Weight, Weight], int]:
+    """N(a, b), with [x_a, x_b] = N(a, b) x_{a+b}, for every ordered pair of
+    roots a, b whose sum is a root.
 
-    Magnitude is p + 1 from the root string; the sign is + on each
-    extraspecial pair (total order: height then coordinates), and on the
-    remaining special pairs follows from the Jacobi identity applied to
-    quadruples containing the extraspecial pair.  All in ints: a root's
-    length is lac (alpha, alpha), and each ratio of lengths times a
-    constant is an exact integer division.
+    Magnitude is p + 1 from the root string.  The positive gamma are walked
+    in ``rs.positive_roots`` order (height, then coordinates); the special
+    pairs of gamma are the positive a before b with a + b = gamma.  The
+    sign is + on each extraspecial (first) pair, and on the remaining
+    special pairs follows from the Jacobi identity applied to quadruples
+    containing the extraspecial pair.  Every other constant is a relative
+    of one special pair (Carter, Simple Groups of Lie Type, 4.1-4.2).  All
+    in ints: a root's length is lac (alpha, alpha), and each ratio of
+    lengths times a constant is an exact integer division.
     """
-    pos = list(rs.positive_roots)
-    posset = set(pos)
+    pos = rs.positive_roots
+    where = {a: i for i, a in enumerate(pos)}
     # lac (alpha, alpha) = sum_i c_i lac d_i <alpha, alpha_i^vee>
     len2 = {a: sum(c * s * x for c, s, x in zip(rs.root_coords(a), rs._steps, a)) for a in pos}
-    order_key = {a: (rs.height(a), a) for a in pos}
+    roots = set(pos) | {_neg(a) for a in pos}
 
     def string_down(b: Weight, a: Weight) -> int:
         p = 0
-        cur = tuple(x - y for x, y in zip(b, a))
-        while cur in posset or tuple(-c for c in cur) in posset:
+        cur = tuple(map(operator.sub, b, a))
+        while cur in roots:
             p += 1
-            cur = tuple(x - y for x, y in zip(cur, a))
+            cur = tuple(map(operator.sub, cur, a))
         return p
 
     table: Dict[Tuple[Weight, Weight], int] = {}
 
-    def pos_n(a: Weight, b: Weight) -> int:
-        if order_key[a] < order_key[b]:
-            return table[(a, b)]
-        return -table[(b, a)]
+    def fill(a: Weight, b: Weight, n: int) -> None:
+        """N(a, b) = n for positive a, b and its eleven relatives, c = -(a + b):
+        N(b, c) = n (a, a)/(c, c), N(c, a) = n (b, b)/(c, c), N(y, x) = N(-x, -y) = -N(x, y)."""
+        gamma = tuple(map(operator.add, a, b))
+        c = _neg(gamma)
+        for x, y, m in ((a, b, n), (b, c, _exact_div(n * len2[a], len2[gamma])),
+                        (c, a, _exact_div(n * len2[b], len2[gamma]))):
+            mx, my = _neg(x), _neg(y)
+            table[x, y], table[y, x], table[mx, my], table[my, mx] = m, -m, -m, m
 
-    def mixed_n(mu: Weight, nu_neg: Weight) -> int:
-        """N(mu, -nu) for positive mu, nu with mu - nu a root."""
-        diff = tuple(x - y for x, y in zip(mu, nu_neg))
-        if diff in posset:
-            # mu = nu + diff
-            return -_exact_div(len2[diff] * pos_n(nu_neg, diff), len2[mu])
-        neg = tuple(-c for c in diff)
-        # nu = mu + neg
-        return _exact_div(len2[neg] * pos_n(neg, mu), len2[nu_neg])
-
-    for gamma in pos:
-        if rs.height(gamma) < 2:
-            continue
-        special = []
-        for a in pos:
-            b = tuple(g - x for g, x in zip(gamma, a))
-            if b in posset and order_key[a] < order_key[b]:
-                special.append(a)
-        special.sort(key=lambda a: order_key[a])
-        eps = special[0]
-        delta = tuple(g - x for g, x in zip(gamma, eps))
-        table[(eps, delta)] = string_down(delta, eps) + 1
-        for a in special[1:]:
-            b = tuple(g - x for g, x in zip(gamma, a))
-            acc = 0
-            d_minus_a = tuple(x - y for x, y in zip(delta, a))
-            if d_minus_a in posset:
-                acc += mixed_n(delta, a) * pos_n(d_minus_a, eps)
-            e_minus_a = tuple(x - y for x, y in zip(eps, a))
-            neg_e_minus_a = tuple(-c for c in e_minus_a)
-            if e_minus_a in posset or neg_e_minus_a in posset:
-                # N(-a, eps) * N(eps - a, delta)
-                n1 = -mixed_n(eps, a)
-                if e_minus_a in posset:
-                    n2 = pos_n(e_minus_a, delta)
-                else:
-                    # N(-(a-eps), delta) with delta - (a-eps) = b
-                    n2 = -_exact_div(len2[b] * pos_n(b, neg_e_minus_a), len2[delta])
-                acc += n1 * n2
-            val = _exact_div(len2[gamma] * acc, len2[b] * table[(eps, delta)])
-            expected = string_down(b, a) + 1
-            if abs(val) != expected:
+    # pos[rank:] are the roots of height >= 2, each a sum of two positive roots
+    for gamma in pos[rs.rank:]:
+        special = [(a, b) for i, a in enumerate(pos)
+                   if where.get(b := tuple(map(operator.sub, gamma, a)), -1) > i]
+        (eps, delta), rest = special[0], special[1:]
+        top = string_down(delta, eps) + 1
+        fill(eps, delta, top)
+        for a, b in rest:
+            # a missing key is a zero constant: that pair's sum is no root
+            ma = _neg(a)
+            acc = (table.get((delta, ma), 0) * table.get((tuple(map(operator.sub, delta, a)), eps), 0)
+                   + table.get((ma, eps), 0) * table.get((tuple(map(operator.sub, eps, a)), delta), 0))
+            val = _exact_div(len2[gamma] * acc, len2[b] * top)
+            if abs(val) != string_down(b, a) + 1:
                 raise AssertionError(
                     f"structure constant magnitude mismatch at {a}+{b}={gamma}"
                 )
-            table[(a, b)] = val
-    return table, pos_n, mixed_n
+            fill(a, b, val)
+    return table
+
+
+def _neg(a: Weight) -> Weight:
+    return tuple([-c for c in a])
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -200,22 +186,10 @@ def chevalley_structure(type_label: str) -> LieStructure:
     rs = build_root_system(type_label)
     if rs.rank > 4:
         raise UsageError("chevalley_structure supports rank <= 4")
-    table, pos_n, mixed_n = _structure_sign_table(rs)
     n = rs.rank
     pos = list(rs.positive_roots)
-    npos = len(pos)
-    idx_pos = {a: n + i for i, a in enumerate(pos)}
-    idx_neg = {a: n + npos + i for i, a in enumerate(pos)}
-
-    def n_coeff(u: Weight, sign_u: int, v: Weight, sign_v: int) -> int:
-        """N(su * u, sv * v) for positive roots u, v and signs."""
-        if sign_u > 0 and sign_v > 0:
-            return pos_n(u, v)
-        if sign_u < 0 and sign_v < 0:
-            return -pos_n(u, v)
-        if sign_u > 0:
-            return mixed_n(u, v)
-        return -mixed_n(v, u)
+    neg = [_neg(a) for a in pos]
+    index = {w: n + i for i, w in enumerate(pos + neg)}
 
     labels = [f"h{i + 1}" for i in range(n)]
     labels += [f"e[{','.join(str(c) for c in rs.root_coords(a))}]" for a in pos]
@@ -225,25 +199,21 @@ def chevalley_structure(type_label: str) -> LieStructure:
     brackets: Dict[Tuple[int, int], Vector] = {}
     # [h_i, x_{+-alpha}] = +-<alpha, alpha_i^vee> x_{+-alpha}
     for i in range(n):
-        for a in pos:
+        for a, m in zip(pos, neg):
             c = a[i]
             if c:
-                brackets[(i, idx_pos[a])] = {idx_pos[a]: c}
-                brackets[(i, idx_neg[a])] = {idx_neg[a]: -c}
+                brackets[(i, index[a])] = {index[a]: c}
+                brackets[(i, index[m])] = {index[m]: -c}
     # [x_alpha, x_{-alpha}] = alpha^vee expanded in simple coroots
-    for a, coro in zip(pos, rs._coroot_coords):
-        brackets[(idx_pos[a], idx_neg[a])] = {i: c for i, c in enumerate(coro) if c}
+    for a, m, coro in zip(pos, neg, rs._coroot_coords):
+        brackets[(index[a], index[m])] = {i: c for i, c in enumerate(coro) if c}
     # root-root brackets; x_alpha and x_{-alpha} sum to 0, which is no root
-    signed = [(a, 1, idx_pos[a], a) for a in pos]
-    signed += [(a, -1, idx_neg[a], tuple(-c for c in a)) for a in pos]
-    index = {w: i for _, _, i, w in signed}
-    for (u, su, i, wu), (v, sv, j, wv) in itertools.combinations(signed, 2):
-        k = index.get(tuple(map(operator.add, wu, wv)))
-        if k is not None:
-            brackets[(i, j)] = {k: n_coeff(u, su, v, sv)}
+    for (u, v), c in _structure_constants(rs).items():
+        if index[u] < index[v]:
+            brackets[(index[u], index[v])] = {index[tuple(map(operator.add, u, v))]: c}
 
-    simple = [i for i, a in enumerate(pos) if rs.height(a) == 1]
-    generators = list(range(n)) + [n + i for i in simple] + [n + npos + i for i in simple]
+    # the first n positive roots are the simple ones (height 1)
+    generators = list(range(n)) + [index[w] for w in pos[:n] + neg[:n]]
     ls = LieStructure(labels, brackets, name=f"g({rs.type_label})", generators=generators)
     ls.root_system = rs  # type: ignore[attr-defined]
     return ls
@@ -741,8 +711,8 @@ _SL2_BRACKET = {
 class TwoTriplesModeAlgebra:
     """Mode algebra of two commuting affine sl_2 triples at symbolic levels.
 
-    States are linear combinations of creation-mode monomials applied to
-    the vacuum, with coefficients polynomial in the two levels: GroupRingElts
+    States are sums of creation-mode monomials applied to the vacuum,
+    with coefficients polynomial in the two levels: GroupRingElts
     keyed by (power of kappa_1, power of kappa_2).  Root vectors may be
     rescaled (e -> s e, f -> t f); the invariant form is fixed by
     <e, f> = 1 and <h, h> = 2 before rescaling.

@@ -17,6 +17,7 @@ from liechar import (
     TrivialContext,
     UsageError,
     alternating_sum,
+    finite_char,
     lattice_theta,
     make_context,
     series_zero,
@@ -166,6 +167,46 @@ def theta_by_orbits(ctx, order):
     projected into ctx's ring one coefficient at a time."""
     walked = lattice_theta(GroupRingContext(ctx.rs), order)
     return GradedCharacter(ctx, walked.order, {e: ctx.project(c) for e, c in walked.terms.items()})
+
+
+def strip_highest_weights(rs, char):
+    """Decompose a genuine character into irreducibles by repeated stripping."""
+    remaining = GroupRingElt(dict(char.terms))
+    out: Dict[tuple, int] = {}
+    rho = rs.rho
+    while remaining:
+        best = None
+        best_h = None
+        for w in remaining.terms:
+            h = rs.inner(w, rho)
+            if best is None or h > best_h:
+                best, best_h = w, h
+        c = frac(remaining.terms[best])
+        if not rs.is_dominant(best) or c.denominator != 1 or c <= 0:
+            raise UsageError("input is not a nonnegative integral character")
+        c = int(c)
+        out[best] = out.get(best, 0) + c
+        remaining = remaining - c * finite_char(rs, best)
+    return out
+
+
+def _square_decompose(rs, lam, sign):
+    """Highest weights (with multiplicity) of (ch^2 + sign psi^2 ch)/2, ch = ch L_lam."""
+    ch = finite_char(rs, lam)
+    half = Fraction(1, 2) * (ch * ch + sign * ch.frobenius(2))
+    return strip_highest_weights(rs, half)
+
+
+def alt2_decompose(rs, lam):
+    """Highest weights (with multiplicity) of wedge^2 L_lam, by characters:
+    the oracle for ``equivariant_hom_dim`` on ``alt2_adjoint``."""
+    return _square_decompose(rs, lam, -1)
+
+
+def sym2_decompose(rs, lam):
+    """Highest weights (with multiplicity) of Sym^2 L_lam, by characters:
+    the oracle for ``equivariant_hom_dim`` on ``sym2_adjoint``."""
+    return _square_decompose(rs, lam, 1)
 
 
 def fundamental_norms(rs):

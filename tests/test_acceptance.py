@@ -11,7 +11,6 @@ from fractions import Fraction as F
 from liechar import (
     GroupRingContext,
     GroupRingElt,
-    alt2_decompose,
     assemble_coset_character,
     build_root_system,
     casimir,
@@ -35,7 +34,13 @@ from liechar import (
     verify_kw,
     weight,
 )
-from oracles import fundamental_norms, isqrt_rational_floor, orbit_alternating_sum, specialize
+from oracles import (
+    alt2_decompose,
+    fundamental_norms,
+    isqrt_rational_floor,
+    orbit_alternating_sum,
+    specialize,
+)
 
 
 def report(num, name, ok):

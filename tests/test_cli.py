@@ -69,6 +69,21 @@ def test_report_file_written(tmp_path):
     assert res.stdout.strip() == out.read_text().strip()
 
 
+@pytest.mark.parametrize("where", ["missing_dir", "a_directory"])
+def test_unwritable_report_file_exit_two(tmp_path, where):
+    # a directory that does not exist fails to open the temporary file; an
+    # existing directory as --out fails only at the replace, after the
+    # temporary file was written
+    out = tmp_path / "missing" / "x.json" if where == "missing_dir" else tmp_path
+    res = run_cli("verify-kw", "--type", "A2", "--order", "2", "--out", str(out))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    # one error line and no traceback
+    assert res.stderr.startswith(f"error: cannot write report to {out}: ")
+    assert res.stderr.count("\n") == 1 and res.stderr.endswith("\n")
+    assert not Path(str(out) + ".tmp").exists()
+
+
 def test_levels_ff_dual_value():
     res = run_cli("levels", "--type", "A1", "--kappa", "0", "--op", "ff-dual")
     assert res.returncode == 0

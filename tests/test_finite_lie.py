@@ -12,14 +12,12 @@ from liechar import (
     QuadExt,
     UsageError,
     abelian,
-    alt2_decompose,
     build_root_system,
     chevalley_structure,
     classify_extension,
     equivariant_hom_dim,
     invariant_forms,
     singular_constraints,
-    sym2_decompose,
     takiff,
 )
 from liechar.finite_lie import (
@@ -31,11 +29,13 @@ from liechar.finite_lie import (
 )
 from liechar.linalg import SparseNullspace, sqrt_rational
 from oracles import (
+    alt2_decompose,
     check_jacobi,
     check_witnesses_all_pairs,
     classify_extension_all_pairs,
     hom_dim_all_equations,
     invariant_forms_all_equations,
+    sym2_decompose,
 )
 
 SL2 = chevalley_structure("A1")
@@ -85,28 +85,33 @@ def test_cartan_weyl_relations():
 
 
 def test_structure_constants_magnitude_is_string_length():
-    # |N(a, b)| = p + 1 where p counts the alpha-string below beta
-    for label in ("A2", "B2", "G2"):
+    # over every signed pair u != +-v: [x_u, x_v] is nonzero exactly when
+    # u + v is a root, then it is N(u, v) x_{u+v} with |N(u, v)| = p + 1,
+    # where p counts the u-string below v, and N(-u, -v) = -N(u, v)
+    for label in ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "F4", "G2"):
         ls = chevalley_structure(label)
         rs = ls.root_system
-        n = rs.rank
         pos = list(rs.positive_roots)
-        posset = set(pos)
-        for i, a in enumerate(pos):
-            for j, b in enumerate(pos):
-                if i == j:
+        signed = pos + [tuple(-c for c in a) for a in pos]
+        index = {w: rs.rank + i for i, w in enumerate(signed)}
+        neg = {w: tuple(-c for c in w) for w in signed}
+        for u in signed:
+            for v in signed:
+                if v in (u, neg[u]):
                     continue
-                s = tuple(x + y for x, y in zip(a, b))
-                if s not in posset:
+                vec = ls.bracket_basis(index[u], index[v])
+                s = tuple(x + y for x, y in zip(u, v))
+                if s not in index:
+                    assert vec == {}
                     continue
-                vec = ls.bracket_basis(n + i, n + j)
-                coeff = vec[n + pos.index(s)]
+                assert list(vec) == [index[s]]
                 p = 0
-                cur = tuple(x - y for x, y in zip(b, a))
-                while cur in posset or tuple(-c for c in cur) in posset:
+                cur = tuple(x - y for x, y in zip(v, u))
+                while cur in index:
                     p += 1
-                    cur = tuple(x - y for x, y in zip(cur, a))
-                assert abs(coeff) == p + 1
+                    cur = tuple(x - y for x, y in zip(cur, u))
+                assert abs(vec[index[s]]) == p + 1
+                assert ls.bracket_basis(index[neg[u]], index[neg[v]]) == {index[neg[s]]: -vec[index[s]]}
 
 
 def test_bracket_antisymmetry_random_vectors():
