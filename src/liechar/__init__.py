@@ -61,7 +61,6 @@ from .levels import (
     gluing_levels,
     kernel_partner_level,
     kw_lhs_character,
-    lead_line,
     verify_gko,
     verify_kw,
 )

@@ -9,13 +9,15 @@ constituents and compare coefficients exactly.  Both left-hand sides are
 one lambda-sum (``_lambda_sum``) of q^lead ch L_lam times an alternating
 Weyl numerator; the coset sum then divides once by (q;q)^rank D, the
 factor that every one of its summands carries, each lead read off one
-exact line in 1/(kappa + h_vee) (``lead_line``).  The coset sides share one
-cached series for the mu != 0 factors of 1/D, and two kappa samples whose
-leads agree share the divided side itself; neither can hide a mismatch.
+exact line in 1/(kappa + h_vee).  ``verify_gko`` builds that table of lines
+once per call and, when every slope is 0, one side for all its kappa
+samples.  The coset sides share one cached series for the mu != 0 factors
+of 1/D, which cannot hide a mismatch.
 """
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +28,6 @@ from .characters import (
     _adjoint_char,
     _alternating_numerator,
     _cartan_char,
-    casimir,
     denominator_inverse,
     euler_product,
     lattice_theta,
@@ -139,19 +140,6 @@ def conformal_weight(rs: RootSystem, lam: Weight, kappa, n: int) -> Fraction:
     return cas / (2 * kv.shifted) + cas / (2 * partner.shifted) - rs.inner(lam, rs.rho_check)
 
 
-def lead_line(rs: RootSystem, lam: Weight) -> Tuple[Weight, Fraction, Fraction]:
-    """(lam*, slope, intercept) of lam's coset lead, exactly: with u = 1/(kappa + h_vee)
-    and the n = 1 kernel partner 1/(kappa* + h_vee) = r_vee - u, the lead
-    u Cas(lam)/2 + (r_vee - u) Cas(lam*)/2 - (lam*, rho) is slope u + intercept.
-    The slope (Cas lam - Cas lam*)/2 is 0: -w_0 preserves the form and fixes rho.
-    lam* pairs with rho, as in ``walgebra_module_char``, not with rho_vee as in
-    ``conformal_weight``."""
-    lam_star, r = rs.star(lam), rs.lacity
-    slope = (casimir(rs, lam) - casimir(rs, lam_star)) / 2
-    # the intercept as one pairing: (lam*, r_vee lam* + 2 (r_vee - 1) rho) / 2
-    return lam_star, slope, rs.inner(lam_star, tuple(r * c + 2 * r - 2 for c in lam_star)) / 2
-
-
 def conformal_weight_closed(rs: RootSystem, lam: Weight, n: int) -> Fraction:
     """Closed form (lam,lam) r_vee n / 2 + (lam, n r_vee rho - rho_vee)."""
     lam = weight(lam)
@@ -237,10 +225,7 @@ def _lambda_sum(ctx, order: Exponent, summands) -> GradedCharacter:
     """sum_{lam in Q+} q^lead ch[L_lam] sum_w eps(w) q^{(mu+rho - w(mu+rho), rho)}
     through order, for each (lam, mu, lead) in summands; a lam with lead >
     order adds nothing, and its ch[L_lam] is not built.  The pairs (c, ch
-    L_lam) of each exponent are gathered and summed with one ``ctx.dot``.
-    The series is a function of ctx, order and summands alone, so the coset
-    sides can share it whenever their summand lists agree: the level enters
-    only through the leads (``assemble_coset_character``)."""
+    L_lam) of each exponent are gathered and summed with one ``ctx.dot``."""
     one = ctx.one()
     pairs: Dict[Exponent, list] = {}
     for lam, mu, lead in summands:
@@ -251,9 +236,42 @@ def _lambda_sum(ctx, order: Exponent, summands) -> GradedCharacter:
     return GradedCharacter(ctx, order, {e: ctx.dot(p) for e, p in pairs.items()})
 
 
-def assemble_coset_character(
-    rs: RootSystem, kappa_value, order, mode: str = "group_ring", xi=None
-) -> GradedCharacter:
+def _lead_table(rs: RootSystem, order: Exponent) -> List[Tuple[Weight, Weight, Exponent, Exponent]]:
+    """(lam, lam*, slope, intercept) for each lam of ``dominant_weights_in_root_lattice(order)``.
+    With u = 1/(kappa + h_vee) and the n = 1 partner's 1/(kappa* + h_vee) = r_vee - u, lam's
+    coset lead u Cas(lam)/2 + (r_vee - u) Cas(lam*)/2 - (lam*, rho) is slope u + intercept.
+    The slope is 0 (-w_0 keeps the form and rho), but computed.  lam* pairs with rho, as in
+    ``walgebra_module_char``; each pairing is an int x^T F y, F = ``_form_scaled``."""
+    form, den, r = rs._form_scaled, 2 * rs._form_den, rs.lacity
+    perm = [c - 1 for c in rs.star(tuple(range(1, rs.rank + 1)))]  # -w_0 on the omega_i
+
+    def pairings(x):  # x^T F x and x^T F rho, as F is symmetric and rho = (1, ..., 1)
+        fx = [sum(map(operator.mul, row, x)) for row in form]
+        return sum(map(operator.mul, x, fx)), sum(fx)
+
+    table = []
+    for lam in rs.dominant_weights_in_root_lattice(order):
+        star = tuple([lam[j] for j in perm])
+        n, p = pairings(lam)
+        ns, ps = (n, p) if star == lam else pairings(star)
+        table.append((lam, star, int_or_frac(Fraction(n + 2 * p - ns - 2 * ps, den)),
+                      int_or_frac(Fraction(r * ns + 2 * (r - 1) * ps, den))))
+    return table
+
+
+def _leads(table, shifted: Fraction) -> Tuple[Exponent, ...]:
+    return tuple(int_or_frac(slope / shifted + intercept) for _, _, slope, intercept in table)
+
+
+def _coset_side(ctx, order: Exponent, table, leads) -> GradedCharacter:
+    """S_kappa / ((q;q)^rank D) through order at one kappa's leads: exact, since every lead
+    is r_vee |lam|^2/2 + (r_vee - 1)(lam, rho) >= 0 and every Euler factor is 1 + O(q)."""
+    summands = [(lam, lam_star, lead) for (lam, lam_star, _, _), lead in zip(table, leads)]
+    return euler_product(_lambda_sum(ctx, order, summands), _adjoint_char(ctx.rs) + _cartan_char(ctx.rs))
+
+
+def assemble_coset_character(rs: RootSystem, kappa_value, order, mode: str = "group_ring",
+                             xi=None) -> GradedCharacter:
     """LHS of the coset identity: sum over lam in Q+ of
     ch[Weyl module at kappa] * ch[W-algebra module at the partner level].
 
@@ -261,31 +279,13 @@ def assemble_coset_character(
     S_kappa = sum_lam q^lead ch[L_lam] sum_w eps(w) q^{(lam*+rho - w(lam*+rho), rho)}
     and divided once, by S_kappa / ((q;q)^rank D) = ``euler_product`` with
     ch g + rank e^0.  Each lead is read off its line in 1/(kappa + h_vee).
-
-    kappa enters only through the leads.  The divided side is cached on the
-    context, keyed by the order and the summand list [(lam, lam*, lead)], so
-    a second kappa whose leads all agree gets the first side itself, with no
-    second lambda-sum or division.  That cannot hide a kappa-dependence: a
-    lead that moved with kappa changes the key, and the side is built anew.
     """
     order = int_or_frac(order)
     ctx = make_context(rs, mode, xi)
     kappa = level(rs, kappa_value)
     kernel_partner_level(kappa, 1)  # refuses the pole; no lead reads the partner level
-
-    def summand(lam):
-        lam_star, slope, intercept = lead_line(rs, lam)
-        return lam, lam_star, int_or_frac(slope / kappa.shifted + intercept)
-
-    summands = tuple(map(summand, rs.dominant_weights_in_root_lattice(order)))
-    key = (order, summands)
-    side = ctx._sides.get(key)
-    if side is None:
-        # the kernel relation puts every lead at r_vee |lam|^2/2 + (r_vee - 1)(lam, rho)
-        # >= 0, and every Euler factor is 1 + O(q), so the quotient is exact through order
-        side = ctx._sides[key] = euler_product(_lambda_sum(ctx, order, summands),
-                                               _adjoint_char(rs) + _cartan_char(rs))
-    return side
+    table = _lead_table(rs, order)
+    return _coset_side(ctx, order, table, _leads(table, kappa.shifted))
 
 
 def coset_rhs_character(rs: RootSystem, kappa_value, order, mode: str = "group_ring", xi=None) -> GradedCharacter:
@@ -296,30 +296,31 @@ def coset_rhs_character(rs: RootSystem, kappa_value, order, mode: str = "group_r
     return denominator_inverse(ctx, order).mul(level_one_char(ctx, order))
 
 
-def verify_gko(
-    type_label: str,
-    order,
-    mode: str = "group_ring",
-    xi=None,
-    kappas: Optional[List] = None,
-) -> IdentityReport:
+def verify_gko(type_label: str, order, mode: str = "group_ring", xi=None,
+               kappas: Optional[List] = None) -> IdentityReport:
     """Coset character identity: the assembled sum equals ch[V^{kappa-1}]
     ch[L_1] at every sampled kappa, so the sums also agree with one another
-    through the order.  Every kappa is checked before any side is built."""
+    through the order.  Every kappa is checked before any side is built.
+    One lead table serves every kappa: when every slope is 0, one side is
+    compared under every kappa's label, else each kappa builds its own."""
     t0 = time.perf_counter()
     rs = build_root_system(type_label)
     order = _check_verifier_args(rs, order, mode)
-    if kappas is None:
-        kappas = default_kappa_samples(rs, 2)
-    kappas = [frac(k) for k in kappas]
+    kappas = [frac(k) for k in (default_kappa_samples(rs, 2) if kappas is None else kappas)]
     if len(set(kappas)) < 2:
         raise UsageError("need at least two distinct kappa samples")
     # refuse a critical kappa or one on the kernel-partner pole before any
     # side is built; on a simply-laced type the pole kappa + h_vee = 1 is
     # also where kappa - 1, the right-hand side's level, is critical
-    for k in kappas:
-        kernel_partner_level(level(rs, k), 1)
-    sides = [assemble_coset_character(rs, k, order, mode, xi) for k in kappas]
+    samples = [level(rs, k) for k in kappas]
+    for kv in samples:
+        kernel_partner_level(kv, 1)
+    ctx = make_context(rs, mode, xi)
+    table = _lead_table(rs, order)
+    if any(slope for _, _, slope, _ in table):
+        sides = [_coset_side(ctx, order, table, _leads(table, kv.shifted)) for kv in samples]
+    else:
+        sides = [_coset_side(ctx, order, table, [intercept for *_, intercept in table])] * len(samples)
     rhs = coset_rhs_character(rs, kappas[0], order, mode, xi)
     comparisons = [(f"lhs[kappa={rat_str(k)}] vs rhs", lhs, rhs) for k, lhs in zip(kappas, sides)]
     return _verdict("gko", rs, order, t0, comparisons)

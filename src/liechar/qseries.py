@@ -225,10 +225,8 @@ class _Context:
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
+        # euler_series' coefficients per projected char; no coset side is cached
         self._euler: Dict[object, Tuple[list, list]] = {}
-        # the divided coset sides built in this ring, keyed by (order, summand
-        # list) in levels.assemble_coset_character; at slope 0 every kappa shares one
-        self._sides: Dict[tuple, "GradedCharacter"] = {}
         self._one = self.project(GroupRingElt.one(rs.rank))
         self._czero = self.project(GroupRingElt())
 
@@ -574,14 +572,11 @@ def make_context(rs: RootSystem, mode: str = "group_ring", xi: Optional[Weight] 
 
     rs holds one context per mode and (for ``ray``) coordinate-wise equal xi,
     made on first use, so every series built in a ring on rs shares its
-    caches (among them the Euler series E of ``euler_series`` and the
-    divided coset sides) and they are freed with rs.  A shared E cannot
-    turn a failure into a pass: E = 1 + O(q) is invertible, so S E = T E
-    holds exactly when S = T, and a wrong E could only misreport the
-    mismatching coefficients, not hide a mismatch.  A shared coset side
-    cannot hide a kappa-dependence either: kappa enters a side only through
-    the leads of its lambda-summands (``levels.lead_line``), and the summand
-    list with its leads is the cache key, so sides share only when it agrees.
+    caches (the Euler series E of ``euler_series``) and they are freed with
+    rs.  A shared E cannot turn a failure into a pass: E = 1 + O(q) is
+    invertible, so S E = T E holds exactly when S = T, and a wrong E could
+    only misreport the mismatching coefficients, not hide a mismatch.
+    ``levels.verify_gko`` shares a coset side between kappas only in a call.
     """
     if xi is not None and mode != "ray":
         raise UsageError(f"a coweight xi applies to mode 'ray' only, not {mode!r}")

@@ -17,6 +17,7 @@ from liechar import (
     TrivialContext,
     UsageError,
     alternating_sum,
+    casimir,
     finite_char,
     lattice_theta,
     make_context,
@@ -291,6 +292,16 @@ def euler_product_by_passes(f, char):
                             g[i] += src if c > 0 else -src
         out.update((low + k, v) for k, v in enumerate(g))
     return GradedCharacter(ctx, f.order, out)
+
+
+def lead_line(rs, lam):
+    """``levels._lead_table``'s entry for lam in Fraction arithmetic: (lam*,
+    slope, intercept) with lam* = ``rs.star(lam)``, slope (Cas lam - Cas lam*)/2
+    and intercept (lam*, r_vee lam* + 2 (r_vee - 1) rho)/2, each pairing by
+    ``inner``."""
+    lam_star, r = rs.star(lam), rs.lacity
+    slope = (casimir(rs, lam) - casimir(rs, lam_star)) / 2
+    return lam_star, slope, rs.inner(lam_star, tuple(r * c + 2 * r - 2 for c in lam_star)) / 2
 
 
 def lambda_sum_by_series(ctx, order, summands):

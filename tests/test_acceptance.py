@@ -99,8 +99,7 @@ def test_criterion_2_kappa_independence():
     ]
     ok = True
     for label, order, mode, kappas in runs:
-        # each side on its own root system, so two independently built sides
-        # are compared, not the one side a shared context hands to both kappas
+        # each side on its own root system, so no cache of either can serve the other
         sides = [
             assemble_coset_character(build_root_system(label), k, order, mode).canonical_str()
             for k in kappas

@@ -39,11 +39,18 @@ def test_the_matrix_has_gko_and_kw_cases():
 
 @pytest.mark.parametrize("case", VERIFIER_CASES, ids=lambda c: c.id)
 def test_benchmark_case_passes_with_its_recorded_rhs(case):
-    inputs = cases.prepare(liechar, case, 0)  # seed 0: the default kappa pair
-    report = cases.call(liechar, case, inputs)
-    assert report.status == "pass", report.first_mismatch
-    assert report.order == case.order
-    assert cases.rhs_digest(liechar, case, inputs) == DIGESTS[case.id]
+    # a gko case under each of the 15 kappa pairs a benchmark seed can draw
+    # (seed 0 is the default pair); kw takes no kappa
+    seeds = range(15) if case.kind == "gko" else [0]
+    pairs = set()
+    for seed in seeds:
+        inputs = cases.prepare(liechar, case, seed)
+        pairs.add(tuple(inputs.get("kappas", ())))
+        report = cases.call(liechar, case, inputs)
+        assert report.status == "pass", (seed, report.first_mismatch)
+        assert report.order == case.order
+        assert cases.rhs_digest(liechar, case, inputs) == DIGESTS[case.id]
+    assert len(pairs) == len(seeds)
 
 
 def test_the_matrix_has_every_lemma_kind():

@@ -166,11 +166,10 @@ def test_one_dict_lambda_sum_matches_one_series_per_lambda(monkeypatch, label, o
         return lambda_sum_by_series(*args)
 
     monkeypatch.setattr(levels, "_lambda_sum", by_series)
-    # a fresh root system has a fresh context, so no side the fast pass cached
-    # is handed back; the oracle builds the kw side and one coset side, which
-    # the second kappa sample shares (its leads are the first one's)
+    # the oracle builds every side: the kw side and one coset side per
+    # assemble_coset_character call, since no side is cached between calls
     assert got == sides(build_root_system(label))
-    assert len(calls) == 2
+    assert len(calls) == 1 + len(kappas)
 
 
 # (type, order, mode): the n = 1 kernel relation, checked on the leads

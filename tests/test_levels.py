@@ -21,7 +21,6 @@ from liechar import (
     kw_lhs_character,
     langlands_dual,
     lattice_theta,
-    lead_line,
     level,
     make_context,
     rat_str,
@@ -31,7 +30,7 @@ from liechar import (
     weight,
 )
 from liechar import characters, cli, levels
-from oracles import dominant_representative, specialize
+from oracles import dominant_representative, lead_line, specialize
 
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
@@ -175,12 +174,36 @@ ALL_TYPES = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 7)]
 ADE_TYPES = [t for t in ALL_TYPES if t[0] in "ADE"]
 
 
+ORACLE_TABLE_TYPES = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+                      + [f"C{n}" for n in range(3, 9)] + [f"D{n}" for n in range(4, 9)]
+                      + ["E6", "E7", "E8", "F4", "G2"])
+
+
+def _first_lams(rs, count):
+    bound = 1
+    while len(rs.dominant_weights_in_root_lattice(bound)) < count:
+        bound *= 2
+    return rs.dominant_weights_in_root_lattice(bound)[:count]
+
+
+@pytest.mark.parametrize("label", ORACLE_TABLE_TYPES)
+def test_integer_lead_table_matches_the_fraction_lead_line(label):
+    # the first 40 lam of Q+, each entry an int when integral; off ADE lam*
+    # still pairs with rho
+    rs = build_root_system(label)
+    lams = _first_lams(rs, 40)
+    table = levels._lead_table(rs, rs.norm2(lams[-1]) / 2)
+    assert [row[0] for row in table[:40]] == lams
+    for lam, *entry in table[:40]:
+        assert tuple(entry) == lead_line(rs, lam)
+        assert all(type(x) is int for x in entry[1:] if x.denominator == 1)
+
+
 @pytest.mark.parametrize("label", ALL_TYPES)
 def test_lead_line_slope_is_zero(label):
     # Cas lam* = Cas lam, since -w_0 preserves the form and fixes rho
     rs = build_root_system(label)
-    for lam in rs.dominant_weights_in_root_lattice(6):
-        lam_star, slope, _ = lead_line(rs, lam)
+    for lam, lam_star, slope, _ in levels._lead_table(rs, 6):
         assert lam_star == rs.star(lam)
         assert slope == 0
 
@@ -189,14 +212,13 @@ def test_lead_line_slope_is_zero(label):
 def test_lead_line_is_the_two_level_conformal_weight_on_ade(label):
     rs = build_root_system(label)
     rng = random.Random(113)
-    lams = rs.dominant_weights_in_root_lattice(3)
+    table = levels._lead_table(rs, 3)
     for kap in random_noncritical_levels(rng, rs, 3, avoid_kernel_pole_n=1):
         u = 1 / level(rs, kap).shifted
-        for lam in lams:
-            _, slope, intercept = lead_line(rs, lam)
+        for lam, _, slope, intercept in table:
             assert slope * u + intercept == conformal_weight(rs, lam, kap, 1)
-    for lam in lams:
-        assert lead_line(rs, lam)[2] == conformal_weight_closed(rs, lam, 1) == rs.norm2(lam) / 2
+    for lam, _, _, intercept in table:
+        assert intercept == conformal_weight_closed(rs, lam, 1) == rs.norm2(lam) / 2
 
 
 @pytest.mark.parametrize("label", ["B2", "C3", "G2", "F4"])
@@ -205,8 +227,8 @@ def test_lead_line_pairs_with_rho_and_conformal_weight_with_rho_check(label):
     # always zero
     rs = build_root_system(label)
     gaps = []
-    for lam in rs.dominant_weights_in_root_lattice(4):
-        gap = lead_line(rs, lam)[2] - conformal_weight_closed(rs, lam, 1)
+    for lam, _, _, intercept in levels._lead_table(rs, 4):
+        gap = intercept - conformal_weight_closed(rs, lam, 1)
         assert gap == rs.inner(lam, rs.rho_check) - rs.inner(lam, rs.rho)
         gaps.append(gap)
     assert any(gaps)
@@ -236,8 +258,7 @@ def test_gko_small(label, order):
 
 
 def test_gko_kappa_cancellation_bytes():
-    # each side on its own root system, so two independently built sides are
-    # compared, not the one side a shared context hands to both kappas
+    # each side on its own root system, so no cache of either can serve the other
     a = assemble_coset_character(build_root_system("A1"), F(1, 3), 4)
     b = assemble_coset_character(build_root_system("A1"), F(7, 5), 4)
     assert a is not b
@@ -293,12 +314,15 @@ def test_gko_refuses_every_bad_kappa_before_building_a_side(monkeypatch, mode):
     def no_side(*args, **kwargs):
         raise AssertionError("a side was built before every kappa was checked")
 
-    monkeypatch.setattr(levels, "assemble_coset_character", no_side)
+    monkeypatch.setattr(levels, "_coset_side", no_side)
     monkeypatch.setattr(levels, "coset_rhs_character", no_side)
     for bad in (-5, -4):
         for kappas in ([-2, bad], [bad, -2]):
             with pytest.raises(UsageError):
                 verify_gko("A4", 8, mode, kappas=kappas)
+    # the patched builders are the ones a valid call reaches
+    with pytest.raises(AssertionError, match="a side was built"):
+        verify_gko("A4", 8, mode, kappas=[-2, -3])
 
 
 def test_default_kappa_samples_avoid_degenerate_set():
@@ -351,13 +375,13 @@ def test_verifiers_refuse_a_side_known_short_of_the_order(monkeypatch):
         verify_kw("A2", 2)
     assert series_equal(short(A2, 2), lattice_theta(make_context(A2), 2)) is None
 
-    coset = levels.assemble_coset_character
+    coset = levels._coset_side
 
-    def short_coset(rs, kappa, order, mode="group_ring", xi=None):
-        f = coset(rs, kappa, order, mode, xi)
+    def short_coset(ctx, order, table, leads):
+        f = coset(ctx, order, table, leads)
         return GradedCharacter(f.context, order - 1, f.terms)
 
-    monkeypatch.setattr(levels, "assemble_coset_character", short_coset)
+    monkeypatch.setattr(levels, "_coset_side", short_coset)
     with pytest.raises(AssertionError, match="below the requested order 2"):
         verify_gko("A1", 2)
 
@@ -457,18 +481,52 @@ def test_negative_control_a_dropped_lambda_fails_at_its_top_weight(monkeypatch, 
     assert json.loads(capsys.readouterr().out)["status"] == "fail"
 
 
+def _patch_lead_table(monkeypatch, edit):
+    """Replace each (lam, lam*, slope, intercept) of ``levels._lead_table`` by
+    edit(lam, lam*, slope, intercept)."""
+    table = levels._lead_table
+    monkeypatch.setattr(levels, "_lead_table", lambda rs, order: [edit(*row) for row in table(rs, order)])
+
+
 def _later_second_leads(monkeypatch):
     """Add the line 15 u - 5 to every lam != 0 lead: it is 0 at A2's first
     default kappa sample (u = 1/3) and 1 at its second (u = 2/5), so only the
     second sample's lam != 0 summands start one power of q later, and its
     side differs from the first sample's and the RHS."""
-    line = levels.lead_line
+    _patch_lead_table(monkeypatch, lambda lam, lam_star, slope, intercept: (
+        (lam, lam_star, slope + 15, intercept - 5) if any(lam) else (lam, lam_star, slope, intercept)))
 
-    def tilted(rs, lam):
-        lam_star, slope, intercept = line(rs, lam)
-        return (lam_star, slope + 15, intercept - 5) if any(lam) else (lam_star, slope, intercept)
 
-    monkeypatch.setattr(levels, "lead_line", tilted)
+def _count_lambda_sums(monkeypatch):
+    """The summand lists handed to ``levels._lambda_sum``, one per call."""
+    handed = []
+    lambda_sum = levels._lambda_sum
+
+    def counted(ctx, order, summands):
+        handed.append(summands)
+        return lambda_sum(ctx, order, summands)
+
+    monkeypatch.setattr(levels, "_lambda_sum", counted)
+    return handed
+
+
+@pytest.mark.parametrize("mode,spec", [("group_ring", "full"), ("trivial", "trivial"), ("ray", "ray")])
+def test_negative_control_a_shifted_intercept_fails_under_the_first_kappa(monkeypatch, capsys, mode, spec):
+    # theta's intercept moved from 1 to 2: every slope is still 0, so the one
+    # side of the zero-slope branch loses its q^1 theta-summand, and the first
+    # kappa sample's comparison fails there
+    theta = A2.highest_root
+    _patch_lead_table(monkeypatch, lambda lam, lam_star, slope, intercept: (
+        lam, lam_star, slope, intercept + 1 if lam == theta else intercept))
+    handed = _count_lambda_sums(monkeypatch)
+    rep = verify_gko("A2", 2, mode)
+    assert len(handed) == 1
+    assert rep.status == "fail"
+    first = rat_str(default_kappa_samples(A2)[0])
+    assert rep.first_mismatch["comparison"] == f"lhs[kappa={first}] vs rhs"
+    assert rep.first_mismatch["exponent"] == "1"
+    assert cli.main(["verify-gko", "--type", "A2", "--order", "2", "--spec", spec]) == 1
+    assert json.loads(capsys.readouterr().out)["status"] == "fail"
 
 
 @pytest.mark.parametrize("mode", ["group_ring", "trivial", "ray"])
@@ -495,7 +553,7 @@ def test_sides_and_one_over_d_share_one_euler_series(mode):
 
 @pytest.mark.parametrize("order,n_lams", [(2, 2), (4, 5)])
 def test_gko_divides_once_per_side(monkeypatch, order, n_lams):
-    # one S_kappa / ((q;q)^rank D) per distinct summand list, and a RHS of 1/D
+    # one S_kappa / ((q;q)^rank D) per side built, and a RHS of 1/D
     # and Theta_Q / (q;q)^rank: three Euler products when the two kappa
     # samples' leads agree and four when they differ, however many
     # lambda-summands
@@ -521,15 +579,20 @@ def test_gko_divides_once_per_side(monkeypatch, order, n_lams):
 
 
 @pytest.mark.parametrize("mode", ["group_ring", "trivial", "ray"])
-def test_kappa_samples_with_equal_leads_share_one_side(mode):
+def test_verify_gko_builds_one_lambda_sum_when_every_slope_is_zero(monkeypatch, mode):
+    # however many kappa samples, one lambda-sum, with every lead its
+    # intercept |lam|^2/2; a lead that moves with kappa builds a second one
+    handed = _count_lambda_sums(monkeypatch)
     rs = build_root_system("A2")
-    first, second = default_kappa_samples(rs, 2)
-    side = assemble_coset_character(rs, first, 3, mode)
-    assert assemble_coset_character(rs, second, 3, mode) is side
-    assert assemble_coset_character(rs, F(7, 5), 3, mode) is side
-    # another order or another root system is another key
-    assert assemble_coset_character(rs, second, 2, mode) is not side
-    assert assemble_coset_character(build_root_system("A2"), second, 3, mode) is not side
+    lams = rs.dominant_weights_in_root_lattice(3)
+    for count in (2, 3):
+        handed.clear()
+        assert verify_gko("A2", 3, mode, kappas=default_kappa_samples(rs, count)).status == "pass"
+        assert handed == [[(lam, rs.star(lam), rs.norm2(lam) / 2) for lam in lams]]
+    _later_second_leads(monkeypatch)
+    handed.clear()
+    assert verify_gko("A2", 3, mode).status == "fail"
+    assert len(handed) == 2
 
 
 # canonical JSON of first_mismatch for A2 q^2 with every lam != 0 summand of
@@ -547,7 +610,8 @@ def test_a_kappa_with_other_leads_builds_its_own_side(monkeypatch, mode):
     _later_second_leads(monkeypatch)
     first, second = default_kappa_samples(A2, 2)
     rs = build_root_system("A2")
-    assert assemble_coset_character(rs, second, 2, mode) is not assemble_coset_character(rs, first, 2, mode)
+    assert (assemble_coset_character(rs, second, 2, mode).canonical_str()
+            != assemble_coset_character(rs, first, 2, mode).canonical_str())
     rep = verify_gko("A2", 2, mode)
     assert rep.status == "fail"
     assert rep.first_mismatch["comparison"] == f"lhs[kappa={rat_str(second)}] vs rhs"

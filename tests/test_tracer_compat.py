@@ -42,8 +42,11 @@ import liechar
 from tracer import Tracer
 
 def seen(tracer):
+    names = {rec[0]: rec[1] for rec in tracer.spans}
     inv_d = sum(1 for rec in tracer.spans if rec[1] == "characters.inv_d")
-    return tracer.counts["levels.summands"], inv_d
+    walks = sum(1 for rec in tracer.spans if rec[1] == "rootsys.dominant_weights"
+                and names.get(rec[2]) == "levels.verify")
+    return tracer.counts["levels.summands"], inv_d, walks
 
 tracer = Tracer("summands", 2)
 tracer.install()
@@ -52,7 +55,8 @@ for name, verify in [("gko", liechar.verify_gko), ("kw", liechar.verify_kw)]:
     before = seen(tracer)
     verify("A2", 2)
     after = seen(tracer)
-    out[name] = {"summands": after[0] - before[0], "inv_d_calls": after[1] - before[1]}
+    out[name] = dict(zip(["summands", "inv_d_calls", "verify_q_plus_walks"],
+                         [b - a for a, b in zip(before, after)]))
 print(json.dumps(out))
 """
 
@@ -66,16 +70,16 @@ from tracer import Tracer
 def seen(tracer):
     finite = sum(1 for rec in tracer.spans if rec[1] == "characters.finite_char")
     inv_d = sum(1 for rec in tracer.spans if rec[1] == "characters.inv_d")
-    return finite, tracer.counts["levels.summands"], inv_d
+    return finite, inv_d
 
 tracer = Tracer("finite_char", 2)
 tracer.install()
-out = {"n_lams": len(liechar.build_root_system("A2").dominant_weights_in_root_lattice(2))}
+out = {}
 for mode in ["group_ring", "trivial", "ray"]:
     before = seen(tracer)
     assert liechar.verify_gko("A2", 2, mode).status == "pass"
     after = seen(tracer)
-    out[mode] = dict(zip(["finite_char", "summands", "inv_d_calls"],
+    out[mode] = dict(zip(["finite_char", "inv_d_calls"],
                          [b - a for a, b in zip(before, after)]))
 print(json.dumps(out))
 """
@@ -170,38 +174,37 @@ def test_tracer_counts_one_coefficient_product_per_context_mul():
 
 
 def test_tracer_counts_the_verifiers_lambda_summands():
-    # the tracer counts the Q+ list under each levels.assemble span: one per
-    # kappa sample in verify_gko, so 2n, though the second sample shares the
-    # first one's side and only one lambda-sum of n summands is built; and n
-    # in verify_kw.  The coset sides divide by (q;q)^rank D as one Euler
-    # product, so 1/D is built once, for the RHS
+    # the tracer counts the Q+ list under a levels.assemble or levels.kw_lhs
+    # span: n in verify_kw, and 0 in verify_gko, which walks Q+ once, for its
+    # one lead table, directly under levels.verify and calls no
+    # assemble_coset_character.  The coset sides divide by (q;q)^rank D as one
+    # Euler product, so 1/D is built once, for the RHS
     got = _run_traced(SUMMANDS_SCRIPT)
     n = got["n_lams"]
     assert n > 1
-    assert got["gko"] == {"summands": 2 * n, "inv_d_calls": 1}
-    assert got["kw"] == {"summands": n, "inv_d_calls": 0}
+    assert got["gko"] == {"summands": 0, "inv_d_calls": 1, "verify_q_plus_walks": 1}
+    assert got["kw"] == {"summands": n, "inv_d_calls": 0, "verify_q_plus_walks": 0}
 
 
 def test_specialized_verifiers_build_no_freudenthal_character():
     # trivial takes ch L_lam from the Weyl dimension and ray at rho_check from
     # the principal specialization; group_ring runs Freudenthal's recursion
     # once per lambda, on dominant weights only, with no finite_char orbit
-    # spread (the second kappa sample shares the first one's side)
+    # spread; one 1/D, for the RHS
     got = _run_traced(FINITE_CHAR_SCRIPT)
-    n = got["n_lams"]
-    assert got["group_ring"] == {"finite_char": 0, "summands": 2 * n, "inv_d_calls": 1}
-    assert got["trivial"] == {"finite_char": 0, "summands": 2 * n, "inv_d_calls": 1}
-    assert got["ray"] == {"finite_char": 0, "summands": 2 * n, "inv_d_calls": 1}
+    assert got["group_ring"] == {"finite_char": 0, "inv_d_calls": 1}
+    assert got["trivial"] == {"finite_char": 0, "inv_d_calls": 1}
+    assert got["ray"] == {"finite_char": 0, "inv_d_calls": 1}
 
 
 def test_tracer_sees_the_euler_products_as_series_products():
     # euler_product multiplies by its cached Euler series with
     # GradedCharacter.mul, once for the e^0 factors and once for the rest: two
-    # series products under the one coset side (the second kappa shares it)
-    # and two under 1/D; level_one_char has the e^0 factors only, and the RHS
-    # multiplies 1/D by it
+    # series products for the one coset side, which verify_gko builds under
+    # its own span for both kappa samples, and two under 1/D; level_one_char
+    # has the e^0 factors only, and the RHS multiplies 1/D by it
     got = _run_traced(EULER_SCRIPT)
-    expect = {"characters.inv_d": 2, "characters.level_one": 1, "levels.assemble": 2, "levels.rhs": 1}
+    expect = {"characters.inv_d": 2, "characters.level_one": 1, "levels.verify": 2, "levels.rhs": 1}
     assert got == {"group_ring": expect, "trivial": expect, "ray": expect}
 
 
