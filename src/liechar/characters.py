@@ -3,15 +3,17 @@ principal W-algebra modules, the affine denominator, and the level-one
 lattice character of simply-laced types.
 
 ``finite_char`` is ch L_lam over monomials: Freudenthal's dominant
-multiplicities (``RootSystem.dominant_multiplicities``) spread over their
-Weyl orbits (``qseries.orbit_sums``).  The Weyl dimension formula and the
-alternating-orbit-sum form of the Weyl character formula are independent
-cross-checks in the tests.  Callers take ch L_lam from their coefficient
-context (``irreducible``), which uses a closed form in ``trivial`` and in
-``ray`` along rho_check, the dominant multiplicities themselves in the
-W-invariant ring (``group_ring``), and their orbit sums, projected, along
-any other xi and in the monomial oracle ring.  A Weyl module's character
-is one series product: q^h ch L_lam times 1/D.
+multiplicities (``RootSystem.dominant_multiplicities``) spread over
+their Weyl orbits (``qseries.orbit_sums``); it is defined in
+``qseries``, whose contexts project it, and imported here under the same
+name.  The Weyl dimension formula and the alternating-orbit-sum form of
+the Weyl character formula are independent cross-checks in the tests.
+Callers take ch L_lam from their coefficient context (``irreducible``),
+which uses a closed form in ``trivial`` and in ``ray`` along rho_check,
+the dominant multiplicities themselves in the W-invariant ring
+(``group_ring``), and their orbit sums, projected, along any other xi
+and in the monomial oracle ring.  A Weyl module's character is one
+series product: q^h ch L_lam times 1/D.
 
 Pochhammer products, D, 1/D and (q;q)^{-rank}, are applied to a series
 by one routine in every coefficient ring (``euler_product``): a series
@@ -32,7 +34,7 @@ from fractions import Fraction
 from typing import Dict
 
 from .linalg import frac, int_or_frac
-from .qseries import Exponent, GradedCharacter, GroupRingElt, orbit_sums, series_one, series_zero
+from .qseries import Exponent, GradedCharacter, GroupRingElt, finite_char, series_one, series_zero
 from .rootsys import RootSystem, UsageError, Weight, alternating_sum, weight
 
 
@@ -58,13 +60,6 @@ class LevelValue:
 
 def level(rs: RootSystem, value) -> LevelValue:
     return LevelValue(frac(value), rs)
-
-
-def finite_char(rs: RootSystem, lam: Weight) -> GroupRingElt:
-    """Irreducible character of highest weight lam: Freudenthal's dominant
-    multiplicities (``RootSystem.dominant_multiplicities``) spread over their
-    Weyl orbits."""
-    return orbit_sums(rs, rs.dominant_multiplicities(lam))
 
 
 def casimir(rs: RootSystem, lam: Weight) -> Fraction:

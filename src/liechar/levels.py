@@ -129,11 +129,20 @@ def gluing_levels(kappa_dual: LevelValue, n: int) -> Tuple[LevelValue, LevelValu
     return kappa, varkappa
 
 
-def conformal_weight(rs: RootSystem, lam: Weight, kappa, n: int) -> Fraction:
-    """Top conformal weight of the lam-summand, from the two shifted levels."""
+def _summand(rs: RootSystem, lam: Weight, n) -> Weight:
+    """lam as an int tuple; UsageError unless lam is in Q+ and n in Z_{>0},
+    the summands of A[g, kappa, n]."""
+    if not isinstance(n, int) or n < 1:
+        raise UsageError(f"conformal_weight requires n a positive integer, not {n}")
     lam = weight(lam)
     if not rs.in_root_lattice(lam) or not rs.is_dominant(lam):
         raise UsageError("conformal_weight requires lam in Q+")
+    return lam
+
+
+def conformal_weight(rs: RootSystem, lam: Weight, kappa, n: int) -> Fraction:
+    """Top conformal weight of the lam-summand, from the two shifted levels."""
+    lam = _summand(rs, lam, n)
     kv = kappa if isinstance(kappa, LevelValue) else level(rs, kappa)
     partner = kernel_partner_level(kv, n)
     cas = rs.inner(lam, tuple(c + 2 for c in lam))
@@ -142,9 +151,7 @@ def conformal_weight(rs: RootSystem, lam: Weight, kappa, n: int) -> Fraction:
 
 def conformal_weight_closed(rs: RootSystem, lam: Weight, n: int) -> Fraction:
     """Closed form (lam,lam) r_vee n / 2 + (lam, n r_vee rho - rho_vee)."""
-    lam = weight(lam)
-    if not rs.in_root_lattice(lam) or not rs.is_dominant(lam):
-        raise UsageError("conformal_weight requires lam in Q+")
+    lam = _summand(rs, lam, n)
     rv = rs.lacity
     shift = tuple(n * rv * r - rc for r, rc in zip(rs.rho, rs.rho_check))  # a coweight
     return rs.norm2(lam) * rv * n / 2 + rs.inner(lam, shift)

@@ -27,8 +27,9 @@ ring's, byte for byte.  The module stands on ``rootsys`` alone: every
 ``irreducible`` reads one of RootSystem's kernels (``weyl_dimension``,
 ``principal_specialization``, ``dominant_multiplicities``), and
 ``orbit_sums`` is the one spread of dominant coefficients over their Weyl
-orbits.  A series has one product, ``mul``: a coefficient or a power of q
-enters it as a one-term series.
+orbits; ``finite_char``, ch L_lam over monomials, spreads Freudenthal's, and
+the contexts without a closed form project it.  A series has one product,
+``mul``: a coefficient or a power of q enters it as a one-term series.
 
 Exponents and truncation orders are exact rationals, held the way
 ``int_or_frac`` holds coefficients and coweights: an int when integral,
@@ -279,7 +280,7 @@ class _Context:
         multiplicities, projected.  TrivialContext and RayContext at rho_check
         override it with closed forms, InvariantContext with the dominant
         multiplicities alone."""
-        return self.project(orbit_sums(self.rs, self.rs.dominant_multiplicities(lam)))
+        return self.project(finite_char(self.rs, lam))
 
     def describe(self) -> dict:
         return {"coefficients": self.coefficients, "type": self.rs.type_label}
@@ -556,6 +557,13 @@ def orbit_sums(rs: RootSystem, coeffs: Dict[Weight, object]) -> GroupRingElt:
     res = GroupRingElt()
     res.terms = {nu: c for mu, c in coeffs.items() for nu in rs.weyl_orbit(mu)}
     return res
+
+
+def finite_char(rs: RootSystem, lam: Weight) -> GroupRingElt:
+    """Irreducible character of highest weight lam: Freudenthal's dominant
+    multiplicities (``RootSystem.dominant_multiplicities``) spread over their
+    Weyl orbits."""
+    return orbit_sums(rs, rs.dominant_multiplicities(lam))
 
 
 def _theta_shells(rs: RootSystem, order) -> Dict[Exponent, List[Weight]]:

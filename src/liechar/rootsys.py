@@ -10,13 +10,13 @@ rational coordinates and only ever enter ``inner``.  All bilinear data
 derives from the symmetrized Cartan matrix, normalized so the highest
 root theta has (theta, theta) = 2.
 
-Construction runs in ints.  The symmetrizer is read along the Dynkin
-diagram and checked on every edge, and one fraction-free Gauss-Jordan
-elimination of [A | I] (Bareiss) gives det A and adj A, from which the
-scaled integer forms behind ``inner`` and ``in_root_lattice`` are read.
-Its pivots are the leading principal minors of A, so a Cartan matrix not
-of finite type (not symmetrizable, or with a pivot <= 0) is refused with
-a UsageError before any root is built; its root strings would never close.
+Construction runs in ints.  The one check on the input is that it equals
+the label's Cartan matrix, or its transpose on a self-dual series, so any
+other matrix (affine, hyperbolic, of another type, ragged) is refused with
+a UsageError before any root is built; off finite type its root strings
+would never close.  One fraction-free Gauss-Jordan elimination of [A | I]
+(Bareiss) gives det A and adj A, from which the symmetrizer and the scaled
+integer forms behind ``inner`` and ``in_root_lattice`` are read.
 Dominant conjugation (``_reflect_to_dominant``) reflects a list in place
 along each node's Dynkin neighbours; its results, with |W_x|, go to one
 table (``_conjugate``) that Freudenthal and the invariant ring both read.
@@ -127,41 +127,15 @@ def cartan_matrix(series: str, rank: int) -> List[List[int]]:
     return a
 
 
-def is_valid_cartan(a: Sequence[Sequence[int]]) -> bool:
-    n = len(a)
-    for i in range(n):
-        if len(a[i]) != n or a[i][i] != 2:
-            return False
-        for j in range(n):
-            if i != j and (a[i][j] > 0 or (a[i][j] == 0) != (a[j][i] == 0)):
-                return False
-    return True
-
-
-def _symmetrizer(a: Sequence[Sequence[int]]) -> List[int]:
+def _symmetrizer(adj: Sequence[Sequence[int]]) -> List[int]:
     """Coprime positive ints e_i proportional to d_i = (alpha_i, alpha_i)/2,
-    from (alpha_i, alpha_j) = a_ij d_j = a_ji d_i.  Read along a spanning tree
-    of the Dynkin diagram, scaling e up where a ratio does not divide, then
-    checked on every edge: UsageError unless A is indecomposable and
-    symmetrizable."""
-    n = len(a)
-    e = [1] + [0] * (n - 1)
-    todo = [0]
-    while todo:
-        i = todo.pop()
-        for j in range(n):
-            if a[i][j] and not e[j]:
-                scale = abs(a[i][j]) // math.gcd(e[i] * a[j][i], a[i][j])
-                if scale > 1:
-                    e = [x * scale for x in e]
-                e[j] = e[i] * a[j][i] // a[i][j]
-                todo.append(j)
-    if not all(e):
-        raise UsageError("Cartan matrix is not indecomposable")
-    if any(a[i][j] and a[i][j] * e[j] != a[j][i] * e[i] for i in range(n) for j in range(i)):
-        raise UsageError("Cartan matrix is not symmetrizable")
-    g = math.gcd(*e)
-    return [x // g for x in e]
+    read off adj A: A = B D^{-1} with B = ((alpha_i, alpha_j)) symmetric, so
+    adj A = det A D B^{-1} and d_i / d_0 = adj(A)_{i0} / adj(A)_{0i}, every
+    entry of adj A being positive on a simple type.  With e_0 the lcm of the
+    reduced ratios' denominators, the e_i have no common factor."""
+    ratios = [Fraction(row[0], top) for row, top in zip(adj, adj[0])]
+    den = math.lcm(*(r.denominator for r in ratios))
+    return [r.numerator * (den // r.denominator) for r in ratios]
 
 
 def _det_and_adjugate(a: Sequence[Sequence[int]]) -> Tuple[int, List[List[int]]]:
@@ -169,19 +143,15 @@ def _det_and_adjugate(a: Sequence[Sequence[int]]) -> Tuple[int, List[List[int]]]
     of [A | I] (Bareiss, Math. Comp. 22, 1968), which ends at [det A I | adj A].
 
     The pivot of step k is the leading principal minor of order k + 1, and
-    the division by the previous pivot is exact.  For a symmetrizable A
-    (with d > 0), all pivots are positive exactly when the symmetrized A is
-    positive definite, that is, when A is of finite type (Kac,
-    Infinite-dimensional Lie algebras, Thm 4.3); any other A raises
-    UsageError here, before a root is built.
+    the division by the previous pivot is exact.  A is the Cartan matrix of
+    a finite type, the only input ``RootSystem`` admits, so every pivot is
+    positive (Kac, Infinite-dimensional Lie algebras, Thm 4.3).
     """
     n = len(a)
     m = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a)]
     prev = 1
     for k, top in enumerate(m):
         p = top[k]
-        if p <= 0:
-            raise UsageError("Cartan matrix is not of finite type")
         for i, row in enumerate(m):
             if i != k:
                 f = row[k]
@@ -200,9 +170,10 @@ def _reduced(den: int, rows: Sequence[Sequence[int]]) -> Tuple[int, Tuple[Tuple[
 class RootSystem:
     """Complete integral/rational data of one simple root system.
 
-    Built from a finite-type Cartan matrix, in integer arithmetic: the
-    inverse Cartan matrix comes from one fraction-free elimination, whose
-    pivots also refuse (UsageError) a matrix that is not of finite type.
+    Built from the Cartan matrix of its type label (or its transpose on a
+    self-dual series), the only input it admits (UsageError otherwise), in
+    integer arithmetic: one fraction-free elimination gives the inverse
+    Cartan matrix and the symmetrizer.
     All derived quantities (positive roots, Weyl vectors, dual Coxeter
     number, lacity, Weyl group order) are computed, not table lookups.
     The bilinear form is kept only as integers over one denominator, which
@@ -216,20 +187,19 @@ class RootSystem:
     """
 
     def __init__(self, cartan: Sequence[Sequence[int]], type_label: str):
-        if not is_valid_cartan(cartan):
-            raise UsageError("not a generalized Cartan matrix")
         self.type_label = type_label
         self.series, self.rank = parse_type_label(type_label)
-        self.cartan_matrix: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(int(x) for x in row) for row in cartan
-        )
         n = self.rank
-        a = self.cartan_matrix
-        e = _symmetrizer(a)
-        det, adj = _det_and_adjugate(a)
+        # the input, not transposed (zip would cut a ragged row to length),
+        # against the label's int matrices; the one it matches is stored
         canon = tuple(map(tuple, cartan_matrix(self.series, n)))
-        if a != canon and (_DUAL_SERIES[self.series] != self.series or tuple(zip(*a)) != canon):
+        dual = tuple(zip(*canon)) if _DUAL_SERIES[self.series] == self.series else canon
+        given = tuple(map(tuple, cartan))
+        if given not in (canon, dual):
             raise UsageError(f"Cartan matrix is not that of type {type_label}")
+        a = self.cartan_matrix = canon if given == canon else dual
+        det, adj = _det_and_adjugate(a)
+        e = _symmetrizer(adj)
         top, low = max(e), min(e)
         # d_i = e_i / max e, so that the long roots have (alpha, alpha) = 2
         self.lacity: int = top // low

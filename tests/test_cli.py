@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -119,6 +120,36 @@ def test_weights_table():
     assert all(row["h"] == row["h_two_term"] for row in rows)
     nonzero = [row for row in rows if row["norm2"] != "0"]
     assert nonzero and all(not row["h"].startswith("-") and row["h"] != "0" for row in nonzero)
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_weights_refuses_n_below_one(n, capsys):
+    from liechar import cli
+
+    assert cli.main(["weights", "--type", "A2", f"--n={n}"]) == cli.EXIT_USAGE == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: conformal_weight requires n a positive integer, not {n}\n"
+
+
+def _readme_usage_lines():
+    """The ``liechar ...`` lines of README's sh blocks: the example commands."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = text.split("```sh\n")[1:]
+    lines = [line for block in blocks for line in block.split("```")[0].splitlines()
+             if line.startswith("liechar ")]
+    assert len(lines) >= 11
+    return lines
+
+
+@pytest.mark.parametrize("line", _readme_usage_lines())
+def test_readme_usage_commands_pass(line, capsys):
+    # the documented commands, run as the console script would run them
+    from liechar import cli
+
+    assert cli.main(shlex.split(line)[1:]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and json.loads(out[0])["status"] == "pass"
 
 
 def test_takiff_forms_command():

@@ -151,6 +151,16 @@ def test_conformal_weight_requires_root_lattice():
         conformal_weight(A2, weight([1, 0]), F(1, 2), 1)
 
 
+@pytest.mark.parametrize("n", [0, -1, F(3, 2), 1.5])
+def test_conformal_weight_requires_a_positive_integer_n(n):
+    # A[g, kappa, n] has n in Z_{>0}; the closed form would read h = -2 at
+    # lam = theta on A2 for n = 0.  The level maps stay general in n
+    with pytest.raises(UsageError, match="n a positive integer"):
+        conformal_weight(A2, A2.highest_root, F(1, 2), n)
+    with pytest.raises(UsageError, match="n a positive integer"):
+        conformal_weight_closed(A2, A2.highest_root, n)
+
+
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D4", "G2"])
 def test_conformal_weight_forms_agree_and_positive(label):
     rs = build_root_system(label)

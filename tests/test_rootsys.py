@@ -1,3 +1,4 @@
+import math
 import random
 import signal
 import time
@@ -16,7 +17,13 @@ from liechar import (
     verify_gko,
     weight,
 )
-from liechar.rootsys import _DUAL_SERIES, cartan_matrix, parse_type_label
+from liechar.rootsys import (
+    _DUAL_SERIES,
+    _det_and_adjugate,
+    _symmetrizer,
+    cartan_matrix,
+    parse_type_label,
+)
 from oracles import (
     cartan_isomorphic,
     dominant_multiplicities_by_strings,
@@ -461,21 +468,48 @@ def _raise_timeout(signum, frame):
     raise TimeoutError("RootSystem construction ran for over a second")
 
 
+@pytest.fixture
+def no_roots(monkeypatch):
+    """Make building a positive root fail, so a refusal must come first."""
+    def build(self):
+        raise AssertionError("a positive root was built")
+    monkeypatch.setattr(RootSystem, "_build_positive_roots", build)
+
+
 @pytest.mark.parametrize("name", sorted(NOT_FINITE))
-def test_cartan_matrices_not_of_finite_type_are_refused(name):
+def test_cartan_matrices_not_of_finite_type_are_refused(name, no_roots):
     # off finite type the positive roots never run out, so the refusal must
-    # come before any root is built; the alarm turns a hang into a failure
+    # come before any root is built; the alarm turns a hang into a failure.
+    # The label check is the one check on the input, hence its message
     cartan = NOT_FINITE[name]
     label = f"A{len(cartan)}"
     old = signal.signal(signal.SIGALRM, _raise_timeout)
     signal.setitimer(signal.ITIMER_REAL, 1.0)
     try:
         for a in (cartan, [list(col) for col in zip(*cartan)]):
-            with pytest.raises(UsageError, match="finite type|symmetrizable"):
+            with pytest.raises(UsageError, match="not that of type"):
                 RootSystem(a, label)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
+
+
+def test_float_entries_are_stored_as_ints():
+    rs = RootSystem([[2.0, -1.0], [-1.0, 2.0]], "A2")
+    assert rs.cartan_matrix == ((2, -1), (-1, 2))
+    assert all(type(x) is int for row in rs.cartan_matrix for x in row)
+    assert rs.same_as(build_root_system("A2"))
+
+
+@pytest.mark.parametrize("label", [f"A{r}" for r in range(1, 13)] + [f"B{r}" for r in range(2, 10)]
+                         + [f"C{r}" for r in range(2, 10)] + [f"D{r}" for r in range(4, 13)]
+                         + ["E6", "E7", "E8", "F4", "G2"])
+def test_symmetrizer_read_off_the_adjugate_matches_the_dynkin_walk(label):
+    a = cartan_matrix(*parse_type_label(label))
+    for m in (a, [list(col) for col in zip(*a)]):
+        e = _symmetrizer(_det_and_adjugate(m)[1])
+        assert math.gcd(*e) == 1 and min(e) > 0
+        assert [F(x, max(e)) for x in e] == _symmetrizer_from_cartan(m)
 
 
 @pytest.mark.parametrize("label", RANK_8_TYPES + ["C2", "A12", "D16"])
@@ -488,13 +522,17 @@ def test_every_finite_type_and_its_transpose_builds(label):
     assert len(rs.positive_roots) == len(dual.positive_roots)
 
 
-def test_a_type_label_must_name_its_cartan_matrix():
-    with pytest.raises(UsageError, match="not that of type A6"):
-        RootSystem(cartan_matrix("E", 6), "A6")
-    with pytest.raises(UsageError, match="not that of type B3"):
-        RootSystem(cartan_matrix("C", 3), "B3")
-    with pytest.raises(UsageError, match="not that of type A2"):
-        RootSystem(cartan_matrix("A", 3), "A2")  # the label's rank is not the matrix's
+def test_a_type_label_must_name_its_cartan_matrix(no_roots):
+    for cartan, label in [
+        (cartan_matrix("E", 6), "A6"),
+        (cartan_matrix("C", 3), "B3"),
+        (cartan_matrix("A", 3), "A2"),  # the label's rank is not the matrix's
+        ([[2]], "A2"),
+        ([[2, -1], [-1, 2, 5]], "A2"),  # ragged: transposing would cut the 5
+        ([[2, -1, -1], [-1, 2, 0], [-1, 0, 2]], "A3"),  # nodes 1 and 2 swapped
+    ]:
+        with pytest.raises(UsageError, match=f"not that of type {label}"):
+            RootSystem(cartan, label)
 
 
 @pytest.mark.parametrize("label", RANK_8_TYPES + ["C2"])

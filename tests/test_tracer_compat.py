@@ -81,6 +81,10 @@ for mode in ["group_ring", "trivial", "ray"]:
     after = seen(tracer)
     out[mode] = dict(zip(["finite_char", "inv_d_calls"],
                          [b - a for a, b in zip(before, after)]))
+before = seen(tracer)
+assert liechar.verify_gko("A2", 2, "ray", xi=(1, 2)).status == "pass"
+out["ray_off_rho_check"] = seen(tracer)[0] - before[0]
+out["n_lams"] = len(liechar.build_root_system("A2").dominant_weights_in_root_lattice(2))
 print(json.dumps(out))
 """
 
@@ -195,6 +199,10 @@ def test_specialized_verifiers_build_no_freudenthal_character():
     assert got["group_ring"] == {"finite_char": 0, "inv_d_calls": 1}
     assert got["trivial"] == {"finite_char": 0, "inv_d_calls": 1}
     assert got["ray"] == {"finite_char": 0, "inv_d_calls": 1}
+    # along any other xi the context projects finite_char itself, and the
+    # tracer sees it: one character per lambda with lead <= 2
+    assert got["n_lams"] > 1
+    assert got["ray_off_rho_check"] == got["n_lams"]
 
 
 def test_tracer_sees_the_euler_products_as_series_products():
