@@ -183,6 +183,8 @@ def cmd_weights(args, t0: float) -> int:
 def cmd_levels(args, t0: float) -> int:
     rs = build_root_system(args.type)
     kappa = level(rs, parse_rational(args.kappa))
+    if args.op != "ff-dual" and args.n < 1:  # A[g, kappa, n] has n in Z_{>0}
+        raise UsageError(f"levels --op {args.op} requires n a positive integer, not {args.n}")
     if args.op == "ff-dual":
         rels = [LevelRelation("ff_dual", None, kappa, ff_dual_level(kappa))]
     elif args.op == "kernel":

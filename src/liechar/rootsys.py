@@ -32,7 +32,8 @@ Nor does the theta series of Q (``theta_counts``): it is a transfer over
 the Dynkin tree, node by node from the leaves, in ints.  The three kernels
 of ch L_lam sit side by side: ``weyl_dimension``,
 ``principal_specialization`` and Freudenthal's ``dominant_multiplicities``,
-which walks one root string per W_mu-orbit of roots, in ints.
+which walks one root string per W_mu-orbit of roots, in ints, over a cone
+read off one cached ``_walk_q_plus`` per coset of Q (Q+ for the verifiers).
 """
 
 from __future__ import annotations
@@ -181,8 +182,8 @@ class RootSystem:
     ``inner`` of the unit and the simple-root tuples.  The root data is
     immutable after construction and safe to share; the mutable parts are
     caches that only grow: the coefficient contexts (``_contexts``), the
-    dominant weights of Q+ up to the deepest norm bound asked so far
-    (``_q_plus``), the dominant conjugates (``_conjugates``), and |W_J| and
+    dominant weights of each coset of Q up to the deepest norm asked so far
+    (``_cosets``), the dominant conjugates (``_conjugates``), and |W_J| and
     Freudenthal's strings per zero pattern J.
     """
 
@@ -235,10 +236,9 @@ class RootSystem:
         # the coefficient contexts and their caches, one per (mode, xi), made
         # on first use by qseries.make_context and freed with this root system
         self._contexts = {}
-        # (scaled norm lam^T F lam, lam) for lam in Q+, sorted, through the
-        # scaled norm _q_plus_limit; grown by dominant_weights_in_root_lattice
-        self._q_plus: List[Tuple[int, Weight]] = []
-        self._q_plus_limit = -1
+        # root-lattice residue -> (limit, the coset's _walk_q_plus list through
+        # that scaled norm); a deeper limit walks the coset again
+        self._cosets: Dict[Tuple[int, ...], Tuple[int, List[Tuple[int, Weight]]]] = {}
         self._conjugates: Dict[Weight, Tuple[Weight, int]] = {}
         self._parabolic_orders: Dict[Tuple[bool, ...], int] = {}
         self._strings: Dict[Tuple[bool, ...], list] = {}
@@ -460,33 +460,38 @@ class RootSystem:
             raise UsageError("norm bound must be nonnegative")
         # (lam, lam) <= 2 bound <=> lam^T F lam <= 2 bound den, an int
         limit = math.floor(2 * bound * self._form_den)
-        if limit > self._q_plus_limit:
-            self._q_plus = self._walk_q_plus(limit)
-            self._q_plus_limit = limit
-        end = bisect.bisect_right(self._q_plus, limit, key=operator.itemgetter(0))
-        return [lam for _, lam in self._q_plus[:end]]
+        return [lam for _, lam in self._coset_walk((0,) * self.rank, limit)]
 
-    def _walk_q_plus(self, limit: int) -> List[Tuple[int, Weight]]:
-        """(lam^T F lam, lam) for every lam in Q^+ with lam^T F lam <= limit,
-        sorted, F = ``_form_scaled``.
+    def _coset_walk(self, residue: Tuple[int, ...], limit: int) -> List[Tuple[int, Weight]]:
+        """The coset's ``_walk_q_plus`` list through the scaled norm limit: a
+        prefix of the cached list, walked again only for a deeper limit."""
+        depth, walk = self._cosets.get(residue, (-1, []))
+        if limit > depth:
+            walk = self._walk_q_plus(limit, residue)
+            self._cosets[residue] = (limit, walk)
+        return walk[:bisect.bisect_right(walk, limit, key=operator.itemgetter(0))]
+
+    def _walk_q_plus(self, limit: int, residue: Tuple[int, ...]) -> List[Tuple[int, Weight]]:
+        """(x^T F x, x), sorted, F = ``_form_scaled``, for every dominant x with
+        x^T F x <= limit in the coset lam + Q whose root-lattice residues
+        ``_inv_cartan_t_scaled`` lam mod ``_lattice_den`` are residue: Q+ for 0.
 
         Depth-first over the coordinates, in ints: raising c_i by one adds
         2 (F c)_i + F_ii to the norm and column i of ``_inv_cartan_t_scaled``
-        to the root-lattice residues.  Every (omega_i, omega_j) is positive
-        on a finite type, so no later coordinate lowers the norm, and c_i
-        stops rising once the partial norm passes the limit (Fincke and
-        Pohst, Math. Comp. 44, 1985, on the positive orthant).
+        to the residues.  Every (omega_i, omega_j) is positive on a finite
+        type, so no later coordinate lowers the norm, and c_i stops rising
+        once the partial norm passes the limit (Fincke and Pohst, Math. Comp.
+        44, 1985, on the positive orthant).
         """
         n, form, den = self.rank, self._form_scaled, self._lattice_den
         if any(x < 0 for row in form for x in row):
             raise AssertionError("a negative (omega_i, omega_j) breaks the pruning")
         residue_cols = list(zip(*self._inv_cartan_t_scaled))
-        found: List[Tuple[int, Weight]] = []
-        coords = [0] * n
+        found, coords = [], [0] * n
 
         def rec(i: int, norm: int, fc: Sequence[int], res: Sequence[int]) -> None:
             if i == n:
-                if not any(res):
+                if tuple(res) == residue:
                     found.append((norm, tuple(coords)))
                 return
             row, col = form[i], residue_cols[i]
@@ -501,8 +506,7 @@ class RootSystem:
             coords[i] = 0
 
         rec(0, 0, [0] * n, [0] * n)
-        found.sort()
-        return found
+        return sorted(found)
 
     def theta_counts(self, order, t: Sequence[int]) -> Dict[Tuple[object, int], int]:
         """{((lam, lam)/2, sum_i c_i t_i): count} over lam = sum_i c_i alpha_i in Q
@@ -619,24 +623,6 @@ class RootSystem:
             del g[-b:]
         return g
 
-    def _dominant_weights_below(self, lam: Weight) -> List[Tuple[int, Weight]]:
-        """Dominant mu with lam - mu in Q+, tagged with the height of lam - mu, sorted.
-
-        If lam covers mu among dominant weights, lam - mu is a positive root
-        (Stembridge, Adv. Math. 136, 1998), so a walk down by positive roots
-        through dominant weights only reaches them all.
-        """
-        found: Dict[Weight, int] = {lam: 0}
-        todo, sub = [lam], operator.sub
-        while todo:
-            mu = todo.pop()
-            for alpha, rc in self._root_coords.items():
-                nu = tuple(map(sub, mu, alpha))
-                if min(nu) >= 0 and nu not in found:
-                    found[nu] = found[mu] + sum(rc)
-                    todo.append(nu)
-        return sorted((h, mu) for mu, h in found.items())
-
     def _freudenthal_strings(self, zero: Tuple[bool, ...]) -> list:
         """Freudenthal's strings at a dominant mu with zero pattern J, cached:
         (alpha, lac (omega_i, alpha) per i, lac (alpha, alpha), count) for the
@@ -661,6 +647,20 @@ class RootSystem:
             self._strings[zero] = strings
         return strings
 
+    def _dominant_cone(self, lam: Weight) -> List[Tuple[int, Weight]]:
+        """(height of lam - mu, mu) for each dominant mu <= lam, sorted.
+
+        Every such mu has (mu, mu) <= (lam, lam), so lam's coset list read to
+        lam^T F lam holds it; it is below lam when den (lam - mu)'s simple-root
+        coordinates, one row of ``_inv_cartan_t_scaled`` each, are nonnegative.
+        """
+        inv, den, mul = self._inv_cartan_t_scaled, self._lattice_den, operator.mul
+        top = [sum(map(mul, row, lam)) for row in inv]
+        size = sum(c * sum(map(mul, row, lam)) for c, row in zip(lam, self._form_scaled))
+        diffs = (([c - sum(map(mul, row, mu)) for c, row in zip(top, inv)], mu)
+                 for _, mu in self._coset_walk(tuple([c % den for c in top]), size))
+        return sorted((sum(d) // den, mu) for d, mu in diffs if min(d) >= 0)
+
     def dominant_multiplicities(self, lam: Weight) -> Dict[Weight, int]:
         """Dominant weight -> multiplicity in L_lam, by Freudenthal's recursion
         run on the dominant weights only, in ints.
@@ -669,20 +669,14 @@ class RootSystem:
         from ``_conjugates``, so it is a weight of L_lam iff that conjugate
         already has a multiplicity; strings are unbroken, so the first miss
         ends the string.  The positive roots enter by W_mu-orbits
-        (``_freudenthal_strings``).  A string sums lac (mu + k alpha, alpha),
-        and the norms are x^T F x, F = ``_form_scaled``, so the recursion's
-        one division is an exact int divmod.
+        (``_freudenthal_strings``), and the mu by ``_dominant_cone``.  A
+        string sums lac (mu + k alpha, alpha), and the norms are x^T F x, F =
+        ``_form_scaled``, so the recursion's one division is an exact int divmod.
         """
         lam = self._dominant(lam, "dominant_multiplicities")
         form, table, conjugate, add = self._form_scaled, self._conjugates, self._conjugate, operator.add
-
-        def norm(x):  # (x + rho)^T F (x + rho)
-            x = [c + 1 for c in x]
-            return sum(c * sum(map(operator.mul, row, x)) for c, row in zip(x, form))
-
-        top = norm(lam)
         mult: Dict[Weight, int] = {lam: 1}
-        for _, mu in self._dominant_weights_below(lam)[1:]:
+        for _, mu in self._dominant_cone(lam)[1:]:
             total = 0
             for alpha, pair, len2, count in self._freudenthal_strings(tuple(map(operator.not_, mu))):
                 nu, ip = mu, sum(map(operator.mul, mu, pair))
@@ -693,7 +687,10 @@ class RootSystem:
                     if m is None:
                         break
                     total += count * m * ip
-            m, rem = divmod(2 * self._form_den * total, self.lacity * (top - norm(mu)))
+            # |lam + rho|^2 - |mu + rho|^2 = (lam - mu)^T F (lam + mu + 2 rho), F symmetric
+            up = [a + b + 2 for a, b in zip(lam, mu)]
+            gap = sum((a - b) * sum(map(operator.mul, row, up)) for a, b, row in zip(lam, mu, form))
+            m, rem = divmod(2 * self._form_den * total, self.lacity * gap)
             if rem or m <= 0:
                 raise AssertionError("Freudenthal produced a non-positive-integer multiplicity")
             mult[mu] = m

@@ -91,6 +91,26 @@ def dominant_representative(rs, lam):
         lam = tuple(x - c * a for x, a in zip(lam, rs.simple_roots[i]))
 
 
+def dominant_weights_below(rs, lam):
+    """(height of lam - mu, mu) for each dominant mu with lam - mu in Q+, sorted.
+
+    If lam covers mu among dominant weights, lam - mu is a positive root
+    (Stembridge, Adv. Math. 136, 1998), so a walk down by positive roots
+    through dominant weights only reaches them all: the cone that
+    ``RootSystem.dominant_multiplicities`` once walked for each lam.
+    """
+    lam = weight(lam)
+    found, todo = {lam: 0}, [lam]
+    while todo:
+        mu = todo.pop()
+        for alpha in rs.positive_roots:
+            nu = tuple(a - b for a, b in zip(mu, alpha))
+            if min(nu) >= 0 and nu not in found:
+                found[nu] = found[mu] + rs.height(alpha)
+                todo.append(nu)
+    return sorted((h, mu) for mu, h in found.items())
+
+
 def dominant_multiplicities_by_strings(rs, lam):
     """Dominant weight -> multiplicity in L_lam, by Freudenthal's recursion
     with one string per positive root, each string step reflected to its
@@ -108,7 +128,7 @@ def dominant_multiplicities_by_strings(rs, lam):
     lam_rho = tuple(c + 1 for c in lam)
     c_top = rs.inner(lam_rho, lam_rho)
     mult = {lam: 1}
-    for _, mu in rs._dominant_weights_below(lam)[1:]:
+    for _, mu in dominant_weights_below(rs, lam)[1:]:
         total = 0
         for alpha, pair, len2 in strings:
             nu, ip = mu, sum(m * p for m, p in zip(mu, pair))

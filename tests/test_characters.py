@@ -161,7 +161,7 @@ def test_finite_char_against_weyl_formulas_and_box_scan(case):
         rs, lam_rho
     )
     assert fc.dimension() == rs.weyl_dimension(lam)
-    assert rs._dominant_weights_below(lam) == _dominant_below_by_box_scan(rs, lam)
+    assert rs._dominant_cone(lam) == _dominant_below_by_box_scan(rs, lam)
     assert all(type(c) is int for w in fc.terms for c in w)
     assert all(type(m) is int for m in fc.terms.values())
 

@@ -132,6 +132,17 @@ def test_weights_refuses_n_below_one(n, capsys):
     assert out.err == f"error: conformal_weight requires n a positive integer, not {n}\n"
 
 
+@pytest.mark.parametrize("op, n", [("kernel", "0"), ("gluing", "-1"), ("kernel", "-2")])
+def test_levels_refuses_n_below_one(op, n, capsys):
+    # kernel and gluing read n, and A[g, kappa, n] has n a positive integer
+    from liechar import cli
+
+    assert cli.main(["levels", "--type", "A2", "--kappa", "1", "--op", op, f"--n={n}"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: levels --op {op} requires n a positive integer, not {n}\n"
+
+
 def _readme_usage_lines():
     """The ``liechar ...`` lines of README's sh blocks: the example commands."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -14,6 +14,7 @@ from liechar import (
     alternating_sum,
     build_root_system,
     langlands_dual,
+    finite_char,
     verify_gko,
     weight,
 )
@@ -28,6 +29,7 @@ from oracles import (
     cartan_isomorphic,
     dominant_multiplicities_by_strings,
     dominant_representative,
+    dominant_weights_below,
     dominant_weights_box_scan,
     mat_inverse,
     orbit_depth_histogram,
@@ -297,9 +299,9 @@ def _count_walks(monkeypatch):
     walks = []
     real = RootSystem._walk_q_plus
 
-    def counting(self, limit):
-        walks.append((self.type_label, limit))
-        return real(self, limit)
+    def counting(self, limit, residue):
+        walks.append((self.type_label, residue))
+        return real(self, limit, residue)
 
     monkeypatch.setattr(RootSystem, "_walk_q_plus", counting)
     return walks
@@ -331,9 +333,20 @@ def test_q_plus_lists_are_fresh():
 
 
 def test_two_kappa_gko_walks_q_plus_once(monkeypatch):
+    # in group_ring, Freudenthal's cones of the lam read the same Q+ walk
     walks = _count_walks(monkeypatch)
-    assert verify_gko("A2", 3, "trivial").status == "pass"
-    assert [label for label, _ in walks] == ["A2"]
+    for mode in ["trivial", "group_ring"]:
+        assert verify_gko("A2", 3, mode).status == "pass"
+    assert walks == [("A2", (0, 0))] * 2
+
+
+def test_finite_char_walks_an_off_q_coset_once(monkeypatch):
+    # (2, 1) and (1, 0) lie in one coset of Q; the smaller reads the cached walk
+    walks = _count_walks(monkeypatch)
+    rs = build_root_system("A2")
+    assert finite_char(rs, (2, 1)).dimension() == 15
+    assert finite_char(rs, (1, 0)).dimension() == 3
+    assert len(walks) == 1 and walks[0][1] != (0, 0)
 
 
 SYSTEMS = {label: build_root_system(label) for label in ALL_TYPES}
@@ -426,7 +439,7 @@ def _small_dominant_weights(rs, rng, count=4, tries=30):
         for i in rng.sample(range(rs.rank), rng.randint(1, min(3, rs.rank))):
             lam[i] = rng.randint(1, 2)
         lam = tuple(lam)
-        if lam not in found and rs.norm2(lam) <= 8 and len(rs._dominant_weights_below(lam)) <= 40:
+        if lam not in found and rs.norm2(lam) <= 8 and len(dominant_weights_below(rs, lam)) <= 40:
             found.append(lam)
             if len(found) == count:
                 break
@@ -442,6 +455,59 @@ def test_orbit_grouped_freudenthal_matches_one_string_per_root(label):
     assert len(lams) >= 2
     for lam in lams + [rs.highest_root]:
         assert rs.dominant_multiplicities(lam) == dominant_multiplicities_by_strings(rs, lam), lam
+
+
+def _first_dominant_weights_by_coset(rs, count):
+    """The first count dominant weights by (norm, coordinates) of each coset
+    of Q in P, from scans of the dominant weights of growing norm, each
+    coordinate raised until the norm passes the bound (no (omega_i, omega_j)
+    is negative).  0 and the omega_i meet every coset: each nonzero one holds
+    a minuscule weight."""
+    n, reps = rs.rank, []
+    for x in [(0,) * n] + [tuple(int(i == j) for j in range(n)) for i in range(n)]:
+        if not any(rs.in_root_lattice(tuple(a - b for a, b in zip(x, r))) for r in reps):
+            reps.append(x)
+
+    def scan(lam, i, bound, out):
+        while rs.norm2(lam) <= bound:
+            if i == n - 1:
+                out.append(lam)
+            else:
+                scan(lam, i + 1, bound, out)
+            lam = (*lam[:i], lam[i] + 1, *lam[i + 1:])
+        return out
+
+    bound = F(2)
+    while True:
+        groups = [[] for _ in reps]
+        for lam in sorted(scan((0,) * n, 0, bound, []), key=lambda w: (rs.norm2(w), w)):
+            k = next(k for k, r in enumerate(reps)
+                     if rs.in_root_lattice(tuple(a - b for a, b in zip(lam, r))))
+            groups[k].append(lam)
+        if min(map(len, groups)) >= count:
+            return [group[:count] for group in groups]
+        bound *= F(3, 2)
+
+
+@pytest.mark.parametrize("label", RANK_8_TYPES)
+def test_dominant_cone_matches_the_positive_root_descent(label):
+    # the cone read off lam's cached coset walk against Stembridge's descent
+    rs = build_root_system(label)
+    for lams in _first_dominant_weights_by_coset(rs, 40):
+        for lam in lams:
+            assert rs._dominant_cone(lam) == dominant_weights_below(rs, lam), lam
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "F4"])
+def test_freudenthal_keeps_its_order_on_twelve_weights_per_type(label):
+    # the first 12 dominant weights of P by norm; the oracle walks the
+    # descent's cone, so the dicts agree in key order too
+    rs = build_root_system(label)
+    lams = sorted((w for ws in _first_dominant_weights_by_coset(rs, 12) for w in ws),
+                  key=lambda w: (rs.norm2(w), w))[:12]
+    for lam in lams:
+        got = list(rs.dominant_multiplicities(lam).items())
+        assert got == list(dominant_multiplicities_by_strings(rs, lam).items()), lam
 
 
 def test_freudenthal_meets_the_weyl_dimension_on_the_d4_q40_summands():
